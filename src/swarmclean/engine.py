@@ -10,7 +10,8 @@ config, including its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+import numbers
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -30,6 +31,37 @@ from .metrics import MetricsRecord, MetricsSeries, coherency, ratio_within
 WHEEL_UNIT_CM_S = 4.0 / 3.0
 
 TWO_PI = 2.0 * math.pi
+
+# validation bounds: floats are finite and at most MAX_MAGNITUDE in size,
+# strictly positive quantities at least MIN_POSITIVE; the field holds one
+# float per square cm and the pair passes two N x N float arrays
+MAX_MAGNITUDE = 1e6
+MIN_POSITIVE = 1e-6
+MAX_ARENA_CM = 10_000.0
+MAX_ROBOTS = 10_000
+_POSITIVE_FIELDS = (
+    "alpha",
+    "omega_max_s",
+    "arena_width_cm",
+    "arena_height_cm",
+    "cue_radius_cm",
+    "cue_peak",
+    "dt_s",
+    "body_radius_cm",
+    "wheel_base_cm",
+    "contact_range_cm",
+    "metric_radius_cm",
+    "turn_rate_deg_s",
+    "wheel_max",
+)
+_NON_NEGATIVE_FIELDS = (
+    "n_robots",
+    "duration_s",
+    "seed",
+    "wall_range_cm",
+    "refractory_s",
+    "turn_min_deg",
+)
 
 
 class ConfigError(ValueError):
@@ -74,29 +106,45 @@ class SimConfig:
         return int(round(1.0 / self.dt_s))
 
     def validate(self) -> None:
-        if self.n_robots < 0:
-            raise ConfigError(f"n_robots must be >= 0, got {self.n_robots}")
-        if self.dt_s <= 0:
-            raise ConfigError(f"dt_s must be positive, got {self.dt_s}")
+        """Raise ConfigError for any config the engine cannot run.
+
+        Every field is checked here, the controller's through
+        `controller_params`: integers and finite floats of the right type,
+        each inside its physical range. Floats are bounded in magnitude so
+        that no speed, yaw rate or waiting time overflows.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
+            if f.type == "int":
+                if not isinstance(value, numbers.Integral):
+                    raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            elif f.type == "float":
+                if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                    raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+                if abs(value) > MAX_MAGNITUDE:
+                    raise ConfigError(f"{f.name} must be at most {MAX_MAGNITUDE:g} in size, got {value!r}")
+        for name in _POSITIVE_FIELDS:
+            if getattr(self, name) < MIN_POSITIVE:
+                raise ConfigError(f"{name} must be at least {MIN_POSITIVE:g}, got {getattr(self, name)!r}")
+        for name in _NON_NEGATIVE_FIELDS:
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if self.n_robots > MAX_ROBOTS:
+            raise ConfigError(f"n_robots must be at most {MAX_ROBOTS}, got {self.n_robots}")
         tps = round(1.0 / self.dt_s)
-        if tps < 1 or abs(tps * self.dt_s - 1.0) > 1e-9:
+        if abs(tps * self.dt_s - 1.0) > 1e-9:
             raise ConfigError(f"dt_s must divide 1 s evenly, got {self.dt_s}")
-        if self.duration_s < 0:
-            raise ConfigError(f"duration_s must be >= 0, got {self.duration_s}")
-        if self.arena_width_cm <= 2 * self.body_radius_cm or self.arena_height_cm <= 2 * self.body_radius_cm:
+        if max(self.arena_width_cm, self.arena_height_cm) > MAX_ARENA_CM:
+            raise ConfigError(f"arena sides must be at most {MAX_ARENA_CM:g} cm")
+        if min(self.arena_width_cm, self.arena_height_cm) <= 2 * self.body_radius_cm:
             raise ConfigError("arena too small for the robot body")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.contact_range_cm <= 0 or self.wall_range_cm < 0:
-            raise ConfigError("contact/wall sensing ranges must be positive")
-        if self.refractory_s < 0:
-            raise ConfigError(f"refractory_s must be >= 0, got {self.refractory_s}")
-        if self.metric_radius_cm <= 0:
-            raise ConfigError(f"metric_radius_cm must be positive, got {self.metric_radius_cm}")
-        # delegate the rest
-        self.controller_params()
-        if self.cue_radius_cm <= 0 or not 0 < self.cue_peak <= 255:
-            raise ConfigError("cue geometry invalid")
+        if self.cue_peak > 255:
+            raise ConfigError(f"cue_peak must be at most 255, got {self.cue_peak}")
+        if self.turn_min_deg > self.turn_max_deg:
+            raise ConfigError(f"turn_min_deg {self.turn_min_deg} exceeds turn_max_deg {self.turn_max_deg}")
+        self.controller_params()  # the controller's own checks: beta <= wheel_max, waiting_formula
 
     def controller_params(self) -> ControllerParams:
         try:
@@ -166,6 +214,44 @@ def integrate(
     return x, y, heading
 
 
+class PairGeometry:
+    """Squared distances between robot centers, kept for the current poses.
+
+    d2[i, j] = (x[j] - x[i])**2 + (y[j] - y[i])**2, with an infinite
+    diagonal so that no robot meets itself. The N x N buffer is allocated
+    once, for the poses it is built from, and refilled in place: `fill`
+    recomputes every pair, `refill` only the rows and columns of the robots
+    that moved. d2 is symmetric bit for bit, because x[j] - x[i] and
+    x[i] - x[j] differ only in sign, so a robot's column is its row
+    transposed.
+    """
+
+    __slots__ = ("d2", "_tmp")
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        n = len(x)
+        self.d2 = np.empty((n, n))
+        self._tmp = np.empty((n, n))
+        self.fill(x, y)
+
+    def fill(self, x: np.ndarray, y: np.ndarray) -> None:
+        d2, tmp = self.d2, self._tmp
+        np.subtract(x[None, :], x[:, None], out=tmp)
+        np.multiply(tmp, tmp, out=d2)
+        np.subtract(y[None, :], y[:, None], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(d2, tmp, out=d2)
+        np.fill_diagonal(d2, np.inf)
+
+    def refill(self, x: np.ndarray, y: np.ndarray, moved: np.ndarray) -> None:
+        dx = x[None, :] - x[moved, None]
+        dy = y[None, :] - y[moved, None]
+        rows = dx * dx + dy * dy
+        self.d2[moved] = rows
+        self.d2[:, moved] = rows.T
+        self.d2[moved, moved] = np.inf
+
+
 def detect_events(
     x: np.ndarray,
     y: np.ndarray,
@@ -180,23 +266,19 @@ def detect_events(
     refractory (it can still trigger others). Wall contact: body edge
     closer than wall_range to a wall that lies in the frontal arc.
     """
-    return _detect_events_trig(x, y, np.cos(heading), np.sin(heading), refractory, config)
+    geom = PairGeometry(x, y)
+    return _detect_events_trig(x, y, np.cos(heading), np.sin(heading), refractory, geom, config)
 
 
-def _detect_events_trig(x, y, cos_t, sin_t, refractory, config):
+def _detect_events_trig(x, y, cos_t, sin_t, refractory, geom, config):
+    """`detect_events` on precomputed trig and a PairGeometry of the same poses."""
     n = len(x)
     robot_contact = np.zeros(n, dtype=bool)
-    if n == 0:
-        return robot_contact, np.zeros(n, dtype=bool)
-
-    if n > 1:
-        dx = x[None, :] - x[:, None]  # vector from i to j
-        dy = y[None, :] - y[:, None]
-        d2 = dx * dx + dy * dy
-        within = d2 <= config.contact_range_cm**2
-        np.fill_diagonal(within, False)
-        frontal = cos_t[:, None] * dx + sin_t[:, None] * dy >= 0.0
-        robot_contact = (within & frontal).any(axis=1) & (refractory <= 0.0)
+    ii, jj = np.divmod(np.flatnonzero(geom.d2 <= config.contact_range_cm**2), n)
+    if len(ii):
+        frontal = cos_t[ii] * (x[jj] - x[ii]) + sin_t[ii] * (y[jj] - y[ii]) >= 0.0
+        robot_contact[ii[frontal]] = True
+        robot_contact &= refractory <= 0.0
 
     r = config.body_radius_cm
     rng_cm = config.wall_range_cm
@@ -260,39 +342,44 @@ def _place_robots(config: SimConfig, rng: np.random.Generator) -> tuple[np.ndarr
     return xs, ys
 
 
-def _separate_overlaps(x: np.ndarray, y: np.ndarray, config: SimConfig) -> bool:
-    """Push apart robot pairs whose bodies interpenetrate (rare: turn cases).
+def _separate_overlaps(x: np.ndarray, y: np.ndarray, config: SimConfig, geom: PairGeometry) -> bool:
+    """Push apart robot pairs whose bodies interpenetrate, in place.
 
-    Returns True when any position changed.
+    Refills `geom` from the poses it is given and again for the robots it
+    moves, so the next tick's contact detection reads the geometry of the
+    current poses. The poses enter inside the walls (`integrate` clamps
+    them), so only the moved robots need clipping. Returns True when any
+    position changed.
     """
-    n = len(x)
-    if n < 2:
-        return False
+    geom.fill(x, y)
     min_d = 2.0 * config.body_radius_cm
-    dx = x[None, :] - x[:, None]
-    dy = y[None, :] - y[:, None]
-    d2 = dx * dx + dy * dy
-    np.fill_diagonal(d2, np.inf)
-    if d2.min() >= min_d * min_d:
+    if len(x) < 2 or geom.d2.min() >= min_d * min_d:
         return False
-    ii, jj = np.nonzero(d2 < min_d * min_d)
+    ii, jj = np.divmod(np.flatnonzero(geom.d2 < min_d * min_d), len(x))
+    xs, ys = x.tolist(), y.tolist()  # Python floats: same arithmetic, cheaper per element
     for i, j in zip(ii.tolist(), jj.tolist()):
         if i >= j:
             continue
-        d = math.hypot(x[j] - x[i], y[j] - y[i])
+        d = math.hypot(xs[j] - xs[i], ys[j] - ys[i])
         if d < 1e-9:
             ux, uy = 1.0, 0.0  # coincident centers: split along x
             d = 0.0
         else:
-            ux, uy = (x[j] - x[i]) / d, (y[j] - y[i]) / d
+            ux, uy = (xs[j] - xs[i]) / d, (ys[j] - ys[i]) / d
         shift = 0.5 * (min_d - d)
-        x[i] -= ux * shift
-        y[i] -= uy * shift
-        x[j] += ux * shift
-        y[j] += uy * shift
+        xs[i] -= ux * shift
+        ys[i] -= uy * shift
+        xs[j] += ux * shift
+        ys[j] += uy * shift
+    # the overlap mask is symmetric, so its rows name every robot moved
+    moved = np.flatnonzero(np.bincount(ii, minlength=len(x)))
     r = config.body_radius_cm
-    np.clip(x, r, config.arena_width_cm - r, out=x)
-    np.clip(y, r, config.arena_height_cm - r, out=y)
+    hi_x = config.arena_width_cm - r
+    hi_y = config.arena_height_cm - r
+    index = moved.tolist()
+    x[moved] = [min(max(xs[k], r), hi_x) for k in index]
+    y[moved] = [min(max(ys[k], r), hi_y) for k in index]
+    geom.refill(x, y, moved)
     return True
 
 
@@ -325,6 +412,7 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
     x_arr, y_arr = _place_robots(config, placement_rng)
     th_arr = placement_rng.uniform(-math.pi, math.pi, size=n)
     robot_rngs = [np.random.default_rng([config.seed, i + 1]) for i in range(n)]
+    geom = PairGeometry(x_arr, y_arr)
 
     # poses are kept twice: plain-float lists feed the per-robot scalar loop,
     # arrays (rebuilt after each move) feed the vectorized sensing/detection
@@ -338,6 +426,9 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
     records: list[MetricsRecord] = []
     snapshots: dict[int, CueField] = {}
     half_base = 0.5 * config.wheel_base_cm
+    # ground-sensor points: left sensors in [:n], right sensors in [n:]
+    sensor_x = np.empty(2 * n)
+    sensor_y = np.empty(2 * n)
     deg_to_rad = math.pi / 180.0
 
     def at_boundary(t_now: int, final: bool) -> None:
@@ -367,9 +458,16 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
 
         sin_t = np.sin(th_arr)
         cos_t = np.cos(th_arr)
-        s_left = sample_many(cue, x_arr - half_base * sin_t, y_arr + half_base * cos_t).tolist()
-        s_right = sample_many(cue, x_arr + half_base * sin_t, y_arr - half_base * cos_t).tolist()
-        robot_contact, wall_contact = _detect_events_trig(x_arr, y_arr, cos_t, sin_t, refractory, config)
+        off_x = half_base * sin_t
+        off_y = half_base * cos_t
+        np.subtract(x_arr, off_x, out=sensor_x[:n])
+        np.add(x_arr, off_x, out=sensor_x[n:])
+        np.add(y_arr, off_y, out=sensor_y[:n])
+        np.subtract(y_arr, off_y, out=sensor_y[n:])
+        sensed = sample_many(cue, sensor_x, sensor_y).tolist()
+        s_left = sensed[:n]
+        s_right = sensed[n:]
+        robot_contact, wall_contact = _detect_events_trig(x_arr, y_arr, cos_t, sin_t, refractory, geom, config)
         rc = robot_contact.tolist()
         wc = wall_contact.tolist()
 
@@ -392,7 +490,7 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
         x_arr = np.array(xs)
         y_arr = np.array(ys)
         th_arr = np.array(ths)
-        if _separate_overlaps(x_arr, y_arr, config):
+        if _separate_overlaps(x_arr, y_arr, config, geom):
             xs = x_arr.tolist()
             ys = y_arr.tolist()
         if n:

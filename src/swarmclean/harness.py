@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, replace
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -131,6 +130,15 @@ class ExperimentPlan:
             raise ConfigError(f"invalid populations {self.populations}")
         if not self.betas:
             raise ConfigError("at least one beta is required")
+        cells: dict[str, tuple] = {}
+        for n in self.populations:
+            for beta in self.betas:
+                name = cell_name(n, beta)
+                if name in cells:
+                    raise ConfigError(
+                        f"grid cells {cells[name]} and {(n, beta)} would share the run directories {name}_rep*"
+                    )
+                cells[name] = (n, beta)
 
     def runs(self) -> list["RunSpec"]:
         out = []
@@ -143,10 +151,15 @@ class ExperimentPlan:
                             beta=float(beta),
                             repetition=rep,
                             seed=derive_run_seed(self.base_seed, n, beta, rep),
-                            path=f"N{n:02d}_beta{beta:g}_rep{rep}",
+                            path=f"{cell_name(n, beta)}_rep{rep}",
                         )
                     )
         return out
+
+
+def cell_name(n_robots: int, beta: float) -> str:
+    """Name of a grid cell in run directories and median files, e.g. N30_beta6."""
+    return f"N{n_robots:02d}_beta{beta:g}"
 
 
 @dataclass
@@ -266,9 +279,12 @@ def read_manifest(path) -> list[RunSpec]:
 def cmd_sweep(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunSpec]:
     """Run the full grid; write per-run metrics and the sweep manifest.
 
-    Runs execute in a bounded worker pool; outputs depend only on each
-    run's derived seed, never on scheduling order. Failures are recorded
-    in the manifest and reported via SweepFailure after the sweep ends.
+    Runs execute in a bounded worker pool, largest population first so the
+    pool does not end on a tail of slow runs; outputs depend only on each
+    run's derived seed, never on scheduling order. A worker process that
+    dies breaks the pool: its run and every run not yet finished are marked
+    failed instead of waiting forever. Failures are recorded in the
+    manifest and reported via SweepFailure after the sweep ends.
     """
     runs = plan.runs()
     os.makedirs(out_dir, exist_ok=True)
@@ -277,11 +293,22 @@ def cmd_sweep(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunSpec]:
         cfg = replace(plan.base_config, n_robots=spec.n_robots, beta=spec.beta, seed=spec.seed)
         cfg.validate()
         tasks.append((idx, cfg, os.path.join(out_dir, spec.path)))
+    tasks.sort(key=lambda task: -task[1].n_robots)
 
     if jobs > 1 and len(tasks) > 1:
-        with Pool(processes=jobs) as pool:
-            for idx, status in pool.imap_unordered(_sweep_worker, tasks):
-                runs[idx].status = status
+        # imported on use: the pool machinery adds about 1 MB and a dozen
+        # modules to every command's start-up, and only this one needs it
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = {pool.submit(_sweep_worker, task): task[0] for task in tasks}
+            for future in as_completed(futures):
+                try:
+                    _, status = future.result()
+                except BrokenProcessPool as exc:
+                    status = f"failed: BrokenProcessPool: {exc}"
+                runs[futures[future]].status = status
     else:
         for task in tasks:
             idx, status = _sweep_worker(task)
@@ -373,7 +400,7 @@ def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> S
     for (n, beta), series_list in sorted(groups.items()):
         med = median_series(series_list)
         medians[(n, beta)] = med
-        med.to_csv(os.path.join(out_dir, f"medians_N{n:02d}_beta{beta:g}.csv"))
+        med.to_csv(os.path.join(out_dir, f"medians_{cell_name(n, beta)}.csv"))
 
     anova_cue = anova_main_effects(build_observation_table(groups, "mean_cue", time_bins))
     anova_coh = anova_main_effects(build_observation_table(groups, "coherency_m", time_bins))

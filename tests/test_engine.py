@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from swarmclean.controller import Waiting, WheelCommand
 from swarmclean.engine import (
+    MAX_ARENA_CM,
+    MAX_ROBOTS,
     ConfigError,
     PlacementError,
     SimConfig,
@@ -194,6 +197,109 @@ class TestConfigValidation:
     def test_rejects_tiny_arena(self):
         with pytest.raises(ConfigError):
             small_config(arena_width_cm=7.0).validate()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(alpha=math.nan),
+            dict(contact_range_cm=math.nan),
+            dict(wheel_base_cm=0.0),
+            dict(turn_min_deg=120.0, turn_max_deg=90.0),
+            dict(turn_rate_deg_s=0.0),
+            dict(body_radius_cm=-1.0),
+            dict(beta=math.inf),
+            dict(wall_range_cm=-0.5),
+            dict(turn_min_deg=-10.0),
+            dict(cue_peak=300.0),
+            dict(omega_max_s=1e300),
+            dict(wheel_base_cm=5e-324),
+            dict(arena_width_cm=MAX_ARENA_CM + 1.0),
+            dict(n_robots=MAX_ROBOTS + 1),
+            dict(n_robots=2.5),
+            dict(n_robots=True),
+            dict(duration_s=10.0),
+            dict(waiting_formula="cubic"),
+        ],
+    )
+    def test_rejects_configs_the_engine_cannot_run(self, overrides):
+        with pytest.raises(ConfigError):
+            small_config(**overrides).validate()
+
+    def test_accepts_numpy_scalars(self):
+        small_config(n_robots=np.int64(3), beta=np.float64(3.0)).validate()
+
+
+PLAUSIBLE = {
+    "n_robots": st.sampled_from([5, 8, 2, 1, 0]),
+    "duration_s": st.sampled_from([3, 1, 0]),
+    "seed": st.integers(0, 2**64),
+    "dt_s": st.sampled_from([0.1, 0.2, 0.25, 0.5, 1.0]),
+    "beta": st.floats(0.0, 10.0),
+    "cue_peak": st.floats(1.0, 255.0),
+    "arena_width_cm": st.floats(20.0, 400.0),
+    "arena_height_cm": st.floats(20.0, 400.0),
+    "wall_range_cm": st.floats(0.0, 8.0),
+    "refractory_s": st.floats(0.0, 4.0),
+    "turn_min_deg": st.floats(0.0, 180.0),
+    "turn_max_deg": st.floats(90.0, 360.0),
+    "waiting_formula": st.sampled_from(["squared", "literal"]),
+}
+NASTY_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-6, 1e6, 5e-324, 1e300]),
+    st.floats(-1e3, 1e3),
+)
+NASTY = {
+    "n_robots": st.integers(-2, 8),
+    "duration_s": st.integers(-2, 3),
+    "seed": st.integers(-(2**64), 2**64),
+    "dt_s": st.sampled_from([0.3, 0.0, -0.1, 3.0, math.nan, math.inf]),
+    # kept small: the field holds one float per square cm
+    "arena_width_cm": st.one_of(st.floats(-10.0, 400.0), st.sampled_from([math.nan, math.inf, 1e300])),
+    "arena_height_cm": st.one_of(st.floats(-10.0, 400.0), st.sampled_from([math.nan, math.inf, 1e300])),
+    "waiting_formula": st.sampled_from(["cubic", ""]),
+}
+
+
+def _plausible(name):
+    if name in PLAUSIBLE:
+        return PLAUSIBLE[name]
+    default = getattr(SimConfig(), name)
+    return st.floats(0.25 * default, 4.0 * default)
+
+
+@st.composite
+def any_configs(draw):
+    """Plausible values in every field but a few, which may hold anything."""
+    names = [f.name for f in fields(SimConfig)]
+    nasty = draw(st.sets(st.sampled_from(names), max_size=3))
+    return SimConfig(
+        **{name: draw(NASTY.get(name, NASTY_FLOATS) if name in nasty else _plausible(name)) for name in names}
+    )
+
+
+@given(any_configs())
+@settings(max_examples=300, deadline=None)
+def test_validated_configs_run_to_finite_poses(cfg):
+    """Either validate() rejects a config, or a short run ends in a sane state.
+
+    PlacementError is a ConfigError too, raised by the run when rejection
+    sampling finds no room for every body; whether N bodies fit is a packing
+    question that validate() does not answer up front.
+    """
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    try:
+        res = run_simulation(cfg)
+    except PlacementError:
+        return
+    for a in (res.final_x, res.final_y, res.final_heading):
+        assert np.all(np.isfinite(a))
+    r = cfg.body_radius_cm
+    assert np.all((res.final_x >= r) & (res.final_x <= cfg.arena_width_cm - r))
+    assert np.all((res.final_y >= r) & (res.final_y <= cfg.arena_height_cm - r))
+    assert np.all((res.field.cells >= 0.0) & (res.field.cells <= 255.0))
 
 
 class TestRunSimulation:

@@ -1,8 +1,11 @@
+import concurrent.futures
 import os
+import signal
 
 import numpy as np
 import pytest
 
+from swarmclean import harness
 from swarmclean.cli import main as cli_main
 from swarmclean.engine import ConfigError, SimConfig
 from swarmclean.field import read_pgm
@@ -133,6 +136,15 @@ class TestPlanParsing:
         with pytest.raises(ConfigError, match="owned by the sweep grid"):
             load_plan(write(tmp_path / "p.cfg", "schema_version = 1\nbeta = 6\n"))
 
+    def test_repeated_population_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="N10_beta3_rep"):
+            load_plan(write(tmp_path / "p.cfg", "schema_version = 1\npopulations = 10,10\nbetas = 3\n"))
+
+    def test_betas_sharing_a_path_rejected(self, tmp_path):
+        # 3 and 3.0000001 both print as beta3 in the run path
+        with pytest.raises(ConfigError, match="N10_beta3_rep"):
+            load_plan(write(tmp_path / "p.cfg", "schema_version = 1\npopulations = 10\nbetas = 3,3.0000001\n"))
+
     def test_single_cell_plan(self, tmp_path):
         plan = load_plan(write(tmp_path / "p.cfg", "schema_version = 1\npopulations = 4\nbetas = 6\nrepetitions = 1\n"))
         assert len(plan.runs()) == 1
@@ -232,6 +244,63 @@ class TestCmdSweep:
         assert by_pop[30] == {"failed"}
 
 
+def _worker_that_dies_at_n5(task):
+    """Sweep worker whose process exits abruptly on the N=5 runs."""
+    if task[1].n_robots == 5:
+        os._exit(3)
+    return _SWEEP_WORKER(task)
+
+
+_SWEEP_WORKER = harness._sweep_worker
+
+
+class _RecordingExecutor:
+    """Synchronous stand-in for ProcessPoolExecutor that records submissions."""
+
+    submitted: list[int] = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, task):
+        self.submitted.append(task[1].n_robots)
+        future = concurrent.futures.Future()
+        future.set_result(fn(task))
+        return future
+
+
+class TestSweepPool:
+    def test_dead_worker_fails_its_runs_instead_of_hanging(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_sweep_worker", _worker_that_dies_at_n5)
+
+        def hang(signum, frame):
+            raise TimeoutError("sweep hung after a worker died")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(60)
+        try:
+            with pytest.raises(SweepFailure):
+                cmd_sweep(tiny_plan(), tmp_path / "sweep", jobs=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        manifest = read_manifest(tmp_path / "sweep" / "manifest.csv")
+        assert len(manifest) == 4
+        assert {spec.status for spec in manifest if spec.n_robots == 5} == {"failed"}
+
+    def test_largest_population_submitted_first(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(_RecordingExecutor, "submitted", [])
+        cmd_sweep(tiny_plan(populations=(3, 7, 5)), tmp_path / "sweep", jobs=2)
+        assert _RecordingExecutor.submitted == [7, 7, 5, 5, 3, 3]
+
+
 class TestCmdAnalyze:
     def test_medians_match_direct_computation(self, tmp_path):
         out = tmp_path / "sweep"
@@ -327,6 +396,10 @@ class TestCli:
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", "schema_version = 1\nwheelz = 4\n")
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+    def test_unrunnable_physics_exit_code(self, tmp_path):
+        cfg = write(tmp_path / "run.cfg", "schema_version = 1\nwheel_base_cm = 0\n")
         assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
 
     def test_missing_config_is_io_error(self, tmp_path):
