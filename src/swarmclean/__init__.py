@@ -1,48 +1,7 @@
 """Deterministic headless simulator for cue-driven swarm cleanup experiments."""
 
-from .controller import (
-    AvoidWall,
-    ControllerParams,
-    Forward,
-    PostWaitTurn,
-    SensorReading,
-    Waiting,
-    WheelCommand,
-    random_turn,
-    step_fsm,
-    waiting_time,
-    wheel_speeds,
-)
-from .engine import (
-    ConfigError,
-    PlacementError,
-    SimConfig,
-    SimResult,
-    detect_events,
-    integrate,
-    run_simulation,
-    sensor_positions,
-    speed_conversion,
-)
-from .field import (
-    CLEAN_KERNEL,
-    CueField,
-    apply_cleaning,
-    init_circular_gradient,
-    mean_intensity,
-    sample,
-    to_pgm_bytes,
-    write_pgm,
-)
-from .harness import ExperimentPlan, cmd_analyze, cmd_run, cmd_sweep, derive_run_seed
-from .metrics import MetricsRecord, MetricsSeries, coherency, ratio_within
-from .stats import (
-    AnovaResult,
-    ObservationTable,
-    anova_main_effects,
-    f_tail_probability,
-    median_series,
-    regularized_incomplete_beta,
-)
+from .engine import ConfigError, SimConfig, run_simulation
+from .harness import ExperimentPlan, cmd_analyze, cmd_run, cmd_sweep
+from .metrics import MetricsSeries
 
 __version__ = "0.1.0"

@@ -3,61 +3,21 @@
 A robot is always in one of four modes: driving forward along the cue
 gradient, rotating away from a wall, waiting (and cleaning) after meeting
 another robot, or rotating randomly after a wait expires. Transitions are
-pure functions of (state, sensor reading, contact events), so controllers
+pure functions of (state, sensor readings, contact events), so controllers
 for different robots can be stepped independently.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .engine import SimConfig
+
 WAIT_SATURATION = 25000.0  # cue-squared scale in the waiting-time law
-
-
-@dataclass(frozen=True)
-class ControllerParams:
-    """Tunables of the behavior.
-
-    alpha divides the left/right sensor difference before it biases the
-    wheels (smaller alpha = twitchier steering). beta is the wheel bias:
-    both wheels run at beta on flat cue, so it sets cruise speed.
-    omega_max caps the waiting time. Turns draw their magnitude uniformly
-    from [turn_min_deg, turn_max_deg] with a fair random sign and execute
-    in place at turn_rate_deg_s.
-    """
-
-    alpha: float = 2.0
-    beta: float = 6.0
-    omega_max_s: float = 30.0
-    turn_min_deg: float = 90.0
-    turn_max_deg: float = 180.0
-    turn_rate_deg_s: float = 180.0
-    wheel_max: float = 10.0
-    waiting_formula: str = "squared"  # or "literal"
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not 0 <= self.beta <= self.wheel_max:
-            raise ValueError(f"beta must be in [0, {self.wheel_max}], got {self.beta}")
-        if self.omega_max_s <= 0:
-            raise ValueError(f"omega_max_s must be positive, got {self.omega_max_s}")
-        if self.waiting_formula not in ("squared", "literal"):
-            raise ValueError(f"waiting_formula must be 'squared' or 'literal', got {self.waiting_formula!r}")
-
-
-@dataclass
-class SensorReading:
-    """Ground-cue intensities under the left and right wheels."""
-
-    s_l: float
-    s_r: float
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.s_l + self.s_r)
 
 
 @dataclass(frozen=True)
@@ -73,19 +33,9 @@ STOPPED = WheelCommand(0.0, 0.0)
 
 # --- FSM states -------------------------------------------------------------
 
+@dataclass(frozen=True)
 class Forward:
     """Driving along the cue gradient."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "Forward()"
-
-    def __eq__(self, other):
-        return isinstance(other, Forward)
-
-    def __hash__(self):
-        return hash(Forward)
 
 
 @dataclass(frozen=True)
@@ -114,8 +64,9 @@ FsmState = Forward | AvoidWall | Waiting | PostWaitTurn
 
 
 # --- control laws -----------------------------------------------------------
+# Each law reads its tunables from the run's SimConfig.
 
-def waiting_time(mean_cue: float, params: ControllerParams) -> float:
+def waiting_time(mean_cue: float, config: SimConfig) -> float:
     """Waiting duration as a saturating function of the sensed cue mean.
 
     Default ("squared") form: omega_max * m^2 / (m^2 + 25000), increasing
@@ -124,32 +75,33 @@ def waiting_time(mean_cue: float, params: ControllerParams) -> float:
     peaks below 0.1 s, which defeats aggregation.
     """
     m = float(mean_cue)
-    if params.waiting_formula == "squared":
-        return params.omega_max_s * m * m / (m * m + WAIT_SATURATION)
-    return params.omega_max_s * m / (m * m + WAIT_SATURATION)
+    if config.waiting_formula == "squared":
+        return config.omega_max_s * m * m / (m * m + WAIT_SATURATION)
+    return config.omega_max_s * m / (m * m + WAIT_SATURATION)
 
 
-def wheel_speeds(reading: SensorReading, params: ControllerParams) -> WheelCommand:
-    """Differential steering toward the stronger sensor.
+def wheel_speeds(s_l: float, s_r: float, config: SimConfig) -> WheelCommand:
+    """Differential steering toward the stronger of the two ground sensors.
 
     n_r = (s_l - s_r)/alpha + beta and n_l the mirror image, both clamped
-    to [0, wheel_max]. Equal sensors drive straight at the bias beta; the
-    unclamped speeds always sum to 2*beta.
+    to [0, wheel_max]. Equal sensors drive straight at the bias beta, so
+    beta sets the cruise speed; the unclamped speeds always sum to 2*beta,
+    and a smaller alpha steers harder.
     """
-    diff = (reading.s_l - reading.s_r) / params.alpha
-    hi = params.wheel_max
-    n_r = diff + params.beta
-    n_l = -diff + params.beta
+    diff = (s_l - s_r) / config.alpha
+    hi = config.wheel_max
+    n_r = diff + config.beta
+    n_l = -diff + config.beta
     return WheelCommand(
         n_l=0.0 if n_l < 0.0 else (hi if n_l > hi else n_l),
         n_r=0.0 if n_r < 0.0 else (hi if n_r > hi else n_r),
     )
 
 
-def random_turn(rng: np.random.Generator, params: ControllerParams) -> float:
+def random_turn(rng: np.random.Generator, config: SimConfig) -> float:
     """Signed turn angle: magnitude uniform in [turn_min, turn_max] degrees,
     direction a fair coin, drawn independently."""
-    magnitude = rng.uniform(params.turn_min_deg, params.turn_max_deg)
+    magnitude = rng.uniform(config.turn_min_deg, config.turn_max_deg)
     sign = 1.0 if rng.random() < 0.5 else -1.0
     return sign * magnitude
 
@@ -158,37 +110,39 @@ def random_turn(rng: np.random.Generator, params: ControllerParams) -> float:
 
 def step_fsm(
     state: FsmState,
-    reading: SensorReading,
+    s_l: float,
+    s_r: float,
     robot_contact: bool,
     wall_contact: bool,
     dt: float,
     rng: np.random.Generator,
-    params: ControllerParams,
+    config: SimConfig,
 ) -> tuple[FsmState, WheelCommand, float]:
     """Advance one robot's state machine by dt.
 
+    s_l and s_r are the cue intensities under the left and right wheels.
     Returns (next state, wheel command, in-place turn consumed this step
     in degrees). Robot contact takes priority over wall contact; waiting
     and turning states ignore contact events. Turns are executed
-    kinematically (wheels stay at 0) because the wheel range [0, 10]
-    admits no reverse speed.
+    kinematically (wheels stay at 0) at turn_rate_deg_s because the wheel
+    range [0, wheel_max] admits no reverse speed.
     """
     if type(state) is Forward:
         if robot_contact:
-            return Waiting(waiting_time(reading.mean, params)), STOPPED, 0.0
+            return Waiting(waiting_time(0.5 * (s_l + s_r), config)), STOPPED, 0.0
         if wall_contact:
-            return AvoidWall(random_turn(rng, params)), STOPPED, 0.0
-        return state, wheel_speeds(reading, params), 0.0
+            return AvoidWall(random_turn(rng, config)), STOPPED, 0.0
+        return state, wheel_speeds(s_l, s_r, config), 0.0
 
     if type(state) is Waiting:
         remaining = state.remaining_s - dt
         if remaining > 0.0:
             return Waiting(remaining), STOPPED, 0.0
-        return PostWaitTurn(random_turn(rng, params)), STOPPED, 0.0
+        return PostWaitTurn(random_turn(rng, config)), STOPPED, 0.0
 
     # AvoidWall / PostWaitTurn: rotate in place until the angle is consumed.
     remaining = state.remaining_turn_deg
-    max_step = params.turn_rate_deg_s * dt
+    max_step = config.turn_rate_deg_s * dt
     step = remaining if abs(remaining) <= max_step else math.copysign(max_step, remaining)
     left = remaining - step
     if abs(left) < 1e-12:

@@ -15,15 +15,7 @@ from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
-from .controller import (
-    FORWARD,
-    ControllerParams,
-    FsmState,
-    SensorReading,
-    Waiting,
-    WheelCommand,
-    step_fsm,
-)
+from .controller import FORWARD, FsmState, Waiting, WheelCommand, step_fsm
 from .field import CueField, apply_cleaning, init_circular_gradient, mean_intensity, sample_many
 from .metrics import MetricsRecord, MetricsSeries, coherency, ratio_within
 
@@ -56,6 +48,7 @@ _POSITIVE_FIELDS = (
 )
 _NON_NEGATIVE_FIELDS = (
     "n_robots",
+    "beta",
     "duration_s",
     "seed",
     "wall_range_cm",
@@ -108,10 +101,10 @@ class SimConfig:
     def validate(self) -> None:
         """Raise ConfigError for any config the engine cannot run.
 
-        Every field is checked here, the controller's through
-        `controller_params`: integers and finite floats of the right type,
-        each inside its physical range. Floats are bounded in magnitude so
-        that no speed, yaw rate or waiting time overflows.
+        Every field is checked here, the controller's too: integers and
+        finite floats of the right type, each inside its physical range.
+        Floats are bounded in magnitude so that no speed, yaw rate or
+        waiting time overflows.
         """
         for f in fields(self):
             value = getattr(self, f.name)
@@ -144,41 +137,26 @@ class SimConfig:
             raise ConfigError(f"cue_peak must be at most 255, got {self.cue_peak}")
         if self.turn_min_deg > self.turn_max_deg:
             raise ConfigError(f"turn_min_deg {self.turn_min_deg} exceeds turn_max_deg {self.turn_max_deg}")
-        self.controller_params()  # the controller's own checks: beta <= wheel_max, waiting_formula
-
-    def controller_params(self) -> ControllerParams:
-        try:
-            return ControllerParams(
-                alpha=self.alpha,
-                beta=self.beta,
-                omega_max_s=self.omega_max_s,
-                turn_min_deg=self.turn_min_deg,
-                turn_max_deg=self.turn_max_deg,
-                turn_rate_deg_s=self.turn_rate_deg_s,
-                wheel_max=self.wheel_max,
-                waiting_formula=self.waiting_formula,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if self.beta > self.wheel_max:
+            raise ConfigError(f"beta must be in [0, {self.wheel_max}], got {self.beta}")
+        if self.waiting_formula not in ("squared", "literal"):
+            raise ConfigError(f"waiting_formula must be 'squared' or 'literal', got {self.waiting_formula!r}")
 
 
-def speed_conversion(command: WheelCommand, wheel_base_cm: float = 8.0) -> tuple[float, float]:
-    """Map wheel units to body motion: forward speed (cm/s) and yaw rate (rad/s)."""
-    v = WHEEL_UNIT_CM_S * 0.5 * (command.n_l + command.n_r)
-    omega = WHEEL_UNIT_CM_S * (command.n_r - command.n_l) / wheel_base_cm
-    return v, omega
+def ground_sensor_points(x, y, cos_t, sin_t, wheel_base_cm, out_x, out_y) -> None:
+    """Ground-sensor points under the wheels, written into out_x and out_y.
 
-
-def sensor_positions(
-    x: float, y: float, heading: float, wheel_base_cm: float = 8.0
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Ground-sensor points under the left and right wheels.
-
-    Offsets of wheel_base/2 from the center, perpendicular to the heading.
+    Each sensor sits wheel_base/2 from the center, perpendicular to the
+    heading: left sensors go to out[:n], right sensors to out[n:].
     """
-    h = 0.5 * wheel_base_cm
-    s, c = math.sin(heading), math.cos(heading)
-    return (x - h * s, y + h * c), (x + h * s, y - h * c)
+    n = len(x)
+    half_base = 0.5 * wheel_base_cm
+    off_x = half_base * sin_t
+    off_y = half_base * cos_t
+    np.subtract(x, off_x, out=out_x[:n])
+    np.add(x, off_x, out=out_x[n:])
+    np.add(y, off_y, out=out_y[:n])
+    np.subtract(y, off_y, out=out_y[n:])
 
 
 def wrap_angle(theta: float) -> float:
@@ -194,7 +172,11 @@ def integrate(
     dt: float,
     config: SimConfig,
 ) -> tuple[float, float, float]:
-    """One explicit-Euler step of the unicycle model, clamped to the arena."""
+    """One explicit-Euler step of the unicycle model, clamped to the arena.
+
+    Wheel units map to a forward speed of WHEEL_UNIT_CM_S * (n_l + n_r) / 2
+    cm/s and a yaw rate of WHEEL_UNIT_CM_S * (n_r - n_l) / wheel_base rad/s.
+    """
     v = WHEEL_UNIT_CM_S * 0.5 * (command.n_l + command.n_r)
     omega = WHEEL_UNIT_CM_S * (command.n_r - command.n_l) / config.wheel_base_cm
     x += v * math.cos(heading) * dt
@@ -252,26 +234,14 @@ class PairGeometry:
         self.d2[moved, moved] = np.inf
 
 
-def detect_events(
-    x: np.ndarray,
-    y: np.ndarray,
-    heading: np.ndarray,
-    refractory: np.ndarray,
-    config: SimConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Contact flags for every robot, from a snapshot of the poses.
+def _detect_events_trig(x, y, cos_t, sin_t, refractory, geom, config):
+    """Contact flags for every robot, from poses, their trig and their PairGeometry.
 
     Robot contact: another center within contact_range and inside the
     frontal +/-90 degree arc; suppressed while the observer robot is
     refractory (it can still trigger others). Wall contact: body edge
     closer than wall_range to a wall that lies in the frontal arc.
     """
-    geom = PairGeometry(x, y)
-    return _detect_events_trig(x, y, np.cos(heading), np.sin(heading), refractory, geom, config)
-
-
-def _detect_events_trig(x, y, cos_t, sin_t, refractory, geom, config):
-    """`detect_events` on precomputed trig and a PairGeometry of the same poses."""
     n = len(x)
     robot_contact = np.zeros(n, dtype=bool)
     ii, jj = np.divmod(np.flatnonzero(geom.d2 <= config.contact_range_cm**2), n)
@@ -394,7 +364,6 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
     whole-second boundary with a WorldView.
     """
     config.validate()
-    params = config.controller_params()
     n = config.n_robots
     dt = config.dt_s
     tps = config.ticks_per_second
@@ -425,7 +394,6 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
     cleanings = np.zeros(n, dtype=np.int64)
     records: list[MetricsRecord] = []
     snapshots: dict[int, CueField] = {}
-    half_base = 0.5 * config.wheel_base_cm
     # ground-sensor points: left sensors in [:n], right sensors in [n:]
     sensor_x = np.empty(2 * n)
     sensor_y = np.empty(2 * n)
@@ -443,7 +411,7 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
                     t=t_now,
                     mean_cue=mean_intensity(cue),
                     ratio_within_rc=ratio_within(positions, config.cue_center, config.metric_radius_cm),
-                    coherency_m=coherency(positions),
+                    coherency_m=coherency(geom.d2),
                 )
             )
         if t_now in snap_set:
@@ -458,12 +426,7 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
 
         sin_t = np.sin(th_arr)
         cos_t = np.cos(th_arr)
-        off_x = half_base * sin_t
-        off_y = half_base * cos_t
-        np.subtract(x_arr, off_x, out=sensor_x[:n])
-        np.add(x_arr, off_x, out=sensor_x[n:])
-        np.add(y_arr, off_y, out=sensor_y[:n])
-        np.subtract(y_arr, off_y, out=sensor_y[n:])
+        ground_sensor_points(x_arr, y_arr, cos_t, sin_t, config.wheel_base_cm, sensor_x, sensor_y)
         sensed = sample_many(cue, sensor_x, sensor_y).tolist()
         s_left = sensed[:n]
         s_right = sensed[n:]
@@ -474,9 +437,7 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
         woke: list[int] = []
         for i in range(n):
             old = states[i]
-            state, command, turn_deg = step_fsm(
-                old, SensorReading(s_left[i], s_right[i]), rc[i], wc[i], dt, robot_rngs[i], params
-            )
+            state, command, turn_deg = step_fsm(old, s_left[i], s_right[i], rc[i], wc[i], dt, robot_rngs[i], config)
             states[i] = state
             if type(old) is Waiting and type(state) is not Waiting:
                 woke.append(i)

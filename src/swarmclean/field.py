@@ -1,6 +1,6 @@
 """Contamination cue field: a discretized scalar intensity map over the arena.
 
-The field is a regular grid of cells (default 1 cell per cm) holding
+The field is a regular grid of cells, one per square cm, holding
 intensities in [0, 255]. Robots read it with ground sensors and erode it
 with a fixed 9x9 cleaning kernel while they sit in the waiting state.
 """
@@ -23,21 +23,18 @@ class CueField:
     """Scalar contamination intensity over a rectangular arena.
 
     Cells are stored row-major in a float array of shape (rows, cols);
-    row r covers y in [r/res, (r+1)/res) cm and column c covers the same
-    band in x. Dimensions are fixed at construction; cell values stay in
-    [0, 255] (cleaning clamps at zero, nothing ever raises a cell).
+    row r covers y in [r, r+1) cm and column c covers the same band in x.
+    Dimensions are fixed at construction; cell values stay in [0, 255]
+    (cleaning clamps at zero, nothing ever raises a cell).
     """
 
-    def __init__(self, width_cm: float, height_cm: float, resolution: int = 1):
+    def __init__(self, width_cm: float, height_cm: float):
         if width_cm <= 0 or height_cm <= 0:
             raise ValueError(f"arena dimensions must be positive, got {width_cm} x {height_cm}")
-        if resolution < 1:
-            raise ValueError(f"resolution must be >= 1 cell/cm, got {resolution}")
         self._width_cm = float(width_cm)
         self._height_cm = float(height_cm)
-        self._resolution = int(resolution)
-        cols = int(round(width_cm * resolution))
-        rows = int(round(height_cm * resolution))
+        cols = int(round(width_cm))
+        rows = int(round(height_cm))
         self.cells = np.zeros((rows, cols), dtype=np.float64)
 
     @property
@@ -48,12 +45,8 @@ class CueField:
     def height_cm(self) -> float:
         return self._height_cm
 
-    @property
-    def resolution(self) -> int:
-        return self._resolution
-
     def copy(self) -> "CueField":
-        dup = CueField(self._width_cm, self._height_cm, self._resolution)
+        dup = CueField(self._width_cm, self._height_cm)
         dup.cells = self.cells.copy()
         return dup
 
@@ -64,7 +57,6 @@ def init_circular_gradient(
     center: tuple[float, float],
     radius_cm: float,
     peak: float,
-    resolution: int = 1,
 ) -> CueField:
     """Build a field holding a radially linear cone of intensity.
 
@@ -80,36 +72,24 @@ def init_circular_gradient(
     if not (0 <= cx <= width_cm and 0 <= cy <= height_cm):
         raise ValueError(f"cue center {center} lies outside the arena")
 
-    field = CueField(width_cm, height_cm, resolution)
+    field = CueField(width_cm, height_cm)
     rows, cols = field.cells.shape
     # distances measured from cell centers
-    xs = (np.arange(cols) + 0.5) / resolution
-    ys = (np.arange(rows) + 0.5) / resolution
+    xs = np.arange(cols) + 0.5
+    ys = np.arange(rows) + 0.5
     d = np.hypot(xs[None, :] - cx, ys[:, None] - cy)
     field.cells[:] = peak * np.clip(1.0 - d / radius_cm, 0.0, None)
     return field
 
 
-def sample(field: CueField, x_cm: float, y_cm: float) -> float:
-    """Read the intensity of the cell containing a point; 0 outside the arena.
+def sample_many(field: CueField, xs_cm: np.ndarray, ys_cm: np.ndarray) -> np.ndarray:
+    """Intensities of the cells containing each point; 0 outside the arena.
 
     Nearest-cell semantics: no interpolation, the raw (possibly fractional)
     cell value is returned. Total over the whole plane.
     """
-    res = field.resolution
-    col = math.floor(x_cm * res)
-    row = math.floor(y_cm * res)
-    rows, cols = field.cells.shape
-    if 0 <= row < rows and 0 <= col < cols:
-        return float(field.cells[row, col])
-    return 0.0
-
-
-def sample_many(field: CueField, xs_cm: np.ndarray, ys_cm: np.ndarray) -> np.ndarray:
-    """Vectorized `sample` over arrays of point coordinates."""
-    res = field.resolution
-    cols_idx = np.floor(xs_cm * res).astype(np.intp)
-    rows_idx = np.floor(ys_cm * res).astype(np.intp)
+    cols_idx = np.floor(xs_cm).astype(np.intp)
+    rows_idx = np.floor(ys_cm).astype(np.intp)
     rows, cols = field.cells.shape
     inside = (rows_idx >= 0) & (rows_idx < rows) & (cols_idx >= 0) & (cols_idx < cols)
     out = np.zeros(len(cols_idx), dtype=np.float64)
@@ -126,9 +106,8 @@ def apply_cleaning(field: CueField, x_cm: float, y_cm: float) -> None:
     arena are skipped. Meant to run once per simulated second for each
     waiting robot.
     """
-    res = field.resolution
-    col = math.floor(x_cm * res)
-    row = math.floor(y_cm * res)
+    col = math.floor(x_cm)
+    row = math.floor(y_cm)
     rows, cols = field.cells.shape
     r0 = max(row - KERNEL_REACH, 0)
     r1 = min(row + KERNEL_REACH + 1, rows)
@@ -166,7 +145,7 @@ def write_pgm(field: CueField, path) -> None:
 
 
 def read_pgm(path) -> CueField:
-    """Load a P5 PGM written by `write_pgm` back into a unit-resolution field."""
+    """Load a P5 PGM written by `write_pgm` back into a field."""
     with open(path, "rb") as fh:
         data = fh.read()
     tokens = []
@@ -189,6 +168,6 @@ def read_pgm(path) -> CueField:
         raise ValueError(f"{path}: expected 8-bit PGM, got maxval {maxval}")
     pos += 1  # single whitespace byte after the header
     raster = np.frombuffer(data, dtype=np.uint8, count=rows * cols, offset=pos)
-    field = CueField(cols, rows, resolution=1)
+    field = CueField(cols, rows)
     field.cells[:] = raster.reshape(rows, cols).astype(np.float64)
     return field

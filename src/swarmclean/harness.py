@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,30 +31,11 @@ class SweepFailure(RuntimeError):
 
 # --- key-value config files ---------------------------------------------------
 
-_RUN_FIELDS: dict[str, type] = {
-    "n_robots": int,
-    "beta": float,
-    "alpha": float,
-    "omega_max_s": float,
-    "arena_width_cm": float,
-    "arena_height_cm": float,
-    "cue_radius_cm": float,
-    "cue_peak": float,
-    "duration_s": int,
-    "dt_s": float,
-    "seed": int,
-    "body_radius_cm": float,
-    "wheel_base_cm": float,
-    "contact_range_cm": float,
-    "wall_range_cm": float,
-    "refractory_s": float,
-    "metric_radius_cm": float,
-    "turn_min_deg": float,
-    "turn_max_deg": float,
-    "turn_rate_deg_s": float,
-    "wheel_max": float,
-    "waiting_formula": str,
-}
+# config-file keys and their types, one per SimConfig field; f.type is the
+# annotation string ("int", "float" or "str") that validate() also reads
+_TYPES = {"int": int, "float": float, "str": str}
+_RUN_FIELDS: dict[str, type] = {f.name: _TYPES[f.type] for f in fields(SimConfig)}
+
 
 def _parse_kv_file(path) -> dict[str, str]:
     pairs: dict[str, str] = {}
@@ -88,11 +69,7 @@ def _check_schema_version(pairs: dict[str, str], path) -> None:
 
 def _convert(path, key: str, value: str, caster: type):
     try:
-        if caster is int:
-            return int(value)
-        if caster is float:
-            return float(value)
-        return value
+        return caster(value)
     except ValueError:
         raise ConfigError(f"{path}: key {key!r} has invalid {caster.__name__} value {value!r}")
 
@@ -113,7 +90,11 @@ def load_run_config(path) -> SimConfig:
 
 @dataclass
 class ExperimentPlan:
-    """Sweep grid plus the shared physics of every run."""
+    """Sweep grid plus the shared physics of every run.
+
+    Every grid cell's config is validated here, so a plan that exists can
+    run: no sweep starts and then finds a cell the engine rejects.
+    """
 
     populations: tuple[int, ...] = (10, 20, 30, 40, 50)
     betas: tuple[float, ...] = (3.0, 6.0)
@@ -126,13 +107,14 @@ class ExperimentPlan:
             self.base_config = SimConfig()
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        if not self.populations or any(n < 0 for n in self.populations):
-            raise ConfigError(f"invalid populations {self.populations}")
+        if not self.populations:
+            raise ConfigError("at least one population is required")
         if not self.betas:
             raise ConfigError("at least one beta is required")
         cells: dict[str, tuple] = {}
         for n in self.populations:
             for beta in self.betas:
+                replace(self.base_config, n_robots=n, beta=beta, seed=0).validate()
                 name = cell_name(n, beta)
                 if name in cells:
                     raise ConfigError(
@@ -176,37 +158,21 @@ def load_plan(path) -> ExperimentPlan:
     """Parse a sweep plan file (grid keys plus optional physics overrides)."""
     pairs = _parse_kv_file(path)
     _check_schema_version(pairs, path)
-    populations = (10, 20, 30, 40, 50)
-    betas = (3.0, 6.0)
-    repetitions = 6
-    base_seed = 1
+    grid = {}  # keys left out take ExperimentPlan's defaults
     cfg_kwargs = {}
     for key, value in pairs.items():
-        if key == "populations":
-            populations = tuple(_convert(path, key, v.strip(), int) for v in value.split(","))
-        elif key == "betas":
-            betas = tuple(_convert(path, key, v.strip(), float) for v in value.split(","))
-        elif key == "repetitions":
-            repetitions = _convert(path, key, value, int)
-        elif key == "base_seed":
-            base_seed = _convert(path, key, value, int)
+        if key in ("populations", "betas"):
+            caster = int if key == "populations" else float
+            grid[key] = tuple(_convert(path, key, v.strip(), caster) for v in value.split(","))
+        elif key in ("repetitions", "base_seed"):
+            grid[key] = _convert(path, key, value, int)
         elif key in _RUN_FIELDS:
             if key in ("n_robots", "beta", "seed"):
                 raise ConfigError(f"{path}: key {key!r} is owned by the sweep grid, not the plan physics")
             cfg_kwargs[key] = _convert(path, key, value, _RUN_FIELDS[key])
         else:
             raise ConfigError(f"{path}: unknown key {key!r}")
-    plan = ExperimentPlan(
-        populations=populations,
-        betas=betas,
-        repetitions=repetitions,
-        base_seed=base_seed,
-        base_config=SimConfig(**cfg_kwargs),
-    )
-    # validate the physics once with placeholder grid values
-    probe = replace(plan.base_config, n_robots=max(plan.populations), beta=plan.betas[0], seed=0)
-    probe.validate()
-    return plan
+    return ExperimentPlan(**grid, base_config=SimConfig(**cfg_kwargs))
 
 
 def derive_run_seed(base_seed: int, n_robots: int, beta: float, repetition: int) -> int:
@@ -219,9 +185,16 @@ def derive_run_seed(base_seed: int, n_robots: int, beta: float, repetition: int)
 # --- commands -----------------------------------------------------------------
 
 def cmd_run(config: SimConfig, out_dir, snapshot_times=None) -> dict:
-    """Execute one run; write metrics.csv and PGM snapshots into out_dir."""
+    """Execute one run; write metrics.csv and PGM snapshots into out_dir.
+
+    Snapshot times are whole seconds in [0, duration_s]; the default times
+    are clipped to the duration, requested ones outside it are an error.
+    """
     if snapshot_times is None:
         snapshot_times = [t for t in DEFAULT_SNAPSHOT_TIMES if t <= config.duration_s]
+    outside = [t for t in snapshot_times if not 0 <= t <= config.duration_s]
+    if outside:
+        raise ConfigError(f"snapshot times {outside} lie outside [0, {config.duration_s}] s")
     os.makedirs(out_dir, exist_ok=True)
     result = run_simulation(config, snapshot_times=snapshot_times)
     metrics_path = os.path.join(out_dir, "metrics.csv")
@@ -291,7 +264,6 @@ def cmd_sweep(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunSpec]:
     tasks = []
     for idx, spec in enumerate(runs):
         cfg = replace(plan.base_config, n_robots=spec.n_robots, beta=spec.beta, seed=spec.seed)
-        cfg.validate()
         tasks.append((idx, cfg, os.path.join(out_dir, spec.path)))
     tasks.sort(key=lambda task: -task[1].n_robots)
 

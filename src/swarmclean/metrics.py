@@ -26,20 +26,17 @@ def ratio_within(positions_cm: np.ndarray, center_cm: tuple[float, float], r_c_c
     return float(np.count_nonzero(d <= r_c_cm)) / n
 
 
-def coherency(positions_cm: np.ndarray) -> float:
+def coherency(d2_cm2: np.ndarray) -> float:
     """Mean distance over all unordered robot pairs, in meters.
 
-    Fewer than two robots report 0.
+    d2_cm2 is the N x N matrix of squared center distances in cm^2 (a
+    PairGeometry's d2); only its strict upper triangle is read. Fewer
+    than two robots report 0.
     """
-    pos = np.asarray(positions_cm, dtype=np.float64).reshape(-1, 2)
-    n = len(pos)
+    n = len(d2_cm2)
     if n < 2:
         return 0.0
-    dx = pos[:, 0, None] - pos[None, :, 0]
-    dy = pos[:, 1, None] - pos[None, :, 1]
-    d = np.sqrt(dx * dx + dy * dy)
-    iu = np.triu_indices(n, k=1)
-    return float(d[iu].mean()) / 100.0
+    return float(np.sqrt(d2_cm2[np.triu_indices(n, k=1)]).mean()) / 100.0
 
 
 @dataclass

@@ -255,10 +255,3 @@ def anova_main_effects(table: ObservationTable) -> AnovaResult:
             )
     return AnovaResult(effects=effects, residual_ss=residual_ss, residual_df=residual_df, degenerate=degenerate)
 
-
-def one_way_anova(groups: list[np.ndarray]) -> FactorEffect:
-    """Classical one-way ANOVA over explicit groups (convenience wrapper)."""
-    levels = np.concatenate([np.full(len(g), k) for k, g in enumerate(groups)])
-    response = np.concatenate([np.asarray(g, dtype=np.float64) for g in groups])
-    result = anova_main_effects(ObservationTable(response, [("group", levels)]))
-    return result.effects[0]

@@ -10,14 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from swarmclean.controller import ControllerParams, waiting_time
+from swarmclean.controller import waiting_time
 from swarmclean.engine import SimConfig, run_simulation
 from swarmclean.field import CLEAN_KERNEL, init_circular_gradient, mean_intensity
 from swarmclean.harness import ExperimentPlan, cmd_analyze, cmd_run, cmd_sweep, read_manifest
 from swarmclean.metrics import MetricsSeries
-from swarmclean.stats import f_tail_probability, median_series, one_way_anova
+from swarmclean.stats import f_tail_probability, median_series
 
-from test_stats import f_tail_trapezoid
+from test_stats import f_tail_trapezoid, one_factor_effect
 
 WINDOW_S = 200
 
@@ -126,7 +126,7 @@ def test_criterion_5_anova_significance(default_sweep):
 
 
 def test_criterion_6_formula_units():
-    wt = waiting_time(255.0, ControllerParams())
+    wt = waiting_time(255.0, SimConfig())
     ok_wt = abs(wt - 21.67) <= 0.05
     ok_kernel = CLEAN_KERNEL.max() == 8.0 and CLEAN_KERNEL.min() == 8.0 - math.sqrt(32.0)
     v = (4.0 / 3.0) * 0.5 * (6 + 6)
@@ -139,7 +139,7 @@ def test_criterion_6_formula_units():
 
 
 def test_criterion_7_oracle_equivalence():
-    effect = one_way_anova([np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])])
+    effect = one_factor_effect([np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])])
     ok_f = abs(effect.f_value - 13.5) <= 1e-9
 
     rng = np.random.default_rng(2024)

@@ -11,13 +11,13 @@ from swarmclean.engine import (
     MAX_ARENA_CM,
     MAX_ROBOTS,
     ConfigError,
+    PairGeometry,
     PlacementError,
     SimConfig,
-    detect_events,
+    _detect_events_trig,
+    ground_sensor_points,
     integrate,
     run_simulation,
-    sensor_positions,
-    speed_conversion,
     wrap_angle,
 )
 from swarmclean.field import mean_intensity
@@ -29,46 +29,70 @@ def small_config(**overrides):
     return SimConfig(**defaults)
 
 
+def detect_events(x, y, heading, refractory, config):
+    """Contact flags from a snapshot of the poses, as the tick loop computes them."""
+    return _detect_events_trig(x, y, np.cos(heading), np.sin(heading), refractory, PairGeometry(x, y), config)
+
+
+def body_motion(command):
+    """Forward speed (cm/s) and yaw rate (rad/s): one 1 s `integrate` step from heading 0."""
+    x, _, heading = integrate(100.0, 100.0, 0.0, command, 1.0, SimConfig())
+    return x - 100.0, heading
+
+
 class TestSpeedConversion:
     def test_calibration_point(self):
-        v, omega = speed_conversion(WheelCommand(6, 6))
+        v, omega = body_motion(WheelCommand(6, 6))
         assert v == 8.0
         assert omega == 0.0
 
     def test_half_speed(self):
-        v, _ = speed_conversion(WheelCommand(3, 3))
+        v, _ = body_motion(WheelCommand(3, 3))
         assert v == 4.0
 
     def test_differential(self):
-        v, omega = speed_conversion(WheelCommand(4, 8))
+        v, omega = body_motion(WheelCommand(4, 8))
         assert v == 8.0
         assert omega == pytest.approx((4.0 / 3.0) * 4.0 / 8.0)
 
     def test_speed_cap(self):
-        v, _ = speed_conversion(WheelCommand(10, 10))
+        v, _ = body_motion(WheelCommand(10, 10))
         assert v == pytest.approx(40.0 / 3.0)
+
+
+def sensor_points(x, y, heading, wheel_base_cm=8.0):
+    """(left, right) sensor coordinates per robot, from `ground_sensor_points`."""
+    x, y, heading = np.atleast_1d(x), np.atleast_1d(y), np.atleast_1d(heading)
+    n = len(x)
+    out_x, out_y = np.empty(2 * n), np.empty(2 * n)
+    ground_sensor_points(x, y, np.cos(heading), np.sin(heading), wheel_base_cm, out_x, out_y)
+    return np.column_stack((out_x[:n], out_y[:n])), np.column_stack((out_x[n:], out_y[n:]))
 
 
 class TestSensorPositions:
     def test_heading_east(self):
-        left, right = sensor_positions(100.0, 100.0, 0.0)
-        assert left == pytest.approx((100.0, 104.0))
-        assert right == pytest.approx((100.0, 96.0))
+        left, right = sensor_points(100.0, 100.0, 0.0)
+        assert left[0] == pytest.approx((100.0, 104.0))
+        assert right[0] == pytest.approx((100.0, 96.0))
 
     def test_heading_north(self):
-        left, right = sensor_positions(100.0, 100.0, math.pi / 2)
-        assert left == pytest.approx((96.0, 100.0))
-        assert right == pytest.approx((104.0, 100.0))
+        left, right = sensor_points(100.0, 100.0, math.pi / 2)
+        assert left[0] == pytest.approx((96.0, 100.0))
+        assert right[0] == pytest.approx((104.0, 100.0))
 
     @given(
-        st.floats(0, 285),
-        st.floats(0, 285),
-        st.floats(-math.pi, math.pi),
+        st.lists(st.tuples(st.floats(0, 285), st.floats(0, 285), st.floats(-math.pi, math.pi)), max_size=12),
+        st.floats(1.0, 20.0),
     )
     @settings(max_examples=100, deadline=None)
-    def test_sensors_are_wheel_base_apart(self, x, y, heading):
-        (lx, ly), (rx, ry) = sensor_positions(x, y, heading)
-        assert math.hypot(lx - rx, ly - ry) == pytest.approx(8.0, abs=1e-9)
+    def test_sensors_are_wheel_base_apart(self, poses, wheel_base):
+        x, y, heading = np.array(poses, dtype=float).reshape(-1, 3).T
+        left, right = sensor_points(x, y, heading, wheel_base)
+        span = left - right
+        assert np.allclose(np.hypot(span[:, 0], span[:, 1]), wheel_base, atol=1e-9)
+        # centered on the robot and perpendicular to its heading
+        assert np.allclose(0.5 * (left + right), np.column_stack((x, y)), atol=1e-9)
+        assert np.allclose(span[:, 0] * np.cos(heading) + span[:, 1] * np.sin(heading), 0.0, atol=1e-9)
 
 
 class TestWrapAngle:

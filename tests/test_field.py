@@ -12,7 +12,6 @@ from swarmclean.field import (
     init_circular_gradient,
     mean_intensity,
     read_pgm,
-    sample,
     sample_many,
     to_pgm_bytes,
     write_pgm,
@@ -83,7 +82,19 @@ class TestInitCircularGradient:
         with pytest.raises(AttributeError):
             f.width_cm = 100
         with pytest.raises(AttributeError):
-            f.resolution = 2
+            f.height_cm = 100
+
+
+def sample(field, x_cm, y_cm):
+    """One point through `sample_many`."""
+    return float(sample_many(field, np.array([x_cm]), np.array([y_cm]))[0])
+
+
+def cell_lookup(field, x_cm, y_cm):
+    """Reference: the cell holding the point, by floor division; 0 outside."""
+    col, row = math.floor(x_cm), math.floor(y_cm)
+    rows, cols = field.cells.shape
+    return float(field.cells[row, col]) if 0 <= row < rows and 0 <= col < cols else 0.0
 
 
 class TestSample:
@@ -106,13 +117,19 @@ class TestSample:
         assert sample(f, 10.2, 20.9) == f.cells[20, 10]
 
     @given(
-        st.floats(min_value=-50, max_value=335, allow_nan=False),
-        st.floats(min_value=-50, max_value=335, allow_nan=False),
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-50, max_value=335, allow_nan=False),
+                st.floats(min_value=-50, max_value=335, allow_nan=False),
+            ),
+            max_size=20,
+        )
     )
     @settings(max_examples=50, deadline=None)
-    def test_scalar_and_vector_sampling_agree(self, x, y):
+    def test_scalar_and_vector_sampling_agree(self, points):
         f = _small_random_field()
-        assert sample_many(f, np.array([x]), np.array([y]))[0] == sample(f, x, y)
+        xs, ys = np.array(points, dtype=float).reshape(-1, 2).T
+        assert sample_many(f, xs, ys).tolist() == [cell_lookup(f, x, y) for x, y in points]
 
 
 def _small_random_field():

@@ -1,6 +1,7 @@
 import concurrent.futures
 import os
 import signal
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -145,9 +146,72 @@ class TestPlanParsing:
         with pytest.raises(ConfigError, match="N10_beta3_rep"):
             load_plan(write(tmp_path / "p.cfg", "schema_version = 1\npopulations = 10\nbetas = 3,3.0000001\n"))
 
+    def test_every_cell_validated(self):
+        # only the second beta exceeds wheel_max
+        with pytest.raises(ConfigError, match="beta"):
+            ExperimentPlan(populations=(3, 5), betas=(6.0, 11.0))
+
     def test_single_cell_plan(self, tmp_path):
         plan = load_plan(write(tmp_path / "p.cfg", "schema_version = 1\npopulations = 4\nbetas = 6\nrepetitions = 1\n"))
         assert len(plan.runs()) == 1
+
+
+# a valid config in which every SimConfig field differs from its default
+NON_DEFAULT = {
+    "n_robots": 7,
+    "beta": 5.5,
+    "alpha": 2.5,
+    "omega_max_s": 25.0,
+    "arena_width_cm": 300.0,
+    "arena_height_cm": 290.0,
+    "cue_radius_cm": 100.0,
+    "cue_peak": 200.0,
+    "duration_s": 7,
+    "dt_s": 0.2,
+    "seed": 5,
+    "body_radius_cm": 3.5,
+    "wheel_base_cm": 7.0,
+    "contact_range_cm": 9.0,
+    "wall_range_cm": 1.5,
+    "refractory_s": 1.5,
+    "metric_radius_cm": 60.0,
+    "turn_min_deg": 80.0,
+    "turn_max_deg": 170.0,
+    "turn_rate_deg_s": 150.0,
+    "wheel_max": 9.5,
+    "waiting_formula": "literal",
+}
+GRID_OWNED = ("n_robots", "beta", "seed")
+
+
+def kv_text(values):
+    return "schema_version = 1\n" + "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+class TestConfigTable:
+    def test_table_covers_every_field_with_non_default_values(self):
+        default = SimConfig()
+        assert [f.name for f in fields(SimConfig)] == list(NON_DEFAULT)
+        for f in fields(SimConfig):
+            assert type(NON_DEFAULT[f.name]).__name__ == f.type
+            assert NON_DEFAULT[f.name] != getattr(default, f.name)
+
+    def test_run_config_round_trip(self, tmp_path):
+        cfg = load_run_config(write(tmp_path / "run.cfg", kv_text(NON_DEFAULT)))
+        assert cfg == SimConfig(**NON_DEFAULT)
+        for name, value in NON_DEFAULT.items():
+            assert type(getattr(cfg, name)) is type(value)
+
+    def test_plan_accepts_every_physics_field(self, tmp_path):
+        physics = {k: v for k, v in NON_DEFAULT.items() if k not in GRID_OWNED}
+        plan = load_plan(write(tmp_path / "p.cfg", kv_text(physics)))
+        assert plan.base_config == SimConfig(**physics)
+        for key in GRID_OWNED:
+            with pytest.raises(ConfigError, match="owned by the sweep grid"):
+                load_plan(write(tmp_path / "p.cfg", kv_text({key: NON_DEFAULT[key]})))
+
+    def test_empty_plan_takes_the_plan_defaults(self, tmp_path):
+        assert load_plan(write(tmp_path / "p.cfg", kv_text({}))) == ExperimentPlan()
 
 
 class TestCmdRun:
@@ -466,6 +530,20 @@ class TestCli:
     def test_run_rejects_negative_seed(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", RUN_CONFIG)
         assert cli_main(["run", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+
+    def test_sweep_with_one_invalid_cell_writes_nothing(self, tmp_path):
+        plan = write(tmp_path / "p.cfg", "schema_version = 1\npopulations = 3\nbetas = 6,11\nrepetitions = 1\n")
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--plan", plan, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_snapshot_times_outside_the_run(self, tmp_path):
+        cfg = write(tmp_path / "run.cfg", "schema_version = 1\nn_robots = 2\nduration_s = 5\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", cfg, "--out", str(out), "--snapshot-times", "0,-3,99999"]) == 1
+        assert not out.exists()
+        assert cli_main(["run", "--config", cfg, "--out", str(out), "--snapshot-times", "0,5"]) == 0
+        assert sorted(p.name for p in out.glob("*.pgm")) == ["snapshot_t0.pgm", "snapshot_t5.pgm"]
 
     def test_bad_snapshot_times(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", RUN_CONFIG)

@@ -3,7 +3,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmclean.metrics import MetricsRecord, MetricsSeries, coherency, ratio_within
+from swarmclean.engine import PairGeometry
+from swarmclean.metrics import MetricsRecord, MetricsSeries, ratio_within
+from swarmclean.metrics import coherency as coherency_of_d2
+
+
+def coherency(positions_cm):
+    """Coherency of an (N, 2) array of positions, through the PairGeometry the engine keeps."""
+    pos = np.asarray(positions_cm, dtype=np.float64).reshape(-1, 2)
+    return coherency_of_d2(PairGeometry(pos[:, 0].copy(), pos[:, 1].copy()).d2)
+
+
+def coherency_dense(positions_cm):
+    """Reference: mean over the upper triangle of a freshly built distance matrix, in meters."""
+    pos = np.asarray(positions_cm, dtype=np.float64).reshape(-1, 2)
+    n = len(pos)
+    if n < 2:
+        return 0.0
+    dx = pos[:, 0, None] - pos[None, :, 0]
+    dy = pos[:, 1, None] - pos[None, :, 1]
+    d = np.sqrt(dx * dx + dy * dy)
+    return float(d[np.triu_indices(n, k=1)].mean()) / 100.0
 
 
 class TestRatioWithin:
@@ -74,6 +94,21 @@ class TestCoherency:
         assert coherency(shuffled) == pytest.approx(base, rel=1e-12)
         assert coherency(pos + [17.0, -4.0]) == pytest.approx(base, rel=1e-9)
         assert coherency(pos * 2.0) == pytest.approx(2.0 * base, rel=1e-9)
+
+    @given(st.integers(0, 219), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_geometry_matches_dense_bit_for_bit(self, n, seed, moved_after_fill):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(4.0, 281.0, n)
+        y = rng.uniform(4.0, 281.0, n)
+        geom = PairGeometry(x, y)
+        if moved_after_fill and n:
+            # the tick loop's d2 is often refilled for the robots separation moved
+            moved = np.unique(rng.integers(0, n, size=max(n // 4, 1)))
+            x[moved] += rng.normal(size=len(moved))
+            y[moved] -= rng.normal(size=len(moved))
+            geom.refill(x, y, moved)
+        assert coherency_of_d2(geom.d2) == coherency_dense(np.column_stack((x, y)))
 
     def test_bounded_by_arena_diagonal(self):
         rng = np.random.default_rng(9)

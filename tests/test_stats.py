@@ -13,7 +13,6 @@ from swarmclean.stats import (
     bin_means,
     f_tail_probability,
     median_series,
-    one_way_anova,
     regularized_incomplete_beta,
 )
 
@@ -174,9 +173,16 @@ def classical_one_way(groups):
     return f, k - 1, n - k
 
 
+def one_factor_effect(groups):
+    """The effect of a one-factor `anova_main_effects` over explicit groups."""
+    levels = np.concatenate([np.full(len(g), k) for k, g in enumerate(groups)])
+    table = ObservationTable(np.concatenate(groups), [("group", levels)])
+    return anova_main_effects(table).effects[0]
+
+
 class TestAnova:
     def test_hand_computed_two_group_instance(self):
-        effect = one_way_anova([np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])])
+        effect = one_factor_effect([np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])])
         assert effect.f_value == pytest.approx(13.5, abs=1e-9)
         assert (effect.df_between, effect.df_within) == (1, 4)
         assert effect.sum_squares == pytest.approx(13.5, abs=1e-9)
@@ -240,7 +246,7 @@ class TestAnova:
         if ssw < 1e-9:
             return
         f_ref, df1, df2 = classical_one_way(groups)
-        effect = one_way_anova(groups)
+        effect = one_factor_effect(groups)
         assert effect.f_value == pytest.approx(f_ref, rel=1e-9)
         assert (effect.df_between, effect.df_within) == (df1, df2)
 
