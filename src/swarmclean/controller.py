@@ -2,14 +2,16 @@
 
 A robot is always in one of four modes: driving forward along the cue
 gradient, rotating away from a wall, waiting (and cleaning) after meeting
-another robot, or rotating randomly after a wait expires. Transitions are
-pure functions of (state, sensor readings, contact events), so controllers
-for different robots can be stepped independently.
+another robot, or rotating randomly after a wait expires. The swarm's FSM
+state is two plain lists indexed by robot: `modes`, one of the codes
+below, and `remaining`, the mode's countdown (seconds left to wait, or
+signed degrees left to turn; 0 while driving forward). Transitions are
+pure functions of (mode, remaining, sensor readings, contact events), so
+one call steps every robot, each independently of the others.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -19,48 +21,11 @@ if TYPE_CHECKING:
 
 WAIT_SATURATION = 25000.0  # cue-squared scale in the waiting-time law
 
-
-@dataclass(frozen=True)
-class WheelCommand:
-    """Left/right wheel speeds in wheel units, each in [0, 10]."""
-
-    n_l: float
-    n_r: float
-
-
-STOPPED = WheelCommand(0.0, 0.0)
-
-
-# --- FSM states -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Forward:
-    """Driving along the cue gradient."""
-
-
-@dataclass(frozen=True)
-class AvoidWall:
-    """Rotating in place away from a wall; remaining_turn_deg is signed."""
-
-    remaining_turn_deg: float
-
-
-@dataclass(frozen=True)
-class Waiting:
-    """Stopped and cleaning; remaining_s counts down to zero."""
-
-    remaining_s: float
-
-
-@dataclass(frozen=True)
-class PostWaitTurn:
-    """Rotating in place after a wait expired; remaining_turn_deg is signed."""
-
-    remaining_turn_deg: float
-
-
-FORWARD = Forward()
-FsmState = Forward | AvoidWall | Waiting | PostWaitTurn
+# mode codes
+FORWARD = 0  # driving along the cue gradient
+AVOID_WALL = 1  # rotating in place away from a wall
+WAITING = 2  # stopped and cleaning until the wait runs out
+POST_WAIT_TURN = 3  # rotating in place after a wait expired
 
 
 # --- control laws -----------------------------------------------------------
@@ -80,21 +45,21 @@ def waiting_time(mean_cue: float, config: SimConfig) -> float:
     return config.omega_max_s * m / (m * m + WAIT_SATURATION)
 
 
-def wheel_speeds(s_l: float, s_r: float, config: SimConfig) -> WheelCommand:
+def wheel_speeds(s_l: float, s_r: float, config: SimConfig) -> tuple[float, float]:
     """Differential steering toward the stronger of the two ground sensors.
 
-    n_r = (s_l - s_r)/alpha + beta and n_l the mirror image, both clamped
-    to [0, wheel_max]. Equal sensors drive straight at the bias beta, so
-    beta sets the cruise speed; the unclamped speeds always sum to 2*beta,
-    and a smaller alpha steers harder.
+    Returns (n_l, n_r) in wheel units: n_r = (s_l - s_r)/alpha + beta and
+    n_l the mirror image, both clamped to [0, wheel_max]. Equal sensors
+    drive straight at the bias beta, so beta sets the cruise speed; the
+    unclamped speeds always sum to 2*beta, and a smaller alpha steers harder.
     """
     diff = (s_l - s_r) / config.alpha
     hi = config.wheel_max
     n_r = diff + config.beta
     n_l = -diff + config.beta
-    return WheelCommand(
-        n_l=0.0 if n_l < 0.0 else (hi if n_l > hi else n_l),
-        n_r=0.0 if n_r < 0.0 else (hi if n_r > hi else n_r),
+    return (
+        0.0 if n_l < 0.0 else (hi if n_l > hi else n_l),
+        0.0 if n_r < 0.0 else (hi if n_r > hi else n_r),
     )
 
 
@@ -109,44 +74,60 @@ def random_turn(rng: np.random.Generator, config: SimConfig) -> float:
 # --- state machine ----------------------------------------------------------
 
 def step_fsm(
-    state: FsmState,
-    s_l: float,
-    s_r: float,
-    robot_contact: bool,
-    wall_contact: bool,
+    modes: list[int],
+    remaining: list[float],
+    s_l: list[float],
+    s_r: list[float],
+    robot_contact: list[bool],
+    wall_contact: list[bool],
     dt: float,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     config: SimConfig,
-) -> tuple[FsmState, WheelCommand, float]:
-    """Advance one robot's state machine by dt.
+) -> tuple[list[float], list[float], list[float], list[int]]:
+    """Advance every robot's state machine by dt, updating modes and remaining in place.
 
-    s_l and s_r are the cue intensities under the left and right wheels.
-    Returns (next state, wheel command, in-place turn consumed this step
-    in degrees). Robot contact takes priority over wall contact; waiting
-    and turning states ignore contact events. Turns are executed
+    s_l[i] and s_r[i] are the cue intensities under robot i's left and
+    right wheels; robot i draws its turns from rngs[i]. Returns
+    (n_l, n_r, turn_deg, woke): the wheel speeds, the in-place turn
+    consumed this step in degrees, and the indices of the robots whose
+    wait ended. Robot contact takes priority over wall contact; waiting
+    and turning robots ignore contact events. Turns are executed
     kinematically (wheels stay at 0) at turn_rate_deg_s because the wheel
     range [0, wheel_max] admits no reverse speed.
     """
-    if type(state) is Forward:
-        if robot_contact:
-            return Waiting(waiting_time(0.5 * (s_l + s_r), config)), STOPPED, 0.0
-        if wall_contact:
-            return AvoidWall(random_turn(rng, config)), STOPPED, 0.0
-        return state, wheel_speeds(s_l, s_r, config), 0.0
-
-    if type(state) is Waiting:
-        remaining = state.remaining_s - dt
-        if remaining > 0.0:
-            return Waiting(remaining), STOPPED, 0.0
-        return PostWaitTurn(random_turn(rng, config)), STOPPED, 0.0
-
-    # AvoidWall / PostWaitTurn: rotate in place until the angle is consumed.
-    remaining = state.remaining_turn_deg
+    n = len(modes)
+    n_l = [0.0] * n
+    n_r = [0.0] * n
+    turn_deg = [0.0] * n
+    woke: list[int] = []
     max_step = config.turn_rate_deg_s * dt
-    step = remaining if abs(remaining) <= max_step else math.copysign(max_step, remaining)
-    left = remaining - step
-    if abs(left) < 1e-12:
-        return FORWARD, STOPPED, step
-    if type(state) is AvoidWall:
-        return AvoidWall(left), STOPPED, step
-    return PostWaitTurn(left), STOPPED, step
+    for i, mode in enumerate(modes):
+        if mode == FORWARD:
+            if robot_contact[i]:
+                modes[i] = WAITING
+                remaining[i] = waiting_time(0.5 * (s_l[i] + s_r[i]), config)
+            elif wall_contact[i]:
+                modes[i] = AVOID_WALL
+                remaining[i] = random_turn(rngs[i], config)
+            else:
+                n_l[i], n_r[i] = wheel_speeds(s_l[i], s_r[i], config)
+        elif mode == WAITING:
+            left = remaining[i] - dt
+            if left > 0.0:
+                remaining[i] = left
+            else:
+                modes[i] = POST_WAIT_TURN
+                remaining[i] = random_turn(rngs[i], config)
+                woke.append(i)
+        else:
+            # AVOID_WALL / POST_WAIT_TURN: rotate in place until the angle is consumed
+            turn = remaining[i]
+            step = turn if abs(turn) <= max_step else math.copysign(max_step, turn)
+            turn_deg[i] = step
+            left = turn - step
+            if abs(left) < 1e-12:
+                modes[i] = FORWARD
+                remaining[i] = 0.0
+            else:
+                remaining[i] = left
+    return n_l, n_r, turn_deg, woke

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
-from .controller import FORWARD, FsmState, Waiting, WheelCommand, step_fsm
+from .controller import FORWARD, WAITING, step_fsm
 from .field import CueField, apply_cleaning, init_circular_gradient, mean_intensity, sample_many
 from .metrics import MetricsRecord, MetricsSeries, coherency, ratio_within
 
@@ -23,6 +23,7 @@ from .metrics import MetricsRecord, MetricsSeries, coherency, ratio_within
 WHEEL_UNIT_CM_S = 4.0 / 3.0
 
 TWO_PI = 2.0 * math.pi
+DEG_TO_RAD = math.pi / 180.0
 
 # validation bounds: floats are finite and at most MAX_MAGNITUDE in size,
 # strictly positive quantities at least MIN_POSITIVE; the field holds one
@@ -143,57 +144,51 @@ class SimConfig:
             raise ConfigError(f"waiting_formula must be 'squared' or 'literal', got {self.waiting_formula!r}")
 
 
-def ground_sensor_points(x, y, cos_t, sin_t, wheel_base_cm, out_x, out_y) -> None:
-    """Ground-sensor points under the wheels, written into out_x and out_y.
+def ground_sensor_points(xy, cos_sin, wheel_base_cm, out) -> None:
+    """Ground-sensor points under the wheels, written into out, shape (2, 2N).
 
     Each sensor sits wheel_base/2 from the center, perpendicular to the
-    heading: left sensors go to out[:n], right sensors to out[n:].
+    heading: left sensors go to out[:, :n], right sensors to out[:, n:].
+    xy and cos_sin are (2, N): positions, and cos/sin of the headings.
     """
-    n = len(x)
-    half_base = 0.5 * wheel_base_cm
-    off_x = half_base * sin_t
-    off_y = half_base * cos_t
-    np.subtract(x, off_x, out=out_x[:n])
-    np.add(x, off_x, out=out_x[n:])
-    np.add(y, off_y, out=out_y[:n])
-    np.subtract(y, off_y, out=out_y[n:])
+    n = xy.shape[1]
+    off = (0.5 * wheel_base_cm) * cos_sin[::-1]
+    np.negative(off[0], out=off[0])  # (-h sin, h cos) with h = wheel_base/2
+    np.add(xy, off, out=out[:, :n])
+    np.subtract(xy, off, out=out[:, n:])
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap to (-pi, pi]."""
+def wrap_angle(theta):
+    """Wrap to (-pi, pi]; a float or an array."""
     return math.pi - (math.pi - theta) % TWO_PI
 
 
-def integrate(
-    x: float,
-    y: float,
-    heading: float,
-    command: WheelCommand,
-    dt: float,
-    config: SimConfig,
-) -> tuple[float, float, float]:
-    """One explicit-Euler step of the unicycle model, clamped to the arena.
-
-    Wheel units map to a forward speed of WHEEL_UNIT_CM_S * (n_l + n_r) / 2
-    cm/s and a yaw rate of WHEEL_UNIT_CM_S * (n_r - n_l) / wheel_base rad/s.
-    """
-    v = WHEEL_UNIT_CM_S * 0.5 * (command.n_l + command.n_r)
-    omega = WHEEL_UNIT_CM_S * (command.n_r - command.n_l) / config.wheel_base_cm
-    x += v * math.cos(heading) * dt
-    y += v * math.sin(heading) * dt
-    heading = wrap_angle(heading + omega * dt)
+def _far_walls(config: SimConfig) -> np.ndarray:
+    """Largest center coordinates, as a (2, 1) column: arena width and height minus the body radius."""
     r = config.body_radius_cm
-    hi_x = config.arena_width_cm - r
-    hi_y = config.arena_height_cm - r
-    if x < r:
-        x = r
-    elif x > hi_x:
-        x = hi_x
-    if y < r:
-        y = r
-    elif y > hi_y:
-        y = hi_y
-    return x, y, heading
+    return np.array([[config.arena_width_cm - r], [config.arena_height_cm - r]])
+
+
+def integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt: float, config: SimConfig) -> None:
+    """One explicit-Euler step of the unicycle model for every robot, in place.
+
+    xy (2, N) and heading (N,) are updated; cos_sin holds the cos and sin
+    of the headings before the step. Wheel units map to a forward speed
+    of WHEEL_UNIT_CM_S * (n_l + n_r) / 2 cm/s and a yaw rate of
+    WHEEL_UNIT_CM_S * (n_r - n_l) / wheel_base rad/s. A nonzero turn_deg
+    then rotates the robot in place; positions are clamped to the arena.
+    """
+    n_l, n_r = np.array((n_l, n_r), dtype=np.float64)
+    v = WHEEL_UNIT_CM_S * 0.5 * (n_l + n_r)
+    omega = WHEEL_UNIT_CM_S * (n_r - n_l) / config.wheel_base_cm
+    xy += v * cos_sin * dt
+    heading[:] = wrap_angle(heading + omega * dt)
+    if any(turn_deg):
+        # only turning robots wrap twice: a heading just above pi wraps to -pi, and -pi to pi
+        turn = np.array(turn_deg, dtype=np.float64)
+        np.copyto(heading, wrap_angle(heading + turn * DEG_TO_RAD), where=turn != 0.0)
+    np.maximum(xy, config.body_radius_cm, out=xy)
+    np.minimum(xy, _far_walls(config), out=xy)
 
 
 class PairGeometry:
@@ -205,15 +200,19 @@ class PairGeometry:
     recomputes every pair, `refill` only the rows and columns of the robots
     that moved. d2 is symmetric bit for bit, because x[j] - x[i] and
     x[i] - x[j] differ only in sign, so a robot's column is its row
-    transposed.
+    transposed. `upper` holds the flat indices of the strict upper
+    triangle (every unordered pair once, row by row), built once per run.
     """
 
-    __slots__ = ("d2", "_tmp")
+    __slots__ = ("d2", "upper", "_tmp", "_diag")
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         n = len(x)
         self.d2 = np.empty((n, n))
         self._tmp = np.empty((n, n))
+        self._diag = self.d2.reshape(-1)[:: n + 1]  # a view of the diagonal
+        rows, cols = np.triu_indices(n, k=1)
+        self.upper = rows * n + cols
         self.fill(x, y)
 
     def fill(self, x: np.ndarray, y: np.ndarray) -> None:
@@ -223,7 +222,7 @@ class PairGeometry:
         np.subtract(y[None, :], y[:, None], out=tmp)
         np.multiply(tmp, tmp, out=tmp)
         np.add(d2, tmp, out=d2)
-        np.fill_diagonal(d2, np.inf)
+        self._diag[:] = np.inf
 
     def refill(self, x: np.ndarray, y: np.ndarray, moved: np.ndarray) -> None:
         dx = x[None, :] - x[moved, None]
@@ -234,14 +233,16 @@ class PairGeometry:
         self.d2[moved, moved] = np.inf
 
 
-def _detect_events_trig(x, y, cos_t, sin_t, refractory, geom, config):
-    """Contact flags for every robot, from poses, their trig and their PairGeometry.
+def _detect_events_trig(xy, cos_sin, refractory, geom, config):
+    """Contact flags for every robot, from poses (2, N), their cos/sin (2, N) and their PairGeometry.
 
     Robot contact: another center within contact_range and inside the
     frontal +/-90 degree arc; suppressed while the observer robot is
     refractory (it can still trigger others). Wall contact: body edge
     closer than wall_range to a wall that lies in the frontal arc.
     """
+    x, y = xy
+    cos_t, sin_t = cos_sin
     n = len(x)
     robot_contact = np.zeros(n, dtype=bool)
     ii, jj = np.divmod(np.flatnonzero(geom.d2 <= config.contact_range_cm**2), n)
@@ -250,15 +251,11 @@ def _detect_events_trig(x, y, cos_t, sin_t, refractory, geom, config):
         robot_contact[ii[frontal]] = True
         robot_contact &= refractory <= 0.0
 
+    # rows: x and the vertical walls, y and the horizontal walls
     r = config.body_radius_cm
     rng_cm = config.wall_range_cm
-    wall_contact = (
-        ((x - r < rng_cm) & (cos_t <= 0.0))
-        | ((config.arena_width_cm - r - x < rng_cm) & (cos_t >= 0.0))
-        | ((y - r < rng_cm) & (sin_t <= 0.0))
-        | ((config.arena_height_cm - r - y < rng_cm) & (sin_t >= 0.0))
-    )
-    return robot_contact, wall_contact
+    near_wall = ((xy - r < rng_cm) & (cos_sin <= 0.0)) | ((_far_walls(config) - xy < rng_cm) & (cos_sin >= 0.0))
+    return robot_contact, near_wall[0] | near_wall[1]
 
 
 @dataclass
@@ -269,7 +266,7 @@ class WorldView:
     x: np.ndarray
     y: np.ndarray
     heading: np.ndarray
-    states: tuple[FsmState, ...]
+    modes: np.ndarray  # controller mode codes (FORWARD, WAITING, ...), one per robot
     field: CueField
 
 
@@ -284,15 +281,15 @@ class SimResult:
     final_heading: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
 
 
-def _place_robots(config: SimConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Rejection-sample non-overlapping uniform positions for all robots."""
+def _place_robots(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """Rejection-sample non-overlapping uniform positions for all robots, as a (2, N) array."""
     n = config.n_robots
     r = config.body_radius_cm
     lo_x, hi_x = r, config.arena_width_cm - r
     lo_y, hi_y = r, config.arena_height_cm - r
     min_d2 = (2.0 * r) ** 2
-    xs = np.empty(n)
-    ys = np.empty(n)
+    xy = np.empty((2, n))
+    xs, ys = xy
     placed = 0
     attempts = 0
     limit = 1000 * max(n, 1)
@@ -309,7 +306,7 @@ def _place_robots(config: SimConfig, rng: np.random.Generator) -> tuple[np.ndarr
         xs[placed] = px
         ys[placed] = py
         placed += 1
-    return xs, ys
+    return xy
 
 
 def _separate_overlaps(x: np.ndarray, y: np.ndarray, config: SimConfig, geom: PairGeometry) -> bool:
@@ -360,10 +357,13 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
     substream [seed, 0] drives placement, substream [seed, i + 1] drives
     robot i, so each robot's behavior is independent of the swarm size.
     `snapshot_times` are whole seconds (0..duration inclusive) at which a
-    copy of the field is kept. `observer(view)` is called at every
-    whole-second boundary with a WorldView.
+    copy of the field is kept; a time outside that range is a ConfigError.
+    `observer(view)` is called at every whole-second boundary with a WorldView.
     """
     config.validate()
+    outside = [t for t in snapshot_times if not 0 <= t <= config.duration_s]
+    if outside:
+        raise ConfigError(f"snapshot times {outside} lie outside [0, {config.duration_s}] s")
     n = config.n_robots
     dt = config.dt_s
     tps = config.ticks_per_second
@@ -378,87 +378,62 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
     )
 
     placement_rng = np.random.default_rng([config.seed, 0])
-    x_arr, y_arr = _place_robots(config, placement_rng)
-    th_arr = placement_rng.uniform(-math.pi, math.pi, size=n)
+    # poses: xy is (2, N) with row views x and y; cos_sin holds each tick's trig
+    xy = _place_robots(config, placement_rng)
+    x, y = xy
+    heading = placement_rng.uniform(-math.pi, math.pi, size=n)
+    cos_sin = np.empty((2, n))
     robot_rngs = [np.random.default_rng([config.seed, i + 1]) for i in range(n)]
-    geom = PairGeometry(x_arr, y_arr)
+    geom = PairGeometry(x, y)
 
-    # poses are kept twice: plain-float lists feed the per-robot scalar loop,
-    # arrays (rebuilt after each move) feed the vectorized sensing/detection
-    xs = x_arr.tolist()
-    ys = y_arr.tolist()
-    ths = th_arr.tolist()
-
-    states: list[FsmState] = [FORWARD] * n
+    modes = [FORWARD] * n
+    remaining = [0.0] * n
     refractory = np.zeros(n)
     cleanings = np.zeros(n, dtype=np.int64)
     records: list[MetricsRecord] = []
     snapshots: dict[int, CueField] = {}
-    # ground-sensor points: left sensors in [:n], right sensors in [n:]
-    sensor_x = np.empty(2 * n)
-    sensor_y = np.empty(2 * n)
-    deg_to_rad = math.pi / 180.0
+    # ground-sensor points: left sensors in [:, :n], right sensors in [:, n:]
+    sensors = np.empty((2, 2 * n))
 
     def at_boundary(t_now: int, final: bool) -> None:
         if not final:
-            for i in range(n):
-                if type(states[i]) is Waiting:
-                    apply_cleaning(cue, xs[i], ys[i])
-                    cleanings[i] += 1
-            positions = np.column_stack((x_arr, y_arr)) if n else np.empty((0, 2))
+            waiting = [i for i, mode in enumerate(modes) if mode == WAITING]
+            if waiting:
+                apply_cleaning(cue, x[waiting], y[waiting])
+                cleanings[waiting] += 1
             records.append(
                 MetricsRecord(
                     t=t_now,
                     mean_cue=mean_intensity(cue),
-                    ratio_within_rc=ratio_within(positions, config.cue_center, config.metric_radius_cm),
-                    coherency_m=coherency(geom.d2),
+                    ratio_within_rc=ratio_within(xy.T, config.cue_center, config.metric_radius_cm),
+                    coherency_m=coherency(geom),
                 )
             )
         if t_now in snap_set:
             snapshots[t_now] = cue.copy()
         if observer is not None:
-            observer(WorldView(t_now, x_arr.copy(), y_arr.copy(), th_arr.copy(), tuple(states), cue))
+            observer(WorldView(t_now, x.copy(), y.copy(), heading.copy(), np.array(modes, dtype=np.int8), cue))
 
     total_ticks = config.duration_s * tps
     for tick in range(total_ticks):
         if tick % tps == 0:
             at_boundary(tick // tps, final=False)
 
-        sin_t = np.sin(th_arr)
-        cos_t = np.cos(th_arr)
-        ground_sensor_points(x_arr, y_arr, cos_t, sin_t, config.wheel_base_cm, sensor_x, sensor_y)
-        sensed = sample_many(cue, sensor_x, sensor_y).tolist()
-        s_left = sensed[:n]
-        s_right = sensed[n:]
-        robot_contact, wall_contact = _detect_events_trig(x_arr, y_arr, cos_t, sin_t, refractory, geom, config)
-        rc = robot_contact.tolist()
-        wc = wall_contact.tolist()
-
-        woke: list[int] = []
-        for i in range(n):
-            old = states[i]
-            state, command, turn_deg = step_fsm(old, s_left[i], s_right[i], rc[i], wc[i], dt, robot_rngs[i], config)
-            states[i] = state
-            if type(old) is Waiting and type(state) is not Waiting:
-                woke.append(i)
-            xi, yi, hi = integrate(xs[i], ys[i], ths[i], command, dt, config)
-            if turn_deg:
-                hi = wrap_angle(hi + turn_deg * deg_to_rad)
-            xs[i] = xi
-            ys[i] = yi
-            ths[i] = hi
-
-        x_arr = np.array(xs)
-        y_arr = np.array(ys)
-        th_arr = np.array(ths)
-        if _separate_overlaps(x_arr, y_arr, config, geom):
-            xs = x_arr.tolist()
-            ys = y_arr.tolist()
-        if n:
-            np.subtract(refractory, dt, out=refractory)
-            np.maximum(refractory, 0.0, out=refractory)
-            for i in woke:
-                refractory[i] = config.refractory_s
+        np.cos(heading, out=cos_sin[0])
+        np.sin(heading, out=cos_sin[1])
+        ground_sensor_points(xy, cos_sin, config.wheel_base_cm, sensors)
+        sensed = sample_many(cue, sensors[0], sensors[1]).tolist()
+        robot_contact, wall_contact = _detect_events_trig(xy, cos_sin, refractory, geom, config)
+        n_l, n_r, turn_deg, woke = step_fsm(
+            modes, remaining, sensed[:n], sensed[n:], robot_contact.tolist(), wall_contact.tolist(),
+            dt, robot_rngs, config,
+        )
+        integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, config)
+        _separate_overlaps(x, y, config, geom)
+        np.subtract(refractory, dt, out=refractory)
+        np.maximum(refractory, 0.0, out=refractory)
+        if woke:
+            refractory[woke] = config.refractory_s
 
     # final boundary: snapshots and observer only, no cleaning or metrics row
     at_boundary(config.duration_s, final=True)
@@ -468,7 +443,7 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
         field=cue,
         snapshots=snapshots,
         cleanings=cleanings,
-        final_x=x_arr,
-        final_y=y_arr,
-        final_heading=th_arr,
+        final_x=x,
+        final_y=y,
+        final_heading=heading,
     )

@@ -6,17 +6,14 @@ with a fixed 9x9 cleaning kernel while they sit in the waiting state.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # Cleaning kernel: decrement(p, q) = 8 - sqrt(p^2 + q^2) for cell offsets
 # p, q in [-4, 4]. Strongest directly under the robot (8 per application),
 # weakest at the corners (8 - sqrt(32) ~ 2.343); every entry is positive.
 KERNEL_REACH = 4
-_offsets = np.arange(-KERNEL_REACH, KERNEL_REACH + 1, dtype=np.float64)
-CLEAN_KERNEL = 8.0 - np.sqrt(_offsets[:, None] ** 2 + _offsets[None, :] ** 2)
-del _offsets
+_KERNEL_OFFSETS = np.arange(-KERNEL_REACH, KERNEL_REACH + 1)
+CLEAN_KERNEL = 8.0 - np.sqrt(_KERNEL_OFFSETS[:, None] ** 2 + _KERNEL_OFFSETS[None, :] ** 2)
 
 
 class CueField:
@@ -88,38 +85,39 @@ def sample_many(field: CueField, xs_cm: np.ndarray, ys_cm: np.ndarray) -> np.nda
     Nearest-cell semantics: no interpolation, the raw (possibly fractional)
     cell value is returned. Total over the whole plane.
     """
-    cols_idx = np.floor(xs_cm).astype(np.intp)
-    rows_idx = np.floor(ys_cm).astype(np.intp)
     rows, cols = field.cells.shape
-    inside = (rows_idx >= 0) & (rows_idx < rows) & (cols_idx >= 0) & (cols_idx < cols)
-    out = np.zeros(len(cols_idx), dtype=np.float64)
-    if inside.any():
-        out[inside] = field.cells[rows_idx[inside], cols_idx[inside]]
+    c = np.floor(xs_cm).astype(np.intp)
+    r = np.floor(ys_cm).astype(np.intp)
+    # a negative index wraps to a huge unsigned one, so one comparison per axis checks both bounds
+    inside = (c.view(np.uintp) < cols) & (r.view(np.uintp) < rows)
+    r *= cols
+    r += c
+    out = np.take(field.cells, r, mode="clip")
+    out *= inside  # cells are finite and >= 0, so outside points read +0.0
     return out
 
 
-def apply_cleaning(field: CueField, x_cm: float, y_cm: float) -> None:
-    """Erode the field around a robot center with the 9x9 cleaning kernel.
+def apply_cleaning(field: CueField, xs_cm: np.ndarray, ys_cm: np.ndarray) -> None:
+    """Erode the field around each robot center with the 9x9 cleaning kernel.
 
-    Each cell at offset (p, q) from the robot's cell drops by
+    Each cell at offset (p, q) from a robot's cell drops by
     8 - sqrt(p^2 + q^2), clamped at zero; offsets falling outside the
-    arena are skipped. Meant to run once per simulated second for each
-    waiting robot.
+    arena are skipped. Meant to run once per simulated second over the
+    waiting robots. The decrements are subtracted in robot order and the
+    clamp comes last, which gives the same bits as cleaning robot by
+    robot: every kernel entry is positive, so a cell that goes negative
+    stays negative and ends at zero either way.
     """
-    col = math.floor(x_cm)
-    row = math.floor(y_cm)
     rows, cols = field.cells.shape
-    r0 = max(row - KERNEL_REACH, 0)
-    r1 = min(row + KERNEL_REACH + 1, rows)
-    c0 = max(col - KERNEL_REACH, 0)
-    c1 = min(col + KERNEL_REACH + 1, cols)
-    if r0 >= r1 or c0 >= c1:
-        return
-    kr0 = r0 - (row - KERNEL_REACH)
-    kc0 = c0 - (col - KERNEL_REACH)
-    window = field.cells[r0:r1, c0:c1]
-    np.subtract(window, CLEAN_KERNEL[kr0 : kr0 + (r1 - r0), kc0 : kc0 + (c1 - c0)], out=window)
-    np.maximum(window, 0.0, out=window)
+    # window cell indices per robot: rows (robots, 9, 1), columns (robots, 1, 9)
+    r = np.floor(ys_cm).astype(np.intp).reshape(-1, 1, 1) + _KERNEL_OFFSETS[:, None]
+    c = np.floor(xs_cm).astype(np.intp).reshape(-1, 1, 1) + _KERNEL_OFFSETS
+    # a negative index wraps to a huge unsigned one, so one comparison per axis checks both bounds
+    inside = (r.view(np.uintp) < rows) & (c.view(np.uintp) < cols)
+    cells = (r * cols + c)[inside]
+    flat = field.cells.reshape(-1)  # a view: cells are row-major
+    np.subtract.at(flat, cells, (inside * CLEAN_KERNEL)[inside])
+    flat[cells] = np.maximum(flat[cells], 0.0)
 
 
 def mean_intensity(field: CueField) -> float:

@@ -9,6 +9,7 @@ extending a plan never perturbs existing runs.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -105,6 +106,10 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.base_config is None:
             self.base_config = SimConfig()
+        for name in ("repetitions", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if not self.populations:
@@ -188,15 +193,13 @@ def cmd_run(config: SimConfig, out_dir, snapshot_times=None) -> dict:
     """Execute one run; write metrics.csv and PGM snapshots into out_dir.
 
     Snapshot times are whole seconds in [0, duration_s]; the default times
-    are clipped to the duration, requested ones outside it are an error.
+    are clipped to the duration, requested ones outside it are an error
+    (from `run_simulation`, before out_dir is created).
     """
     if snapshot_times is None:
         snapshot_times = [t for t in DEFAULT_SNAPSHOT_TIMES if t <= config.duration_s]
-    outside = [t for t in snapshot_times if not 0 <= t <= config.duration_s]
-    if outside:
-        raise ConfigError(f"snapshot times {outside} lie outside [0, {config.duration_s}] s")
-    os.makedirs(out_dir, exist_ok=True)
     result = run_simulation(config, snapshot_times=snapshot_times)
+    os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.csv")
     result.series.to_csv(metrics_path)
     snap_paths = {}

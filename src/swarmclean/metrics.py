@@ -26,17 +26,16 @@ def ratio_within(positions_cm: np.ndarray, center_cm: tuple[float, float], r_c_c
     return float(np.count_nonzero(d <= r_c_cm)) / n
 
 
-def coherency(d2_cm2: np.ndarray) -> float:
+def coherency(geom) -> float:
     """Mean distance over all unordered robot pairs, in meters.
 
-    d2_cm2 is the N x N matrix of squared center distances in cm^2 (a
-    PairGeometry's d2); only its strict upper triangle is read. Fewer
-    than two robots report 0.
+    geom is the engine's PairGeometry: its d2 holds the squared center
+    distances in cm^2, and only the strict upper triangle (geom.upper) is
+    read. Fewer than two robots report 0.
     """
-    n = len(d2_cm2)
-    if n < 2:
+    if len(geom.upper) == 0:
         return 0.0
-    return float(np.sqrt(d2_cm2[np.triu_indices(n, k=1)]).mean()) / 100.0
+    return float(np.sqrt(np.take(geom.d2, geom.upper)).mean()) / 100.0
 
 
 @dataclass

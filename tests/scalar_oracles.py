@@ -1,0 +1,180 @@
+"""Per-robot reference implementations of the batched laws in `src/`.
+
+The engine steps every robot's state machine in one `step_fsm` call over
+two plain lists, integrates every pose in one vectorised `integrate`, and
+cleans under all waiting robots in one `apply_cleaning` call. The scalar
+versions below are the laws as they were written robot by robot: an FSM
+state object and a wheel command per robot, one pose at a time in Python
+floats, and one kernel application per robot. The tests hold the batched
+code to these bit for bit.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from swarmclean.controller import AVOID_WALL, FORWARD, POST_WAIT_TURN, WAITING, random_turn, waiting_time, wheel_speeds
+from swarmclean.engine import WHEEL_UNIT_CM_S, SimConfig
+from swarmclean.field import CLEAN_KERNEL, KERNEL_REACH, CueField
+
+TWO_PI = 2.0 * math.pi
+
+
+@dataclass(frozen=True)
+class WheelCommand:
+    """Left/right wheel speeds in wheel units, each in [0, 10]."""
+
+    n_l: float
+    n_r: float
+
+
+STOPPED = WheelCommand(0.0, 0.0)
+
+
+@dataclass(frozen=True)
+class Forward:
+    """Driving along the cue gradient."""
+
+
+@dataclass(frozen=True)
+class AvoidWall:
+    """Rotating in place away from a wall; remaining_turn_deg is signed."""
+
+    remaining_turn_deg: float
+
+
+@dataclass(frozen=True)
+class Waiting:
+    """Stopped and cleaning; remaining_s counts down to zero."""
+
+    remaining_s: float
+
+
+@dataclass(frozen=True)
+class PostWaitTurn:
+    """Rotating in place after a wait expired; remaining_turn_deg is signed."""
+
+    remaining_turn_deg: float
+
+
+FsmState = Forward | AvoidWall | Waiting | PostWaitTurn
+
+
+def to_state(mode: int, remaining: float) -> FsmState:
+    """The state object for one robot's entries in the engine's (modes, remaining) lists."""
+    if mode == FORWARD:
+        return Forward()
+    if mode == AVOID_WALL:
+        return AvoidWall(remaining)
+    if mode == WAITING:
+        return Waiting(remaining)
+    assert mode == POST_WAIT_TURN
+    return PostWaitTurn(remaining)
+
+
+def from_state(state: FsmState) -> tuple[int, float]:
+    """(mode, remaining) for a state object; the inverse of `to_state`."""
+    if type(state) is Forward:
+        return FORWARD, 0.0
+    if type(state) is AvoidWall:
+        return AVOID_WALL, state.remaining_turn_deg
+    if type(state) is Waiting:
+        return WAITING, state.remaining_s
+    return POST_WAIT_TURN, state.remaining_turn_deg
+
+
+def step_fsm(
+    state: FsmState,
+    s_l: float,
+    s_r: float,
+    robot_contact: bool,
+    wall_contact: bool,
+    dt: float,
+    rng: np.random.Generator,
+    config: SimConfig,
+) -> tuple[FsmState, WheelCommand, float]:
+    """Advance one robot's state machine by dt.
+
+    Returns (next state, wheel command, in-place turn consumed this step
+    in degrees). Robot contact takes priority over wall contact; waiting
+    and turning states ignore contact events.
+    """
+    if type(state) is Forward:
+        if robot_contact:
+            return Waiting(waiting_time(0.5 * (s_l + s_r), config)), STOPPED, 0.0
+        if wall_contact:
+            return AvoidWall(random_turn(rng, config)), STOPPED, 0.0
+        return state, WheelCommand(*wheel_speeds(s_l, s_r, config)), 0.0
+
+    if type(state) is Waiting:
+        remaining = state.remaining_s - dt
+        if remaining > 0.0:
+            return Waiting(remaining), STOPPED, 0.0
+        return PostWaitTurn(random_turn(rng, config)), STOPPED, 0.0
+
+    # AvoidWall / PostWaitTurn: rotate in place until the angle is consumed.
+    remaining = state.remaining_turn_deg
+    max_step = config.turn_rate_deg_s * dt
+    step = remaining if abs(remaining) <= max_step else math.copysign(max_step, remaining)
+    left = remaining - step
+    if abs(left) < 1e-12:
+        return Forward(), STOPPED, step
+    if type(state) is AvoidWall:
+        return AvoidWall(left), STOPPED, step
+    return PostWaitTurn(left), STOPPED, step
+
+
+def wrap_angle(theta: float) -> float:
+    """Wrap to (-pi, pi]."""
+    return math.pi - (math.pi - theta) % TWO_PI
+
+
+def integrate(
+    x: float,
+    y: float,
+    heading: float,
+    command: WheelCommand,
+    turn_deg: float,
+    dt: float,
+    config: SimConfig,
+) -> tuple[float, float, float]:
+    """One explicit-Euler step of the unicycle model, then the in-place turn, clamped to the arena."""
+    v = WHEEL_UNIT_CM_S * 0.5 * (command.n_l + command.n_r)
+    omega = WHEEL_UNIT_CM_S * (command.n_r - command.n_l) / config.wheel_base_cm
+    x += v * math.cos(heading) * dt
+    y += v * math.sin(heading) * dt
+    heading = wrap_angle(heading + omega * dt)
+    if turn_deg:
+        heading = wrap_angle(heading + turn_deg * (math.pi / 180.0))
+    r = config.body_radius_cm
+    hi_x = config.arena_width_cm - r
+    hi_y = config.arena_height_cm - r
+    if x < r:
+        x = r
+    elif x > hi_x:
+        x = hi_x
+    if y < r:
+        y = r
+    elif y > hi_y:
+        y = hi_y
+    return x, y, heading
+
+
+def apply_cleaning(field: CueField, x_cm: float, y_cm: float) -> None:
+    """Erode the field around one robot center: subtract the clipped kernel window, clamp at zero."""
+    col = math.floor(x_cm)
+    row = math.floor(y_cm)
+    rows, cols = field.cells.shape
+    r0 = max(row - KERNEL_REACH, 0)
+    r1 = min(row + KERNEL_REACH + 1, rows)
+    c0 = max(col - KERNEL_REACH, 0)
+    c1 = min(col + KERNEL_REACH + 1, cols)
+    if r0 >= r1 or c0 >= c1:
+        return
+    kr0 = r0 - (row - KERNEL_REACH)
+    kc0 = c0 - (col - KERNEL_REACH)
+    window = field.cells[r0:r1, c0:c1]
+    np.subtract(window, CLEAN_KERNEL[kr0 : kr0 + (r1 - r0), kc0 : kc0 + (c1 - c0)], out=window)
+    np.maximum(window, 0.0, out=window)

@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmclean.controller import (
+    AVOID_WALL,
     FORWARD,
-    AvoidWall,
-    Forward,
-    PostWaitTurn,
-    Waiting,
-    WheelCommand,
+    POST_WAIT_TURN,
+    WAITING,
     random_turn,
     step_fsm,
     waiting_time,
     wheel_speeds,
 )
 from swarmclean.engine import ConfigError, SimConfig
+
+import scalar_oracles as oracle
 
 P = SimConfig()
 
@@ -65,34 +65,31 @@ class TestWaitingTime:
 
 class TestWheelSpeeds:
     def test_equal_sensors_drive_straight(self):
-        cmd = wheel_speeds(42.0, 42.0, P)
-        assert (cmd.n_l, cmd.n_r) == (6.0, 6.0)
+        assert wheel_speeds(42.0, 42.0, P) == (6.0, 6.0)
 
     def test_turns_toward_higher_left(self):
-        cmd = wheel_speeds(10.0, 6.0, P)
-        assert (cmd.n_l, cmd.n_r) == (4.0, 8.0)
+        assert wheel_speeds(10.0, 6.0, P) == (4.0, 8.0)
 
     def test_clamping_at_extremes(self):
-        cmd = wheel_speeds(255.0, 0.0, P)
-        assert (cmd.n_l, cmd.n_r) == (0.0, 10.0)
+        assert wheel_speeds(255.0, 0.0, P) == (0.0, 10.0)
 
     @given(st.floats(0, 255), st.floats(0, 255))
     @settings(max_examples=100, deadline=None)
     def test_unclamped_sum_is_twice_beta(self, s_l, s_r):
         diff = (s_l - s_r) / P.alpha
         assert (diff + P.beta) + (-diff + P.beta) == pytest.approx(2 * P.beta, abs=1e-9)
-        cmd = wheel_speeds(s_l, s_r, P)
-        assert 0.0 <= cmd.n_l <= 10.0
-        assert 0.0 <= cmd.n_r <= 10.0
+        n_l, n_r = wheel_speeds(s_l, s_r, P)
+        assert 0.0 <= n_l <= 10.0
+        assert 0.0 <= n_r <= 10.0
 
     @given(st.floats(0, 255), st.floats(0, 255))
     @settings(max_examples=100, deadline=None)
     def test_steers_toward_stronger_sensor(self, s_l, s_r):
-        cmd = wheel_speeds(s_l, s_r, P)
+        n_l, n_r = wheel_speeds(s_l, s_r, P)
         if s_l > s_r:
-            assert cmd.n_r >= cmd.n_l
+            assert n_r >= n_l
         elif s_r > s_l:
-            assert cmd.n_l >= cmd.n_r
+            assert n_l >= n_r
 
 
 class TestRandomTurn:
@@ -117,97 +114,159 @@ def _rng():
     return np.random.default_rng(0)
 
 
+def step_one(mode, remaining, s_l, s_r, robot_contact, wall_contact, rng=None):
+    """Step a one-robot swarm: ((mode, remaining), (n_l, n_r), turn_deg, woke)."""
+    modes, rem = [mode], [remaining]
+    n_l, n_r, turn, woke = step_fsm(
+        modes, rem, [float(s_l)], [float(s_r)], [robot_contact], [wall_contact], 0.1, [rng or _rng()], P
+    )
+    return (modes[0], rem[0]), (n_l[0], n_r[0]), turn[0], woke == [0]
+
+
 class TestStepFsm:
     def test_forward_robot_contact_starts_waiting(self):
-        state, cmd, turn = step_fsm(FORWARD, 255, 255, True, False, 0.1, _rng(), P)
-        assert isinstance(state, Waiting)
-        assert state.remaining_s == pytest.approx(21.67, abs=0.05)
-        assert (cmd.n_l, cmd.n_r) == (0.0, 0.0)
+        (mode, remaining), cmd, turn, _ = step_one(FORWARD, 0.0, 255, 255, True, False)
+        assert mode == WAITING
+        assert remaining == pytest.approx(21.67, abs=0.05)
+        assert cmd == (0.0, 0.0)
         assert turn == 0.0
 
     def test_robot_contact_beats_wall_contact(self):
-        state, _, _ = step_fsm(FORWARD, 50, 50, True, True, 0.1, _rng(), P)
-        assert isinstance(state, Waiting)
+        (mode, _), _, _, _ = step_one(FORWARD, 0.0, 50, 50, True, True)
+        assert mode == WAITING
 
     def test_forward_wall_contact_starts_avoidance(self):
-        state, cmd, _ = step_fsm(FORWARD, 50, 50, False, True, 0.1, _rng(), P)
-        assert isinstance(state, AvoidWall)
-        assert 90.0 <= abs(state.remaining_turn_deg) <= 180.0
-        assert (cmd.n_l, cmd.n_r) == (0.0, 0.0)
+        (mode, remaining), cmd, _, _ = step_one(FORWARD, 0.0, 50, 50, False, True)
+        assert mode == AVOID_WALL
+        assert 90.0 <= abs(remaining) <= 180.0
+        assert cmd == (0.0, 0.0)
 
     def test_forward_no_events_drives_at_bias(self):
-        state, cmd, _ = step_fsm(FORWARD, 0, 0, False, False, 0.1, _rng(), P)
-        assert isinstance(state, Forward)
-        assert (cmd.n_l, cmd.n_r) == (6.0, 6.0)
+        (mode, _), cmd, _, _ = step_one(FORWARD, 0.0, 0, 0, False, False)
+        assert mode == FORWARD
+        assert cmd == (6.0, 6.0)
 
     def test_waiting_counts_down(self):
-        state, cmd, _ = step_fsm(Waiting(5.0), 0, 0, False, False, 0.1, _rng(), P)
-        assert state == Waiting(4.9)
-        assert (cmd.n_l, cmd.n_r) == (0.0, 0.0)
+        state, cmd, _, woke = step_one(WAITING, 5.0, 0, 0, False, False)
+        assert state == (WAITING, 4.9)
+        assert cmd == (0.0, 0.0)
+        assert not woke
 
     def test_waiting_expiry_turns(self):
-        state, cmd, _ = step_fsm(Waiting(0.05), 0, 0, False, False, 0.1, _rng(), P)
-        assert isinstance(state, PostWaitTurn)
-        assert 90.0 <= abs(state.remaining_turn_deg) <= 180.0
-        assert (cmd.n_l, cmd.n_r) == (0.0, 0.0)
+        (mode, remaining), cmd, _, woke = step_one(WAITING, 0.05, 0, 0, False, False)
+        assert mode == POST_WAIT_TURN
+        assert 90.0 <= abs(remaining) <= 180.0
+        assert cmd == (0.0, 0.0)
+        assert woke
 
     def test_waiting_ignores_new_contacts(self):
-        state, _, _ = step_fsm(Waiting(5.0), 255, 255, True, True, 0.1, _rng(), P)
-        assert state == Waiting(4.9)
+        state, _, _, _ = step_one(WAITING, 5.0, 255, 255, True, True)
+        assert state == (WAITING, 4.9)
 
     def test_turn_consumes_at_fixed_rate(self):
-        state, cmd, turn = step_fsm(PostWaitTurn(120.0), 0, 0, False, False, 0.1, _rng(), P)
+        state, cmd, turn, _ = step_one(POST_WAIT_TURN, 120.0, 0, 0, False, False)
         assert turn == pytest.approx(18.0)  # 180 deg/s * 0.1 s
-        assert state == PostWaitTurn(102.0)
-        assert (cmd.n_l, cmd.n_r) == (0.0, 0.0)
+        assert state == (POST_WAIT_TURN, 102.0)
+        assert cmd == (0.0, 0.0)
 
     def test_turn_finishes_exactly(self):
-        state, _, turn = step_fsm(AvoidWall(-10.0), 0, 0, False, False, 0.1, _rng(), P)
-        assert isinstance(state, Forward)
+        (mode, _), _, turn, _ = step_one(AVOID_WALL, -10.0, 0, 0, False, False)
+        assert mode == FORWARD
         assert turn == pytest.approx(-10.0)
 
     def test_turn_sign_preserved(self):
-        state, _, turn = step_fsm(AvoidWall(-120.0), 0, 0, False, False, 0.1, _rng(), P)
+        state, _, turn, _ = step_one(AVOID_WALL, -120.0, 0, 0, False, False)
         assert turn == pytest.approx(-18.0)
-        assert state == AvoidWall(-102.0)
+        assert state == (AVOID_WALL, -102.0)
 
     @pytest.mark.parametrize(
         "state",
-        [FORWARD, Waiting(3.0), Waiting(0.0), AvoidWall(90.0), AvoidWall(-90.0), PostWaitTurn(180.0)],
+        [(FORWARD, 0.0), (WAITING, 3.0), (WAITING, 0.0), (AVOID_WALL, 90.0), (AVOID_WALL, -90.0), (POST_WAIT_TURN, 180.0)],
     )
     @pytest.mark.parametrize("robot_contact", [False, True])
     @pytest.mark.parametrize("wall_contact", [False, True])
     def test_totality_over_states_and_events(self, state, robot_contact, wall_contact):
-        nxt, cmd, turn = step_fsm(state, 100, 90, robot_contact, wall_contact, 0.1, _rng(), P)
-        assert isinstance(nxt, (Forward, Waiting, AvoidWall, PostWaitTurn))
-        assert 0.0 <= cmd.n_l <= 10.0
-        assert 0.0 <= cmd.n_r <= 10.0
+        (mode, _), (n_l, n_r), turn, _ = step_one(*state, 100, 90, robot_contact, wall_contact)
+        assert mode in (FORWARD, WAITING, AVOID_WALL, POST_WAIT_TURN)
+        assert 0.0 <= n_l <= 10.0
+        assert 0.0 <= n_r <= 10.0
         assert abs(turn) <= 18.0 + 1e-12
 
     def test_waiting_always_stopped(self):
         for remaining in (21.67, 10.0, 0.2):
-            _, cmd, turn = step_fsm(Waiting(remaining), 200, 10, True, True, 0.1, _rng(), P)
-            assert (cmd.n_l, cmd.n_r) == (0.0, 0.0)
+            _, cmd, turn, _ = step_one(WAITING, remaining, 200, 10, True, True)
+            assert cmd == (0.0, 0.0)
             assert turn == 0.0
 
     def test_new_waiting_duration_in_creation_range(self):
         rng = _rng()
         for cue in (0.0, 17.0, 100.0, 255.0):
-            state, _, _ = step_fsm(FORWARD, cue, cue, True, False, 0.1, rng, P)
-            assert 0.0 <= state.remaining_s <= 21.7
+            (_, remaining), _, _, _ = step_one(FORWARD, 0.0, cue, cue, True, False, rng)
+            assert 0.0 <= remaining <= 21.7
 
 
 class TestWheelCommandInvariants:
     def test_forward_is_a_value(self):
-        assert Forward() == FORWARD and hash(Forward()) == hash(FORWARD)
-        assert repr(FORWARD) == "Forward()"
-        assert FORWARD != Waiting(0.0)
+        # the mode codes are distinct plain ints, and a fresh swarm starts driving forward
+        modes = (FORWARD, AVOID_WALL, WAITING, POST_WAIT_TURN)
+        assert all(type(m) is int for m in modes) and len(set(modes)) == 4
+        (mode, remaining), _, _, _ = step_one(FORWARD, 0.0, 0, 0, False, False)
+        assert (mode, remaining) == (FORWARD, 0.0)
 
     def test_command_is_plain_record(self):
-        cmd = WheelCommand(1.5, 2.5)
-        assert cmd.n_l == 1.5 and cmd.n_r == 2.5
+        # wheel speeds, turns and wake-ups come back as plain per-robot lists
+        modes, remaining = [FORWARD, WAITING, AVOID_WALL], [0.0, 0.05, 30.0]
+        rngs = [_rng() for _ in modes]
+        n_l, n_r, turn, woke = step_fsm(modes, remaining, [1.5] * 3, [0.5] * 3, [False] * 3, [False] * 3, 0.1, rngs, P)
+        assert (n_l, n_r) == ([5.5, 0.0, 0.0], [6.5, 0.0, 0.0])
+        assert turn == [0.0, 0.0, pytest.approx(18.0)]
+        assert woke == [1]
 
     def test_sensor_reading_mean(self):
         # a new wait lasts the waiting time of the two sensors' mean
-        state, _, _ = step_fsm(FORWARD, 10.0, 20.0, True, False, 0.1, _rng(), P)
-        assert state == Waiting(waiting_time(15.0, P))
+        state, _, _, _ = step_one(FORWARD, 0.0, 10.0, 20.0, True, False)
+        assert state == (WAITING, waiting_time(15.0, P))
+
+
+STATES = st.one_of(
+    st.just((FORWARD, 0.0)),
+    st.tuples(st.just(WAITING), st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.1000001]), st.floats(0.0, 25.0))),
+    st.tuples(
+        st.sampled_from([AVOID_WALL, POST_WAIT_TURN]),
+        st.one_of(st.sampled_from([18.0, -18.0, 1e-13, -5e-13, 17.999999999999]), st.floats(-180.0, 180.0)),
+    ),
+)
+ROBOTS = st.tuples(STATES, st.floats(0.0, 255.0), st.floats(0.0, 255.0), st.booleans(), st.booleans())
+
+
+@given(
+    st.lists(ROBOTS, max_size=60),
+    st.sampled_from([0.1, 0.05, 1.0]),
+    st.sampled_from(["squared", "literal"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_step_equals_per_robot_oracle(robots, dt, formula, seed):
+    """One batched step equals one oracle call per robot, RNG draws included."""
+    config = SimConfig(waiting_formula=formula, beta=3.0)
+    modes = [mode for (mode, _), *_ in robots]
+    remaining = [rem for (_, rem), *_ in robots]
+    s_l = [r[1] for r in robots]
+    s_r = [r[2] for r in robots]
+    robot_contact = [r[3] for r in robots]
+    wall_contact = [r[4] for r in robots]
+    rngs = [np.random.default_rng([seed, i]) for i in range(len(robots))]
+    oracle_rngs = [np.random.default_rng([seed, i]) for i in range(len(robots))]
+
+    n_l, n_r, turn, woke = step_fsm(modes, remaining, s_l, s_r, robot_contact, wall_contact, dt, rngs, config)
+
+    want_woke = []
+    for i, ((mode, rem), sl, sr, rc, wc) in enumerate(robots):
+        old = oracle.to_state(mode, rem)
+        state, command, turn_deg = oracle.step_fsm(old, sl, sr, rc, wc, dt, oracle_rngs[i], config)
+        if type(old) is oracle.Waiting and type(state) is not oracle.Waiting:
+            want_woke.append(i)
+        assert (modes[i], remaining[i]) == oracle.from_state(state)
+        assert (n_l[i], n_r[i], turn[i]) == (command.n_l, command.n_r, turn_deg)
+        assert rngs[i].bit_generator.state == oracle_rngs[i].bit_generator.state
+    assert woke == want_woke

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmclean.controller import Waiting, WheelCommand
+from swarmclean.controller import WAITING
 from swarmclean.engine import (
     MAX_ARENA_CM,
     MAX_ROBOTS,
@@ -22,6 +22,8 @@ from swarmclean.engine import (
 )
 from swarmclean.field import mean_intensity
 
+import scalar_oracles as oracle
+
 
 def small_config(**overrides):
     defaults = dict(n_robots=5, duration_s=20, seed=11)
@@ -29,34 +31,51 @@ def small_config(**overrides):
     return SimConfig(**defaults)
 
 
+def trig(heading):
+    """The (2, N) cos/sin array the tick loop computes from the headings."""
+    return np.stack((np.cos(heading), np.sin(heading)))
+
+
 def detect_events(x, y, heading, refractory, config):
     """Contact flags from a snapshot of the poses, as the tick loop computes them."""
-    return _detect_events_trig(x, y, np.cos(heading), np.sin(heading), refractory, PairGeometry(x, y), config)
+    return _detect_events_trig(np.stack((x, y)), trig(heading), refractory, PairGeometry(x, y), config)
 
 
-def body_motion(command):
+# wraps to -pi, and -pi wraps to pi: the one place where wrapping twice changes a heading
+NEXT_ABOVE_PI = math.nextafter(math.pi, 4.0)
+
+
+def step_pose(x, y, heading, n_l, n_r, dt=0.1, config=None):
+    """One robot's pose after one `integrate` step with wheel speeds (n_l, n_r)."""
+    xy = np.array([[x], [y]], dtype=float)
+    h = np.array([heading], dtype=float)
+    integrate(xy, h, trig(h), [float(n_l)], [float(n_r)], [0.0], dt, config or SimConfig())
+    return xy[0, 0], xy[1, 0], h[0]
+
+
+def body_motion(n_l, n_r):
     """Forward speed (cm/s) and yaw rate (rad/s): one 1 s `integrate` step from heading 0."""
-    x, _, heading = integrate(100.0, 100.0, 0.0, command, 1.0, SimConfig())
+    x, _, heading = step_pose(100.0, 100.0, 0.0, n_l, n_r, dt=1.0)
     return x - 100.0, heading
 
 
 class TestSpeedConversion:
     def test_calibration_point(self):
-        v, omega = body_motion(WheelCommand(6, 6))
+        v, omega = body_motion(6, 6)
         assert v == 8.0
         assert omega == 0.0
 
     def test_half_speed(self):
-        v, _ = body_motion(WheelCommand(3, 3))
+        v, _ = body_motion(3, 3)
         assert v == 4.0
 
     def test_differential(self):
-        v, omega = body_motion(WheelCommand(4, 8))
+        v, omega = body_motion(4, 8)
         assert v == 8.0
         assert omega == pytest.approx((4.0 / 3.0) * 4.0 / 8.0)
 
     def test_speed_cap(self):
-        v, _ = body_motion(WheelCommand(10, 10))
+        v, _ = body_motion(10, 10)
         assert v == pytest.approx(40.0 / 3.0)
 
 
@@ -64,9 +83,9 @@ def sensor_points(x, y, heading, wheel_base_cm=8.0):
     """(left, right) sensor coordinates per robot, from `ground_sensor_points`."""
     x, y, heading = np.atleast_1d(x), np.atleast_1d(y), np.atleast_1d(heading)
     n = len(x)
-    out_x, out_y = np.empty(2 * n), np.empty(2 * n)
-    ground_sensor_points(x, y, np.cos(heading), np.sin(heading), wheel_base_cm, out_x, out_y)
-    return np.column_stack((out_x[:n], out_y[:n])), np.column_stack((out_x[n:], out_y[n:]))
+    out = np.empty((2, 2 * n))
+    ground_sensor_points(np.stack((x, y)), trig(heading), wheel_base_cm, out)
+    return out[:, :n].T, out[:, n:].T
 
 
 class TestSensorPositions:
@@ -112,30 +131,62 @@ class TestWrapAngle:
 
 class TestIntegrate:
     def test_straight_step(self):
-        cfg = SimConfig()
-        x, y, h = integrate(100.0, 100.0, 0.0, WheelCommand(6, 6), 0.1, cfg)
+        x, y, h = step_pose(100.0, 100.0, 0.0, 6, 6)
         assert x == pytest.approx(100.8)
         assert y == pytest.approx(100.0)
         assert h == 0.0
 
     def test_zero_speed_keeps_pose(self):
-        cfg = SimConfig()
-        x, y, h = integrate(57.0, 31.0, 1.2, WheelCommand(0, 0), 0.1, cfg)
+        x, y, h = step_pose(57.0, 31.0, 1.2, 0, 0)
         assert (x, y, h) == (57.0, 31.0, 1.2)
 
     def test_wall_crossing_clamps_then_contact_fires(self):
         cfg = SimConfig()
         # heading straight into the left wall from just inside the offset
-        x, y, h = integrate(4.5, 100.0, math.pi, WheelCommand(6, 6), 0.1, cfg)
+        x, y, h = step_pose(4.5, 100.0, math.pi, 6, 6, config=cfg)
         assert x == 4.0  # clamped at body offset
         rc, wc = detect_events(np.array([x]), np.array([y]), np.array([h]), np.zeros(1), cfg)
         assert not rc[0]
         assert wc[0]
 
     def test_turning_in_place_from_differential(self):
-        cfg = SimConfig()
-        _, _, h = integrate(100.0, 100.0, 0.0, WheelCommand(4, 8), 0.1, cfg)
+        _, _, h = step_pose(100.0, 100.0, 0.0, 4, 8)
         assert h == pytest.approx((4.0 / 3.0) * 4.0 / 8.0 * 0.1)
+
+    def test_in_place_turn_wraps(self):
+        xy = np.array([[50.0, 60.0], [50.0, 60.0]])
+        h = np.array([3.0, 1.0])
+        integrate(xy, h, trig(h), [0.0, 0.0], [0.0, 0.0], [18.0, 0.0], 0.1, SimConfig())
+        assert h[0] == pytest.approx(3.0 + math.pi / 10 - 2 * math.pi)
+        assert h[1] == wrap_angle(1.0)
+        assert xy.tolist() == [[50.0, 60.0], [50.0, 60.0]]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 300.0),
+                st.floats(0.0, 300.0),
+                st.one_of(st.sampled_from([math.pi, -math.pi, 0.0, 3.14159, NEXT_ABOVE_PI]), st.floats(-math.pi, math.pi)),
+                st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+                st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+                st.one_of(st.just(0.0), st.floats(-18.0, 18.0)),
+            ),
+            max_size=60,
+        ),
+        st.sampled_from([0.1, 0.05, 1.0]),
+        st.sampled_from([(4.0, 8.0), (1.5, 12.0)]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batched_step_equals_scalar_law(self, robots, dt, body):
+        """One vectorised step equals the per-robot scalar law (math.cos/sin, Python floats) bit for bit."""
+        cfg = SimConfig(body_radius_cm=body[0], wheel_base_cm=body[1])
+        x, y, heading, n_l, n_r, turn = (list(col) for col in zip(*robots)) if robots else ([],) * 6
+        xy = np.array([x, y], dtype=float).reshape(2, -1)
+        h = np.array(heading, dtype=float)
+        integrate(xy, h, trig(h), n_l, n_r, turn, dt, cfg)
+        for i, robot in enumerate(robots):
+            want = oracle.integrate(*robot[:3], oracle.WheelCommand(robot[3], robot[4]), robot[5], dt, cfg)
+            assert np.array([xy[0, i], xy[1, i], h[i]]).tobytes() == np.array(want).tobytes()
 
 
 class TestDetectEvents:
@@ -393,7 +444,7 @@ class TestRunSimulation:
 
         def obs(view):
             if view.t < cfg.duration_s:
-                waits.append([type(s) is Waiting for s in view.states])
+                waits.append((view.modes == WAITING).tolist())
 
         cfg = small_config(n_robots=10, duration_s=60, seed=2)
         res = run_simulation(cfg, observer=obs)
@@ -407,13 +458,18 @@ class TestRunSimulation:
 
         def obs(view):
             means.append(mean_intensity(view.field))
-            any_waiting.append(any(type(s) is Waiting for s in view.states))
+            any_waiting.append(bool(np.any(view.modes == WAITING)))
 
         cfg = small_config(n_robots=6, duration_s=40, seed=5)
         run_simulation(cfg, observer=obs)
         for k in range(1, len(means)):
             if means[k] != means[k - 1]:
                 assert any_waiting[k]
+
+    def test_snapshot_times_outside_the_run_rejected(self):
+        for times in ([-3, 99], [0, 6], [-1]):
+            with pytest.raises(ConfigError, match="snapshot times"):
+                run_simulation(SimConfig(duration_s=5), snapshot_times=times)
 
     def test_snapshots_at_requested_times(self):
         cfg = small_config(duration_s=10)

@@ -17,6 +17,8 @@ from swarmclean.field import (
     write_pgm,
 )
 
+import scalar_oracles as oracle
+
 ARENA = 285.0
 CENTER = (142.5, 142.5)
 RADIUS = 111.35
@@ -209,6 +211,38 @@ class TestCleaning:
         for x, y in points:
             apply_cleaning(f, x, y)
         assert f.cells.min() >= 0.0
+
+    def test_batch_matches_robot_by_robot_at_walls_and_zero(self):
+        f = CueField(20, 12)
+        f.cells[:] = 12.0  # two or three overlapping applications drive a cell to zero
+        g = f.copy()
+        xs = np.array([0.2, 1.7, 19.9, 10.0, 10.5, 11.2, 3.0])
+        ys = np.array([0.9, 0.1, 11.5, 6.0, 6.2, 5.9, 11.99])
+        apply_cleaning(f, xs, ys)
+        for x, y in zip(xs, ys):
+            oracle.apply_cleaning(g, x, y)
+        assert f.cells.tobytes() == g.cells.tobytes()
+        assert np.count_nonzero(f.cells == 0.0) > 0 and f.cells.min() == 0.0
+
+    @given(
+        st.integers(9, 40),
+        st.integers(9, 40),
+        st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=60),
+        st.sampled_from([1.0, 10.0, 255.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_batch_matches_robot_by_robot(self, cols, rows, points, peak, seed):
+        """One batched call equals cleaning robot by robot in index order, bit for bit."""
+        f = CueField(cols, rows)
+        f.cells[:] = np.random.default_rng(seed).uniform(0, peak, size=f.cells.shape)
+        g = f.copy()
+        xs = np.array([px * cols for px, _ in points]).clip(0, np.nextafter(cols, 0))
+        ys = np.array([py * rows for _, py in points]).clip(0, np.nextafter(rows, 0))
+        apply_cleaning(f, xs, ys)
+        for x, y in zip(xs, ys):
+            oracle.apply_cleaning(g, x, y)
+        assert f.cells.tobytes() == g.cells.tobytes()
 
     def test_monotone_depletion(self):
         f = fresh_field()

@@ -3,7 +3,9 @@
 Each case pins the bytes of `metrics.csv`, the final field, the final
 poses (x, y, heading) and the per-robot cleaning counts. The digests were
 captured from the engine before its two pair passes shared one geometry
-buffer, so any change that alters a single output bit fails here. A change
+buffer (the "clipped" case from the per-robot engine, before the FSM step,
+integration and cleaning were batched), so any change that alters a single
+output bit fails here. A change
 that alters behaviour on purpose re-captures them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -26,6 +28,17 @@ CASES = {
     "N30": dict(n_robots=30, beta=3.0, duration_s=60, seed=11),
     "N50": dict(n_robots=50, duration_s=60, seed=13),
     "N200": dict(n_robots=200, duration_s=40, seed=17),
+    # a small body on a wide wheel base in a 100 x 60 arena: cleaning windows
+    # clipped at the walls, ground sensors outside the arena, cells cleaned to 0
+    "clipped": dict(
+        n_robots=20,
+        duration_s=120,
+        seed=23,
+        arena_width_cm=100.0,
+        arena_height_cm=60.0,
+        body_radius_cm=1.5,
+        wheel_base_cm=12.0,
+    ),
 }
 
 GOLDEN = {
@@ -64,6 +77,12 @@ GOLDEN = {
         "field": "fa431764a679f549b8895189b8a73ccc32936d5df60a81fc5e9949d082543b52",
         "poses": "c0223e5482a81c20147bdb3cb7c4ada7a65998ddf718a8b944acd8692d1c005c",
         "cleanings": "96857f0b23572d154964e72e2bba7ab318e69202ce48147c09ac962e7e5765c8",
+    },
+    "clipped": {
+        "metrics": "5fd0241f21106b132157bf8077a3bf775bd0c12890390ab5111a835b5a1dfd49",
+        "field": "f93413d7882589a74179dfc5ec6a39a061a1de295c9e92025f99e248e40459ee",
+        "poses": "1872cf8a2238d4accf99a3d0a6c90f29809bb90735d53c720792eb21d66457d0",
+        "cleanings": "6f5c2779b5562f3fd26d53deae0b70e55e39a51d6d37479e97d9874f96b6a752",
     },
 }
 

@@ -241,6 +241,28 @@ class TestCmdRun:
             assert f1.read() == f2.read()
 
 
+class TestPlanTypes:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"repetitions": 2.5},
+            {"repetitions": 2.0},
+            {"repetitions": True},
+            {"repetitions": "2"},
+            {"base_seed": 1.5},
+            {"base_seed": False},
+            {"base_seed": None},
+        ],
+    )
+    def test_repetitions_and_base_seed_must_be_integers(self, overrides):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ExperimentPlan(**overrides)
+
+    def test_numpy_integers_accepted(self):
+        plan = ExperimentPlan(populations=(3,), betas=(6.0,), repetitions=np.int64(2), base_seed=np.int32(4))
+        assert len(plan.runs()) == 2
+
+
 def tiny_plan(**overrides):
     kwargs = dict(
         populations=(3, 5),

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from swarmclean.engine import PairGeometry
 from swarmclean.metrics import MetricsRecord, MetricsSeries, ratio_within
-from swarmclean.metrics import coherency as coherency_of_d2
+from swarmclean.metrics import coherency as coherency_of_geometry
 
 
 def coherency(positions_cm):
     """Coherency of an (N, 2) array of positions, through the PairGeometry the engine keeps."""
     pos = np.asarray(positions_cm, dtype=np.float64).reshape(-1, 2)
-    return coherency_of_d2(PairGeometry(pos[:, 0].copy(), pos[:, 1].copy()).d2)
+    return coherency_of_geometry(PairGeometry(pos[:, 0].copy(), pos[:, 1].copy()))
 
 
 def coherency_dense(positions_cm):
@@ -108,7 +108,7 @@ class TestCoherency:
             x[moved] += rng.normal(size=len(moved))
             y[moved] -= rng.normal(size=len(moved))
             geom.refill(x, y, moved)
-        assert coherency_of_d2(geom.d2) == coherency_dense(np.column_stack((x, y)))
+        assert coherency_of_geometry(geom) == coherency_dense(np.column_stack((x, y)))
 
     def test_bounded_by_arena_diagonal(self):
         rng = np.random.default_rng(9)

@@ -112,7 +112,7 @@ def swarms(draw):
 def test_shared_detection_matches_dense(swarm):
     x, y, heading, refractory = swarm
     cos_t, sin_t = np.cos(heading), np.sin(heading)
-    got = _detect_events_trig(x, y, cos_t, sin_t, refractory, PairGeometry(x, y), CFG)
+    got = _detect_events_trig(np.stack((x, y)), np.stack((cos_t, sin_t)), refractory, PairGeometry(x, y), CFG)
     want = detect_dense(x, y, cos_t, sin_t, refractory, CFG)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
