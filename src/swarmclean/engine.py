@@ -3,21 +3,21 @@
 The simulation advances on a fixed timestep (default 0.1 s). Each tick:
 read the ground sensors, detect robot/wall contacts from the current
 poses, step every robot's state machine, then integrate motion. On every
-whole-second boundary, each waiting robot erodes the field once and a
-metrics row is appended. The whole trajectory is a pure function of the
-config, including its seed.
+whole-second boundary, each waiting robot erodes the field once and the
+second's row of the preallocated metrics series is written. The whole
+trajectory is a pure function of the config, including its seed.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .controller import FORWARD, WAITING, step_fsm
-from .field import CueField, apply_cleaning, init_circular_gradient, mean_intensity, sample_many
-from .metrics import MetricsRecord, MetricsSeries, coherency, ratio_within
+from .field import apply_cleaning, init_circular_gradient, mean_intensity, sample_many
+from .metrics import MetricsSeries, coherency, ratio_within
 
 # wheel-unit calibration: bias 6 drives 8 cm/s, bias 3 drives 4 cm/s
 WHEEL_UNIT_CM_S = 4.0 / 3.0
@@ -134,6 +134,9 @@ class SimConfig:
             raise ConfigError(f"arena sides must be at most {MAX_ARENA_CM:g} cm")
         if min(self.arena_width_cm, self.arena_height_cm) <= 2 * self.body_radius_cm:
             raise ConfigError("arena too small for the robot body")
+        if min(round(self.arena_width_cm), round(self.arena_height_cm)) < 1:
+            # the field has round(side) cells per side (see init_circular_gradient)
+            raise ConfigError("arena sides must round to at least one 1 cm field cell")
         if self.cue_peak > 255:
             raise ConfigError(f"cue_peak must be at most 255, got {self.cue_peak}")
         if self.turn_min_deg > self.turn_max_deg:
@@ -267,18 +270,18 @@ class WorldView:
     y: np.ndarray
     heading: np.ndarray
     modes: np.ndarray  # controller mode codes (FORWARD, WAITING, ...), one per robot
-    field: CueField
+    field: np.ndarray
 
 
 @dataclass
 class SimResult:
     series: MetricsSeries
-    field: CueField
-    snapshots: dict[int, CueField] = dc_field(default_factory=dict)
-    cleanings: np.ndarray = dc_field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    final_x: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
-    final_y: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
-    final_heading: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
+    field: np.ndarray
+    snapshots: dict[int, np.ndarray]
+    cleanings: np.ndarray
+    final_x: np.ndarray
+    final_y: np.ndarray
+    final_heading: np.ndarray
 
 
 def _place_robots(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
@@ -390,8 +393,10 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
     remaining = [0.0] * n
     refractory = np.zeros(n)
     cleanings = np.zeros(n, dtype=np.int64)
-    records: list[MetricsRecord] = []
-    snapshots: dict[int, CueField] = {}
+    # one row per whole second, written in place by at_boundary
+    d = config.duration_s
+    series = MetricsSeries(np.arange(d, dtype=np.int64), np.empty(d), np.empty(d), np.empty(d))
+    snapshots: dict[int, np.ndarray] = {}
     # ground-sensor points: left sensors in [:, :n], right sensors in [:, n:]
     sensors = np.empty((2, 2 * n))
 
@@ -401,14 +406,9 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
             if waiting:
                 apply_cleaning(cue, x[waiting], y[waiting])
                 cleanings[waiting] += 1
-            records.append(
-                MetricsRecord(
-                    t=t_now,
-                    mean_cue=mean_intensity(cue),
-                    ratio_within_rc=ratio_within(xy.T, config.cue_center, config.metric_radius_cm),
-                    coherency_m=coherency(geom),
-                )
-            )
+            series.mean_cue[t_now] = mean_intensity(cue)
+            series.ratio_within_rc[t_now] = ratio_within(xy, config.cue_center, config.metric_radius_cm)
+            series.coherency_m[t_now] = coherency(geom)
         if t_now in snap_set:
             snapshots[t_now] = cue.copy()
         if observer is not None:
@@ -439,7 +439,7 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
     at_boundary(config.duration_s, final=True)
 
     return SimResult(
-        series=MetricsSeries.from_records(records),
+        series=series,
         field=cue,
         snapshots=snapshots,
         cleanings=cleanings,

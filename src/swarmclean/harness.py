@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import ConfigError, SimConfig, run_simulation
 from .field import init_circular_gradient, read_pgm, write_pgm
-from .metrics import MetricsSeries
+from .metrics import MetricsSeries, open_atomic
 from .stats import AnovaResult, ObservationTable, anova_main_effects, bin_means, median_series
 
 SCHEMA_VERSION = 1
@@ -222,7 +222,7 @@ def _sweep_worker(args) -> tuple[int, str]:
 
 
 def write_manifest(path, runs: list[RunSpec]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_atomic(path) as fh:
         fh.write(MANIFEST_HEADER + "\n")
         for r in runs:
             status = r.status if r.status == "ok" else "failed"

@@ -6,23 +6,44 @@ the cue center, and the swarm coherency (mean pairwise distance).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
 CSV_HEADER = "t,mean_cue,ratio_within_rc,coherency_m"
 
 
-def ratio_within(positions_cm: np.ndarray, center_cm: tuple[float, float], r_c_cm: float = 70.0) -> float:
+@contextmanager
+def open_atomic(path):
+    """Open a temp file beside `path` for writing text; it replaces `path` only once fully written.
+
+    On any error the temp file is removed and `path` is left as it was, so
+    an interrupted write never leaves a partial file under the final name.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def ratio_within(xy: np.ndarray, center_cm: tuple[float, float], r_c_cm: float = 70.0) -> float:
     """Fraction of robots within r_c of the center (boundary counts as inside).
 
-    positions_cm is an (N, 2) array; an empty swarm reports 0.
+    xy is the engine's (2, N) position array: row 0 holds x, row 1 y, in
+    cm. An empty swarm reports 0.
     """
-    pos = np.asarray(positions_cm, dtype=np.float64).reshape(-1, 2)
-    n = len(pos)
+    x, y = xy
+    n = len(x)
     if n == 0:
         return 0.0
-    d = np.hypot(pos[:, 0] - center_cm[0], pos[:, 1] - center_cm[1])
+    d = np.hypot(x - center_cm[0], y - center_cm[1])
     return float(np.count_nonzero(d <= r_c_cm)) / n
 
 
@@ -39,45 +60,20 @@ def coherency(geom) -> float:
 
 
 @dataclass
-class MetricsRecord:
-    t: int
-    mean_cue: float
-    ratio_within_rc: float
-    coherency_m: float
-
-
-@dataclass
 class MetricsSeries:
-    """Column-oriented store of per-second records, one row per whole second."""
+    """Column-oriented store of per-second values, one row per whole second."""
 
-    t: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    mean_cue: np.ndarray = field(default_factory=lambda: np.empty(0))
-    ratio_within_rc: np.ndarray = field(default_factory=lambda: np.empty(0))
-    coherency_m: np.ndarray = field(default_factory=lambda: np.empty(0))
+    t: np.ndarray
+    mean_cue: np.ndarray
+    ratio_within_rc: np.ndarray
+    coherency_m: np.ndarray
 
     def __len__(self) -> int:
         return len(self.t)
 
-    def row(self, i: int) -> MetricsRecord:
-        return MetricsRecord(
-            t=int(self.t[i]),
-            mean_cue=float(self.mean_cue[i]),
-            ratio_within_rc=float(self.ratio_within_rc[i]),
-            coherency_m=float(self.coherency_m[i]),
-        )
-
-    @classmethod
-    def from_records(cls, records: list[MetricsRecord]) -> "MetricsSeries":
-        return cls(
-            t=np.array([r.t for r in records], dtype=np.int64),
-            mean_cue=np.array([r.mean_cue for r in records], dtype=np.float64),
-            ratio_within_rc=np.array([r.ratio_within_rc for r in records], dtype=np.float64),
-            coherency_m=np.array([r.coherency_m for r in records], dtype=np.float64),
-        )
-
     def to_csv(self, path) -> None:
         # repr() of a Python float is the shortest round-trip decimal
-        with open(path, "w", newline="") as fh:
+        with open_atomic(path) as fh:
             fh.write(CSV_HEADER + "\n")
             for i in range(len(self.t)):
                 fh.write(

@@ -17,7 +17,7 @@ import numpy as np
 
 from swarmclean.controller import AVOID_WALL, FORWARD, POST_WAIT_TURN, WAITING, random_turn, waiting_time, wheel_speeds
 from swarmclean.engine import WHEEL_UNIT_CM_S, SimConfig
-from swarmclean.field import CLEAN_KERNEL, KERNEL_REACH, CueField
+from swarmclean.field import CLEAN_KERNEL, KERNEL_REACH
 
 TWO_PI = 2.0 * math.pi
 
@@ -162,11 +162,11 @@ def integrate(
     return x, y, heading
 
 
-def apply_cleaning(field: CueField, x_cm: float, y_cm: float) -> None:
+def apply_cleaning(field: np.ndarray, x_cm: float, y_cm: float) -> None:
     """Erode the field around one robot center: subtract the clipped kernel window, clamp at zero."""
     col = math.floor(x_cm)
     row = math.floor(y_cm)
-    rows, cols = field.cells.shape
+    rows, cols = field.shape
     r0 = max(row - KERNEL_REACH, 0)
     r1 = min(row + KERNEL_REACH + 1, rows)
     c0 = max(col - KERNEL_REACH, 0)
@@ -175,6 +175,6 @@ def apply_cleaning(field: CueField, x_cm: float, y_cm: float) -> None:
         return
     kr0 = r0 - (row - KERNEL_REACH)
     kc0 = c0 - (col - KERNEL_REACH)
-    window = field.cells[r0:r1, c0:c1]
+    window = field[r0:r1, c0:c1]
     np.subtract(window, CLEAN_KERNEL[kr0 : kr0 + (r1 - r0), kc0 : kc0 + (c1 - c0)], out=window)
     np.maximum(window, 0.0, out=window)

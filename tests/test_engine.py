@@ -294,6 +294,11 @@ class TestConfigValidation:
             dict(n_robots=True),
             dict(duration_s=10.0),
             dict(waiting_formula="cubic"),
+            # both sides round to zero field cells
+            dict(
+                n_robots=1, arena_width_cm=0.4, arena_height_cm=0.4, body_radius_cm=0.1, wheel_base_cm=0.2,
+                duration_s=3,
+            ),
         ],
     )
     def test_rejects_configs_the_engine_cannot_run(self, overrides):
@@ -374,7 +379,9 @@ def test_validated_configs_run_to_finite_poses(cfg):
     r = cfg.body_radius_cm
     assert np.all((res.final_x >= r) & (res.final_x <= cfg.arena_width_cm - r))
     assert np.all((res.final_y >= r) & (res.final_y <= cfg.arena_height_cm - r))
-    assert np.all((res.field.cells >= 0.0) & (res.field.cells <= 255.0))
+    assert np.all((res.field >= 0.0) & (res.field <= 255.0))
+    for column in (res.series.mean_cue, res.series.ratio_within_rc, res.series.coherency_m):
+        assert np.all(np.isfinite(column))
 
 
 class TestRunSimulation:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from swarmclean.field import (
     CLEAN_KERNEL,
-    CueField,
     apply_cleaning,
     init_circular_gradient,
     mean_intensity,
@@ -41,27 +40,27 @@ class TestInitCircularGradient:
     def test_center_cell_is_peak(self):
         f = fresh_field()
         # the cell containing the cue center has its center exactly there
-        assert f.cells[142, 142] == 255.0
+        assert f[142, 142] == 255.0
 
     def test_cells_beyond_radius_are_zero(self):
         f = fresh_field()
         xs = (np.arange(285) + 0.5)[None, :]
         ys = (np.arange(285) + 0.5)[:, None]
         d = np.hypot(xs - CENTER[0], ys - CENTER[1])
-        assert np.all(f.cells[d >= RADIUS] == 0.0)
-        assert np.all(f.cells[d < RADIUS] > 0.0)
+        assert np.all(f[d >= RADIUS] == 0.0)
+        assert np.all(f[d < RADIUS] > 0.0)
 
     def test_cell_at_exact_half_radius(self):
         # put the cue center half a radius away from the (0, 0) cell center
         f = init_circular_gradient(285, 285, (0.5 + RADIUS / 2, 0.5), RADIUS, PEAK)
-        assert f.cells[0, 0] == pytest.approx(127.5, abs=1e-9)
+        assert f[0, 0] == pytest.approx(127.5, abs=1e-9)
 
     def test_linear_profile(self):
         f = fresh_field()
         for col in (150, 180, 220):
             d = abs(col + 0.5 - CENTER[0])
             expected = PEAK * max(0.0, 1.0 - d / RADIUS)
-            assert f.cells[142, col] == pytest.approx(expected, abs=1e-9)
+            assert f[142, col] == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -79,13 +78,6 @@ class TestInitCircularGradient:
         with pytest.raises(ValueError):
             init_circular_gradient(**kwargs)
 
-    def test_dimensions_immutable(self):
-        f = fresh_field()
-        with pytest.raises(AttributeError):
-            f.width_cm = 100
-        with pytest.raises(AttributeError):
-            f.height_cm = 100
-
 
 def sample(field, x_cm, y_cm):
     """One point through `sample_many`."""
@@ -95,8 +87,8 @@ def sample(field, x_cm, y_cm):
 def cell_lookup(field, x_cm, y_cm):
     """Reference: the cell holding the point, by floor division; 0 outside."""
     col, row = math.floor(x_cm), math.floor(y_cm)
-    rows, cols = field.cells.shape
-    return float(field.cells[row, col]) if 0 <= row < rows and 0 <= col < cols else 0.0
+    rows, cols = field.shape
+    return float(field[row, col]) if 0 <= row < rows and 0 <= col < cols else 0.0
 
 
 class TestSample:
@@ -116,7 +108,7 @@ class TestSample:
 
     def test_matches_cell_lookup(self):
         f = fresh_field()
-        assert sample(f, 10.2, 20.9) == f.cells[20, 10]
+        assert sample(f, 10.2, 20.9) == f[20, 10]
 
     @given(
         st.lists(
@@ -135,9 +127,9 @@ class TestSample:
 
 
 def _small_random_field():
-    f = CueField(40, 30)
+    f = np.zeros((30, 40))
     rng = np.random.default_rng(7)
-    f.cells[:] = rng.uniform(0, 255, size=f.cells.shape)
+    f[:] = rng.uniform(0, 255, size=f.shape)
     return f
 
 
@@ -152,38 +144,38 @@ class TestCleaning:
         assert np.array_equal(CLEAN_KERNEL, CLEAN_KERNEL[::-1, ::-1])
 
     def test_center_cell_decrement(self):
-        f = CueField(50, 50)
-        f.cells[:] = 100.0
+        f = np.zeros((50, 50))
+        f[:] = 100.0
         apply_cleaning(f, 25.5, 25.5)
-        assert f.cells[25, 25] == pytest.approx(92.0, abs=1e-12)
+        assert f[25, 25] == pytest.approx(92.0, abs=1e-12)
 
     def test_corner_cell_decrement(self):
-        f = CueField(50, 50)
-        f.cells[:] = 100.0
+        f = np.zeros((50, 50))
+        f[:] = 100.0
         apply_cleaning(f, 25.5, 25.5)
-        assert f.cells[29, 29] == pytest.approx(100.0 - (8.0 - math.sqrt(32.0)), abs=1e-12)
-        assert f.cells[21, 21] == pytest.approx(97.65685424949238, abs=1e-9)
+        assert f[29, 29] == pytest.approx(100.0 - (8.0 - math.sqrt(32.0)), abs=1e-12)
+        assert f[21, 21] == pytest.approx(97.65685424949238, abs=1e-9)
 
     def test_clamps_at_zero(self):
-        f = CueField(50, 50)
-        f.cells[:] = 3.0
+        f = np.zeros((50, 50))
+        f[:] = 3.0
         apply_cleaning(f, 25.5, 25.5)
-        assert f.cells[25, 25] == 0.0
-        assert f.cells.min() >= 0.0
+        assert f[25, 25] == 0.0
+        assert f.min() >= 0.0
 
     def test_interior_conservation_matches_brute_force(self):
-        f = CueField(60, 60)
-        f.cells[:] = 50.0  # everywhere >= 8, so no clamping anywhere
-        before = f.cells.sum()
+        f = np.zeros((60, 60))
+        f[:] = 50.0  # everywhere >= 8, so no clamping anywhere
+        before = f.sum()
         apply_cleaning(f, 30.5, 30.5)
-        assert before - f.cells.sum() == pytest.approx(brute_force_kernel_sum(), rel=1e-12)
+        assert before - f.sum() == pytest.approx(brute_force_kernel_sum(), rel=1e-12)
 
     def test_edge_application_skips_outside_cells(self):
-        f = CueField(30, 30)
-        f.cells[:] = 50.0
-        before = f.cells.sum()
+        f = np.zeros((30, 30))
+        f[:] = 50.0
+        before = f.sum()
         apply_cleaning(f, 0.5, 0.5)  # kernel half off-arena
-        removed = before - f.cells.sum()
+        removed = before - f.sum()
         expected = sum(
             8.0 - math.sqrt(p * p + q * q)
             for p in range(-4, 5)
@@ -201,8 +193,8 @@ class TestCleaning:
             for q in range(-4, 5):
                 r, c = row + q, col + p
                 if 0 <= r < 30 and 0 <= c < 40:
-                    g.cells[r, c] = max(g.cells[r, c] - (8.0 - math.hypot(p, q)), 0.0)
-        assert np.allclose(f.cells, g.cells, atol=1e-12)
+                    g[r, c] = max(g[r, c] - (8.0 - math.hypot(p, q)), 0.0)
+        assert np.allclose(f, g, atol=1e-12)
 
     @given(st.lists(st.tuples(st.floats(0, 40), st.floats(0, 30)), min_size=1, max_size=30))
     @settings(max_examples=40, deadline=None)
@@ -210,19 +202,19 @@ class TestCleaning:
         f = _small_random_field()
         for x, y in points:
             apply_cleaning(f, x, y)
-        assert f.cells.min() >= 0.0
+        assert f.min() >= 0.0
 
     def test_batch_matches_robot_by_robot_at_walls_and_zero(self):
-        f = CueField(20, 12)
-        f.cells[:] = 12.0  # two or three overlapping applications drive a cell to zero
+        f = np.zeros((12, 20))
+        f[:] = 12.0  # two or three overlapping applications drive a cell to zero
         g = f.copy()
         xs = np.array([0.2, 1.7, 19.9, 10.0, 10.5, 11.2, 3.0])
         ys = np.array([0.9, 0.1, 11.5, 6.0, 6.2, 5.9, 11.99])
         apply_cleaning(f, xs, ys)
         for x, y in zip(xs, ys):
             oracle.apply_cleaning(g, x, y)
-        assert f.cells.tobytes() == g.cells.tobytes()
-        assert np.count_nonzero(f.cells == 0.0) > 0 and f.cells.min() == 0.0
+        assert f.tobytes() == g.tobytes()
+        assert np.count_nonzero(f == 0.0) > 0 and f.min() == 0.0
 
     @given(
         st.integers(9, 40),
@@ -234,15 +226,15 @@ class TestCleaning:
     @settings(max_examples=100, deadline=None)
     def test_batch_matches_robot_by_robot(self, cols, rows, points, peak, seed):
         """One batched call equals cleaning robot by robot in index order, bit for bit."""
-        f = CueField(cols, rows)
-        f.cells[:] = np.random.default_rng(seed).uniform(0, peak, size=f.cells.shape)
+        f = np.zeros((rows, cols))
+        f[:] = np.random.default_rng(seed).uniform(0, peak, size=f.shape)
         g = f.copy()
         xs = np.array([px * cols for px, _ in points]).clip(0, np.nextafter(cols, 0))
         ys = np.array([py * rows for _, py in points]).clip(0, np.nextafter(rows, 0))
         apply_cleaning(f, xs, ys)
         for x, y in zip(xs, ys):
             oracle.apply_cleaning(g, x, y)
-        assert f.cells.tobytes() == g.cells.tobytes()
+        assert f.tobytes() == g.tobytes()
 
     def test_monotone_depletion(self):
         f = fresh_field()
@@ -257,11 +249,11 @@ class TestCleaning:
 
 class TestMeanIntensity:
     def test_all_zero(self):
-        assert mean_intensity(CueField(20, 20)) == 0.0
+        assert mean_intensity(np.zeros((20, 20))) == 0.0
 
     def test_uniform(self):
-        f = CueField(20, 20)
-        f.cells[:] = 37.25
+        f = np.zeros((20, 20))
+        f[:] = 37.25
         assert mean_intensity(f) == pytest.approx(37.25, abs=1e-12)
 
     def test_fresh_field_matches_cone_volume(self):
@@ -282,8 +274,8 @@ class TestPgm:
         assert raster[142 * 285 + 142] == 255
 
     def test_values_rounded(self):
-        f = CueField(3, 2)
-        f.cells[:] = [[0.4, 1.5, 254.6], [200.49, 0.0, 255.0]]
+        f = np.zeros((2, 3))
+        f[:] = [[0.4, 1.5, 254.6], [200.49, 0.0, 255.0]]
         raster = to_pgm_bytes(f)[len(b"P5\n3 2\n255\n") :]
         assert list(raster) == [0, 2, 255, 200, 0, 255]
 
@@ -292,8 +284,8 @@ class TestPgm:
         path = tmp_path / "snap.pgm"
         write_pgm(f, path)
         back = read_pgm(path)
-        assert back.cells.shape == f.cells.shape
-        assert np.array_equal(back.cells, np.rint(f.cells))
+        assert back.shape == f.shape
+        assert np.array_equal(back, np.rint(f))
 
     def test_read_rejects_other_formats(self, tmp_path):
         path = tmp_path / "bad.pgm"

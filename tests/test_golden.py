@@ -10,10 +10,15 @@ that alters behaviour on purpose re-captures them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names the behaviour that changed in CHANGES.md.
+and names the behaviour that changed in CHANGES.md. On x86-64 the cases run
+a second time in a subprocess with numpy's SIMD dispatch cut to the baseline,
+so a kernel whose bits depend on the CPU it runs on fails here too.
 """
 import hashlib
 import os
+import platform
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -100,7 +105,7 @@ def run_digests(case: str, tmp_dir) -> dict[str, str]:
     poses = np.concatenate((result.final_x, result.final_y, result.final_heading))
     return {
         "metrics": _sha(metrics),
-        "field": _sha(result.field.cells.tobytes()),
+        "field": _sha(result.field.tobytes()),
         "poses": _sha(np.ascontiguousarray(poses, dtype=np.float64).tobytes()),
         "cleanings": _sha(np.ascontiguousarray(result.cleanings, dtype=np.int64).tobytes()),
     }
@@ -109,6 +114,36 @@ def run_digests(case: str, tmp_dir) -> dict[str, str]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_digests(case, tmp_path):
     assert run_digests(case, tmp_path) == GOLDEN[case]
+
+
+# numpy's SIMD dispatch cut to its x86-64 baseline (X86_V2); numpy accepts
+# the names of features a host lacks, so this setting is valid on any x86-64
+BASELINE_DISPATCH = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+_BASELINE_CHILD = """
+import tempfile
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+import test_golden
+active = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
+if active:
+    raise SystemExit(f"dispatch targets still enabled: {active}")
+with tempfile.TemporaryDirectory() as tmp:
+    changed = [c for c in test_golden.CASES if test_golden.run_digests(c, tmp) != test_golden.GOLDEN[c]]
+if changed:
+    raise SystemExit(f"digests differ at baseline dispatch: {changed}")
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 dispatch targets")
+def test_golden_digests_at_baseline_dispatch():
+    """The golden bytes do not depend on the SIMD kernels numpy picks for this CPU."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BASELINE_DISPATCH)
+    env["PYTHONPATH"] = os.pathsep.join((os.path.join(here, "..", "src"), here))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BASELINE_CHILD], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 if __name__ == "__main__":

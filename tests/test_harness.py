@@ -226,7 +226,7 @@ class TestCmdRun:
         cfg = load_run_config(write(tmp_path / "run.cfg", RUN_CONFIG))
         out = cmd_run(cfg, tmp_path / "out")
         snap = read_pgm(out["snapshots"][0])
-        assert snap.cells[142, 142] == 255
+        assert snap[142, 142] == 255
 
     def test_custom_snapshot_times(self, tmp_path):
         cfg = load_run_config(write(tmp_path / "run.cfg", RUN_CONFIG))
@@ -521,7 +521,7 @@ class TestCli:
         out = tmp_path / "field.pgm"
         assert cli_main(["render", "--field", cfg, "--out", str(out)]) == 0
         field = read_pgm(out)
-        assert field.cells[142, 142] == 255
+        assert field[142, 142] == 255
 
     def test_render_roundtrips_pgm(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", RUN_CONFIG)
@@ -540,6 +540,14 @@ class TestCli:
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5\n2 2\n65535\n\x00\x00\x00\x00\x00\x00\x00\x00")
         assert cli_main(["render", "--field", str(bad), "--out", str(tmp_path / "o.pgm")]) == 1
+
+    @pytest.mark.parametrize("size", [b"0 5", b"-3 5", b"4 0"])
+    def test_render_pgm_without_cells_is_config_error(self, tmp_path, size):
+        bad = tmp_path / "empty.pgm"
+        bad.write_bytes(b"P5\n" + size + b"\n255\n")
+        out = tmp_path / "o.pgm"
+        assert cli_main(["render", "--field", str(bad), "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_analyze_corrupt_metrics_is_config_error(self, tmp_path):
         plan = write(tmp_path / "p.cfg", PLAN)

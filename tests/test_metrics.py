@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmclean.engine import PairGeometry
-from swarmclean.metrics import MetricsRecord, MetricsSeries, ratio_within
+from swarmclean.metrics import MetricsSeries, ratio_within
 from swarmclean.metrics import coherency as coherency_of_geometry
 
 
@@ -29,28 +29,28 @@ def coherency_dense(positions_cm):
 class TestRatioWithin:
     def test_all_at_center(self):
         pos = np.zeros((7, 2)) + 142.5
-        assert ratio_within(pos, (142.5, 142.5), 70.0) == 1.0
+        assert ratio_within(pos.T, (142.5, 142.5), 70.0) == 1.0
 
     def test_one_of_ten_inside(self):
         pos = np.full((10, 2), 142.5)
         pos[1:, 0] += 200.0  # nine robots 2 m out
         pos[0, 0] += 69.0  # one robot 0.69 m out
-        assert ratio_within(pos, (142.5, 142.5), 70.0) == pytest.approx(0.1)
+        assert ratio_within(pos.T, (142.5, 142.5), 70.0) == pytest.approx(0.1)
 
     def test_boundary_counts_as_inside(self):
         pos = np.full((4, 2), 142.5)
         pos[:, 0] += 70.0
-        assert ratio_within(pos, (142.5, 142.5), 70.0) == 1.0
+        assert ratio_within(pos.T, (142.5, 142.5), 70.0) == 1.0
 
     def test_empty_swarm_reports_zero(self):
-        assert ratio_within(np.empty((0, 2)), (0.0, 0.0), 70.0) == 0.0
+        assert ratio_within(np.empty((0, 2)).T, (0.0, 0.0), 70.0) == 0.0
 
     @given(st.integers(1, 20), st.integers(0))
     @settings(max_examples=40, deadline=None)
     def test_values_are_multiples_of_one_over_n(self, n, seed):
         rng = np.random.default_rng(seed)
         pos = rng.uniform(0, 285, size=(n, 2))
-        r = ratio_within(pos, (142.5, 142.5), 70.0)
+        r = ratio_within(pos.T, (142.5, 142.5), 70.0)
         assert r == pytest.approx(round(r * n) / n, abs=1e-12)
         assert 0.0 <= r <= 1.0
 
@@ -118,12 +118,11 @@ class TestCoherency:
 
 class TestMetricsSeries:
     def make_series(self):
-        return MetricsSeries.from_records(
-            [
-                MetricsRecord(0, 40.76, 0.2, 1.47),
-                MetricsRecord(1, 40.5, 0.3, 1.40),
-                MetricsRecord(2, 40.1, 0.4, 1.32),
-            ]
+        return MetricsSeries(
+            t=np.array([0, 1, 2], dtype=np.int64),
+            mean_cue=np.array([40.76, 40.5, 40.1]),
+            ratio_within_rc=np.array([0.2, 0.3, 0.4]),
+            coherency_m=np.array([1.47, 1.40, 1.32]),
         )
 
     def test_roundtrip_is_byte_identical(self, tmp_path):
@@ -148,14 +147,32 @@ class TestMetricsSeries:
         with pytest.raises(ValueError):
             MetricsSeries.from_csv(p)
 
-    def test_row_accessor(self):
-        s = self.make_series()
-        r = s.row(1)
-        assert (r.t, r.mean_cue, r.ratio_within_rc, r.coherency_m) == (1, 40.5, 0.3, 1.40)
-
     def test_shortest_roundtrip_floats(self, tmp_path):
-        s = MetricsSeries.from_records([MetricsRecord(0, 0.1, 1 / 3, 2.0000000000000004)])
+        s = MetricsSeries(
+            t=np.array([0], dtype=np.int64),
+            mean_cue=np.array([0.1]),
+            ratio_within_rc=np.array([1 / 3]),
+            coherency_m=np.array([2.0000000000000004]),
+        )
         p = tmp_path / "m.csv"
         s.to_csv(p)
         body = p.read_text().splitlines()[1]
         assert body == "0,0.1,0.3333333333333333,2.0000000000000004"
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        s = self.make_series()
+        s.mean_cue = s.mean_cue[:2]  # mismatched columns: row 2 raises mid-write
+        with pytest.raises(IndexError):
+            s.to_csv(tmp_path / "metrics.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        p = tmp_path / "metrics.csv"
+        self.make_series().to_csv(p)
+        before = p.read_bytes()
+        s = self.make_series()
+        s.coherency_m = s.coherency_m[:1]
+        with pytest.raises(IndexError):
+            s.to_csv(p)
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
