@@ -2,11 +2,13 @@
 
 A robot is always in one of four modes: driving forward along the cue
 gradient, rotating away from a wall, waiting (and cleaning) after meeting
-another robot, or rotating randomly after a wait expires. The swarm's FSM
-state is two plain lists indexed by robot: `modes`, one of the codes
-below, and `remaining`, the mode's countdown (seconds left to wait, or
-signed degrees left to turn; 0 while driving forward). Transitions are
-pure functions of (mode, remaining, sensor readings, contact events), so
+another robot, or rotating randomly after a wait expires. After a wait
+it ignores other robots for a refractory time. The swarm's FSM state is
+three plain lists indexed by robot: `modes`, one of the codes below,
+`remaining`, the mode's countdown (seconds left to wait, or signed
+degrees left to turn; 0 while driving forward), and `refractory`, the
+seconds left in which robot contacts are ignored. Transitions are pure
+functions of that state, the sensor readings and the contact events, so
 one call steps every robot, each independently of the others.
 """
 from __future__ import annotations
@@ -76,6 +78,7 @@ def random_turn(rng: np.random.Generator, config: SimConfig) -> float:
 def step_fsm(
     modes: list[int],
     remaining: list[float],
+    refractory: list[float],
     s_l: list[float],
     s_r: list[float],
     robot_contact: list[bool],
@@ -83,27 +86,32 @@ def step_fsm(
     dt: float,
     rngs: list[np.random.Generator],
     config: SimConfig,
-) -> tuple[list[float], list[float], list[float], list[int]]:
-    """Advance every robot's state machine by dt, updating modes and remaining in place.
+) -> tuple[list[float], list[float], list[float]]:
+    """Advance every robot's state machine by dt, updating modes, remaining and refractory in place.
 
     s_l[i] and s_r[i] are the cue intensities under robot i's left and
     right wheels; robot i draws its turns from rngs[i]. Returns
-    (n_l, n_r, turn_deg, woke): the wheel speeds, the in-place turn
-    consumed this step in degrees, and the indices of the robots whose
-    wait ended. Robot contact takes priority over wall contact; waiting
-    and turning robots ignore contact events. Turns are executed
-    kinematically (wheels stay at 0) at turn_rate_deg_s because the wheel
-    range [0, wheel_max] admits no reverse speed.
+    (n_l, n_r, turn_deg): the wheel speeds and the in-place turn consumed
+    this step in degrees. Robot contact takes priority over wall contact;
+    waiting and turning robots ignore contact events, and so does a robot
+    whose refractory time, as it enters the step, is positive. Refractory
+    time runs down by dt to 0, and restarts at refractory_s when a wait
+    ends. Turns are executed kinematically (wheels stay at 0) at
+    turn_rate_deg_s because the wheel range [0, wheel_max] admits no
+    reverse speed.
     """
     n = len(modes)
     n_l = [0.0] * n
     n_r = [0.0] * n
     turn_deg = [0.0] * n
-    woke: list[int] = []
     max_step = config.turn_rate_deg_s * dt
     for i, mode in enumerate(modes):
+        refr = refractory[i]
+        if refr > 0.0:
+            refr_left = refr - dt
+            refractory[i] = refr_left if refr_left > 0.0 else 0.0  # max(refr - dt, 0), without a call
         if mode == FORWARD:
-            if robot_contact[i]:
+            if robot_contact[i] and refr <= 0.0:
                 modes[i] = WAITING
                 remaining[i] = waiting_time(0.5 * (s_l[i] + s_r[i]), config)
             elif wall_contact[i]:
@@ -118,7 +126,7 @@ def step_fsm(
             else:
                 modes[i] = POST_WAIT_TURN
                 remaining[i] = random_turn(rngs[i], config)
-                woke.append(i)
+                refractory[i] = config.refractory_s
         else:
             # AVOID_WALL / POST_WAIT_TURN: rotate in place until the angle is consumed
             turn = remaining[i]
@@ -130,4 +138,4 @@ def step_fsm(
                 remaining[i] = 0.0
             else:
                 remaining[i] = left
-    return n_l, n_r, turn_deg, woke
+    return n_l, n_r, turn_deg

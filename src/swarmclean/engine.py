@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,30 +32,16 @@ MAX_MAGNITUDE = 1e6
 MIN_POSITIVE = 1e-6
 MAX_ARENA_CM = 10_000.0
 MAX_ROBOTS = 10_000
-_POSITIVE_FIELDS = (
-    "alpha",
-    "omega_max_s",
-    "arena_width_cm",
-    "arena_height_cm",
-    "cue_radius_cm",
-    "cue_peak",
-    "dt_s",
-    "body_radius_cm",
-    "wheel_base_cm",
-    "contact_range_cm",
-    "metric_radius_cm",
-    "turn_rate_deg_s",
-    "wheel_max",
-)
-_NON_NEGATIVE_FIELDS = (
-    "n_robots",
-    "beta",
-    "duration_s",
-    "seed",
-    "wall_range_cm",
-    "refractory_s",
-    "turn_min_deg",
-)
+
+
+def _positive(default):
+    """A field that `validate()` holds to at least MIN_POSITIVE."""
+    return field(default=default, metadata={"min": MIN_POSITIVE})
+
+
+def _non_negative(default):
+    """A field that `validate()` holds to at least 0."""
+    return field(default=default, metadata={"min": 0})
 
 
 class ConfigError(ValueError):
@@ -68,27 +54,27 @@ class PlacementError(ConfigError):
 
 @dataclass
 class SimConfig:
-    n_robots: int = 30
-    beta: float = 6.0
-    alpha: float = 2.0
-    omega_max_s: float = 30.0
-    arena_width_cm: float = 285.0
-    arena_height_cm: float = 285.0
-    cue_radius_cm: float = 111.35
-    cue_peak: float = 255.0
-    duration_s: int = 4000
-    dt_s: float = 0.1
-    seed: int = 0
-    body_radius_cm: float = 4.0
-    wheel_base_cm: float = 8.0
-    contact_range_cm: float = 10.0
-    wall_range_cm: float = 2.0
-    refractory_s: float = 2.0
-    metric_radius_cm: float = 70.0
-    turn_min_deg: float = 90.0
+    n_robots: int = _non_negative(30)
+    beta: float = _non_negative(6.0)
+    alpha: float = _positive(2.0)
+    omega_max_s: float = _positive(30.0)
+    arena_width_cm: float = _positive(285.0)
+    arena_height_cm: float = _positive(285.0)
+    cue_radius_cm: float = _positive(111.35)
+    cue_peak: float = _positive(255.0)
+    duration_s: int = _non_negative(4000)
+    dt_s: float = _positive(0.1)
+    seed: int = _non_negative(0)
+    body_radius_cm: float = _positive(4.0)
+    wheel_base_cm: float = _positive(8.0)
+    contact_range_cm: float = _positive(10.0)
+    wall_range_cm: float = _non_negative(2.0)
+    refractory_s: float = _non_negative(2.0)
+    metric_radius_cm: float = _positive(70.0)
+    turn_min_deg: float = _non_negative(90.0)
     turn_max_deg: float = 180.0
-    turn_rate_deg_s: float = 180.0
-    wheel_max: float = 10.0
+    turn_rate_deg_s: float = _positive(180.0)
+    wheel_max: float = _positive(10.0)
     waiting_formula: str = "squared"
 
     @property
@@ -119,16 +105,11 @@ class SimConfig:
                     raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
                 if abs(value) > MAX_MAGNITUDE:
                     raise ConfigError(f"{f.name} must be at most {MAX_MAGNITUDE:g} in size, got {value!r}")
-        for name in _POSITIVE_FIELDS:
-            if getattr(self, name) < MIN_POSITIVE:
-                raise ConfigError(f"{name} must be at least {MIN_POSITIVE:g}, got {getattr(self, name)!r}")
-        for name in _NON_NEGATIVE_FIELDS:
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+            if "min" in f.metadata and value < f.metadata["min"]:
+                raise ConfigError(f"{f.name} must be at least {f.metadata['min']:g}, got {value!r}")
         if self.n_robots > MAX_ROBOTS:
             raise ConfigError(f"n_robots must be at most {MAX_ROBOTS}, got {self.n_robots}")
-        tps = round(1.0 / self.dt_s)
-        if abs(tps * self.dt_s - 1.0) > 1e-9:
+        if abs(self.ticks_per_second * self.dt_s - 1.0) > 1e-9:
             raise ConfigError(f"dt_s must divide 1 s evenly, got {self.dt_s}")
         if max(self.arena_width_cm, self.arena_height_cm) > MAX_ARENA_CM:
             raise ConfigError(f"arena sides must be at most {MAX_ARENA_CM:g} cm")
@@ -163,7 +144,8 @@ def ground_sensor_points(xy, cos_sin, wheel_base_cm, out) -> None:
 
 def wrap_angle(theta):
     """Wrap to (-pi, pi]; a float or an array."""
-    return math.pi - (math.pi - theta) % TWO_PI
+    # for a theta just above pi the remainder rounds up to 2 pi; fmod maps that alone to 0
+    return math.pi - np.fmod((math.pi - theta) % TWO_PI, TWO_PI)
 
 
 def _far_walls(config: SimConfig) -> np.ndarray:
@@ -187,7 +169,8 @@ def integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt: float, config: SimCo
     xy += v * cos_sin * dt
     heading[:] = wrap_angle(heading + omega * dt)
     if any(turn_deg):
-        # only turning robots wrap twice: a heading just above pi wraps to -pi, and -pi to pi
+        # only turning robots wrap twice: wrapping rounds through pi - theta, which moves the
+        # low bits of many headings already in (-pi, pi]
         turn = np.array(turn_deg, dtype=np.float64)
         np.copyto(heading, wrap_angle(heading + turn * DEG_TO_RAD), where=turn != 0.0)
     np.maximum(xy, config.body_radius_cm, out=xy)
@@ -236,13 +219,13 @@ class PairGeometry:
         self.d2[moved, moved] = np.inf
 
 
-def _detect_events_trig(xy, cos_sin, refractory, geom, config):
+def _detect_events_trig(xy, cos_sin, geom, config):
     """Contact flags for every robot, from poses (2, N), their cos/sin (2, N) and their PairGeometry.
 
     Robot contact: another center within contact_range and inside the
-    frontal +/-90 degree arc; suppressed while the observer robot is
-    refractory (it can still trigger others). Wall contact: body edge
-    closer than wall_range to a wall that lies in the frontal arc.
+    frontal +/-90 degree arc (the state machine ignores it while the
+    robot is refractory). Wall contact: body edge closer than wall_range
+    to a wall that lies in the frontal arc.
     """
     x, y = xy
     cos_t, sin_t = cos_sin
@@ -252,7 +235,6 @@ def _detect_events_trig(xy, cos_sin, refractory, geom, config):
     if len(ii):
         frontal = cos_t[ii] * (x[jj] - x[ii]) + sin_t[ii] * (y[jj] - y[ii]) >= 0.0
         robot_contact[ii[frontal]] = True
-        robot_contact &= refractory <= 0.0
 
     # rows: x and the vertical walls, y and the horizontal walls
     r = config.body_radius_cm
@@ -262,26 +244,26 @@ def _detect_events_trig(xy, cos_sin, refractory, geom, config):
 
 
 @dataclass
-class WorldView:
-    """Read-only view handed to boundary observers; do not mutate."""
+class World:
+    """The state of one run: what the observer sees each second and what the run returns.
+
+    The arrays are the engine's own and live: at time t (whole seconds),
+    xy (2, N) holds the positions in cm, heading the headings in radians,
+    modes the controller's mode codes (FORWARD, WAITING, ...), field the
+    cue field, and cleanings each robot's count of boundaries spent
+    cleaning. series has one metrics row per whole second, and snapshots
+    copies of the field by second. An observer copies what it keeps and
+    mutates nothing.
+    """
 
     t: int
-    x: np.ndarray
-    y: np.ndarray
+    xy: np.ndarray
     heading: np.ndarray
-    modes: np.ndarray  # controller mode codes (FORWARD, WAITING, ...), one per robot
+    modes: list[int]
     field: np.ndarray
-
-
-@dataclass
-class SimResult:
     series: MetricsSeries
-    field: np.ndarray
-    snapshots: dict[int, np.ndarray]
     cleanings: np.ndarray
-    final_x: np.ndarray
-    final_y: np.ndarray
-    final_heading: np.ndarray
+    snapshots: dict[int, np.ndarray]
 
 
 def _place_robots(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
@@ -353,7 +335,7 @@ def _separate_overlaps(x: np.ndarray, y: np.ndarray, config: SimConfig, geom: Pa
     return True
 
 
-def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimResult:
+def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> World:
     """Run one full simulation; deterministic for a fixed config.
 
     RNG streams are derived from the seed with a fixed splitting rule:
@@ -361,7 +343,8 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
     robot i, so each robot's behavior is independent of the swarm size.
     `snapshot_times` are whole seconds (0..duration inclusive) at which a
     copy of the field is kept; a time outside that range is a ConfigError.
-    `observer(view)` is called at every whole-second boundary with a WorldView.
+    `observer(world)` is called at every whole-second boundary, 0 to
+    duration_s, with the same World that the run returns.
     """
     config.validate()
     outside = [t for t in snapshot_times if not 0 <= t <= config.duration_s]
@@ -389,14 +372,13 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
     robot_rngs = [np.random.default_rng([config.seed, i + 1]) for i in range(n)]
     geom = PairGeometry(x, y)
 
-    modes = [FORWARD] * n
-    remaining = [0.0] * n
-    refractory = np.zeros(n)
-    cleanings = np.zeros(n, dtype=np.int64)
-    # one row per whole second, written in place by at_boundary
+    # one metrics row per whole second, written in place by at_boundary
     d = config.duration_s
     series = MetricsSeries(np.arange(d, dtype=np.int64), np.empty(d), np.empty(d), np.empty(d))
-    snapshots: dict[int, np.ndarray] = {}
+    world = World(0, xy, heading, [FORWARD] * n, cue, series, np.zeros(n, dtype=np.int64), {})
+    modes, cleanings, snapshots = world.modes, world.cleanings, world.snapshots
+    remaining = [0.0] * n
+    refractory = [0.0] * n
     # ground-sensor points: left sensors in [:, :n], right sensors in [:, n:]
     sensors = np.empty((2, 2 * n))
 
@@ -411,8 +393,9 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
             series.coherency_m[t_now] = coherency(geom)
         if t_now in snap_set:
             snapshots[t_now] = cue.copy()
+        world.t = t_now
         if observer is not None:
-            observer(WorldView(t_now, x.copy(), y.copy(), heading.copy(), np.array(modes, dtype=np.int8), cue))
+            observer(world)
 
     total_ticks = config.duration_s * tps
     for tick in range(total_ticks):
@@ -423,27 +406,14 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> SimRe
         np.sin(heading, out=cos_sin[1])
         ground_sensor_points(xy, cos_sin, config.wheel_base_cm, sensors)
         sensed = sample_many(cue, sensors[0], sensors[1]).tolist()
-        robot_contact, wall_contact = _detect_events_trig(xy, cos_sin, refractory, geom, config)
-        n_l, n_r, turn_deg, woke = step_fsm(
-            modes, remaining, sensed[:n], sensed[n:], robot_contact.tolist(), wall_contact.tolist(),
+        robot_contact, wall_contact = _detect_events_trig(xy, cos_sin, geom, config)
+        n_l, n_r, turn_deg = step_fsm(
+            modes, remaining, refractory, sensed[:n], sensed[n:], robot_contact.tolist(), wall_contact.tolist(),
             dt, robot_rngs, config,
         )
         integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, config)
         _separate_overlaps(x, y, config, geom)
-        np.subtract(refractory, dt, out=refractory)
-        np.maximum(refractory, 0.0, out=refractory)
-        if woke:
-            refractory[woke] = config.refractory_s
 
     # final boundary: snapshots and observer only, no cleaning or metrics row
     at_boundary(config.duration_s, final=True)
-
-    return SimResult(
-        series=series,
-        field=cue,
-        snapshots=snapshots,
-        cleanings=cleanings,
-        final_x=x,
-        final_y=y,
-        final_heading=heading,
-    )
+    return world

@@ -213,9 +213,7 @@ def cmd_run(config: SimConfig, out_dir, snapshot_times=None) -> dict:
 def _sweep_worker(args) -> tuple[int, str]:
     index, cfg, run_dir = args
     try:
-        os.makedirs(run_dir, exist_ok=True)
-        result = run_simulation(cfg)
-        result.series.to_csv(os.path.join(run_dir, "metrics.csv"))
+        cmd_run(cfg, run_dir, snapshot_times=())
         return index, "ok"
     except Exception as exc:  # recorded per-run; the sweep keeps going
         return index, f"failed: {type(exc).__name__}: {exc}"
@@ -359,7 +357,7 @@ def build_observation_table(
 
 
 def write_anova_csv(path, result: AnovaResult) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_atomic(path) as fh:
         fh.write(ANOVA_HEADER + "\n")
         for e in result.effects:
             fh.write(f"{e.name},{e.f_value!r},{e.p_value!r},{e.df_between},{e.df_within}\n")

@@ -1,12 +1,14 @@
 """Per-robot reference implementations of the batched laws in `src/`.
 
 The engine steps every robot's state machine in one `step_fsm` call over
-two plain lists, integrates every pose in one vectorised `integrate`, and
+three plain lists, integrates every pose in one vectorised `integrate`, and
 cleans under all waiting robots in one `apply_cleaning` call. The scalar
 versions below are the laws as they were written robot by robot: an FSM
 state object and a wheel command per robot, one pose at a time in Python
-floats, and one kernel application per robot. The tests hold the batched
-code to these bit for bit.
+floats, and one kernel application per robot. The refractory timer is the
+numpy array the tick loop kept beside the FSM: contact detection masked
+robot contacts with it, and the loop counted it down after each step. The
+tests hold the batched code to these bit for bit.
 """
 from __future__ import annotations
 
@@ -126,9 +128,23 @@ def step_fsm(
     return PostWaitTurn(left), STOPPED, step
 
 
+def robot_contact_seen(robot_contact: bool, refractory: float) -> bool:
+    """A robot contact as the state machine sees it: ignored while the robot is refractory."""
+    return bool(robot_contact and refractory <= 0.0)
+
+
+def step_refractory(refractory: np.ndarray, woke: list[int], dt: float, config: SimConfig) -> None:
+    """Count every refractory time down by dt to 0, in place, then restart it for the robots whose wait ended."""
+    np.subtract(refractory, dt, out=refractory)
+    np.maximum(refractory, 0.0, out=refractory)
+    if woke:
+        refractory[woke] = config.refractory_s
+
+
 def wrap_angle(theta: float) -> float:
     """Wrap to (-pi, pi]."""
-    return math.pi - (math.pi - theta) % TWO_PI
+    wrapped = math.pi - (math.pi - theta) % TWO_PI
+    return wrapped if wrapped > -math.pi else math.pi
 
 
 def integrate(

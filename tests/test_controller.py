@@ -114,13 +114,13 @@ def _rng():
     return np.random.default_rng(0)
 
 
-def step_one(mode, remaining, s_l, s_r, robot_contact, wall_contact, rng=None):
-    """Step a one-robot swarm: ((mode, remaining), (n_l, n_r), turn_deg, woke)."""
-    modes, rem = [mode], [remaining]
-    n_l, n_r, turn, woke = step_fsm(
-        modes, rem, [float(s_l)], [float(s_r)], [robot_contact], [wall_contact], 0.1, [rng or _rng()], P
+def step_one(mode, remaining, s_l, s_r, robot_contact, wall_contact, rng=None, refractory=0.0):
+    """Step a one-robot swarm: ((mode, remaining), (n_l, n_r), turn_deg, refractory after the step)."""
+    modes, rem, refr = [mode], [remaining], [refractory]
+    n_l, n_r, turn = step_fsm(
+        modes, rem, refr, [float(s_l)], [float(s_r)], [robot_contact], [wall_contact], 0.1, [rng or _rng()], P
     )
-    return (modes[0], rem[0]), (n_l[0], n_r[0]), turn[0], woke == [0]
+    return (modes[0], rem[0]), (n_l[0], n_r[0]), turn[0], refr[0]
 
 
 class TestStepFsm:
@@ -147,17 +147,17 @@ class TestStepFsm:
         assert cmd == (6.0, 6.0)
 
     def test_waiting_counts_down(self):
-        state, cmd, _, woke = step_one(WAITING, 5.0, 0, 0, False, False)
+        state, cmd, _, refractory = step_one(WAITING, 5.0, 0, 0, False, False)
         assert state == (WAITING, 4.9)
         assert cmd == (0.0, 0.0)
-        assert not woke
+        assert refractory == 0.0
 
     def test_waiting_expiry_turns(self):
-        (mode, remaining), cmd, _, woke = step_one(WAITING, 0.05, 0, 0, False, False)
+        (mode, remaining), cmd, _, refractory = step_one(WAITING, 0.05, 0, 0, False, False)
         assert mode == POST_WAIT_TURN
         assert 90.0 <= abs(remaining) <= 180.0
         assert cmd == (0.0, 0.0)
-        assert woke
+        assert refractory == P.refractory_s
 
     def test_waiting_ignores_new_contacts(self):
         state, _, _, _ = step_one(WAITING, 5.0, 255, 255, True, True)
@@ -214,13 +214,15 @@ class TestWheelCommandInvariants:
         assert (mode, remaining) == (FORWARD, 0.0)
 
     def test_command_is_plain_record(self):
-        # wheel speeds, turns and wake-ups come back as plain per-robot lists
-        modes, remaining = [FORWARD, WAITING, AVOID_WALL], [0.0, 0.05, 30.0]
+        # wheel speeds and turns come back as plain per-robot lists; refractory is stepped in place
+        modes, remaining, refractory = [FORWARD, WAITING, AVOID_WALL], [0.0, 0.05, 30.0], [0.0, 0.0, 0.0]
         rngs = [_rng() for _ in modes]
-        n_l, n_r, turn, woke = step_fsm(modes, remaining, [1.5] * 3, [0.5] * 3, [False] * 3, [False] * 3, 0.1, rngs, P)
+        n_l, n_r, turn = step_fsm(
+            modes, remaining, refractory, [1.5] * 3, [0.5] * 3, [False] * 3, [False] * 3, 0.1, rngs, P
+        )
         assert (n_l, n_r) == ([5.5, 0.0, 0.0], [6.5, 0.0, 0.0])
         assert turn == [0.0, 0.0, pytest.approx(18.0)]
-        assert woke == [1]
+        assert refractory == [0.0, P.refractory_s, 0.0]
 
     def test_sensor_reading_mean(self):
         # a new wait lasts the waiting time of the two sensors' mean
@@ -237,18 +239,22 @@ STATES = st.one_of(
     ),
 )
 ROBOTS = st.tuples(STATES, st.floats(0.0, 255.0), st.floats(0.0, 255.0), st.booleans(), st.booleans())
+# refractory time in units of dt: none, below dt, exactly dt, or above it
+REFRACTORY_DT = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.floats(0.0, 40.0))
 
 
 @given(
-    st.lists(ROBOTS, max_size=60),
+    st.lists(st.tuples(ROBOTS, REFRACTORY_DT), max_size=60),
     st.sampled_from([0.1, 0.05, 1.0]),
     st.sampled_from(["squared", "literal"]),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
 def test_batched_step_equals_per_robot_oracle(robots, dt, formula, seed):
-    """One batched step equals one oracle call per robot, RNG draws included."""
+    """One batched step equals one oracle call per robot, RNG draws and refractory time included."""
     config = SimConfig(waiting_formula=formula, beta=3.0)
+    refractory = [k * dt for _, k in robots]
+    robots = [robot for robot, _ in robots]
     modes = [mode for (mode, _), *_ in robots]
     remaining = [rem for (_, rem), *_ in robots]
     s_l = [r[1] for r in robots]
@@ -257,16 +263,21 @@ def test_batched_step_equals_per_robot_oracle(robots, dt, formula, seed):
     wall_contact = [r[4] for r in robots]
     rngs = [np.random.default_rng([seed, i]) for i in range(len(robots))]
     oracle_rngs = [np.random.default_rng([seed, i]) for i in range(len(robots))]
+    want_refractory = np.array(refractory, dtype=np.float64)
 
-    n_l, n_r, turn, woke = step_fsm(modes, remaining, s_l, s_r, robot_contact, wall_contact, dt, rngs, config)
+    n_l, n_r, turn = step_fsm(
+        modes, remaining, refractory, s_l, s_r, robot_contact, wall_contact, dt, rngs, config
+    )
 
-    want_woke = []
+    woke = []
     for i, ((mode, rem), sl, sr, rc, wc) in enumerate(robots):
         old = oracle.to_state(mode, rem)
-        state, command, turn_deg = oracle.step_fsm(old, sl, sr, rc, wc, dt, oracle_rngs[i], config)
+        seen = oracle.robot_contact_seen(rc, want_refractory[i])
+        state, command, turn_deg = oracle.step_fsm(old, sl, sr, seen, wc, dt, oracle_rngs[i], config)
         if type(old) is oracle.Waiting and type(state) is not oracle.Waiting:
-            want_woke.append(i)
+            woke.append(i)
         assert (modes[i], remaining[i]) == oracle.from_state(state)
         assert (n_l[i], n_r[i], turn[i]) == (command.n_l, command.n_r, turn_deg)
         assert rngs[i].bit_generator.state == oracle_rngs[i].bit_generator.state
-    assert woke == want_woke
+    oracle.step_refractory(want_refractory, woke, dt, config)
+    assert np.array(refractory, dtype=np.float64).tobytes() == want_refractory.tobytes()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmclean.controller import WAITING
+from swarmclean.controller import FORWARD, WAITING, step_fsm
 from swarmclean.engine import (
     MAX_ARENA_CM,
     MAX_ROBOTS,
@@ -36,12 +36,12 @@ def trig(heading):
     return np.stack((np.cos(heading), np.sin(heading)))
 
 
-def detect_events(x, y, heading, refractory, config):
+def detect_events(x, y, heading, config):
     """Contact flags from a snapshot of the poses, as the tick loop computes them."""
-    return _detect_events_trig(np.stack((x, y)), trig(heading), refractory, PairGeometry(x, y), config)
+    return _detect_events_trig(np.stack((x, y)), trig(heading), PairGeometry(x, y), config)
 
 
-# wraps to -pi, and -pi wraps to pi: the one place where wrapping twice changes a heading
+# one ulp above pi: the remainder in wrap_angle rounds up to 2 pi there, and the heading must still wrap to pi
 NEXT_ABOVE_PI = math.nextafter(math.pi, 4.0)
 
 
@@ -117,7 +117,14 @@ class TestSensorPositions:
 class TestWrapAngle:
     @pytest.mark.parametrize(
         "theta,expected",
-        [(0.0, 0.0), (math.pi, math.pi), (-math.pi, math.pi), (3 * math.pi / 2, -math.pi / 2), (7.0, 7.0 - 2 * math.pi)],
+        [
+            (0.0, 0.0),
+            (math.pi, math.pi),
+            (-math.pi, math.pi),
+            (3 * math.pi / 2, -math.pi / 2),
+            (7.0, 7.0 - 2 * math.pi),
+            (NEXT_ABOVE_PI, math.pi),
+        ],
     )
     def test_values(self, theta, expected):
         assert wrap_angle(theta) == pytest.approx(expected, abs=1e-12)
@@ -145,7 +152,7 @@ class TestIntegrate:
         # heading straight into the left wall from just inside the offset
         x, y, h = step_pose(4.5, 100.0, math.pi, 6, 6, config=cfg)
         assert x == 4.0  # clamped at body offset
-        rc, wc = detect_events(np.array([x]), np.array([y]), np.array([h]), np.zeros(1), cfg)
+        rc, wc = detect_events(np.array([x]), np.array([y]), np.array([h]), cfg)
         assert not rc[0]
         assert wc[0]
 
@@ -195,7 +202,7 @@ class TestDetectEvents:
         x = np.array([100.0, 109.0])
         y = np.array([100.0, 100.0])
         h = np.array([0.0, math.pi])
-        rc, wc = detect_events(x, y, h, np.zeros(2), cfg)
+        rc, wc = detect_events(x, y, h, cfg)
         assert rc.tolist() == [True, True]
         assert wc.tolist() == [False, False]
 
@@ -204,7 +211,7 @@ class TestDetectEvents:
         x = np.array([100.0, 150.0])
         y = np.array([100.0, 100.0])
         h = np.array([0.0, math.pi])
-        rc, wc = detect_events(x, y, h, np.zeros(2), cfg)
+        rc, wc = detect_events(x, y, h, cfg)
         assert not rc.any()
         assert not wc.any()
 
@@ -214,37 +221,43 @@ class TestDetectEvents:
         x = np.array([100.0, 91.0])
         y = np.array([100.0, 100.0])
         h = np.array([0.0, 0.0])
-        rc, _ = detect_events(x, y, h, np.zeros(2), cfg)
+        rc, _ = detect_events(x, y, h, cfg)
         assert rc.tolist() == [False, True]
 
     def test_wall_proximity_heading_in(self):
         cfg = SimConfig()
         # body edge 1 cm from the left wall, heading into it
-        rc, wc = detect_events(np.array([5.0]), np.array([100.0]), np.array([math.pi]), np.zeros(1), cfg)
+        rc, wc = detect_events(np.array([5.0]), np.array([100.0]), np.array([math.pi]), cfg)
         assert not rc[0]
         assert wc[0]
 
     def test_wall_proximity_heading_away(self):
         cfg = SimConfig()
-        rc, wc = detect_events(np.array([5.0]), np.array([100.0]), np.array([0.0]), np.zeros(1), cfg)
+        rc, wc = detect_events(np.array([5.0]), np.array([100.0]), np.array([0.0]), cfg)
         assert not wc[0]
 
     def test_far_from_everything(self):
         cfg = SimConfig()
-        rc, wc = detect_events(np.array([150.0]), np.array([150.0]), np.array([0.7]), np.zeros(1), cfg)
+        rc, wc = detect_events(np.array([150.0]), np.array([150.0]), np.array([0.7]), cfg)
         assert not rc[0] and not wc[0]
 
     def test_refractory_suppresses_receiver_only(self):
+        # both robots see each other; only the one that is not refractory starts waiting
         cfg = SimConfig()
         x = np.array([100.0, 109.0])
         y = np.array([100.0, 100.0])
         h = np.array([0.0, math.pi])
-        rc, _ = detect_events(x, y, h, np.array([1.5, 0.0]), cfg)
-        assert rc.tolist() == [False, True]
+        rc, wc = detect_events(x, y, h, cfg)
+        assert rc.tolist() == [True, True]
+        modes, remaining, refractory = [FORWARD, FORWARD], [0.0, 0.0], [1.5, 0.0]
+        rngs = [np.random.default_rng(i) for i in range(2)]
+        step_fsm(modes, remaining, refractory, [100.0] * 2, [100.0] * 2, rc.tolist(), wc.tolist(), 0.1, rngs, cfg)
+        assert modes == [FORWARD, WAITING]
+        assert refractory == [1.4, 0.0]
 
     def test_empty_world(self):
         cfg = SimConfig(n_robots=0)
-        rc, wc = detect_events(np.empty(0), np.empty(0), np.empty(0), np.empty(0), cfg)
+        rc, wc = detect_events(np.empty(0), np.empty(0), np.empty(0), cfg)
         assert len(rc) == 0 and len(wc) == 0
 
 
@@ -374,11 +387,11 @@ def test_validated_configs_run_to_finite_poses(cfg):
         res = run_simulation(cfg)
     except PlacementError:
         return
-    for a in (res.final_x, res.final_y, res.final_heading):
+    for a in (res.xy, res.heading):
         assert np.all(np.isfinite(a))
     r = cfg.body_radius_cm
-    assert np.all((res.final_x >= r) & (res.final_x <= cfg.arena_width_cm - r))
-    assert np.all((res.final_y >= r) & (res.final_y <= cfg.arena_height_cm - r))
+    assert np.all((res.xy[0] >= r) & (res.xy[0] <= cfg.arena_width_cm - r))
+    assert np.all((res.xy[1] >= r) & (res.xy[1] <= cfg.arena_height_cm - r))
     assert np.all((res.field >= 0.0) & (res.field <= 255.0))
     for column in (res.series.mean_cue, res.series.ratio_within_rc, res.series.coherency_m):
         assert np.all(np.isfinite(column))
@@ -391,13 +404,13 @@ class TestRunSimulation:
         assert np.array_equal(a.series.mean_cue, b.series.mean_cue)
         assert np.array_equal(a.series.ratio_within_rc, b.series.ratio_within_rc)
         assert np.array_equal(a.series.coherency_m, b.series.coherency_m)
-        assert np.array_equal(a.final_x, b.final_x)
-        assert np.array_equal(a.final_heading, b.final_heading)
+        assert np.array_equal(a.xy[0], b.xy[0])
+        assert np.array_equal(a.heading, b.heading)
 
     def test_seed_changes_trajectory(self):
         a = run_simulation(small_config(seed=11))
         b = run_simulation(small_config(seed=12))
-        assert not np.array_equal(a.final_x, b.final_x)
+        assert not np.array_equal(a.xy[0], b.xy[0])
 
     def test_row_count_matches_duration(self):
         res = run_simulation(small_config(duration_s=10))
@@ -424,8 +437,8 @@ class TestRunSimulation:
     def test_robots_stay_inside_walls(self):
         seen = []
 
-        def obs(view):
-            seen.append((view.x.copy(), view.y.copy()))
+        def obs(world):
+            seen.append(world.xy.copy())
 
         cfg = small_config(n_robots=8, duration_s=60, seed=4)
         run_simulation(cfg, observer=obs)
@@ -437,35 +450,48 @@ class TestRunSimulation:
     def test_no_body_overlap_at_boundaries(self):
         min_d = 2 * SimConfig().body_radius_cm
 
-        def obs(view):
-            n = len(view.x)
+        def obs(world):
+            x, y = world.xy
+            n = len(x)
             for i in range(n):
                 for j in range(i + 1, n):
-                    d = math.hypot(view.x[i] - view.x[j], view.y[i] - view.y[j])
+                    d = math.hypot(x[i] - x[j], y[i] - y[j])
                     assert d >= min_d - 1e-6
 
         run_simulation(small_config(n_robots=10, duration_s=40, seed=9), observer=obs)
 
     def test_cleaning_counter_matches_waiting_boundaries(self):
         waits = []
+        seen = []  # (t, the World passed) for every call
+        last = {}
 
-        def obs(view):
-            if view.t < cfg.duration_s:
-                waits.append((view.modes == WAITING).tolist())
+        def obs(world):
+            seen.append((world.t, world))
+            if world.t < cfg.duration_s:
+                waits.append((np.array(world.modes) == WAITING).tolist())
+            else:
+                last.update(field=world.field.copy(), xy=world.xy.copy(), heading=world.heading.copy())
 
         cfg = small_config(n_robots=10, duration_s=60, seed=2)
         res = run_simulation(cfg, observer=obs)
         per_robot = np.array(waits).sum(axis=0)
         assert res.cleanings.tolist() == per_robot.tolist()
         assert res.cleanings.sum() > 0  # the scenario actually exercises cleaning
+        # the observer sees every whole second in order, always through the World the run returns
+        assert [t for t, _ in seen] == list(range(cfg.duration_s + 1))
+        assert all(world is res for _, world in seen)
+        # and its last call sees the final field and poses
+        assert np.array_equal(last["field"], res.field)
+        assert np.array_equal(last["xy"], res.xy)
+        assert np.array_equal(last["heading"], res.heading)
 
     def test_field_only_changes_when_someone_waits(self):
         means = []
         any_waiting = []
 
-        def obs(view):
-            means.append(mean_intensity(view.field))
-            any_waiting.append(bool(np.any(view.modes == WAITING)))
+        def obs(world):
+            means.append(mean_intensity(world.field))
+            any_waiting.append(bool(np.any(np.array(world.modes) == WAITING)))
 
         cfg = small_config(n_robots=6, duration_s=40, seed=5)
         run_simulation(cfg, observer=obs)
@@ -489,12 +515,12 @@ class TestRunSimulation:
     def test_forward_speed_never_exceeds_cap(self):
         prev = {}
 
-        def obs(view):
+        def obs(world):
             if prev:
                 dt_window = 1.0
-                dist = np.hypot(view.x - prev["x"], view.y - prev["y"])
+                dist = np.hypot(world.xy[0] - prev["xy"][0], world.xy[1] - prev["xy"][1])
                 assert np.all(dist <= (40.0 / 3.0) * dt_window + 1e-6)
-            prev["x"] = view.x
-            prev["y"] = view.y
+            # a copy: world.xy is the live array, and would compare with itself
+            prev["xy"] = world.xy.copy()
 
         run_simulation(small_config(n_robots=6, duration_s=30, seed=8), observer=obs)

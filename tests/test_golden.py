@@ -102,7 +102,7 @@ def run_digests(case: str, tmp_dir) -> dict[str, str]:
     result.series.to_csv(path)
     with open(path, "rb") as fh:
         metrics = fh.read()
-    poses = np.concatenate((result.final_x, result.final_y, result.final_heading))
+    poses = np.concatenate((result.xy[0], result.xy[1], result.heading))
     return {
         "metrics": _sha(metrics),
         "field": _sha(result.field.tobytes()),

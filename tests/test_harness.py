@@ -22,7 +22,7 @@ from swarmclean.harness import (
     read_manifest,
 )
 from swarmclean.metrics import MetricsSeries
-from swarmclean.stats import median_series
+from swarmclean.stats import AnovaResult, FactorEffect, median_series
 
 RUN_CONFIG = """\
 schema_version = 1
@@ -329,6 +329,17 @@ class TestCmdSweep:
         assert by_pop[3] == {"ok"}
         assert by_pop[30] == {"failed"}
 
+    def test_failed_run_leaves_no_directory(self, tmp_path):
+        plan = tiny_plan(
+            populations=(3, 30),
+            base_config=SimConfig(duration_s=5, arena_width_cm=20.0, arena_height_cm=20.0, cue_radius_cm=8.0),
+        )
+        out = tmp_path / "sweep"
+        with pytest.raises(SweepFailure):
+            cmd_sweep(plan, out)
+        for spec in read_manifest(out / "manifest.csv"):
+            assert (out / spec.path).exists() == (spec.status == "ok")
+
 
 def _worker_that_dies_at_n5(task):
     """Sweep worker whose process exits abruptly on the N=5 runs."""
@@ -453,6 +464,24 @@ class TestCmdAnalyze:
             parts = ln.split(",")
             assert len(parts) == 5
             float(parts[1]), float(parts[2]), int(parts[3]), int(parts[4])
+
+    def test_anova_csv_write_is_atomic(self, tmp_path):
+        class Unprintable(float):
+            def __repr__(self):
+                raise RuntimeError("cannot format")
+
+        result = AnovaResult(
+            effects=[
+                FactorEffect("time", 2.0, 0.25, 1, 10, 3.0),
+                FactorEffect("population", Unprintable(1.0), 0.5, 1, 10, 1.0),
+            ],
+            residual_ss=1.0,
+            residual_df=10,
+            degenerate=False,
+        )
+        with pytest.raises(RuntimeError, match="cannot format"):
+            harness.write_anova_csv(tmp_path / "anova_mean_cue.csv", result)
+        assert os.listdir(tmp_path) == []  # neither a partial table nor a temp file
 
     def test_single_speed_sweep_drops_constant_factor(self, tmp_path):
         out = tmp_path / "sweep"

@@ -17,7 +17,7 @@ CFG = SimConfig()
 R = CFG.body_radius_cm
 
 
-def detect_dense(x, y, cos_t, sin_t, refractory, config):
+def detect_dense(x, y, cos_t, sin_t, config):
     """Contact flags from a freshly built N x N offset matrix."""
     n = len(x)
     robot_contact = np.zeros(n, dtype=bool)
@@ -30,7 +30,7 @@ def detect_dense(x, y, cos_t, sin_t, refractory, config):
         within = d2 <= config.contact_range_cm**2
         np.fill_diagonal(within, False)
         frontal = cos_t[:, None] * dx + sin_t[:, None] * dy >= 0.0
-        robot_contact = (within & frontal).any(axis=1) & (refractory <= 0.0)
+        robot_contact = (within & frontal).any(axis=1)
     r = config.body_radius_cm
     rng_cm = config.wall_range_cm
     wall_contact = (
@@ -101,19 +101,16 @@ def swarms(draw):
     x = np.clip(np.array(xs, dtype=float), R, hi)
     y = np.clip(np.array(ys, dtype=float), R, hi)
     heading = np.array(draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n)), dtype=float)
-    refractory = np.array(
-        draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 2.0]), min_size=n, max_size=n)), dtype=float
-    )
-    return x, y, heading, refractory
+    return x, y, heading
 
 
 @given(swarms())
 @settings(max_examples=150, deadline=None)
 def test_shared_detection_matches_dense(swarm):
-    x, y, heading, refractory = swarm
+    x, y, heading = swarm
     cos_t, sin_t = np.cos(heading), np.sin(heading)
-    got = _detect_events_trig(np.stack((x, y)), np.stack((cos_t, sin_t)), refractory, PairGeometry(x, y), CFG)
-    want = detect_dense(x, y, cos_t, sin_t, refractory, CFG)
+    got = _detect_events_trig(np.stack((x, y)), np.stack((cos_t, sin_t)), PairGeometry(x, y), CFG)
+    want = detect_dense(x, y, cos_t, sin_t, CFG)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
 
@@ -121,7 +118,7 @@ def test_shared_detection_matches_dense(swarm):
 @given(swarms())
 @settings(max_examples=150, deadline=None)
 def test_separation_leaves_geometry_of_current_poses(swarm):
-    x, y, _, _ = swarm
+    x, y, _ = swarm
     ref_x, ref_y = x.copy(), y.copy()
     geom = PairGeometry(np.zeros(len(x)), np.zeros(len(x)))  # stale contents must not leak through
     moved = _separate_overlaps(x, y, CFG, geom)
