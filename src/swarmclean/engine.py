@@ -27,7 +27,7 @@ DEG_TO_RAD = math.pi / 180.0
 
 # validation bounds: floats are finite and at most MAX_MAGNITUDE in size,
 # strictly positive quantities at least MIN_POSITIVE; the field holds one
-# float per square cm and the pair passes two N x N float arrays
+# float per square cm and a neighbour-list rebuild two N x N float arrays
 MAX_MAGNITUDE = 1e6
 MIN_POSITIVE = 1e-6
 MAX_ARENA_CM = 10_000.0
@@ -154,14 +154,15 @@ def _far_walls(config: SimConfig) -> np.ndarray:
     return np.array([[config.arena_width_cm - r], [config.arena_height_cm - r]])
 
 
-def integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt: float, config: SimConfig) -> None:
+def integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt: float, config: SimConfig, far_walls) -> None:
     """One explicit-Euler step of the unicycle model for every robot, in place.
 
     xy (2, N) and heading (N,) are updated; cos_sin holds the cos and sin
     of the headings before the step. Wheel units map to a forward speed
     of WHEEL_UNIT_CM_S * (n_l + n_r) / 2 cm/s and a yaw rate of
     WHEEL_UNIT_CM_S * (n_r - n_l) / wheel_base rad/s. A nonzero turn_deg
-    then rotates the robot in place; positions are clamped to the arena.
+    then rotates the robot in place; positions are clamped to the arena,
+    whose far walls are `_far_walls(config)`.
     """
     n_l, n_r = np.array((n_l, n_r), dtype=np.float64)
     v = WHEEL_UNIT_CM_S * 0.5 * (n_l + n_r)
@@ -174,72 +175,104 @@ def integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt: float, config: SimCo
         turn = np.array(turn_deg, dtype=np.float64)
         np.copyto(heading, wrap_angle(heading + turn * DEG_TO_RAD), where=turn != 0.0)
     np.maximum(xy, config.body_radius_cm, out=xy)
-    np.minimum(xy, _far_walls(config), out=xy)
+    np.minimum(xy, far_walls, out=xy)
 
 
 class PairGeometry:
-    """Squared distances between robot centers, kept for the current poses.
+    """A Verlet neighbour list: the robot pairs that can be in contact, and their squared distances.
 
-    d2[i, j] = (x[j] - x[i])**2 + (y[j] - y[i])**2, with an infinite
-    diagonal so that no robot meets itself. The N x N buffer is allocated
-    once, for the poses it is built from, and refilled in place: `fill`
-    recomputes every pair, `refill` only the rows and columns of the robots
-    that moved. d2 is symmetric bit for bit, because x[j] - x[i] and
-    x[i] - x[j] differ only in sign, so a robot's column is its row
-    transposed. `upper` holds the flat indices of the strict upper
-    triangle (every unordered pair once, row by row), built once per run.
+    `pairs` (2, P) lists, row by row, the pairs i < j whose centers lay
+    within cutoff + skin at the last rebuild (Verlet 1967; Allen &
+    Tildesley, Computer Simulation of Liquids, 5.3). cutoff =
+    max(contact_range, 2 * body_radius) is the farthest distance either
+    pair pass reads; the skin is twice the largest forward travel in one
+    second. The drift bound ticks * tick_travel + pushed bounds how far any
+    center has moved since the rebuild: an integrate step moves a center at
+    most one tick's largest forward travel (turns in place move none, and
+    the wall clamp never lengthens a step), and `pushed` sums each
+    separation's largest push. While the bound stays within half the skin,
+    no pair can have closed from beyond cutoff + skin to within cutoff, so
+    every pair within cutoff is listed. `track` rebuilds once the bound
+    passes half the skin; the engine also rebuilds at every whole second,
+    so the integrate steps alone never do.
+
+    A rebuild fills an N x N buffer and keeps its strict upper triangle,
+    row by row, as `upper_d2`: every pair's squared distance, which
+    `coherency` reads. Between rebuilds only `pair_d2`, the squared
+    distances of the listed pairs, is updated; it always belongs to the
+    poses last tracked. Every squared distance is
+    (x[j] - x[i])**2 + (y[j] - y[i])**2, so listed and full values agree
+    bit for bit.
     """
 
-    __slots__ = ("d2", "upper", "_tmp", "_diag")
+    __slots__ = (
+        "upper_d2", "pairs", "pair_d2", "ticks", "pushed", "_tick_travel", "_half_skin", "_reach2", "_upper", "_d2", "_tmp",
+    )
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
+    def __init__(self, x: np.ndarray, y: np.ndarray, config: SimConfig):
         n = len(x)
-        self.d2 = np.empty((n, n))
+        self._tick_travel = WHEEL_UNIT_CM_S * config.wheel_max * config.dt_s
+        # ticks * tick_travel, not a running sum, so a second of integrate steps lands on it exactly
+        self._half_skin = config.ticks_per_second * self._tick_travel
+        cutoff = max(config.contact_range_cm, 2.0 * config.body_radius_cm)
+        self._reach2 = (cutoff + 2.0 * self._half_skin) ** 2
+        self._d2 = np.empty((n, n))
         self._tmp = np.empty((n, n))
-        self._diag = self.d2.reshape(-1)[:: n + 1]  # a view of the diagonal
         rows, cols = np.triu_indices(n, k=1)
-        self.upper = rows * n + cols
-        self.fill(x, y)
+        self._upper = rows * n + cols  # flat indices of the strict upper triangle, row by row
+        self.rebuild(x, y)
 
-    def fill(self, x: np.ndarray, y: np.ndarray) -> None:
-        d2, tmp = self.d2, self._tmp
+    def rebuild(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Every pair's squared distance at the poses x, y, and the list of the pairs within cutoff + skin."""
+        d2, tmp = self._d2, self._tmp
         np.subtract(x[None, :], x[:, None], out=tmp)
         np.multiply(tmp, tmp, out=d2)
         np.subtract(y[None, :], y[:, None], out=tmp)
         np.multiply(tmp, tmp, out=tmp)
         np.add(d2, tmp, out=d2)
-        self._diag[:] = np.inf
+        self.upper_d2 = np.take(d2, self._upper)
+        near = self.upper_d2 <= self._reach2
+        self.pairs = np.array(np.divmod(self._upper[near], len(x)))
+        self.pair_d2 = self.upper_d2[near]
+        self.ticks = 0
+        self.pushed = 0.0
 
-    def refill(self, x: np.ndarray, y: np.ndarray, moved: np.ndarray) -> None:
-        dx = x[None, :] - x[moved, None]
-        dy = y[None, :] - y[moved, None]
-        rows = dx * dx + dy * dy
-        self.d2[moved] = rows
-        self.d2[:, moved] = rows.T
-        self.d2[moved, moved] = np.inf
+    def track(self, x: np.ndarray, y: np.ndarray, ticks: int = 0, pushed_cm: float = 0.0) -> None:
+        """Bring pair_d2 to the poses x, y, reached by `ticks` integrate steps and pushes of at most pushed_cm."""
+        self.ticks += ticks
+        self.pushed += pushed_cm
+        if self.ticks * self._tick_travel + self.pushed > self._half_skin:
+            self.rebuild(x, y)
+            return
+        i, j = self.pairs
+        dx = x[j] - x[i]
+        dy = y[j] - y[i]
+        self.pair_d2 = dx * dx + dy * dy
 
 
-def _detect_events_trig(xy, cos_sin, geom, config):
+def _detect_events_trig(xy, cos_sin, geom, config, far_walls):
     """Contact flags for every robot, from poses (2, N), their cos/sin (2, N) and their PairGeometry.
 
     Robot contact: another center within contact_range and inside the
     frontal +/-90 degree arc (the state machine ignores it while the
     robot is refractory). Wall contact: body edge closer than wall_range
-    to a wall that lies in the frontal arc.
+    to a wall that lies in the frontal arc; far_walls is `_far_walls(config)`.
     """
     x, y = xy
     cos_t, sin_t = cos_sin
-    n = len(x)
-    robot_contact = np.zeros(n, dtype=bool)
-    ii, jj = np.divmod(np.flatnonzero(geom.d2 <= config.contact_range_cm**2), n)
-    if len(ii):
+    robot_contact = np.zeros(len(x), dtype=bool)
+    near = geom.pair_d2 <= config.contact_range_cm**2
+    if near.any():
+        # both directions of every pair in range, in one frontal test
+        in_range = geom.pairs.compress(near, axis=1)
+        ii, jj = in_range.ravel(), in_range[::-1].ravel()
         frontal = cos_t[ii] * (x[jj] - x[ii]) + sin_t[ii] * (y[jj] - y[ii]) >= 0.0
         robot_contact[ii[frontal]] = True
 
     # rows: x and the vertical walls, y and the horizontal walls
     r = config.body_radius_cm
     rng_cm = config.wall_range_cm
-    near_wall = ((xy - r < rng_cm) & (cos_sin <= 0.0)) | ((_far_walls(config) - xy < rng_cm) & (cos_sin >= 0.0))
+    near_wall = ((xy - r < rng_cm) & (cos_sin <= 0.0)) | ((far_walls - xy < rng_cm) & (cos_sin >= 0.0))
     return robot_contact, near_wall[0] | near_wall[1]
 
 
@@ -297,21 +330,21 @@ def _place_robots(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
 def _separate_overlaps(x: np.ndarray, y: np.ndarray, config: SimConfig, geom: PairGeometry) -> bool:
     """Push apart robot pairs whose bodies interpenetrate, in place.
 
-    Refills `geom` from the poses it is given and again for the robots it
-    moves, so the next tick's contact detection reads the geometry of the
-    current poses. The poses enter inside the walls (`integrate` clamps
-    them), so only the moved robots need clipping. Returns True when any
-    position changed.
+    The poses arrive one `integrate` step after `geom` last saw them, and
+    inside the walls (`integrate` clamps them), so only the moved robots
+    need clipping. `geom` is tracked to them, then to the pushed poses, so
+    the next tick's contact detection reads the geometry of the current
+    poses. Returns True when any position changed.
     """
-    geom.fill(x, y)
+    geom.track(x, y, ticks=1)
     min_d = 2.0 * config.body_radius_cm
-    if len(x) < 2 or geom.d2.min() >= min_d * min_d:
+    overlap = geom.pair_d2 < min_d * min_d
+    if not overlap.any():
         return False
-    ii, jj = np.divmod(np.flatnonzero(geom.d2 < min_d * min_d), len(x))
+    overlapping = geom.pairs.compress(overlap, axis=1)
+    ii, jj = overlapping
     xs, ys = x.tolist(), y.tolist()  # Python floats: same arithmetic, cheaper per element
     for i, j in zip(ii.tolist(), jj.tolist()):
-        if i >= j:
-            continue
         d = math.hypot(xs[j] - xs[i], ys[j] - ys[i])
         if d < 1e-9:
             ux, uy = 1.0, 0.0  # coincident centers: split along x
@@ -323,15 +356,17 @@ def _separate_overlaps(x: np.ndarray, y: np.ndarray, config: SimConfig, geom: Pa
         ys[i] -= uy * shift
         xs[j] += ux * shift
         ys[j] += uy * shift
-    # the overlap mask is symmetric, so its rows name every robot moved
-    moved = np.flatnonzero(np.bincount(ii, minlength=len(x)))
+    moved = np.flatnonzero(np.bincount(overlapping.ravel(), minlength=len(x)))
     r = config.body_radius_cm
     hi_x = config.arena_width_cm - r
     hi_y = config.arena_height_cm - r
     index = moved.tolist()
-    x[moved] = [min(max(xs[k], r), hi_x) for k in index]
-    y[moved] = [min(max(ys[k], r), hi_y) for k in index]
-    geom.refill(x, y, moved)
+    new_x = np.array([min(max(xs[k], r), hi_x) for k in index])
+    new_y = np.array([min(max(ys[k], r), hi_y) for k in index])
+    pushed = float(np.hypot(new_x - x[moved], new_y - y[moved]).max())
+    x[moved] = new_x
+    y[moved] = new_y
+    geom.track(x, y, pushed_cm=pushed)
     return True
 
 
@@ -370,7 +405,8 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> World
     heading = placement_rng.uniform(-math.pi, math.pi, size=n)
     cos_sin = np.empty((2, n))
     robot_rngs = [np.random.default_rng([config.seed, i + 1]) for i in range(n)]
-    geom = PairGeometry(x, y)
+    geom = PairGeometry(x, y, config)
+    far_walls = _far_walls(config)
 
     # one metrics row per whole second, written in place by at_boundary
     d = config.duration_s
@@ -390,6 +426,7 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> World
                 cleanings[waiting] += 1
             series.mean_cue[t_now] = mean_intensity(cue)
             series.ratio_within_rc[t_now] = ratio_within(xy, config.cue_center, config.metric_radius_cm)
+            geom.rebuild(x, y)  # coherency reads the full triangle; the list is renewed with it
             series.coherency_m[t_now] = coherency(geom)
         if t_now in snap_set:
             snapshots[t_now] = cue.copy()
@@ -406,12 +443,12 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> World
         np.sin(heading, out=cos_sin[1])
         ground_sensor_points(xy, cos_sin, config.wheel_base_cm, sensors)
         sensed = sample_many(cue, sensors[0], sensors[1]).tolist()
-        robot_contact, wall_contact = _detect_events_trig(xy, cos_sin, geom, config)
+        robot_contact, wall_contact = _detect_events_trig(xy, cos_sin, geom, config, far_walls)
         n_l, n_r, turn_deg = step_fsm(
             modes, remaining, refractory, sensed[:n], sensed[n:], robot_contact.tolist(), wall_contact.tolist(),
             dt, robot_rngs, config,
         )
-        integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, config)
+        integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, config, far_walls)
         _separate_overlaps(x, y, config, geom)
 
     # final boundary: snapshots and observer only, no cleaning or metrics row

@@ -274,7 +274,8 @@ def cmd_sweep(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunSpec]:
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # under the fork start method the pool starts every worker up front, so no more than there are runs
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             futures = {pool.submit(_sweep_worker, task): task[0] for task in tasks}
             for future in as_completed(futures):
                 try:

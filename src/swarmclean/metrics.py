@@ -50,13 +50,13 @@ def ratio_within(xy: np.ndarray, center_cm: tuple[float, float], r_c_cm: float =
 def coherency(geom) -> float:
     """Mean distance over all unordered robot pairs, in meters.
 
-    geom is the engine's PairGeometry: its d2 holds the squared center
-    distances in cm^2, and only the strict upper triangle (geom.upper) is
-    read. Fewer than two robots report 0.
+    geom is the engine's PairGeometry, rebuilt for the current poses: its
+    upper_d2 holds the squared center distance of every pair, in cm^2.
+    Fewer than two robots report 0.
     """
-    if len(geom.upper) == 0:
+    if len(geom.upper_d2) == 0:
         return 0.0
-    return float(np.sqrt(np.take(geom.d2, geom.upper)).mean()) / 100.0
+    return float(np.sqrt(geom.upper_d2).mean()) / 100.0
 
 
 @dataclass

@@ -15,6 +15,7 @@ from swarmclean.engine import (
     PlacementError,
     SimConfig,
     _detect_events_trig,
+    _far_walls,
     ground_sensor_points,
     integrate,
     run_simulation,
@@ -38,7 +39,8 @@ def trig(heading):
 
 def detect_events(x, y, heading, config):
     """Contact flags from a snapshot of the poses, as the tick loop computes them."""
-    return _detect_events_trig(np.stack((x, y)), trig(heading), PairGeometry(x, y), config)
+    geom = PairGeometry(x, y, config)
+    return _detect_events_trig(np.stack((x, y)), trig(heading), geom, config, _far_walls(config))
 
 
 # one ulp above pi: the remainder in wrap_angle rounds up to 2 pi there, and the heading must still wrap to pi
@@ -49,7 +51,8 @@ def step_pose(x, y, heading, n_l, n_r, dt=0.1, config=None):
     """One robot's pose after one `integrate` step with wheel speeds (n_l, n_r)."""
     xy = np.array([[x], [y]], dtype=float)
     h = np.array([heading], dtype=float)
-    integrate(xy, h, trig(h), [float(n_l)], [float(n_r)], [0.0], dt, config or SimConfig())
+    config = config or SimConfig()
+    integrate(xy, h, trig(h), [float(n_l)], [float(n_r)], [0.0], dt, config, _far_walls(config))
     return xy[0, 0], xy[1, 0], h[0]
 
 
@@ -163,7 +166,8 @@ class TestIntegrate:
     def test_in_place_turn_wraps(self):
         xy = np.array([[50.0, 60.0], [50.0, 60.0]])
         h = np.array([3.0, 1.0])
-        integrate(xy, h, trig(h), [0.0, 0.0], [0.0, 0.0], [18.0, 0.0], 0.1, SimConfig())
+        cfg = SimConfig()
+        integrate(xy, h, trig(h), [0.0, 0.0], [0.0, 0.0], [18.0, 0.0], 0.1, cfg, _far_walls(cfg))
         assert h[0] == pytest.approx(3.0 + math.pi / 10 - 2 * math.pi)
         assert h[1] == wrap_angle(1.0)
         assert xy.tolist() == [[50.0, 60.0], [50.0, 60.0]]
@@ -190,7 +194,7 @@ class TestIntegrate:
         x, y, heading, n_l, n_r, turn = (list(col) for col in zip(*robots)) if robots else ([],) * 6
         xy = np.array([x, y], dtype=float).reshape(2, -1)
         h = np.array(heading, dtype=float)
-        integrate(xy, h, trig(h), n_l, n_r, turn, dt, cfg)
+        integrate(xy, h, trig(h), n_l, n_r, turn, dt, cfg, _far_walls(cfg))
         for i, robot in enumerate(robots):
             want = oracle.integrate(*robot[:3], oracle.WheelCommand(robot[3], robot[4]), robot[5], dt, cfg)
             assert np.array([xy[0, i], xy[1, i], h[i]]).tobytes() == np.array(want).tobytes()

@@ -4,8 +4,10 @@ Each case pins the bytes of `metrics.csv`, the final field, the final
 poses (x, y, heading) and the per-robot cleaning counts. The digests were
 captured from the engine before its two pair passes shared one geometry
 buffer (the "clipped" case from the per-robot engine, before the FSM step,
-integration and cleaning were batched), so any change that alters a single
-output bit fails here. A change
+integration and cleaning were batched; the "dense" case from the engine
+that still filled the N x N distance matrix every tick, before the
+neighbour list), so any change that alters a single output bit fails
+here. A change
 that alters behaviour on purpose re-captures them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -24,7 +26,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from swarmclean.engine import SimConfig, run_simulation
+from swarmclean.engine import PairGeometry, SimConfig, run_simulation
 
 CASES = {
     "N0": dict(n_robots=0, duration_s=20, seed=3),
@@ -44,6 +46,9 @@ CASES = {
         body_radius_cm=1.5,
         wheel_base_cm=12.0,
     ),
+    # 100 robots in a 120 x 120 arena: separation pushes robots on most ticks,
+    # so the neighbour list is rebuilt between whole seconds as well
+    "dense": dict(n_robots=100, duration_s=30, seed=29, arena_width_cm=120.0, arena_height_cm=120.0),
 }
 
 GOLDEN = {
@@ -89,6 +94,12 @@ GOLDEN = {
         "poses": "1872cf8a2238d4accf99a3d0a6c90f29809bb90735d53c720792eb21d66457d0",
         "cleanings": "6f5c2779b5562f3fd26d53deae0b70e55e39a51d6d37479e97d9874f96b6a752",
     },
+    "dense": {
+        "metrics": "9a646846589fcd5bc89aeedfc3c5800818ba53902a9930112f8d5a15ead36886",
+        "field": "ba56062498a6cfd945f74cadc89d951b1feb39d2af3a2c6659f834a980e7595f",
+        "poses": "5f00c8ec14bfdd7795016cc33595ed221a6d92256858ad8962535eda66428395",
+        "cleanings": "2f116b7c2e82a84f9bc9c4e18f1ca46a5c8ed30768cab9cf8132c8b853cb1a35",
+    },
 }
 
 
@@ -114,6 +125,21 @@ def run_digests(case: str, tmp_dir) -> dict[str, str]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_digests(case, tmp_path):
     assert run_digests(case, tmp_path) == GOLDEN[case]
+
+
+def test_dense_case_rebuilds_between_seconds(tmp_path, monkeypatch):
+    """The "dense" digests pin the drift-triggered rebuilds of the neighbour list, not only the boundary ones."""
+    rebuilds = []
+    rebuild = PairGeometry.rebuild
+
+    def counting(geom, x, y):
+        rebuilds.append(1)
+        rebuild(geom, x, y)
+
+    monkeypatch.setattr(PairGeometry, "rebuild", counting)
+    assert run_digests("dense", tmp_path) == GOLDEN["dense"]
+    # one rebuild when the list is built and one at each whole second before the last
+    assert len(rebuilds) > 1 + CASES["dense"]["duration_s"]
 
 
 # numpy's SIMD dispatch cut to its x86-64 baseline (X86_V2); numpy accepts

@@ -352,12 +352,13 @@ _SWEEP_WORKER = harness._sweep_worker
 
 
 class _RecordingExecutor:
-    """Synchronous stand-in for ProcessPoolExecutor that records submissions."""
+    """Synchronous stand-in for ProcessPoolExecutor that records its size and submissions."""
 
     submitted: list[int] = []
+    max_workers: list[int] = []
 
     def __init__(self, max_workers):
-        pass
+        self.max_workers.append(max_workers)
 
     def __enter__(self):
         return self
@@ -396,6 +397,14 @@ class TestSweepPool:
         monkeypatch.setattr(_RecordingExecutor, "submitted", [])
         cmd_sweep(tiny_plan(populations=(3, 7, 5)), tmp_path / "sweep", jobs=2)
         assert _RecordingExecutor.submitted == [7, 7, 5, 5, 3, 3]
+
+    def test_workers_capped_at_number_of_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(_RecordingExecutor, "submitted", [])
+        monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
+        cmd_sweep(tiny_plan(), tmp_path / "wide", jobs=500)
+        cmd_sweep(tiny_plan(), tmp_path / "narrow", jobs=3)
+        assert _RecordingExecutor.max_workers == [4, 3]
 
 
 class TestCmdAnalyze:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmclean.engine import PairGeometry
+from swarmclean.engine import PairGeometry, SimConfig
 from swarmclean.metrics import MetricsSeries, ratio_within
 from swarmclean.metrics import coherency as coherency_of_geometry
 
@@ -11,7 +11,7 @@ from swarmclean.metrics import coherency as coherency_of_geometry
 def coherency(positions_cm):
     """Coherency of an (N, 2) array of positions, through the PairGeometry the engine keeps."""
     pos = np.asarray(positions_cm, dtype=np.float64).reshape(-1, 2)
-    return coherency_of_geometry(PairGeometry(pos[:, 0].copy(), pos[:, 1].copy()))
+    return coherency_of_geometry(PairGeometry(pos[:, 0].copy(), pos[:, 1].copy(), SimConfig()))
 
 
 def coherency_dense(positions_cm):
@@ -101,13 +101,16 @@ class TestCoherency:
         rng = np.random.default_rng(seed)
         x = rng.uniform(4.0, 281.0, n)
         y = rng.uniform(4.0, 281.0, n)
-        geom = PairGeometry(x, y)
+        geom = PairGeometry(x, y, SimConfig())
         if moved_after_fill and n:
-            # the tick loop's d2 is often refilled for the robots separation moved
+            # between boundaries the tick loop tracks the list to new poses; at the
+            # boundary it rebuilds every pair's squared distance, which coherency reads
             moved = np.unique(rng.integers(0, n, size=max(n // 4, 1)))
-            x[moved] += rng.normal(size=len(moved))
-            y[moved] -= rng.normal(size=len(moved))
-            geom.refill(x, y, moved)
+            shift = rng.normal(size=(2, len(moved)))
+            x[moved] += shift[0]
+            y[moved] -= shift[1]
+            geom.track(x, y, pushed_cm=float(np.hypot(*shift).max()))
+            geom.rebuild(x, y)
         assert coherency_of_geometry(geom) == coherency_dense(np.column_stack((x, y)))
 
     def test_bounded_by_arena_diagonal(self):

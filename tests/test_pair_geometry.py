@@ -1,9 +1,11 @@
-"""The shared pair geometry against dense per-pass recomputation.
+"""The engine's neighbour list against dense per-pass recomputation.
 
-Contact detection and overlap separation read one PairGeometry that the
-tick loop keeps for the current poses. The references below rebuild every
-pairwise offset from the poses on each call, as both passes did before
-they shared the buffer; the engine must agree with them bit for bit.
+Contact detection and overlap separation read one PairGeometry, a Verlet
+neighbour list that the tick loop builds at whole seconds and carries from
+tick to tick in between. The references below rebuild every pairwise offset
+from the poses on each call, as both passes did before they shared a
+geometry; the engine must agree with them bit for bit, however long the
+list has been carried.
 """
 import math
 
@@ -11,10 +13,20 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmclean.engine import PairGeometry, SimConfig, _detect_events_trig, _separate_overlaps
+from swarmclean.engine import (
+    WHEEL_UNIT_CM_S,
+    PairGeometry,
+    SimConfig,
+    _detect_events_trig,
+    _far_walls,
+    _separate_overlaps,
+)
 
 CFG = SimConfig()
 R = CFG.body_radius_cm
+HI = CFG.arena_width_cm - R
+CUTOFF = max(CFG.contact_range_cm, 2 * R)
+TICK_TRAVEL = WHEEL_UNIT_CM_S * CFG.wheel_max * CFG.dt_s  # the largest forward travel in one tick
 
 
 def detect_dense(x, y, cos_t, sin_t, config):
@@ -79,6 +91,31 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def dense_d2(x, y):
+    dx = x[None, :] - x[:, None]
+    dy = y[None, :] - y[:, None]
+    return dx * dx + dy * dy
+
+
+def assert_geometry_of(geom, x, y):
+    """geom lists every pair within CUTOFF of the poses x, y, once and row by row, with their d2 bit for bit."""
+    n = len(x)
+    d2 = dense_d2(x, y)
+    i, j = geom.pairs
+    flat = i * n + j
+    assert np.all(i < j) and np.all(np.diff(flat) > 0)
+    assert same_bits(geom.pair_d2, d2[i, j])
+    ii, jj = np.nonzero(np.triu(d2 <= CUTOFF**2, k=1))
+    assert np.isin(ii * n + jj, flat).all()
+
+
+def detect(x, y, heading, geom):
+    cos_t, sin_t = np.cos(heading), np.sin(heading)
+    got = _detect_events_trig(np.stack((x, y)), np.stack((cos_t, sin_t)), geom, CFG, _far_walls(CFG))
+    want = detect_dense(x, y, cos_t, sin_t, CFG)
+    return got, want
+
+
 @st.composite
 def swarms(draw):
     """Poses inside the walls, often crowded, with coincident and touching robots."""
@@ -97,55 +134,103 @@ def swarms(draw):
             xs[i], ys[i] = xs[j] + 2 * R, ys[j]
         elif kind == "contact_range":
             xs[i], ys[i] = xs[j], ys[j] + CFG.contact_range_cm
-    hi = CFG.arena_width_cm - R
-    x = np.clip(np.array(xs, dtype=float), R, hi)
-    y = np.clip(np.array(ys, dtype=float), R, hi)
+    x = np.clip(np.array(xs, dtype=float), R, HI)
+    y = np.clip(np.array(ys, dtype=float), R, HI)
     heading = np.array(draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n)), dtype=float)
     return x, y, heading
+
+
+def tick_step(x, y, heading, speed):
+    """An integrate step, in place: each center drives speed (at most 1) times one tick's largest travel, then the wall clamp."""
+    np.clip(x + speed * TICK_TRAVEL * np.cos(heading), R, HI, out=x)
+    np.clip(y + speed * TICK_TRAVEL * np.sin(heading), R, HI, out=y)
 
 
 @given(swarms())
 @settings(max_examples=150, deadline=None)
 def test_shared_detection_matches_dense(swarm):
     x, y, heading = swarm
-    cos_t, sin_t = np.cos(heading), np.sin(heading)
-    got = _detect_events_trig(np.stack((x, y)), np.stack((cos_t, sin_t)), PairGeometry(x, y), CFG)
-    want = detect_dense(x, y, cos_t, sin_t, CFG)
+    got, want = detect(x, y, heading, PairGeometry(x, y, CFG))
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
 
 
-@given(swarms())
+@given(swarms(), st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
-def test_separation_leaves_geometry_of_current_poses(swarm):
+def test_separation_leaves_geometry_of_current_poses(swarm, seed):
     x, y, _ = swarm
+    # the list was built one integrate step earlier, at other poses
+    rng = np.random.default_rng(seed)
+    before_x, before_y = x.copy(), y.copy()
+    tick_step(before_x, before_y, rng.uniform(-math.pi, math.pi, len(x)), rng.uniform(0.0, 1.0, len(x)))
+    geom = PairGeometry(before_x, before_y, CFG)
     ref_x, ref_y = x.copy(), y.copy()
-    geom = PairGeometry(np.zeros(len(x)), np.zeros(len(x)))  # stale contents must not leak through
     moved = _separate_overlaps(x, y, CFG, geom)
     assert moved == separate_dense(ref_x, ref_y, CFG)
     assert same_bits(x, ref_x) and same_bits(y, ref_y)
-    assert same_bits(geom.d2, PairGeometry(x, y).d2)
+    assert_geometry_of(geom, x, y)
 
 
-def test_refill_matches_full_fill_bitwise():
+@given(swarms(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_carried_list_matches_dense(swarm, ticks, seed):
+    """A list built once and carried over many ticks gives the dense passes' bits."""
+    x, y, heading = swarm
+    rng = np.random.default_rng(seed)
+    speed = rng.choice([0.0, 0.5, 1.0], len(x))  # robots drive straight, most at full speed
+    geom = PairGeometry(x, y, CFG)
+    for _ in range(ticks):
+        tick_step(x, y, heading, speed)
+        ref_x, ref_y = x.copy(), y.copy()
+        assert _separate_overlaps(x, y, CFG, geom) == separate_dense(ref_x, ref_y, CFG)
+        assert same_bits(x, ref_x) and same_bits(y, ref_y)
+        assert_geometry_of(geom, x, y)
+        got, want = detect(x, y, rng.uniform(-math.pi, math.pi, len(x)), geom)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+def test_tracked_distances_match_full_fill_bitwise():
     rng = np.random.default_rng(3)
     x = rng.uniform(R, 100.0, 40)
     y = rng.uniform(R, 100.0, 40)
-    geom = PairGeometry(x, y)
+    x[8], y[8] = x[7] + 1.0, y[7] - 1.0
+    geom = PairGeometry(x, y, CFG)
     moved = np.array([0, 7, 8, 39])
     x[moved] += rng.normal(size=4)
     y[moved] -= rng.normal(size=4)
     x[8], y[8] = x[7], y[7]  # coincident after the move
-    geom.refill(x, y, moved)
-    assert same_bits(geom.d2, PairGeometry(x, y).d2)
+    geom.track(x, y, pushed_cm=4.0)
+    assert geom.pushed == 4.0  # carried, not rebuilt
+    assert_geometry_of(geom, x, y)
+    assert same_bits(PairGeometry(x, y, CFG).upper_d2, dense_d2(x, y)[np.triu_indices(len(x), k=1)])
+
+
+def test_track_rebuilds_once_drift_passes_half_the_skin():
+    x = np.array([50.0, 50.0 + CUTOFF + 2 * 10 * TICK_TRAVEL + 0.5])
+    y = np.array([50.0, 50.0])
+    geom = PairGeometry(x, y, CFG)
+    assert geom.pairs.shape == (2, 0)  # beyond cutoff + skin
+    for _ in range(10):  # one second of integrate steps uses half the skin, no more
+        x += [TICK_TRAVEL, -TICK_TRAVEL]
+        geom.track(x, y, ticks=1)
+    assert geom.ticks == 10 and geom.pairs.shape == (2, 0)
+    x += [0.3, -0.3]
+    geom.track(x, y, pushed_cm=0.3)
+    assert (geom.ticks, geom.pushed) == (0, 0.0)
+    assert geom.pairs.tolist() == [[0], [1]]
+    assert_geometry_of(geom, x, y)
 
 
 def test_coincident_and_overlapping_robots_match_dense_separation():
     x = np.array([50.0, 50.0, 53.0, 120.0])
     y = np.array([50.0, 50.0, 50.0, 120.0])
     ref_x, ref_y = x.copy(), y.copy()
-    geom = PairGeometry(x, y)
+    geom = PairGeometry(x, y, CFG)
     assert _separate_overlaps(x, y, CFG, geom)
     assert separate_dense(ref_x, ref_y, CFG)
     assert same_bits(x, ref_x) and same_bits(y, ref_y)
-    assert same_bits(geom.d2, PairGeometry(x, y).d2)
+    assert_geometry_of(geom, x, y)
+    # the drift bound holds one integrate step and the largest push any robot made
+    assert geom.ticks == 1
+    assert geom.pushed == np.hypot(x - [50.0, 50.0, 53.0, 120.0], y - [50.0, 50.0, 50.0, 120.0]).max() > 0.0
