@@ -27,7 +27,7 @@ DEG_TO_RAD = math.pi / 180.0
 
 # validation bounds: floats are finite and at most MAX_MAGNITUDE in size,
 # strictly positive quantities at least MIN_POSITIVE; the field holds one
-# float per square cm and a neighbour-list rebuild two N x N float arrays
+# float per square cm and the neighbour list three arrays of N (N - 1) / 2 pairs
 MAX_MAGNITUDE = 1e6
 MIN_POSITIVE = 1e-6
 MAX_ARENA_CM = 10_000.0
@@ -186,68 +186,65 @@ class PairGeometry:
     Tildesley, Computer Simulation of Liquids, 5.3). cutoff =
     max(contact_range, 2 * body_radius) is the farthest distance either
     pair pass reads; the skin is twice the largest forward travel in one
-    second. The drift bound ticks * tick_travel + pushed bounds how far any
-    center has moved since the rebuild: an integrate step moves a center at
-    most one tick's largest forward travel (turns in place move none, and
-    the wall clamp never lengthens a step), and `pushed` sums each
-    separation's largest push. While the bound stays within half the skin,
-    no pair can have closed from beyond cutoff + skin to within cutoff, so
-    every pair within cutoff is listed. `track` rebuilds once the bound
-    passes half the skin; the engine also rebuilds at every whole second,
-    so the integrate steps alone never do.
+    second. The drift bound drift + ticks * tick_travel bounds how far any
+    center has moved since the rebuild: `drift` is the largest displacement
+    from the rebuild's poses, measured after each separation push, and an
+    integrate step since then moves a center at most tick_travel, one
+    tick's largest forward travel (turns in place move none, and the wall
+    clamp never lengthens a step). While the bound stays within half the
+    skin, no pair can have closed from beyond cutoff + skin to within
+    cutoff, so every pair within cutoff is listed. `track` rebuilds once
+    the bound passes half the skin; the engine also rebuilds at every whole
+    second, so the integrate steps alone never do.
 
-    A rebuild fills an N x N buffer and keeps its strict upper triangle,
-    row by row, as `upper_d2`: every pair's squared distance, which
-    `coherency` reads. Between rebuilds only `pair_d2`, the squared
-    distances of the listed pairs, is updated; it always belongs to the
-    poses last tracked. Every squared distance is
-    (x[j] - x[i])**2 + (y[j] - y[i])**2, so listed and full values agree
-    bit for bit.
+    Every squared distance is (x[j] - x[i])**2 + (y[j] - y[i])**2 over a
+    (2, P) index array. A rebuild evaluates it over every pair i < j, row
+    by row, as `upper_d2`, which `coherency` reads; between rebuilds only
+    `pair_d2`, over the listed pairs, is updated. It always belongs to the
+    poses last tracked.
     """
 
     __slots__ = (
-        "upper_d2", "pairs", "pair_d2", "ticks", "pushed", "_tick_travel", "_half_skin", "_reach2", "_upper", "_d2", "_tmp",
+        "upper_d2", "pairs", "pair_d2", "ticks", "drift",
+        "_all_pairs", "_rebuilt_xy", "_tick_travel", "_half_skin", "_reach2",
     )
 
     def __init__(self, x: np.ndarray, y: np.ndarray, config: SimConfig):
-        n = len(x)
         self._tick_travel = WHEEL_UNIT_CM_S * config.wheel_max * config.dt_s
         # ticks * tick_travel, not a running sum, so a second of integrate steps lands on it exactly
         self._half_skin = config.ticks_per_second * self._tick_travel
         cutoff = max(config.contact_range_cm, 2.0 * config.body_radius_cm)
         self._reach2 = (cutoff + 2.0 * self._half_skin) ** 2
-        self._d2 = np.empty((n, n))
-        self._tmp = np.empty((n, n))
-        rows, cols = np.triu_indices(n, k=1)
-        self._upper = rows * n + cols  # flat indices of the strict upper triangle, row by row
+        self._all_pairs = np.array(np.triu_indices(len(x), k=1))
         self.rebuild(x, y)
+
+    @staticmethod
+    def _d2(x: np.ndarray, y: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        i, j = pairs
+        return (x[j] - x[i]) ** 2 + (y[j] - y[i]) ** 2
 
     def rebuild(self, x: np.ndarray, y: np.ndarray) -> None:
         """Every pair's squared distance at the poses x, y, and the list of the pairs within cutoff + skin."""
-        d2, tmp = self._d2, self._tmp
-        np.subtract(x[None, :], x[:, None], out=tmp)
-        np.multiply(tmp, tmp, out=d2)
-        np.subtract(y[None, :], y[:, None], out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        np.add(d2, tmp, out=d2)
-        self.upper_d2 = np.take(d2, self._upper)
+        self.upper_d2 = self._d2(x, y, self._all_pairs)
         near = self.upper_d2 <= self._reach2
-        self.pairs = np.array(np.divmod(self._upper[near], len(x)))
+        self.pairs = self._all_pairs.compress(near, axis=1)
         self.pair_d2 = self.upper_d2[near]
+        self._rebuilt_xy = np.array((x, y))
         self.ticks = 0
-        self.pushed = 0.0
+        self.drift = 0.0
 
-    def track(self, x: np.ndarray, y: np.ndarray, ticks: int = 0, pushed_cm: float = 0.0) -> None:
-        """Bring pair_d2 to the poses x, y, reached by `ticks` integrate steps and pushes of at most pushed_cm."""
-        self.ticks += ticks
-        self.pushed += pushed_cm
-        if self.ticks * self._tick_travel + self.pushed > self._half_skin:
+    def track(self, x: np.ndarray, y: np.ndarray, pushed: bool = False) -> None:
+        """Bring pair_d2 to the poses x, y, one integrate step on; with pushed=True, any move, and measure the drift."""
+        if pushed:
+            rx, ry = self._rebuilt_xy
+            self.drift = float(np.hypot(x - rx, y - ry).max())
+            self.ticks = 0
+        else:
+            self.ticks += 1
+        if self.drift + self.ticks * self._tick_travel > self._half_skin:
             self.rebuild(x, y)
-            return
-        i, j = self.pairs
-        dx = x[j] - x[i]
-        dy = y[j] - y[i]
-        self.pair_d2 = dx * dx + dy * dy
+        else:
+            self.pair_d2 = self._d2(x, y, self.pairs)
 
 
 def _detect_events_trig(xy, cos_sin, geom, config, far_walls):
@@ -336,7 +333,7 @@ def _separate_overlaps(x: np.ndarray, y: np.ndarray, config: SimConfig, geom: Pa
     the next tick's contact detection reads the geometry of the current
     poses. Returns True when any position changed.
     """
-    geom.track(x, y, ticks=1)
+    geom.track(x, y)
     min_d = 2.0 * config.body_radius_cm
     overlap = geom.pair_d2 < min_d * min_d
     if not overlap.any():
@@ -356,17 +353,13 @@ def _separate_overlaps(x: np.ndarray, y: np.ndarray, config: SimConfig, geom: Pa
         ys[i] -= uy * shift
         xs[j] += ux * shift
         ys[j] += uy * shift
-    moved = np.flatnonzero(np.bincount(overlapping.ravel(), minlength=len(x)))
+    moved = np.flatnonzero(np.bincount(overlapping.ravel(), minlength=len(x))).tolist()
     r = config.body_radius_cm
     hi_x = config.arena_width_cm - r
     hi_y = config.arena_height_cm - r
-    index = moved.tolist()
-    new_x = np.array([min(max(xs[k], r), hi_x) for k in index])
-    new_y = np.array([min(max(ys[k], r), hi_y) for k in index])
-    pushed = float(np.hypot(new_x - x[moved], new_y - y[moved]).max())
-    x[moved] = new_x
-    y[moved] = new_y
-    geom.track(x, y, pushed_cm=pushed)
+    x[moved] = [min(max(xs[k], r), hi_x) for k in moved]
+    y[moved] = [min(max(ys[k], r), hi_y) for k in moved]
+    geom.track(x, y, pushed=True)
     return True
 
 
@@ -376,19 +369,22 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> World
     RNG streams are derived from the seed with a fixed splitting rule:
     substream [seed, 0] drives placement, substream [seed, i + 1] drives
     robot i, so each robot's behavior is independent of the swarm size.
-    `snapshot_times` are whole seconds (0..duration inclusive) at which a
-    copy of the field is kept; a time outside that range is a ConfigError.
+    `snapshot_times` are whole seconds (0..duration inclusive, integers) at
+    which a copy of the field is kept; any other time is a ConfigError.
     `observer(world)` is called at every whole-second boundary, 0 to
     duration_s, with the same World that the run returns.
     """
     config.validate()
-    outside = [t for t in snapshot_times if not 0 <= t <= config.duration_s]
+    snap_set = set(snapshot_times)
+    for t in snap_set:
+        if isinstance(t, bool) or not isinstance(t, numbers.Integral):
+            raise ConfigError(f"snapshot times must be whole seconds, got {t!r}")
+    outside = sorted(t for t in snap_set if not 0 <= t <= config.duration_s)
     if outside:
         raise ConfigError(f"snapshot times {outside} lie outside [0, {config.duration_s}] s")
     n = config.n_robots
     dt = config.dt_s
     tps = config.ticks_per_second
-    snap_set = {int(t) for t in snapshot_times}
 
     cue = init_circular_gradient(
         config.arena_width_cm,

@@ -508,6 +508,15 @@ class TestRunSimulation:
             with pytest.raises(ConfigError, match="snapshot times"):
                 run_simulation(SimConfig(duration_s=5), snapshot_times=times)
 
+    def test_snapshot_times_must_be_whole_seconds(self):
+        for times in ([2.5, 4.9], [3.0], ["3"], [True], [np.float64(2.0)]):
+            with pytest.raises(ConfigError, match="whole seconds"):
+                run_simulation(SimConfig(duration_s=5), snapshot_times=times)
+
+    def test_snapshot_times_accept_numpy_integers(self):
+        res = run_simulation(small_config(duration_s=3), snapshot_times=np.arange(4))
+        assert sorted(res.snapshots) == [0, 1, 2, 3]
+
     def test_snapshots_at_requested_times(self):
         cfg = small_config(duration_s=10)
         res = run_simulation(cfg, snapshot_times=[0, 5, 10])

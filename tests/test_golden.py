@@ -127,8 +127,8 @@ def test_golden_digests(case, tmp_path):
     assert run_digests(case, tmp_path) == GOLDEN[case]
 
 
-def test_dense_case_rebuilds_between_seconds(tmp_path, monkeypatch):
-    """The "dense" digests pin the drift-triggered rebuilds of the neighbour list, not only the boundary ones."""
+def test_dense_case_rebuilds_only_at_whole_seconds(tmp_path, monkeypatch):
+    """The "dense" case keeps its digests with the neighbour list rebuilt only at construction and whole seconds."""
     rebuilds = []
     rebuild = PairGeometry.rebuild
 
@@ -139,7 +139,7 @@ def test_dense_case_rebuilds_between_seconds(tmp_path, monkeypatch):
     monkeypatch.setattr(PairGeometry, "rebuild", counting)
     assert run_digests("dense", tmp_path) == GOLDEN["dense"]
     # one rebuild when the list is built and one at each whole second before the last
-    assert len(rebuilds) > 1 + CASES["dense"]["duration_s"]
+    assert len(rebuilds) == 1 + CASES["dense"]["duration_s"]
 
 
 # numpy's SIMD dispatch cut to its x86-64 baseline (X86_V2); numpy accepts

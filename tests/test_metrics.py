@@ -109,7 +109,7 @@ class TestCoherency:
             shift = rng.normal(size=(2, len(moved)))
             x[moved] += shift[0]
             y[moved] -= shift[1]
-            geom.track(x, y, pushed_cm=float(np.hypot(*shift).max()))
+            geom.track(x, y, pushed=True)
             geom.rebuild(x, y)
         assert coherency_of_geometry(geom) == coherency_dense(np.column_stack((x, y)))
 

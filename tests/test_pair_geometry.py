@@ -10,6 +10,7 @@ list has been carried.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -196,28 +197,83 @@ def test_tracked_distances_match_full_fill_bitwise():
     y = rng.uniform(R, 100.0, 40)
     x[8], y[8] = x[7] + 1.0, y[7] - 1.0
     geom = PairGeometry(x, y, CFG)
+    start_x, start_y = x.copy(), y.copy()
     moved = np.array([0, 7, 8, 39])
     x[moved] += rng.normal(size=4)
     y[moved] -= rng.normal(size=4)
     x[8], y[8] = x[7], y[7]  # coincident after the move
-    geom.track(x, y, pushed_cm=4.0)
-    assert geom.pushed == 4.0  # carried, not rebuilt
+    geom.track(x, y, pushed=True)
+    assert geom.drift == np.hypot(x - start_x, y - start_y).max() > 0.0  # carried, not rebuilt
     assert_geometry_of(geom, x, y)
     assert same_bits(PairGeometry(x, y, CFG).upper_d2, dense_d2(x, y)[np.triu_indices(len(x), k=1)])
 
 
+HALF_SKIN = 10 * TICK_TRAVEL  # one second of the largest forward travel
+BEYOND_REACH = CUTOFF + 2 * HALF_SKIN + 0.5  # a separation just outside cutoff + skin
+
+
+def approach(x, y, geom, ticks):
+    """`ticks` integrate steps of the two robots driving head-on at full speed, each tracked."""
+    for _ in range(ticks):
+        x += [TICK_TRAVEL, -TICK_TRAVEL]
+        geom.track(x, y)
+
+
 def test_track_rebuilds_once_drift_passes_half_the_skin():
-    x = np.array([50.0, 50.0 + CUTOFF + 2 * 10 * TICK_TRAVEL + 0.5])
+    x = np.array([50.0, 50.0 + BEYOND_REACH])
     y = np.array([50.0, 50.0])
     geom = PairGeometry(x, y, CFG)
     assert geom.pairs.shape == (2, 0)  # beyond cutoff + skin
-    for _ in range(10):  # one second of integrate steps uses half the skin, no more
-        x += [TICK_TRAVEL, -TICK_TRAVEL]
-        geom.track(x, y, ticks=1)
+    approach(x, y, geom, 10)  # one second of integrate steps uses half the skin, no more
     assert geom.ticks == 10 and geom.pairs.shape == (2, 0)
     x += [0.3, -0.3]
-    geom.track(x, y, pushed_cm=0.3)
-    assert (geom.ticks, geom.pushed) == (0, 0.0)
+    geom.track(x, y, pushed=True)
+    assert (geom.ticks, geom.drift) == (0, 0.0)
+    assert geom.pairs.tolist() == [[0], [1]]
+    assert_geometry_of(geom, x, y)
+
+
+def test_push_past_half_the_skin_mid_second_rebuilds():
+    x = np.array([50.0, 50.0 + BEYOND_REACH])
+    y = np.array([50.0, 50.0])
+    geom = PairGeometry(x, y, CFG)
+    approach(x, y, geom, 3)
+    # a push of 7 ticks' travel and a little more takes both robots just past half the skin
+    x += [7 * TICK_TRAVEL + 0.5, -7 * TICK_TRAVEL - 0.5]
+    geom.track(x, y, pushed=True)
+    assert (geom.ticks, geom.drift) == (0, 0.0)  # rebuilt
+    assert x[1] - x[0] < CUTOFF  # now within contact
+    assert geom.pairs.tolist() == [[0], [1]]
+    assert_geometry_of(geom, x, y)
+
+
+def test_ticks_after_a_push_are_charged():
+    x = np.array([50.0, 50.0 + BEYOND_REACH])
+    y = np.array([50.0, 50.0])
+    geom = PairGeometry(x, y, CFG)
+    approach(x, y, geom, 3)
+    x += [2 * TICK_TRAVEL - 0.1, -2 * TICK_TRAVEL + 0.1]
+    geom.track(x, y, pushed=True)
+    assert geom.ticks == 0 and geom.drift == pytest.approx(5 * TICK_TRAVEL - 0.1)  # measured, not rebuilt
+    # the measured drift and five more ticks stay within half the skin, the sixth passes it
+    approach(x, y, geom, 5)
+    assert geom.ticks == 5 and geom.pairs.shape == (2, 0)
+    approach(x, y, geom, 1)
+    assert (geom.ticks, geom.drift) == (0, 0.0)
+    assert x[1] - x[0] < CUTOFF
+    assert geom.pairs.tolist() == [[0], [1]]
+    assert_geometry_of(geom, x, y)
+
+
+def test_drift_is_measured_from_the_last_rebuild():
+    x = np.array([50.0, 50.0 + CUTOFF - 1.0])
+    y = np.array([50.0, 50.0])
+    geom = PairGeometry(x, y, CFG)
+    x[1] += 40.0
+    geom.rebuild(x, y)  # as at a whole second, with the pair far apart
+    assert geom.pairs.shape == (2, 0)
+    x[1] -= 40.0  # back where the constructor saw it
+    geom.track(x, y, pushed=True)
     assert geom.pairs.tolist() == [[0], [1]]
     assert_geometry_of(geom, x, y)
 
@@ -231,6 +287,6 @@ def test_coincident_and_overlapping_robots_match_dense_separation():
     assert separate_dense(ref_x, ref_y, CFG)
     assert same_bits(x, ref_x) and same_bits(y, ref_y)
     assert_geometry_of(geom, x, y)
-    # the drift bound holds one integrate step and the largest push any robot made
-    assert geom.ticks == 1
-    assert geom.pushed == np.hypot(x - [50.0, 50.0, 53.0, 120.0], y - [50.0, 50.0, 50.0, 120.0]).max() > 0.0
+    # the push reset the tick count and measured the largest displacement since the list was built
+    assert geom.ticks == 0
+    assert geom.drift == np.hypot(x - [50.0, 50.0, 53.0, 120.0], y - [50.0, 50.0, 50.0, 120.0]).max() > 0.0
