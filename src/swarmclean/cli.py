@@ -64,10 +64,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = load_run_config(args.config)
             if args.seed is not None:
-                if args.seed < 0:
-                    raise ConfigError(f"seed must be non-negative, got {args.seed}")
-                cfg.seed = args.seed
-                cfg.validate()
+                cfg.seed = args.seed  # validated with the rest of the config before the run
             snaps = _parse_snapshot_times(args.snapshot_times) if args.snapshot_times is not None else None
             out = cmd_run(cfg, args.out, snapshot_times=snaps)
             print(f"wrote {out['metrics']} and {len(out['snapshots'])} snapshot(s)")

@@ -1,11 +1,13 @@
 """World state, unicycle kinematics, contact sensing, and the tick loop.
 
-The simulation advances on a fixed timestep (default 0.1 s). Each tick:
-read the ground sensors, detect robot/wall contacts from the current
-poses, step every robot's state machine, then integrate motion. On every
-whole-second boundary, each waiting robot erodes the field once and the
-second's row of the preallocated metrics series is written. The whole
-trajectory is a pure function of the config, including its seed.
+The run is a loop over whole seconds around a loop over that second's
+ticks (default 0.1 s each). At the top of each second, each waiting robot
+erodes the field once, the second's row of the preallocated metrics
+series is written, and an optional observer sees the run's World; it sees
+it once more after the last tick. Each tick: read the ground sensors,
+detect robot/wall contacts from the current poses, step every robot's
+state machine, then integrate motion. The whole trajectory is a pure
+function of the config, including its seed.
 """
 from __future__ import annotations
 
@@ -27,11 +29,13 @@ DEG_TO_RAD = math.pi / 180.0
 
 # validation bounds: floats are finite and at most MAX_MAGNITUDE in size,
 # strictly positive quantities at least MIN_POSITIVE; the field holds one
-# float per square cm and the neighbour list three arrays of N (N - 1) / 2 pairs
+# float per square cm and the neighbour list three arrays of N (N - 1) / 2 pairs;
+# the metrics series preallocates 32 bytes per second, 32 MB at MAX_DURATION_S
 MAX_MAGNITUDE = 1e6
 MIN_POSITIVE = 1e-6
 MAX_ARENA_CM = 10_000.0
 MAX_ROBOTS = 10_000
+MAX_DURATION_S = 1_000_000
 
 
 def _positive(default):
@@ -109,6 +113,8 @@ class SimConfig:
                 raise ConfigError(f"{f.name} must be at least {f.metadata['min']:g}, got {value!r}")
         if self.n_robots > MAX_ROBOTS:
             raise ConfigError(f"n_robots must be at most {MAX_ROBOTS}, got {self.n_robots}")
+        if self.duration_s > MAX_DURATION_S:
+            raise ConfigError(f"duration_s must be at most {MAX_DURATION_S}, got {self.duration_s}")
         if abs(self.ticks_per_second * self.dt_s - 1.0) > 1e-9:
             raise ConfigError(f"dt_s must divide 1 s evenly, got {self.dt_s}")
         if max(self.arena_width_cm, self.arena_height_cm) > MAX_ARENA_CM:
@@ -281,9 +287,8 @@ class World:
     xy (2, N) holds the positions in cm, heading the headings in radians,
     modes the controller's mode codes (FORWARD, WAITING, ...), field the
     cue field, and cleanings each robot's count of boundaries spent
-    cleaning. series has one metrics row per whole second, and snapshots
-    copies of the field by second. An observer copies what it keeps and
-    mutates nothing.
+    cleaning. series has one metrics row per whole second. An observer
+    copies what it keeps and mutates nothing.
     """
 
     t: int
@@ -293,7 +298,6 @@ class World:
     field: np.ndarray
     series: MetricsSeries
     cleanings: np.ndarray
-    snapshots: dict[int, np.ndarray]
 
 
 def _place_robots(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
@@ -363,25 +367,18 @@ def _separate_overlaps(x: np.ndarray, y: np.ndarray, config: SimConfig, geom: Pa
     return True
 
 
-def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> World:
+def run_simulation(config: SimConfig, observer=None) -> World:
     """Run one full simulation; deterministic for a fixed config.
 
     RNG streams are derived from the seed with a fixed splitting rule:
     substream [seed, 0] drives placement, substream [seed, i + 1] drives
     robot i, so each robot's behavior is independent of the swarm size.
-    `snapshot_times` are whole seconds (0..duration inclusive, integers) at
-    which a copy of the field is kept; any other time is a ConfigError.
-    `observer(world)` is called at every whole-second boundary, 0 to
-    duration_s, with the same World that the run returns.
+    `observer(world)` is called at every whole second, 0 to duration_s,
+    with the same World that the run returns: at t < duration_s after
+    that second's cleaning and metrics row, at duration_s after the last
+    tick.
     """
     config.validate()
-    snap_set = set(snapshot_times)
-    for t in snap_set:
-        if isinstance(t, bool) or not isinstance(t, numbers.Integral):
-            raise ConfigError(f"snapshot times must be whole seconds, got {t!r}")
-    outside = sorted(t for t in snap_set if not 0 <= t <= config.duration_s)
-    if outside:
-        raise ConfigError(f"snapshot times {outside} lie outside [0, {config.duration_s}] s")
     n = config.n_robots
     dt = config.dt_s
     tps = config.ticks_per_second
@@ -404,49 +401,44 @@ def run_simulation(config: SimConfig, snapshot_times=(), observer=None) -> World
     geom = PairGeometry(x, y, config)
     far_walls = _far_walls(config)
 
-    # one metrics row per whole second, written in place by at_boundary
+    # one metrics row per whole second, written in place at the top of each second
     d = config.duration_s
     series = MetricsSeries(np.arange(d, dtype=np.int64), np.empty(d), np.empty(d), np.empty(d))
-    world = World(0, xy, heading, [FORWARD] * n, cue, series, np.zeros(n, dtype=np.int64), {})
-    modes, cleanings, snapshots = world.modes, world.cleanings, world.snapshots
+    world = World(0, xy, heading, [FORWARD] * n, cue, series, np.zeros(n, dtype=np.int64))
+    modes, cleanings = world.modes, world.cleanings
     remaining = [0.0] * n
     refractory = [0.0] * n
     # ground-sensor points: left sensors in [:, :n], right sensors in [:, n:]
     sensors = np.empty((2, 2 * n))
 
-    def at_boundary(t_now: int, final: bool) -> None:
-        if not final:
-            waiting = [i for i, mode in enumerate(modes) if mode == WAITING]
-            if waiting:
-                apply_cleaning(cue, x[waiting], y[waiting])
-                cleanings[waiting] += 1
-            series.mean_cue[t_now] = mean_intensity(cue)
-            series.ratio_within_rc[t_now] = ratio_within(xy, config.cue_center, config.metric_radius_cm)
-            geom.rebuild(x, y)  # coherency reads the full triangle; the list is renewed with it
-            series.coherency_m[t_now] = coherency(geom)
-        if t_now in snap_set:
-            snapshots[t_now] = cue.copy()
-        world.t = t_now
+    for t in range(d):
+        waiting = [i for i, mode in enumerate(modes) if mode == WAITING]
+        if waiting:
+            apply_cleaning(cue, x[waiting], y[waiting])
+            cleanings[waiting] += 1
+        series.mean_cue[t] = mean_intensity(cue)
+        series.ratio_within_rc[t] = ratio_within(xy, config.cue_center, config.metric_radius_cm)
+        geom.rebuild(x, y)  # coherency reads the full triangle; the list is renewed with it
+        series.coherency_m[t] = coherency(geom)
+        world.t = t
         if observer is not None:
             observer(world)
 
-    total_ticks = config.duration_s * tps
-    for tick in range(total_ticks):
-        if tick % tps == 0:
-            at_boundary(tick // tps, final=False)
+        for _ in range(tps):
+            np.cos(heading, out=cos_sin[0])
+            np.sin(heading, out=cos_sin[1])
+            ground_sensor_points(xy, cos_sin, config.wheel_base_cm, sensors)
+            sensed = sample_many(cue, sensors[0], sensors[1]).tolist()
+            robot_contact, wall_contact = _detect_events_trig(xy, cos_sin, geom, config, far_walls)
+            n_l, n_r, turn_deg = step_fsm(
+                modes, remaining, refractory, sensed[:n], sensed[n:], robot_contact.tolist(), wall_contact.tolist(),
+                dt, robot_rngs, config,
+            )
+            integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, config, far_walls)
+            _separate_overlaps(x, y, config, geom)
 
-        np.cos(heading, out=cos_sin[0])
-        np.sin(heading, out=cos_sin[1])
-        ground_sensor_points(xy, cos_sin, config.wheel_base_cm, sensors)
-        sensed = sample_many(cue, sensors[0], sensors[1]).tolist()
-        robot_contact, wall_contact = _detect_events_trig(xy, cos_sin, geom, config, far_walls)
-        n_l, n_r, turn_deg = step_fsm(
-            modes, remaining, refractory, sensed[:n], sensed[n:], robot_contact.tolist(), wall_contact.tolist(),
-            dt, robot_rngs, config,
-        )
-        integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, config, far_walls)
-        _separate_overlaps(x, y, config, geom)
-
-    # final boundary: snapshots and observer only, no cleaning or metrics row
-    at_boundary(config.duration_s, final=True)
+    # after the last tick: the observer sees the end state, with no cleaning or metrics row
+    world.t = d
+    if observer is not None:
+        observer(world)
     return world

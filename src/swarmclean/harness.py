@@ -192,21 +192,33 @@ def derive_run_seed(base_seed: int, n_robots: int, beta: float, repetition: int)
 def cmd_run(config: SimConfig, out_dir, snapshot_times=None) -> dict:
     """Execute one run; write metrics.csv and PGM snapshots into out_dir.
 
-    Snapshot times are whole seconds in [0, duration_s]; the default times
-    are clipped to the duration, requested ones outside it are an error
-    (from `run_simulation`, before out_dir is created).
+    Snapshot times are whole seconds in [0, duration_s], copied by an
+    observer; the default times are clipped to the duration, requested
+    ones outside it are a ConfigError before the run starts.
     """
+    config.validate()
     if snapshot_times is None:
         snapshot_times = [t for t in DEFAULT_SNAPSHOT_TIMES if t <= config.duration_s]
-    result = run_simulation(config, snapshot_times=snapshot_times)
+    wanted = set(snapshot_times)
+    for t in wanted:
+        if isinstance(t, bool) or not isinstance(t, numbers.Integral):
+            raise ConfigError(f"snapshot times must be whole seconds, got {t!r}")
+    outside = sorted(t for t in wanted if not 0 <= t <= config.duration_s)
+    if outside:
+        raise ConfigError(f"snapshot times {outside} lie outside [0, {config.duration_s}] s")
+    snapshots = {}
+
+    def keep_snapshots(world) -> None:
+        if world.t in wanted:
+            snapshots[world.t] = world.field.copy()
+
+    result = run_simulation(config, observer=keep_snapshots)
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.csv")
     result.series.to_csv(metrics_path)
-    snap_paths = {}
-    for t, snap in sorted(result.snapshots.items()):
-        p = os.path.join(out_dir, f"snapshot_t{t}.pgm")
-        write_pgm(snap, p)
-        snap_paths[t] = p
+    snap_paths = {t: os.path.join(out_dir, f"snapshot_t{t}.pgm") for t in sorted(snapshots)}
+    for t, path in snap_paths.items():
+        write_pgm(snapshots[t], path)
     return {"metrics": metrics_path, "snapshots": snap_paths, "result": result}
 
 
@@ -367,17 +379,15 @@ def write_anova_csv(path, result: AnovaResult) -> None:
 def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> SweepAnalysis:
     """Reduce a sweep: per-cell median series plus ANOVA for both responses."""
     groups = load_sweep_series(sweep_dir, allow_partial=allow_partial)
-    out_dir = os.path.join(sweep_dir, "analysis")
-    os.makedirs(out_dir, exist_ok=True)
-
-    medians = {}
-    for (n, beta), series_list in sorted(groups.items()):
-        med = median_series(series_list)
-        medians[(n, beta)] = med
-        med.to_csv(os.path.join(out_dir, f"medians_{cell_name(n, beta)}.csv"))
-
+    # everything that can fail runs before the first write, so a failed analyze leaves analysis/ as it was
+    medians = {cell: median_series(series_list) for cell, series_list in sorted(groups.items())}
     anova_cue = anova_main_effects(build_observation_table(groups, "mean_cue", time_bins))
     anova_coh = anova_main_effects(build_observation_table(groups, "coherency_m", time_bins))
+
+    out_dir = os.path.join(sweep_dir, "analysis")
+    os.makedirs(out_dir, exist_ok=True)
+    for (n, beta), med in medians.items():
+        med.to_csv(os.path.join(out_dir, f"medians_{cell_name(n, beta)}.csv"))
     write_anova_csv(os.path.join(out_dir, "anova_mean_cue.csv"), anova_cue)
     write_anova_csv(os.path.join(out_dir, "anova_coherency_m.csv"), anova_coh)
     return SweepAnalysis(medians=medians, anova_mean_cue=anova_cue, anova_coherency=anova_coh)

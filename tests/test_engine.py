@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from swarmclean.controller import FORWARD, WAITING, step_fsm
 from swarmclean.engine import (
     MAX_ARENA_CM,
+    MAX_DURATION_S,
     MAX_ROBOTS,
     ConfigError,
     PairGeometry,
@@ -310,6 +311,7 @@ class TestConfigValidation:
             dict(n_robots=2.5),
             dict(n_robots=True),
             dict(duration_s=10.0),
+            dict(duration_s=MAX_DURATION_S + 1),
             dict(waiting_formula="cubic"),
             # both sides round to zero field cells
             dict(
@@ -324,6 +326,9 @@ class TestConfigValidation:
 
     def test_accepts_numpy_scalars(self):
         small_config(n_robots=np.int64(3), beta=np.float64(3.0)).validate()
+
+    def test_accepts_the_longest_duration(self):
+        small_config(duration_s=MAX_DURATION_S).validate()
 
 
 PLAUSIBLE = {
@@ -502,28 +507,6 @@ class TestRunSimulation:
         for k in range(1, len(means)):
             if means[k] != means[k - 1]:
                 assert any_waiting[k]
-
-    def test_snapshot_times_outside_the_run_rejected(self):
-        for times in ([-3, 99], [0, 6], [-1]):
-            with pytest.raises(ConfigError, match="snapshot times"):
-                run_simulation(SimConfig(duration_s=5), snapshot_times=times)
-
-    def test_snapshot_times_must_be_whole_seconds(self):
-        for times in ([2.5, 4.9], [3.0], ["3"], [True], [np.float64(2.0)]):
-            with pytest.raises(ConfigError, match="whole seconds"):
-                run_simulation(SimConfig(duration_s=5), snapshot_times=times)
-
-    def test_snapshot_times_accept_numpy_integers(self):
-        res = run_simulation(small_config(duration_s=3), snapshot_times=np.arange(4))
-        assert sorted(res.snapshots) == [0, 1, 2, 3]
-
-    def test_snapshots_at_requested_times(self):
-        cfg = small_config(duration_s=10)
-        res = run_simulation(cfg, snapshot_times=[0, 5, 10])
-        assert sorted(res.snapshots) == [0, 5, 10]
-        assert mean_intensity(res.snapshots[0]) == pytest.approx(res.series.mean_cue[0])
-        # the final snapshot reflects the end of the run, after the last row
-        assert mean_intensity(res.snapshots[10]) <= res.series.mean_cue[-1]
 
     def test_forward_speed_never_exceeds_cap(self):
         prev = {}

@@ -8,8 +8,8 @@ import pytest
 
 from swarmclean import harness
 from swarmclean.cli import main as cli_main
-from swarmclean.engine import ConfigError, SimConfig
-from swarmclean.field import read_pgm
+from swarmclean.engine import ConfigError, SimConfig, run_simulation
+from swarmclean.field import read_pgm, to_pgm_bytes
 from swarmclean.harness import (
     ExperimentPlan,
     SweepFailure,
@@ -240,6 +240,52 @@ class TestCmdRun:
         with open(out1["metrics"], "rb") as f1, open(out2["metrics"], "rb") as f2:
             assert f1.read() == f2.read()
 
+    @staticmethod
+    def refuse_to_run(monkeypatch):
+        """Replace the engine with one that records and fails every call; returns the call list."""
+        calls = []
+
+        def run(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("run_simulation was called")
+
+        monkeypatch.setattr(harness, "run_simulation", run)
+        return calls
+
+    def test_snapshot_times_outside_the_run_rejected(self, tmp_path, monkeypatch):
+        calls = self.refuse_to_run(monkeypatch)
+        out = tmp_path / "out"
+        for times in ([-3, 99], [0, 6], [-1]):
+            with pytest.raises(ConfigError, match="snapshot times"):
+                cmd_run(SimConfig(duration_s=5), out, snapshot_times=times)
+        assert not out.exists()
+        assert calls == []
+
+    def test_snapshot_times_must_be_whole_seconds(self, tmp_path, monkeypatch):
+        calls = self.refuse_to_run(monkeypatch)
+        out = tmp_path / "out"
+        for times in ([2.5, 4.9], [3.0], ["3"], [True], [np.float64(2.0)]):
+            with pytest.raises(ConfigError, match="whole seconds"):
+                cmd_run(SimConfig(duration_s=5), out, snapshot_times=times)
+        assert not out.exists()
+        assert calls == []
+
+    def test_snapshot_times_accept_numpy_integers(self, tmp_path):
+        out = cmd_run(SimConfig(n_robots=5, duration_s=3, seed=11), tmp_path / "out", snapshot_times=np.arange(4))
+        assert sorted(out["snapshots"]) == [0, 1, 2, 3]
+
+    def test_snapshots_at_requested_times(self, tmp_path):
+        cfg = SimConfig(n_robots=5, duration_s=10, seed=11)
+        seen = {}
+        run_simulation(cfg, observer=lambda world: seen.setdefault(world.t, world.field.copy()))
+        out = cmd_run(cfg, tmp_path / "out", snapshot_times=[0, 5, 10])
+        assert sorted(out["snapshots"]) == [0, 5, 10]
+        for t, path in out["snapshots"].items():
+            with open(path, "rb") as fh:
+                assert fh.read() == to_pgm_bytes(seen[t])
+        # the final snapshot is the field at the end of the run, after the last row
+        assert np.array_equal(seen[10], out["result"].field)
+
 
 class TestPlanTypes:
     @pytest.mark.parametrize(
@@ -463,6 +509,23 @@ class TestCmdAnalyze:
         analysis = cmd_analyze(out, time_bins=2)
         assert analysis.anova_mean_cue.degenerate
 
+    def test_failed_analyze_writes_nothing(self, tmp_path):
+        out = tmp_path / "sweep"
+        cmd_sweep(tiny_plan(betas=(3.0, 6.0), base_config=SimConfig(duration_s=5)), out)
+        with pytest.raises(ValueError, match="cannot form 9 bins"):
+            cmd_analyze(out, time_bins=9)
+        assert not (out / "analysis").exists()
+
+        cmd_analyze(out, time_bins=2)
+        before = {p.name: p.read_bytes() for p in (out / "analysis").iterdir()}
+        victim = out / read_manifest(out / "manifest.csv")[0].path / "metrics.csv"
+        series = MetricsSeries.from_csv(victim)
+        series.mean_cue[0] += 1.0  # moves its cell's median
+        series.to_csv(victim)
+        with pytest.raises(ValueError, match="cannot form 9 bins"):
+            cmd_analyze(out, time_bins=9)
+        assert {p.name: p.read_bytes() for p in (out / "analysis").iterdir()} == before
+
     def test_anova_csv_schema(self, tmp_path):
         out = tmp_path / "sweep"
         cmd_sweep(tiny_plan(betas=(3.0, 6.0)), out)
@@ -612,6 +675,12 @@ class TestCli:
         assert not out.exists()
         assert cli_main(["run", "--config", cfg, "--out", str(out), "--snapshot-times", "0,5"]) == 0
         assert sorted(p.name for p in out.glob("*.pgm")) == ["snapshot_t0.pgm", "snapshot_t5.pgm"]
+
+    def test_run_rejects_a_duration_too_long_to_preallocate(self, tmp_path):
+        cfg = write(tmp_path / "run.cfg", "schema_version = 1\nduration_s = 1000000000000\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_bad_snapshot_times(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", RUN_CONFIG)
