@@ -384,11 +384,7 @@ def run_simulation(config: SimConfig, observer=None) -> World:
     tps = config.ticks_per_second
 
     cue = init_circular_gradient(
-        config.arena_width_cm,
-        config.arena_height_cm,
-        config.cue_center,
-        config.cue_radius_cm,
-        config.cue_peak,
+        config.arena_width_cm, config.arena_height_cm, config.cue_center, config.cue_radius_cm, config.cue_peak
     )
 
     placement_rng = np.random.default_rng([config.seed, 0])

@@ -99,21 +99,20 @@ def mean_intensity(field: np.ndarray) -> float:
     return float(field.mean())
 
 
-def to_pgm_bytes(field: np.ndarray) -> bytes:
-    """Encode the field as a binary 8-bit grayscale PGM (P5) image.
-
-    One byte per cell, row-major, value = round(intensity) clamped to
-    [0, 255]; header is `P5\\n<w> <h>\\n255\\n`.
-    """
-    rows, cols = field.shape
-    header = f"P5\n{cols} {rows}\n255\n".encode("ascii")
-    body = np.clip(np.rint(field), 0, 255).astype(np.uint8)
-    return header + body.tobytes()
+def pgm_raster(field: np.ndarray) -> np.ndarray:
+    """The PGM pixels of the field: round(intensity) clamped to [0, 255], as uint8."""
+    return np.clip(np.rint(field), 0, 255).astype(np.uint8)
 
 
-def write_pgm(field: np.ndarray, path) -> None:
+def to_pgm_bytes(raster: np.ndarray) -> bytes:
+    """A `pgm_raster` as a binary PGM (P5): the header `P5\\n<w> <h>\\n255\\n`, then its bytes row-major."""
+    rows, cols = raster.shape
+    return f"P5\n{cols} {rows}\n255\n".encode("ascii") + raster.tobytes()
+
+
+def write_pgm(raster: np.ndarray, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(to_pgm_bytes(field))
+        fh.write(to_pgm_bytes(raster))
 
 
 def read_pgm(path) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .engine import ConfigError, SimConfig, run_simulation
-from .field import init_circular_gradient, read_pgm, write_pgm
+from .field import init_circular_gradient, pgm_raster, read_pgm, write_pgm
 from .metrics import MetricsSeries, open_atomic
 from .stats import AnovaResult, ObservationTable, anova_main_effects, bin_means, median_series
 
@@ -190,9 +190,9 @@ def derive_run_seed(base_seed: int, n_robots: int, beta: float, repetition: int)
 # --- commands -----------------------------------------------------------------
 
 def cmd_run(config: SimConfig, out_dir, snapshot_times=None) -> dict:
-    """Execute one run; write metrics.csv and PGM snapshots into out_dir.
+    """Execute one run; write metrics.csv and this run's PGM snapshots, and only those, into out_dir.
 
-    Snapshot times are whole seconds in [0, duration_s], copied by an
+    Snapshot times are whole seconds in [0, duration_s], rasterized by an
     observer; the default times are clipped to the duration, requested
     ones outside it are a ConfigError before the run starts.
     """
@@ -210,7 +210,7 @@ def cmd_run(config: SimConfig, out_dir, snapshot_times=None) -> dict:
 
     def keep_snapshots(world) -> None:
         if world.t in wanted:
-            snapshots[world.t] = world.field.copy()
+            snapshots[world.t] = pgm_raster(world.field)
 
     result = run_simulation(config, observer=keep_snapshots)
     os.makedirs(out_dir, exist_ok=True)
@@ -219,6 +219,9 @@ def cmd_run(config: SimConfig, out_dir, snapshot_times=None) -> dict:
     snap_paths = {t: os.path.join(out_dir, f"snapshot_t{t}.pgm") for t in sorted(snapshots)}
     for t, path in snap_paths.items():
         write_pgm(snapshots[t], path)
+    for name in set(os.listdir(out_dir)) - {os.path.basename(path) for path in snap_paths.values()}:
+        if name.startswith("snapshot_t") and name.endswith(".pgm"):
+            os.remove(os.path.join(out_dir, name))
     return {"metrics": metrics_path, "snapshots": snap_paths, "result": result}
 
 
@@ -404,4 +407,4 @@ def cmd_render(field_path, out_path) -> None:
         field = init_circular_gradient(
             cfg.arena_width_cm, cfg.arena_height_cm, cfg.cue_center, cfg.cue_radius_cm, cfg.cue_peak
         )
-    write_pgm(field, out_path)
+    write_pgm(pgm_raster(field), out_path)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 CSV_HEADER = "t,mean_cue,ratio_within_rc,coherency_m"
+_CSV_DTYPE = np.dtype({"names": CSV_HEADER.split(","), "formats": ["i8", "f8", "f8", "f8"]})
 
 
 @contextmanager
@@ -83,20 +84,21 @@ class MetricsSeries:
 
     @classmethod
     def from_csv(cls, path) -> "MetricsSeries":
-        with open(path, "r", newline="") as fh:
-            header = fh.readline().strip()
-            if header != CSV_HEADER:
-                raise ValueError(f"{path}: unexpected metrics header {header!r}")
-            cols = [[], [], [], []]
-            for line in fh:
-                parts = line.strip().split(",")
-                if len(parts) != 4:
-                    raise ValueError(f"{path}: malformed metrics row {line!r}")
-                for c, v in zip(cols, parts):
-                    c.append(v)
-        return cls(
-            t=np.array([int(v) for v in cols[0]], dtype=np.int64),
-            mean_cue=np.array([float(v) for v in cols[1]]),
-            ratio_within_rc=np.array([float(v) for v in cols[2]]),
-            coherency_m=np.array([float(v) for v in cols[3]]),
-        )
+        """Read a file as `to_csv` writes it; anything else raises ValueError naming the path."""
+        with open(path, "r") as fh:
+            header, _, body = fh.read().partition("\n")
+        if header.strip() != CSV_HEADER:
+            raise ValueError(f"{path}: unexpected metrics header {header.strip()!r}")
+        lines = body.removesuffix("\n").split("\n") if body else []  # one row per line
+        if "" in lines:  # loadtxt would skip a blank line silently
+            raise ValueError(f"{path}: blank line among the metrics rows")
+        # columns first: the parse's scratch is then freed from the top of the heap (analyze's peak RSS stays flat)
+        series = cls(**{name: np.empty(len(lines), _CSV_DTYPE[name]) for name in _CSV_DTYPE.names})
+        if lines:
+            try:
+                rows = np.loadtxt(lines, _CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
+            except ValueError as exc:
+                raise ValueError(f"{path}: malformed metrics row: {exc}") from exc
+            for name in _CSV_DTYPE.names:
+                getattr(series, name)[:] = rows[name]
+        return series

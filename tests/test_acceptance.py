@@ -13,8 +13,7 @@ import pytest
 from swarmclean.controller import waiting_time
 from swarmclean.engine import SimConfig, run_simulation
 from swarmclean.field import CLEAN_KERNEL, init_circular_gradient, mean_intensity
-from swarmclean.harness import ExperimentPlan, cmd_analyze, cmd_run, cmd_sweep, read_manifest
-from swarmclean.metrics import MetricsSeries
+from swarmclean.harness import ExperimentPlan, cmd_analyze, cmd_run, cmd_sweep, load_sweep_series
 from swarmclean.stats import f_tail_probability, median_series
 
 from test_stats import f_tail_trapezoid, one_factor_effect
@@ -22,13 +21,61 @@ from test_stats import f_tail_trapezoid, one_factor_effect
 WINDOW_S = 200
 
 
-def _report(number: int, name: str, ok: bool, detail: str) -> None:
-    print(f"ACCEPTANCE {number} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
+def _report(number: int, name: str, ok: bool, detail: str, margin: float | None = None) -> None:
+    shown = "" if margin is None else f"; margin {margin:.3g}"
+    print(f"ACCEPTANCE {number} {name}: {'PASS' if ok else 'FAIL'} ({detail}{shown})")
 
 
 def window_means(values: np.ndarray, width: int = WINDOW_S) -> np.ndarray:
     usable = (len(values) // width) * width
     return values[:usable].reshape(-1, width).mean(axis=1)
+
+
+def cell_medians_of(sweep_dir) -> dict:
+    """Per-cell median series of a finished sweep, keyed by (population, beta)."""
+    return {cell: median_series(runs) for cell, runs in load_sweep_series(sweep_dir).items()}
+
+
+# Criteria 1-5 each reduce the sweep to one (value, bound) pair. Every bound
+# is an upper one, so bound - value is the margin: positive while it passes.
+
+
+def final_cue_fraction(medians) -> tuple[float, float]:
+    """Criterion 1: final over initial median cue of N=30, beta=6; must stay below the bound."""
+    med = medians[(30, 6.0)]
+    return med.mean_cue[-1] / med.mean_cue[0], 0.10
+
+
+def extreme_cue_ratio(medians) -> tuple[float, float]:
+    """Criterion 2: final median cue of N=50, beta=6 over that of N=10, beta=3; at most the bound."""
+    return medians[(50, 6.0)].mean_cue[-1] / medians[(10, 3.0)].mean_cue[-1], 0.70
+
+
+def ratio_window_change(medians, n: int) -> tuple[float, float]:
+    """Criterion 3: largest change between window means of the N=n, beta=6 ratio after 2000 s; below the bound."""
+    return np.abs(np.diff(window_means(medians[(n, 6.0)].ratio_within_rc[2000:]))).max(), 0.05
+
+
+def stabilization_times(med) -> tuple[int | None, int | None]:
+    """End of the first window after which coherency, and the cue, change by less than 5% and 2%."""
+    coh_changes = np.abs(np.diff(window_means(med.coherency_m)))
+    cue_changes = np.abs(np.diff(window_means(med.mean_cue))) / med.mean_cue[0]
+    t_coh = next((WINDOW_S * (k + 1) for k, c in enumerate(coh_changes) if c < 0.05), None)
+    t_cue = next((WINDOW_S * (k + 1) for k, c in enumerate(cue_changes) if c < 0.02), None)
+    return t_coh, t_cue
+
+
+def costabilization_gap(medians) -> tuple[float, float]:
+    """Criterion 4: |t_coh - t_cue| of N=50, beta=6 in seconds, inf if either never settles; at most the bound."""
+    t_coh, t_cue = stabilization_times(medians[(50, 6.0)])
+    return (math.inf if t_coh is None or t_cue is None else abs(t_coh - t_cue)), 500.0
+
+
+def largest_anova_p(analysis) -> tuple[float, float]:
+    """Criterion 5: largest p of the time, population and speed effects on both responses; at most the bound."""
+    results = (analysis.anova_mean_cue, analysis.anova_coherency)
+    # np.max, unlike max, carries a nan p through to a failed comparison
+    return float(np.max([r.effect(name).p_value for r in results for name in ("time", "population", "speed")])), 0.05
 
 
 @pytest.fixture(scope="session")
@@ -41,19 +88,14 @@ def default_sweep(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def cell_medians(default_sweep):
-    groups: dict[tuple[int, float], list[MetricsSeries]] = {}
-    for spec in read_manifest(default_sweep / "manifest.csv"):
-        series = MetricsSeries.from_csv(default_sweep / spec.path / "metrics.csv")
-        groups.setdefault((spec.n_robots, spec.beta), []).append(series)
-    return {cell: median_series(runs) for cell, runs in groups.items()}
+    return cell_medians_of(default_sweep)
 
 
 def test_criterion_1_cue_disappearance(cell_medians):
-    med = cell_medians[(30, 6.0)]
-    initial = med.mean_cue[0]
-    final = med.mean_cue[-1]
-    ok = final < 0.10 * initial
-    _report(1, "cue disappearance", ok, f"median final cue {final:.3f} = {100 * final / initial:.1f}% of initial")
+    fraction, bound = final_cue_fraction(cell_medians)
+    ok = fraction < bound
+    detail = f"median final cue {100 * fraction:.1f}% of initial < {100 * bound:g}%"
+    _report(1, "cue disappearance", ok, detail, bound - fraction)
     assert ok
 
 
@@ -61,14 +103,16 @@ def test_criterion_2_population_and_speed_ordering(cell_medians):
     final = {cell: med.mean_cue[-1] for cell, med in cell_medians.items()}
     ok_pop = all(final[(50, b)] <= final[(30, b)] <= final[(10, b)] for b in (3.0, 6.0))
     ok_speed = all(final[(n, 6.0)] <= final[(n, 3.0)] for n in (10, 20, 30, 40, 50))
-    best, worst = final[(50, 6.0)], final[(10, 3.0)]
-    ok_gap = best <= 0.7 * worst
+    ratio, bound = extreme_cue_ratio(cell_medians)
+    ok_gap = ratio <= bound
     ok = ok_pop and ok_speed and ok_gap
     _report(
         2,
         "population/speed ordering",
         ok,
-        f"pop ordering {ok_pop}, speed ordering {ok_speed}, extreme gap {100 * (1 - best / worst):.0f}% >= 30%",
+        f"pop ordering {ok_pop}, speed ordering {ok_speed}, "
+        f"extreme gap {100 * (1 - ratio):.0f}% >= {100 * (1 - bound):.0f}%",
+        bound - ratio,
     )
     assert ok_pop
     assert ok_speed
@@ -79,48 +123,50 @@ def test_criterion_3_ratio_shape(cell_medians):
     plateaus = {}
     ok_all = True
     details = []
+    margin = math.inf
     for n in (30, 50):
         ratio = cell_medians[(n, 6.0)].ratio_within_rc
         rises = ratio[:1000].max() > ratio[0]
-        w = window_means(ratio[2000:])
-        max_change = np.abs(np.diff(w)).max()
-        flat = max_change < 0.05
+        max_change, bound = ratio_window_change(cell_medians, n)
+        flat = max_change < bound
+        margin = min(margin, bound - max_change)
         plateaus[n] = ratio[2000:].mean()
         ok_all = ok_all and rises and flat
         details.append(f"N={n}: rises {rises}, max window change {max_change:.3f}")
     ordered = plateaus[50] <= plateaus[30]
     ok_all = ok_all and ordered
     details.append(f"plateau N50 {plateaus[50]:.3f} <= N30 {plateaus[30]:.3f}: {ordered}")
-    _report(3, "ratio-near-center shape", ok_all, "; ".join(details))
+    _report(3, "ratio-near-center shape", ok_all, "; ".join(details), margin)
     assert ok_all
 
 
 def test_criterion_4_coherency_costabilization(cell_medians):
-    med = cell_medians[(50, 6.0)]
-    coh_changes = np.abs(np.diff(window_means(med.coherency_m)))
-    cue_changes = np.abs(np.diff(window_means(med.mean_cue))) / med.mean_cue[0]
-    t_coh = next((WINDOW_S * (k + 1) for k, c in enumerate(coh_changes) if c < 0.05), None)
-    t_cue = next((WINDOW_S * (k + 1) for k, c in enumerate(cue_changes) if c < 0.02), None)
-    ok = t_coh is not None and t_cue is not None and abs(t_coh - t_cue) <= 500
-    _report(4, "coherency co-stabilization", ok, f"coherency stable at {t_coh} s, cue stable at {t_cue} s")
+    t_coh, t_cue = stabilization_times(cell_medians[(50, 6.0)])
+    gap, bound = costabilization_gap(cell_medians)
+    ok = gap <= bound
+    detail = f"coherency stable at {t_coh} s, cue stable at {t_cue} s"
+    _report(4, "coherency co-stabilization", ok, detail, bound - gap)
     assert ok
 
 
 def test_criterion_5_anova_significance(default_sweep):
     analysis = cmd_analyze(default_sweep)
     results = {"cue": analysis.anova_mean_cue, "coherency": analysis.anova_coherency}
-    ok_sig = all(
-        result.effect(name).p_value <= 0.05
-        for result in results.values()
-        for name in ("time", "population", "speed")
-    )
+    largest_p, bound = largest_anova_p(analysis)
+    ok_sig = largest_p <= bound
     coh = results["coherency"]
     ok_order = coh.effect("population").f_value > coh.effect("time").f_value
     ok = ok_sig and ok_order
     fs = {
         label: {e.name: round(e.f_value, 2) for e in result.effects} for label, result in results.items()
     }
-    _report(5, "ANOVA significance", ok, f"all p<=0.05 {ok_sig}, coherency F pop>time {ok_order}, F {fs}")
+    _report(
+        5,
+        "ANOVA significance",
+        ok,
+        f"all p<=0.05 {ok_sig}, coherency F pop>time {ok_order}, F {fs}",
+        bound - largest_p,
+    )
     assert ok_sig
     assert ok_order
 

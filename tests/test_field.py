@@ -10,6 +10,7 @@ from swarmclean.field import (
     apply_cleaning,
     init_circular_gradient,
     mean_intensity,
+    pgm_raster,
     read_pgm,
     sample_many,
     to_pgm_bytes,
@@ -264,25 +265,34 @@ class TestMeanIntensity:
 
 class TestPgm:
     def test_header_and_size(self):
-        data = to_pgm_bytes(fresh_field())
+        data = to_pgm_bytes(pgm_raster(fresh_field()))
         assert data.startswith(b"P5\n285 285\n255\n")
         assert len(data) == len(b"P5\n285 285\n255\n") + 285 * 285
 
     def test_center_pixel_is_255(self):
-        data = to_pgm_bytes(fresh_field())
+        data = to_pgm_bytes(pgm_raster(fresh_field()))
         raster = data[len(b"P5\n285 285\n255\n") :]
         assert raster[142 * 285 + 142] == 255
 
     def test_values_rounded(self):
         f = np.zeros((2, 3))
         f[:] = [[0.4, 1.5, 254.6], [200.49, 0.0, 255.0]]
-        raster = to_pgm_bytes(f)[len(b"P5\n3 2\n255\n") :]
+        raster = to_pgm_bytes(pgm_raster(f))[len(b"P5\n3 2\n255\n") :]
         assert list(raster) == [0, 2, 255, 200, 0, 255]
+
+    def test_raster_is_the_clamped_rounded_field_in_one_byte_per_cell(self):
+        f = fresh_field()
+        f[0, :3] = [-4.0, 255.5, 300.0]
+        raster = pgm_raster(f)
+        assert raster.dtype == np.uint8 and raster.shape == f.shape
+        assert list(raster[0, :3]) == [0, 255, 255]
+        assert np.array_equal(raster, np.clip(np.rint(f), 0, 255))
+        assert raster.nbytes * 8 == f.nbytes
 
     def test_roundtrip(self, tmp_path):
         f = fresh_field()
         path = tmp_path / "snap.pgm"
-        write_pgm(f, path)
+        write_pgm(pgm_raster(f), path)
         back = read_pgm(path)
         assert back.shape == f.shape
         assert np.array_equal(back, np.rint(f))

@@ -9,7 +9,7 @@ import pytest
 from swarmclean import harness
 from swarmclean.cli import main as cli_main
 from swarmclean.engine import ConfigError, SimConfig, run_simulation
-from swarmclean.field import read_pgm, to_pgm_bytes
+from swarmclean.field import pgm_raster, read_pgm, to_pgm_bytes
 from swarmclean.harness import (
     ExperimentPlan,
     SweepFailure,
@@ -282,9 +282,15 @@ class TestCmdRun:
         assert sorted(out["snapshots"]) == [0, 5, 10]
         for t, path in out["snapshots"].items():
             with open(path, "rb") as fh:
-                assert fh.read() == to_pgm_bytes(seen[t])
+                assert fh.read() == to_pgm_bytes(pgm_raster(seen[t]))
         # the final snapshot is the field at the end of the run, after the last row
         assert np.array_equal(seen[10], out["result"].field)
+
+    def test_run_without_snapshots_clears_earlier_ones(self, tmp_path):
+        out = tmp_path / "out"
+        cmd_run(SimConfig(n_robots=5, duration_s=3, seed=0), out, snapshot_times=[0, 3])
+        cmd_run(SimConfig(n_robots=5, duration_s=3, seed=0), out, snapshot_times=())
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.csv"]
 
 
 class TestPlanTypes:
@@ -569,6 +575,21 @@ class TestCli:
         code = cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 0
         assert "metrics.csv" in capsys.readouterr().out
+
+    def test_reused_out_dir_keeps_no_stale_snapshot(self, tmp_path):
+        cfg = write(tmp_path / "run.cfg", RUN_CONFIG.replace("duration_s = 8", "duration_s = 6"))
+        out = tmp_path / "out"
+        (out / "notes").mkdir(parents=True)
+        (out / "snapshot_t5.txt").write_text("kept")
+        assert cli_main(["run", "--config", cfg, "--snapshot-times", "0,5", "--out", str(out)]) == 0
+        assert (out / "snapshot_t5.pgm").exists()
+        assert cli_main(["run", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.csv", "notes", "snapshot_t0.pgm", "snapshot_t5.txt"]
+        # what is left is the second run's output alone
+        fresh = tmp_path / "fresh"
+        assert cli_main(["run", "--config", cfg, "--seed", "3", "--out", str(fresh)]) == 0
+        for name in ("metrics.csv", "snapshot_t0.pgm"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_run_seed_override_changes_output(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", RUN_CONFIG)

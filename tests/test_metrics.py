@@ -1,10 +1,15 @@
+import re
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmclean.engine import PairGeometry, SimConfig
-from swarmclean.metrics import MetricsSeries, ratio_within
+from swarmclean.metrics import CSV_HEADER, MetricsSeries, ratio_within
 from swarmclean.metrics import coherency as coherency_of_geometry
 
 
@@ -179,3 +184,96 @@ class TestMetricsSeries:
             s.to_csv(p)
         assert p.read_bytes() == before
         assert list(tmp_path.iterdir()) == [p]
+
+    def test_header_only_file_is_an_empty_series(self, tmp_path):
+        # what a run of duration 0 writes
+        p = tmp_path / "m.csv"
+        MetricsSeries(*(np.empty(0, dtype) for dtype in (np.int64, np.float64, np.float64, np.float64))).to_csv(p)
+        assert p.read_text() == CSV_HEADER + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = MetricsSeries.from_csv(p)
+        assert len(s) == 0
+        assert s.t.dtype == np.int64
+        assert s.mean_cue.dtype == s.ratio_within_rc.dtype == s.coherency_m.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "body, t, mean_cue",
+        [
+            ("0,1.5,2,3\n", [0], [1.5]),  # one row still gives 1-d columns
+            ("0,1.5,2,3", [0], [1.5]),  # no newline after the last row
+            ("+3,1,2,3\n -4 ,1.5 ,2,3\n", [3, -4], [1.0, 1.5]),  # what int() and float() accept around a number
+            ("0,inf,-Infinity,NaN\r\n1,-0.0,5e-324,1e308\r\n", [0, 1], [np.inf, -0.0]),  # CRLF line ends
+        ],
+    )
+    def test_accepted_rows(self, tmp_path, body, t, mean_cue):
+        p = tmp_path / "m.csv"
+        p.write_bytes((CSV_HEADER + "\n" + body).encode("ascii"))
+        s = MetricsSeries.from_csv(p)
+        assert s.t.tolist() == t and s.t.dtype == np.int64
+        assert np.array_equal(s.mean_cue, mean_cue)
+        for column in (s.t, s.mean_cue, s.ratio_within_rc, s.coherency_m):
+            assert column.flags.c_contiguous and column.flags.owndata
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("time,cue\n0,1\n", id="foreign header"),
+            pytest.param("", id="empty file"),
+            pytest.param(CSV_HEADER + "\n0,1,2\n", id="short row"),
+            pytest.param(CSV_HEADER + "\n0,1,2,3,4\n", id="long row"),
+            pytest.param(CSV_HEADER + "\n0,1,2,3,\n", id="trailing comma"),
+            pytest.param(CSV_HEADER + "\n0,1,2,3\n1,2,3\n", id="ragged pair, short second"),
+            pytest.param(CSV_HEADER + "\n0,1,2\n1,2,3,4\n", id="ragged pair, short first"),
+            pytest.param(CSV_HEADER + "\n0,,2,3\n", id="empty float cell"),
+            pytest.param(CSV_HEADER + "\n,1,2,3\n", id="empty t cell"),
+            pytest.param(CSV_HEADER + "\n0,abc,2,3\n", id="non-numeric cell"),
+            pytest.param(CSV_HEADER + "\n3.0,1,2,3\n", id="t of 3.0"),
+            pytest.param(CSV_HEADER + "\n3.5,1,2,3\n", id="t of 3.5"),
+            pytest.param(CSV_HEADER + "\n1e3,1,2,3\n", id="t of 1e3"),
+            pytest.param(CSV_HEADER + "\n0,1#,2,3\n", id="hash in a row"),
+            pytest.param(CSV_HEADER + "\n0,1,2,3\n#1,2,3,4\n", id="hash-commented row"),
+            pytest.param(CSV_HEADER + "\n0,1,2,3\n\n1,2,3,4\n", id="blank line in the middle"),
+            pytest.param(CSV_HEADER + "\n0,1,2,3\n\n", id="blank line at the end"),
+            pytest.param(CSV_HEADER + "\n\n0,1,2,3\n", id="blank line after the header"),
+            pytest.param(CSV_HEADER + "\n\n", id="blank line alone"),
+            pytest.param(CSV_HEADER + "\n0,1,2,3\n  \n1,2,3,4\n", id="whitespace-only line"),
+            pytest.param(CSV_HEADER + "\n1_0,1,2,3\n", id="underscore in t"),
+            pytest.param(CSV_HEADER + "\n0,1_0,2,3\n", id="underscore in a float"),
+            pytest.param(CSV_HEADER + "\n99999999999999999999,1,2,3\n", id="t beyond int64"),
+        ],
+    )
+    def test_rejected_files_name_the_path(self, tmp_path, text):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(text.encode("ascii"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(str(p))):
+                MetricsSeries.from_csv(p)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-(2**63), 2**63 - 1), st.floats(), st.floats(), st.floats()),
+            max_size=40,
+        )
+    )
+    @example([(0, float("nan"), float("inf"), float("-inf"))])
+    @example([(1, 0.0, -0.0, 5e-324), (2, 2.2250738585072014e-308, -2.225073858507201e-308, 1e-300)])
+    @example([(3, 1.7976931348623157e308, -1.7976931348623157e308, 1e300)])
+    @example([(4, 0.1 + 0.2, 2.0000000000000004, 1 / 3), (5, 9007199254740993.0, 123456789.12345679, 1e22)])
+    @settings(max_examples=150, deadline=None)
+    def test_roundtrip_matches_python_float_bit_for_bit(self, rows):
+        cols = list(zip(*rows)) or [()] * 4
+        s = MetricsSeries(np.array(cols[0], dtype=np.int64), *(np.array(c, dtype=np.float64) for c in cols[1:]))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.csv"), Path(tmp, "b.csv")
+            s.to_csv(first)
+            back = MetricsSeries.from_csv(first)
+            back.to_csv(second)
+            assert first.read_bytes() == second.read_bytes()
+            # reference: the cells as Python's int() and float() read them
+            cells = [line.split(",") for line in first.read_text().splitlines()[1:]]
+        assert back.t.tolist() == [int(c[0]) for c in cells]
+        for k, column in enumerate((back.mean_cue, back.ratio_within_rc, back.coherency_m), start=1):
+            expected = np.array([float(c[k]) for c in cells], dtype=np.float64)
+            assert column.tobytes() == expected.tobytes()
