@@ -26,6 +26,7 @@ WHEEL_UNIT_CM_S = 4.0 / 3.0
 
 TWO_PI = 2.0 * math.pi
 DEG_TO_RAD = math.pi / 180.0
+_SENSOR_SIGNS = np.array([[[-1.0], [1.0]], [[1.0], [-1.0]]])  # (axis, side, 1): signs of the ground-sensor offsets
 
 # validation bounds: floats are finite and at most MAX_MAGNITUDE in size,
 # strictly positive quantities at least MIN_POSITIVE; the field holds one
@@ -141,11 +142,9 @@ def ground_sensor_points(xy, cos_sin, wheel_base_cm, out) -> None:
     heading: left sensors go to out[:, :n], right sensors to out[:, n:].
     xy and cos_sin are (2, N): positions, and cos/sin of the headings.
     """
-    n = xy.shape[1]
-    off = (0.5 * wheel_base_cm) * cos_sin[::-1]
-    np.negative(off[0], out=off[0])  # (-h sin, h cos) with h = wheel_base/2
-    np.add(xy, off, out=out[:, :n])
-    np.subtract(xy, off, out=out[:, n:])
+    # left offsets (-h sin, h cos) and right ones (h sin, -h cos), h = wheel_base/2, in one broadcast
+    signed_h = (0.5 * wheel_base_cm) * _SENSOR_SIGNS
+    np.add(xy[:, None], signed_h * cos_sin[::-1, None], out=out.reshape(2, 2, xy.shape[1], copy=False))
 
 
 def wrap_angle(theta):
@@ -160,7 +159,7 @@ def _far_walls(config: SimConfig) -> np.ndarray:
     return np.array([[config.arena_width_cm - r], [config.arena_height_cm - r]])
 
 
-def integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt: float, config: SimConfig, far_walls) -> None:
+def integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt: float, config: SimConfig, far_walls, clamp=True) -> None:
     """One explicit-Euler step of the unicycle model for every robot, in place.
 
     xy (2, N) and heading (N,) are updated; cos_sin holds the cos and sin
@@ -168,7 +167,7 @@ def integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt: float, config: SimCo
     of WHEEL_UNIT_CM_S * (n_l + n_r) / 2 cm/s and a yaw rate of
     WHEEL_UNIT_CM_S * (n_r - n_l) / wheel_base rad/s. A nonzero turn_deg
     then rotates the robot in place; positions are clamped to the arena,
-    whose far walls are `_far_walls(config)`.
+    whose far walls are `_far_walls(config)`, unless clamp is False.
     """
     n_l, n_r = np.array((n_l, n_r), dtype=np.float64)
     v = WHEEL_UNIT_CM_S * 0.5 * (n_l + n_r)
@@ -180,12 +179,13 @@ def integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt: float, config: SimCo
         # low bits of many headings already in (-pi, pi]
         turn = np.array(turn_deg, dtype=np.float64)
         np.copyto(heading, wrap_angle(heading + turn * DEG_TO_RAD), where=turn != 0.0)
-    np.maximum(xy, config.body_radius_cm, out=xy)
-    np.minimum(xy, far_walls, out=xy)
+    if clamp:
+        np.maximum(xy, config.body_radius_cm, out=xy)
+        np.minimum(xy, far_walls, out=xy)
 
 
 class PairGeometry:
-    """A Verlet neighbour list: the robot pairs that can be in contact, and their squared distances.
+    """A Verlet neighbour list: the robot pairs that can be in contact, their squared distances, and the walls.
 
     `pairs` (2, P) lists, row by row, the pairs i < j whose centers lay
     within cutoff + skin at the last rebuild (Verlet 1967; Allen &
@@ -201,56 +201,70 @@ class PairGeometry:
     skin, no pair can have closed from beyond cutoff + skin to within
     cutoff, so every pair within cutoff is listed. `track` rebuilds once
     the bound passes half the skin; the engine also rebuilds at every whole
-    second, so the integrate steps alone never do.
+    second, so the integrate steps alone never do. The walls are neighbours
+    too: `wall_gap` is the smallest distance, at the rebuild, from a center
+    to the nearest position it can reach along either axis, and the same
+    bound lets `clears_walls` rule out every wall contact.
 
-    Every squared distance is (x[j] - x[i])**2 + (y[j] - y[i])**2 over a
-    (2, P) index array. A rebuild evaluates it over every pair i < j, row
-    by row, as `upper_d2`, which `coherency` reads; between rebuilds only
-    `pair_d2`, over the listed pairs, is updated. It always belongs to the
-    poses last tracked.
+    Every squared distance is d * d summed over both axes, with d = xy[:, j]
+    - xy[:, i] gathered by one `take` over a (2, P) index array. A rebuild
+    evaluates it over every pair i < j, row by row, as `upper_d2`, which
+    `coherency` reads; between rebuilds only `pair_d2`, over the listed
+    pairs, is updated. It always belongs to the poses last tracked.
     """
 
     __slots__ = (
-        "upper_d2", "pairs", "pair_d2", "ticks", "drift",
-        "_all_pairs", "_rebuilt_xy", "_tick_travel", "_half_skin", "_reach2",
+        "upper_d2", "pairs", "pair_d2", "ticks", "drift", "wall_gap",
+        "_all_pairs", "_rebuilt_xy", "_tick_travel", "_half_skin", "_reach2", "_body_r", "_far_walls",
     )
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, config: SimConfig):
+    def __init__(self, xy: np.ndarray, config: SimConfig):
         self._tick_travel = WHEEL_UNIT_CM_S * config.wheel_max * config.dt_s
         # ticks * tick_travel, not a running sum, so a second of integrate steps lands on it exactly
         self._half_skin = config.ticks_per_second * self._tick_travel
         cutoff = max(config.contact_range_cm, 2.0 * config.body_radius_cm)
         self._reach2 = (cutoff + 2.0 * self._half_skin) ** 2
-        self._all_pairs = np.array(np.triu_indices(len(x), k=1))
-        self.rebuild(x, y)
+        self._all_pairs = np.array(np.triu_indices(xy.shape[1], k=1))
+        self._body_r, self._far_walls = config.body_radius_cm, _far_walls(config)
+        self.rebuild(xy)
 
     @staticmethod
-    def _d2(x: np.ndarray, y: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-        i, j = pairs
-        return (x[j] - x[i]) ** 2 + (y[j] - y[i]) ** 2
+    def _d2(xy: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        d = xy.take(pairs, axis=1)  # (axis, end, pair)
+        d = d[:, 1] - d[:, 0]
+        d *= d
+        return d[0] + d[1]
 
-    def rebuild(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Every pair's squared distance at the poses x, y, and the list of the pairs within cutoff + skin."""
-        self.upper_d2 = self._d2(x, y, self._all_pairs)
+    def rebuild(self, xy: np.ndarray) -> None:
+        """Every pair's squared distance at the poses xy, the pairs within cutoff + skin, and the wall gap."""
+        self.upper_d2 = self._d2(xy, self._all_pairs)
         near = self.upper_d2 <= self._reach2
         self.pairs = self._all_pairs.compress(near, axis=1)
         self.pair_d2 = self.upper_d2[near]
-        self._rebuilt_xy = np.array((x, y))
+        self._rebuilt_xy = xy.copy()
+        self.wall_gap = float(np.minimum(xy - self._body_r, self._far_walls - xy).min(initial=np.inf))
         self.ticks = 0
         self.drift = 0.0
 
-    def track(self, x: np.ndarray, y: np.ndarray, pushed: bool = False) -> None:
-        """Bring pair_d2 to the poses x, y, one integrate step on; with pushed=True, any move, and measure the drift."""
+    def track(self, xy: np.ndarray, pushed: bool = False) -> None:
+        """Bring pair_d2 to the poses xy, one integrate step on; with pushed=True, any move, and measure the drift."""
         if pushed:
-            rx, ry = self._rebuilt_xy
-            self.drift = float(np.hypot(x - rx, y - ry).max())
+            self.drift = float(np.hypot(*(xy - self._rebuilt_xy)).max())
             self.ticks = 0
         else:
             self.ticks += 1
         if self.drift + self.ticks * self._tick_travel > self._half_skin:
-            self.rebuild(x, y)
+            self.rebuild(xy)
         else:
-            self.pair_d2 = self._d2(x, y, self.pairs)
+            self.pair_d2 = self._d2(xy, self.pairs)
+
+    def clears_walls(self, reach: float, ticks_ahead: int = 0) -> bool:
+        """True when no center can be within reach of the positions nearest a wall, ticks_ahead integrate steps on."""
+        moved = self.drift + (self.ticks + ticks_ahead) * self._tick_travel
+        # margin: a position is at most MAX_ARENA_CM in size and each tick's add rounds it by at most
+        # 1.1e-16 of that, over at most 1e6 ticks a rebuild (dt_s >= 1e-6); with the rounding of the steps,
+        # wall_gap and moved, that stays below 1.2e-10 * MAX_ARENA_CM + 1e-15 * moved, well inside this
+        return self.wall_gap - moved > reach + 1e-9 * (1.0 + MAX_ARENA_CM + moved)
 
 
 def _detect_events_trig(xy, cos_sin, geom, config, far_walls):
@@ -259,18 +273,21 @@ def _detect_events_trig(xy, cos_sin, geom, config, far_walls):
     Robot contact: another center within contact_range and inside the
     frontal +/-90 degree arc (the state machine ignores it while the
     robot is refractory). Wall contact: body edge closer than wall_range
-    to a wall that lies in the frontal arc; far_walls is `_far_walls(config)`.
+    to a wall that lies in the frontal arc, unless `geom` clears the walls;
+    far_walls is `_far_walls(config)`.
     """
     x, y = xy
     cos_t, sin_t = cos_sin
     robot_contact = np.zeros(len(x), dtype=bool)
     near = geom.pair_d2 <= config.contact_range_cm**2
-    if near.any():
+    if np.count_nonzero(near):
         # both directions of every pair in range, in one frontal test
         in_range = geom.pairs.compress(near, axis=1)
         ii, jj = in_range.ravel(), in_range[::-1].ravel()
         frontal = cos_t[ii] * (x[jj] - x[ii]) + sin_t[ii] * (y[jj] - y[ii]) >= 0.0
         robot_contact[ii[frontal]] = True
+    if geom.clears_walls(config.wall_range_cm):
+        return robot_contact, np.zeros(len(x), dtype=bool)
 
     # rows: x and the vertical walls, y and the horizontal walls
     r = config.body_radius_cm
@@ -328,8 +345,8 @@ def _place_robots(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
     return xy
 
 
-def _separate_overlaps(x: np.ndarray, y: np.ndarray, config: SimConfig, geom: PairGeometry) -> bool:
-    """Push apart robot pairs whose bodies interpenetrate, in place.
+def _separate_overlaps(xy: np.ndarray, config: SimConfig, geom: PairGeometry) -> bool:
+    """Push apart robot pairs whose bodies interpenetrate, in place in the (2, N) poses xy.
 
     The poses arrive one `integrate` step after `geom` last saw them, and
     inside the walls (`integrate` clamps them), so only the moved robots
@@ -337,13 +354,14 @@ def _separate_overlaps(x: np.ndarray, y: np.ndarray, config: SimConfig, geom: Pa
     the next tick's contact detection reads the geometry of the current
     poses. Returns True when any position changed.
     """
-    geom.track(x, y)
+    geom.track(xy)
     min_d = 2.0 * config.body_radius_cm
     overlap = geom.pair_d2 < min_d * min_d
-    if not overlap.any():
+    if not np.count_nonzero(overlap):
         return False
     overlapping = geom.pairs.compress(overlap, axis=1)
     ii, jj = overlapping
+    x, y = xy
     xs, ys = x.tolist(), y.tolist()  # Python floats: same arithmetic, cheaper per element
     for i, j in zip(ii.tolist(), jj.tolist()):
         d = math.hypot(xs[j] - xs[i], ys[j] - ys[i])
@@ -363,7 +381,7 @@ def _separate_overlaps(x: np.ndarray, y: np.ndarray, config: SimConfig, geom: Pa
     hi_y = config.arena_height_cm - r
     x[moved] = [min(max(xs[k], r), hi_x) for k in moved]
     y[moved] = [min(max(ys[k], r), hi_y) for k in moved]
-    geom.track(x, y, pushed=True)
+    geom.track(xy, pushed=True)
     return True
 
 
@@ -394,7 +412,7 @@ def run_simulation(config: SimConfig, observer=None) -> World:
     heading = placement_rng.uniform(-math.pi, math.pi, size=n)
     cos_sin = np.empty((2, n))
     robot_rngs = [np.random.default_rng([config.seed, i + 1]) for i in range(n)]
-    geom = PairGeometry(x, y, config)
+    geom = PairGeometry(xy, config)
     far_walls = _far_walls(config)
 
     # one metrics row per whole second, written in place at the top of each second
@@ -414,7 +432,7 @@ def run_simulation(config: SimConfig, observer=None) -> World:
             cleanings[waiting] += 1
         series.mean_cue[t] = mean_intensity(cue)
         series.ratio_within_rc[t] = ratio_within(xy, config.cue_center, config.metric_radius_cm)
-        geom.rebuild(x, y)  # coherency reads the full triangle; the list is renewed with it
+        geom.rebuild(xy)  # coherency reads the full triangle; the list is renewed with it
         series.coherency_m[t] = coherency(geom)
         world.t = t
         if observer is not None:
@@ -430,8 +448,8 @@ def run_simulation(config: SimConfig, observer=None) -> World:
                 modes, remaining, refractory, sensed[:n], sensed[n:], robot_contact.tolist(), wall_contact.tolist(),
                 dt, robot_rngs, config,
             )
-            integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, config, far_walls)
-            _separate_overlaps(x, y, config, geom)
+            integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, config, far_walls, not geom.clears_walls(0.0, 1))
+            _separate_overlaps(xy, config, geom)
 
     # after the last tick: the observer sees the end state, with no cleaning or metrics row
     world.t = d

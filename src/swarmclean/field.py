@@ -8,6 +8,8 @@ the waiting state; nothing ever raises a cell.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 # Cleaning kernel: decrement(p, q) = 8 - sqrt(p^2 + q^2) for cell offsets
@@ -16,6 +18,8 @@ import numpy as np
 KERNEL_REACH = 4
 _KERNEL_OFFSETS = np.arange(-KERNEL_REACH, KERNEL_REACH + 1)
 CLEAN_KERNEL = 8.0 - np.sqrt(_KERNEL_OFFSETS[:, None] ** 2 + _KERNEL_OFFSETS[None, :] ** 2)
+# one PGM header token after any whitespace and '#' comments (to the line end), possessive: no backtracking
+_PGM_TOKEN = rb"(?:\s|#[^\n]*+)*+([^\s#]\S*)"
 
 
 def init_circular_gradient(
@@ -66,7 +70,7 @@ def sample_many(field: np.ndarray, xs_cm: np.ndarray, ys_cm: np.ndarray) -> np.n
     inside = (c.view(np.uintp) < cols) & (r.view(np.uintp) < rows)
     r *= cols
     r += c
-    out = np.take(field, r, mode="clip")
+    out = field.take(r, mode="clip")
     out *= inside  # cells are finite and >= 0, so outside points read +0.0
     return out
 
@@ -116,29 +120,27 @@ def write_pgm(raster: np.ndarray, path) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Load a P5 PGM written by `write_pgm` back into a field."""
+    """Load a P5 PGM written by `write_pgm` back into its uint8 raster; a malformed file raises ValueError naming it."""
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
+    tokens, pos = [], 0
+    for _ in range(4):
+        token = re.compile(_PGM_TOKEN).match(data, pos)  # compiled on first use, then cached by re
+        if token is None:
+            raise ValueError(f"{path}: truncated PGM header")
+        tokens.append(token[1])
+        pos = token.end()
     if tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
-    cols, rows, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        cols, rows, maxval = (int(token) for token in tokens[1:])
+    except ValueError:
+        raise ValueError(f"{path}: malformed PGM header {b' '.join(tokens)!r}") from None
     if cols <= 0 or rows <= 0:
         raise ValueError(f"{path}: image dimensions must be positive, got {cols} x {rows}")
     if maxval != 255:
         raise ValueError(f"{path}: expected 8-bit PGM, got maxval {maxval}")
     pos += 1  # single whitespace byte after the header
-    raster = np.frombuffer(data, dtype=np.uint8, count=rows * cols, offset=pos)
-    return raster.reshape(rows, cols).astype(np.float64)
+    if len(data) - pos < rows * cols:
+        raise ValueError(f"{path}: truncated raster, {max(len(data) - pos, 0)} of {rows * cols} bytes")
+    return np.frombuffer(data, dtype=np.uint8, count=rows * cols, offset=pos).reshape(rows, cols)

@@ -248,20 +248,16 @@ def read_manifest(path) -> list[RunSpec]:
         header = fh.readline().strip()
         if header != MANIFEST_HEADER:
             raise ConfigError(f"{path}: unexpected manifest header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
-            if len(parts) != 6:
-                raise ConfigError(f"{path}: malformed manifest row {line!r}")
-            runs.append(
-                RunSpec(
-                    n_robots=int(parts[0]),
-                    beta=float(parts[1]),
-                    repetition=int(parts[2]),
-                    seed=int(parts[3]),
-                    path=parts[4],
-                    status=parts[5],
-                )
-            )
+            try:
+                # int() and float() accept digit separators such as 1_0, which write_manifest never writes
+                if len(parts) != 6 or any("_" in cell for cell in parts[:4]):
+                    raise ValueError("expected n_robots, beta, repetition, seed, path, status")
+                n_robots, beta, repetition, seed = int(parts[0]), float(parts[1]), int(parts[2]), int(parts[3])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: malformed manifest row {line.strip()!r} ({exc})") from None
+            runs.append(RunSpec(n_robots, beta, repetition, seed, path=parts[4], status=parts[5]))
     return runs
 
 
@@ -401,10 +397,10 @@ def cmd_render(field_path, out_path) -> None:
     with open(field_path, "rb") as fh:
         magic = fh.read(2)
     if magic == b"P5":
-        field = read_pgm(field_path)
+        raster = read_pgm(field_path)
     else:
         cfg = load_run_config(field_path)
-        field = init_circular_gradient(
+        raster = pgm_raster(init_circular_gradient(
             cfg.arena_width_cm, cfg.arena_height_cm, cfg.cue_center, cfg.cue_radius_cm, cfg.cue_peak
-        )
-    write_pgm(pgm_raster(field), out_path)
+        ))
+    write_pgm(raster, out_path)

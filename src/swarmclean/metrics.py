@@ -62,7 +62,7 @@ def coherency(geom) -> float:
 
 @dataclass
 class MetricsSeries:
-    """Column-oriented store of per-second values, one row per whole second."""
+    """Column-oriented store of per-second values, one row per whole second: t int64, the rest float64."""
 
     t: np.ndarray
     mean_cue: np.ndarray
@@ -73,14 +73,12 @@ class MetricsSeries:
         return len(self.t)
 
     def to_csv(self, path) -> None:
-        # repr() of a Python float is the shortest round-trip decimal
+        # one tolist() per column, as Python ints and floats; repr() of a float is the shortest round-trip
+        # decimal, and rows index the lists, so a short column raises IndexError where zip would drop rows
+        t, cue, ratio, coh = (c.tolist() for c in (self.t, self.mean_cue, self.ratio_within_rc, self.coherency_m))
         with open_atomic(path) as fh:
             fh.write(CSV_HEADER + "\n")
-            for i in range(len(self.t)):
-                fh.write(
-                    f"{int(self.t[i])},{float(self.mean_cue[i])!r},"
-                    f"{float(self.ratio_within_rc[i])!r},{float(self.coherency_m[i])!r}\n"
-                )
+            fh.writelines(f"{t[i]},{cue[i]!r},{ratio[i]!r},{coh[i]!r}\n" for i in range(len(t)))
 
     @classmethod
     def from_csv(cls, path) -> "MetricsSeries":

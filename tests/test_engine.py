@@ -40,8 +40,8 @@ def trig(heading):
 
 def detect_events(x, y, heading, config):
     """Contact flags from a snapshot of the poses, as the tick loop computes them."""
-    geom = PairGeometry(x, y, config)
-    return _detect_events_trig(np.stack((x, y)), trig(heading), geom, config, _far_walls(config))
+    xy = np.stack((x, y))
+    return _detect_events_trig(xy, trig(heading), PairGeometry(xy, config), config, _far_walls(config))
 
 
 # one ulp above pi: the remainder in wrap_angle rounds up to 2 pi there, and the heading must still wrap to pi

@@ -132,9 +132,9 @@ def test_dense_case_rebuilds_only_at_whole_seconds(tmp_path, monkeypatch):
     rebuilds = []
     rebuild = PairGeometry.rebuild
 
-    def counting(geom, x, y):
+    def counting(geom, xy):
         rebuilds.append(1)
-        rebuild(geom, x, y)
+        rebuild(geom, xy)
 
     monkeypatch.setattr(PairGeometry, "rebuild", counting)
     assert run_digests("dense", tmp_path) == GOLDEN["dense"]

@@ -532,6 +532,19 @@ class TestCmdAnalyze:
             cmd_analyze(out, time_bins=9)
         assert {p.name: p.read_bytes() for p in (out / "analysis").iterdir()} == before
 
+    @pytest.mark.parametrize(
+        "row",
+        ["x,6.0,0,17,N03_beta6_rep0,ok", "3,6.0,1_0,17,N03_beta6_rep0,ok", "3,6_0,0,17,N03_beta6_rep0,ok",
+         "3,6.0,0,17,N03_beta6_rep0"],
+    )
+    def test_malformed_manifest_row_names_file_and_row(self, tmp_path, capsys, row):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("n_robots,beta,repetition,seed,path,status\n3,6.0,0,17,N03_beta6_rep0,ok\n" + row + "\n")
+        with pytest.raises(ConfigError, match=f"^{manifest}:3: malformed manifest row '{row}'"):
+            read_manifest(manifest)
+        assert cli_main(["analyze", "--dir", str(tmp_path)]) == 1
+        assert f"error: {manifest}:3: malformed manifest row" in capsys.readouterr().err
+
     def test_anova_csv_schema(self, tmp_path):
         out = tmp_path / "sweep"
         cmd_sweep(tiny_plan(betas=(3.0, 6.0)), out)
@@ -657,6 +670,28 @@ class TestCli:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"\x89PNG not a field")
         assert cli_main(["render", "--field", str(bad), "--out", str(tmp_path / "o.pgm")]) == 1
+
+    def test_render_rewrites_the_raster_it_read(self, tmp_path, monkeypatch):
+        cfg = write(tmp_path / "run.cfg", RUN_CONFIG)
+        first = tmp_path / "a.pgm"
+        second = tmp_path / "b.pgm"
+        assert cli_main(["render", "--field", cfg, "--out", str(first)]) == 0
+
+        def no_raster(field):
+            raise AssertionError("a PGM input is already a raster")
+
+        monkeypatch.setattr(harness, "pgm_raster", no_raster)
+        assert cli_main(["render", "--field", str(first), "--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("cut", [b"P5\n285 28", b"P5\n2 2\n255\n\x00"])
+    def test_render_truncated_pgm_names_the_file(self, tmp_path, capsys, cut):
+        bad = tmp_path / "cut.pgm"
+        bad.write_bytes(cut)
+        out = tmp_path / "o.pgm"
+        assert cli_main(["render", "--field", str(bad), "--out", str(out)]) == 1
+        assert f"error: {bad}: truncated" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_render_corrupt_pgm_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.pgm"

@@ -16,7 +16,7 @@ from swarmclean.metrics import coherency as coherency_of_geometry
 def coherency(positions_cm):
     """Coherency of an (N, 2) array of positions, through the PairGeometry the engine keeps."""
     pos = np.asarray(positions_cm, dtype=np.float64).reshape(-1, 2)
-    return coherency_of_geometry(PairGeometry(pos[:, 0].copy(), pos[:, 1].copy(), SimConfig()))
+    return coherency_of_geometry(PairGeometry(pos.T.copy(), SimConfig()))
 
 
 def coherency_dense(positions_cm):
@@ -104,9 +104,9 @@ class TestCoherency:
     @settings(max_examples=60, deadline=None)
     def test_shared_geometry_matches_dense_bit_for_bit(self, n, seed, moved_after_fill):
         rng = np.random.default_rng(seed)
-        x = rng.uniform(4.0, 281.0, n)
-        y = rng.uniform(4.0, 281.0, n)
-        geom = PairGeometry(x, y, SimConfig())
+        xy = rng.uniform(4.0, 281.0, (2, n))
+        x, y = xy
+        geom = PairGeometry(xy, SimConfig())
         if moved_after_fill and n:
             # between boundaries the tick loop tracks the list to new poses; at the
             # boundary it rebuilds every pair's squared distance, which coherency reads
@@ -114,8 +114,8 @@ class TestCoherency:
             shift = rng.normal(size=(2, len(moved)))
             x[moved] += shift[0]
             y[moved] -= shift[1]
-            geom.track(x, y, pushed=True)
-            geom.rebuild(x, y)
+            geom.track(xy, pushed=True)
+            geom.rebuild(xy)
         assert coherency_of_geometry(geom) == coherency_dense(np.column_stack((x, y)))
 
     def test_bounded_by_arena_diagonal(self):

@@ -5,7 +5,9 @@ neighbour list that the tick loop builds at whole seconds and carries from
 tick to tick in between. The references below rebuild every pairwise offset
 from the poses on each call, as both passes did before they shared a
 geometry; the engine must agree with them bit for bit, however long the
-list has been carried.
+list has been carried. The walls are neighbours too: while the list's drift
+bound keeps every center clear of them, contact detection skips the frontal
+wall test and integration skips the wall clamp, and neither may change a bit.
 """
 import math
 
@@ -21,6 +23,7 @@ from swarmclean.engine import (
     _detect_events_trig,
     _far_walls,
     _separate_overlaps,
+    integrate,
 )
 
 CFG = SimConfig()
@@ -135,10 +138,9 @@ def swarms(draw):
             xs[i], ys[i] = xs[j] + 2 * R, ys[j]
         elif kind == "contact_range":
             xs[i], ys[i] = xs[j], ys[j] + CFG.contact_range_cm
-    x = np.clip(np.array(xs, dtype=float), R, HI)
-    y = np.clip(np.array(ys, dtype=float), R, HI)
+    xy = np.clip(np.array((xs, ys), dtype=float).reshape(2, n), R, HI)
     heading = np.array(draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n)), dtype=float)
-    return x, y, heading
+    return xy, heading
 
 
 def tick_step(x, y, heading, speed):
@@ -150,8 +152,8 @@ def tick_step(x, y, heading, speed):
 @given(swarms())
 @settings(max_examples=150, deadline=None)
 def test_shared_detection_matches_dense(swarm):
-    x, y, heading = swarm
-    got, want = detect(x, y, heading, PairGeometry(x, y, CFG))
+    xy, heading = swarm
+    got, want = detect(*xy, heading, PairGeometry(xy, CFG))
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
 
@@ -159,14 +161,15 @@ def test_shared_detection_matches_dense(swarm):
 @given(swarms(), st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_separation_leaves_geometry_of_current_poses(swarm, seed):
-    x, y, _ = swarm
+    xy, _ = swarm
+    x, y = xy
     # the list was built one integrate step earlier, at other poses
     rng = np.random.default_rng(seed)
-    before_x, before_y = x.copy(), y.copy()
-    tick_step(before_x, before_y, rng.uniform(-math.pi, math.pi, len(x)), rng.uniform(0.0, 1.0, len(x)))
-    geom = PairGeometry(before_x, before_y, CFG)
+    before = xy.copy()
+    tick_step(*before, rng.uniform(-math.pi, math.pi, len(x)), rng.uniform(0.0, 1.0, len(x)))
+    geom = PairGeometry(before, CFG)
     ref_x, ref_y = x.copy(), y.copy()
-    moved = _separate_overlaps(x, y, CFG, geom)
+    moved = _separate_overlaps(xy, CFG, geom)
     assert moved == separate_dense(ref_x, ref_y, CFG)
     assert same_bits(x, ref_x) and same_bits(y, ref_y)
     assert_geometry_of(geom, x, y)
@@ -176,14 +179,15 @@ def test_separation_leaves_geometry_of_current_poses(swarm, seed):
 @settings(max_examples=60, deadline=None)
 def test_carried_list_matches_dense(swarm, ticks, seed):
     """A list built once and carried over many ticks gives the dense passes' bits."""
-    x, y, heading = swarm
+    xy, heading = swarm
+    x, y = xy
     rng = np.random.default_rng(seed)
     speed = rng.choice([0.0, 0.5, 1.0], len(x))  # robots drive straight, most at full speed
-    geom = PairGeometry(x, y, CFG)
+    geom = PairGeometry(xy, CFG)
     for _ in range(ticks):
         tick_step(x, y, heading, speed)
         ref_x, ref_y = x.copy(), y.copy()
-        assert _separate_overlaps(x, y, CFG, geom) == separate_dense(ref_x, ref_y, CFG)
+        assert _separate_overlaps(xy, CFG, geom) == separate_dense(ref_x, ref_y, CFG)
         assert same_bits(x, ref_x) and same_bits(y, ref_y)
         assert_geometry_of(geom, x, y)
         got, want = detect(x, y, rng.uniform(-math.pi, math.pi, len(x)), geom)
@@ -193,54 +197,58 @@ def test_carried_list_matches_dense(swarm, ticks, seed):
 
 def test_tracked_distances_match_full_fill_bitwise():
     rng = np.random.default_rng(3)
-    x = rng.uniform(R, 100.0, 40)
-    y = rng.uniform(R, 100.0, 40)
+    xy = rng.uniform(R, 100.0, (2, 40))
+    x, y = xy
     x[8], y[8] = x[7] + 1.0, y[7] - 1.0
-    geom = PairGeometry(x, y, CFG)
+    geom = PairGeometry(xy, CFG)
     start_x, start_y = x.copy(), y.copy()
     moved = np.array([0, 7, 8, 39])
     x[moved] += rng.normal(size=4)
     y[moved] -= rng.normal(size=4)
     x[8], y[8] = x[7], y[7]  # coincident after the move
-    geom.track(x, y, pushed=True)
+    geom.track(xy, pushed=True)
     assert geom.drift == np.hypot(x - start_x, y - start_y).max() > 0.0  # carried, not rebuilt
     assert_geometry_of(geom, x, y)
-    assert same_bits(PairGeometry(x, y, CFG).upper_d2, dense_d2(x, y)[np.triu_indices(len(x), k=1)])
+    assert same_bits(PairGeometry(xy, CFG).upper_d2, dense_d2(x, y)[np.triu_indices(len(x), k=1)])
 
 
 HALF_SKIN = 10 * TICK_TRAVEL  # one second of the largest forward travel
 BEYOND_REACH = CUTOFF + 2 * HALF_SKIN + 0.5  # a separation just outside cutoff + skin
 
 
-def approach(x, y, geom, ticks):
+def approach(xy, geom, ticks):
     """`ticks` integrate steps of the two robots driving head-on at full speed, each tracked."""
     for _ in range(ticks):
-        x += [TICK_TRAVEL, -TICK_TRAVEL]
-        geom.track(x, y)
+        xy[0] += [TICK_TRAVEL, -TICK_TRAVEL]
+        geom.track(xy)
+
+
+def two_robots(gap):
+    """Poses (2, 2) of two robots on one row, gap cm apart, and their views x, y."""
+    xy = np.array([[50.0, 50.0 + gap], [50.0, 50.0]])
+    return (xy, *xy)
 
 
 def test_track_rebuilds_once_drift_passes_half_the_skin():
-    x = np.array([50.0, 50.0 + BEYOND_REACH])
-    y = np.array([50.0, 50.0])
-    geom = PairGeometry(x, y, CFG)
+    xy, x, y = two_robots(BEYOND_REACH)
+    geom = PairGeometry(xy, CFG)
     assert geom.pairs.shape == (2, 0)  # beyond cutoff + skin
-    approach(x, y, geom, 10)  # one second of integrate steps uses half the skin, no more
+    approach(xy, geom, 10)  # one second of integrate steps uses half the skin, no more
     assert geom.ticks == 10 and geom.pairs.shape == (2, 0)
     x += [0.3, -0.3]
-    geom.track(x, y, pushed=True)
+    geom.track(xy, pushed=True)
     assert (geom.ticks, geom.drift) == (0, 0.0)
     assert geom.pairs.tolist() == [[0], [1]]
     assert_geometry_of(geom, x, y)
 
 
 def test_push_past_half_the_skin_mid_second_rebuilds():
-    x = np.array([50.0, 50.0 + BEYOND_REACH])
-    y = np.array([50.0, 50.0])
-    geom = PairGeometry(x, y, CFG)
-    approach(x, y, geom, 3)
+    xy, x, y = two_robots(BEYOND_REACH)
+    geom = PairGeometry(xy, CFG)
+    approach(xy, geom, 3)
     # a push of 7 ticks' travel and a little more takes both robots just past half the skin
     x += [7 * TICK_TRAVEL + 0.5, -7 * TICK_TRAVEL - 0.5]
-    geom.track(x, y, pushed=True)
+    geom.track(xy, pushed=True)
     assert (geom.ticks, geom.drift) == (0, 0.0)  # rebuilt
     assert x[1] - x[0] < CUTOFF  # now within contact
     assert geom.pairs.tolist() == [[0], [1]]
@@ -248,17 +256,16 @@ def test_push_past_half_the_skin_mid_second_rebuilds():
 
 
 def test_ticks_after_a_push_are_charged():
-    x = np.array([50.0, 50.0 + BEYOND_REACH])
-    y = np.array([50.0, 50.0])
-    geom = PairGeometry(x, y, CFG)
-    approach(x, y, geom, 3)
+    xy, x, y = two_robots(BEYOND_REACH)
+    geom = PairGeometry(xy, CFG)
+    approach(xy, geom, 3)
     x += [2 * TICK_TRAVEL - 0.1, -2 * TICK_TRAVEL + 0.1]
-    geom.track(x, y, pushed=True)
+    geom.track(xy, pushed=True)
     assert geom.ticks == 0 and geom.drift == pytest.approx(5 * TICK_TRAVEL - 0.1)  # measured, not rebuilt
     # the measured drift and five more ticks stay within half the skin, the sixth passes it
-    approach(x, y, geom, 5)
+    approach(xy, geom, 5)
     assert geom.ticks == 5 and geom.pairs.shape == (2, 0)
-    approach(x, y, geom, 1)
+    approach(xy, geom, 1)
     assert (geom.ticks, geom.drift) == (0, 0.0)
     assert x[1] - x[0] < CUTOFF
     assert geom.pairs.tolist() == [[0], [1]]
@@ -266,27 +273,153 @@ def test_ticks_after_a_push_are_charged():
 
 
 def test_drift_is_measured_from_the_last_rebuild():
-    x = np.array([50.0, 50.0 + CUTOFF - 1.0])
-    y = np.array([50.0, 50.0])
-    geom = PairGeometry(x, y, CFG)
+    xy, x, y = two_robots(CUTOFF - 1.0)
+    geom = PairGeometry(xy, CFG)
     x[1] += 40.0
-    geom.rebuild(x, y)  # as at a whole second, with the pair far apart
+    geom.rebuild(xy)  # as at a whole second, with the pair far apart
     assert geom.pairs.shape == (2, 0)
     x[1] -= 40.0  # back where the constructor saw it
-    geom.track(x, y, pushed=True)
+    geom.track(xy, pushed=True)
     assert geom.pairs.tolist() == [[0], [1]]
     assert_geometry_of(geom, x, y)
 
 
 def test_coincident_and_overlapping_robots_match_dense_separation():
-    x = np.array([50.0, 50.0, 53.0, 120.0])
-    y = np.array([50.0, 50.0, 50.0, 120.0])
+    xy = np.array([[50.0, 50.0, 53.0, 120.0], [50.0, 50.0, 50.0, 120.0]])
+    x, y = xy
     ref_x, ref_y = x.copy(), y.copy()
-    geom = PairGeometry(x, y, CFG)
-    assert _separate_overlaps(x, y, CFG, geom)
+    geom = PairGeometry(xy, CFG)
+    assert _separate_overlaps(xy, CFG, geom)
     assert separate_dense(ref_x, ref_y, CFG)
     assert same_bits(x, ref_x) and same_bits(y, ref_y)
     assert_geometry_of(geom, x, y)
     # the push reset the tick count and measured the largest displacement since the list was built
     assert geom.ticks == 0
     assert geom.drift == np.hypot(x - [50.0, 50.0, 53.0, 120.0], y - [50.0, 50.0, 50.0, 120.0]).max() > 0.0
+
+
+# --- the walls as neighbours ---------------------------------------------------
+
+
+def trig(heading):
+    return np.stack((np.cos(heading), np.sin(heading)))
+
+
+def wall_reference(xy, heading, config):
+    """The full frontal wall test on the poses, as the dense pass runs it."""
+    return detect_dense(*xy, *trig(heading), config)[1]
+
+
+def advance(xy, heading, geom, wheels, turn, config):
+    """One tick as the engine runs it, checking the wall flags and the clamp skip against the full versions.
+
+    Returns whether the bound cleared the walls for detection and for the clamp.
+    """
+    cos_sin = trig(heading)
+    _, wall = _detect_events_trig(xy, cos_sin, geom, config, _far_walls(config))
+    assert np.array_equal(wall, wall_reference(xy, heading, config))
+    clamp = not geom.clears_walls(0.0, 1)
+    ref_xy, ref_heading = xy.copy(), heading.copy()
+    integrate(ref_xy, ref_heading, cos_sin, *wheels, turn, config.dt_s, config, _far_walls(config))
+    integrate(xy, heading, cos_sin, *wheels, turn, config.dt_s, config, _far_walls(config), clamp)
+    assert same_bits(xy, ref_xy) and same_bits(heading, ref_heading)
+    _separate_overlaps(xy, config, geom)
+    return geom.clears_walls(config.wall_range_cm), not clamp
+
+
+@st.composite
+def walled_swarms(draw):
+    """A config with drawn arena sides, wall range and wheel base, and poses crowding its walls."""
+    config = SimConfig(
+        arena_width_cm=draw(st.floats(20.0, 400.0)),
+        arena_height_cm=draw(st.sampled_from([None, 20.0, 60.0, 285.0])) or draw(st.floats(20.0, 400.0)),
+        wall_range_cm=draw(st.sampled_from([0.0, 2.0, 7.5])) if draw(st.booleans()) else draw(st.floats(0.0, 30.0)),
+        wheel_base_cm=draw(st.floats(1.0, 20.0)),
+        dt_s=draw(st.sampled_from([0.1, 0.25, 1.0])),
+    )
+    n = draw(st.integers(0, 60))
+    r = config.body_radius_cm
+    tick_travel = WHEEL_UNIT_CM_S * config.wheel_max * config.dt_s
+    # "clear" swarms start just outside the wall range, crowded, so separation pushes them into it
+    kinds = ["clear"] if draw(st.booleans()) else ["touching", "near", "edge", "free"]
+    xy = np.empty((2, n))
+    for axis, side in enumerate((config.arena_width_cm, config.arena_height_cm)):
+        for i in range(n):
+            kind = draw(st.sampled_from(kinds))
+            if kind == "clear":
+                gap = config.wall_range_cm + draw(st.floats(0.0, 2 * r + tick_travel, exclude_min=True))
+            elif kind == "touching":
+                gap = 0.0
+            elif kind == "near":
+                gap = draw(st.floats(0.0, config.wall_range_cm + 3 * tick_travel))
+            elif kind == "edge":  # exactly at the wall range plus whole ticks of travel
+                gap = config.wall_range_cm + draw(st.integers(0, 3)) * tick_travel
+            else:
+                gap = draw(st.floats(0.0, side))
+            xy[axis, i] = min(r + gap, side - r) if draw(st.booleans()) else max(side - r - gap, r)
+    heading = np.array(draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n)), dtype=float)
+    return config, xy, heading
+
+
+@given(walled_swarms(), st.integers(1, 25), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_wall_bound_matches_full_wall_test(swarm, ticks, seed):
+    """Through the real integrate, separation and tracking, a skipped wall test or clamp changes no bit."""
+    config, xy, heading = swarm
+    rng = np.random.default_rng(seed)
+    n = len(heading)
+    geom = PairGeometry(xy, config)
+    for _ in range(ticks):
+        full = rng.random(n) < 0.5  # half the robots drive at full speed
+        n_l = np.where(full, config.wheel_max, rng.uniform(0.0, config.wheel_max, n))
+        n_r = np.where(full, n_l, rng.uniform(0.0, config.wheel_max, n))
+        turn = np.where(rng.random(n) < 0.1, rng.uniform(-180.0, 180.0, n), 0.0)
+        advance(xy, heading, geom, (n_l.tolist(), n_r.tolist()), turn.tolist(), config)
+
+
+def test_robot_exactly_at_wall_range_plus_moved():
+    """A robot that starts exactly wall_range + moved from the far wall, and drives into it for those ticks.
+
+    In a 10,000 cm arena one rounding per tick takes it just inside the wall
+    range on the last tick, where the bound without its rounding margin
+    would still rule every wall out.
+    """
+    config = SimConfig(arena_width_cm=10_000.0, arena_height_cm=10_000.0)
+    tick_travel = WHEEL_UNIT_CM_S * config.wheel_max * config.dt_s
+    ticks = config.ticks_per_second
+    far = config.arena_width_cm - config.body_radius_cm
+    xy = np.array([[far - config.wall_range_cm - ticks * tick_travel], [5_000.0]])
+    heading = np.zeros(1)
+    geom = PairGeometry(xy, config)
+    cleared = [advance(xy, heading, geom, ([10.0], [10.0]), [0.0], config) for _ in range(ticks)]
+    assert cleared[0] == (True, True) and cleared[-1] == (False, True)
+    assert wall_reference(xy, heading, config).tolist() == [True]  # rounding took it inside the range
+    _, wall = _detect_events_trig(xy, trig(heading), geom, config, _far_walls(config))
+    assert wall.tolist() == [True]
+
+
+def test_separation_push_toward_a_wall_is_charged():
+    """A push counts against the wall bound: it moves a robot 2 cm into the wall range within one tick."""
+    config = SimConfig()
+    r, rng_cm = config.body_radius_cm, config.wall_range_cm
+    # robot 0 stands 1 cm outside the wall range and overlaps robot 1 by 4 cm
+    xy = np.array([[r + rng_cm + 1.0, r + rng_cm + 5.0], [100.0, 100.0]])
+    heading = np.array([math.pi, 0.0])  # robot 0 faces the left wall
+    geom = PairGeometry(xy, config)
+    assert geom.wall_gap == rng_cm + 1.0
+    xy_before = xy.copy()
+    assert _separate_overlaps(xy, config, geom)
+    assert xy[0, 0] == xy_before[0, 0] - 2.0 and geom.drift == 2.0
+    assert not geom.clears_walls(rng_cm)
+    _, wall = _detect_events_trig(xy, trig(heading), geom, config, _far_walls(config))
+    assert wall.tolist() == wall_reference(xy, heading, config).tolist() == [True, False]
+
+
+def test_bound_clears_a_swarm_away_from_the_walls():
+    config = SimConfig()
+    xy = np.array([[100.0, 150.0, 185.0], [120.0, 160.0, 100.0]])
+    geom = PairGeometry(xy, config)
+    assert geom.wall_gap == 96.0  # robot 0's x, less the body radius
+    heading = np.array([math.pi, -math.pi / 2, 0.0])
+    for _ in range(config.ticks_per_second):
+        assert advance(xy, heading, geom, ([10.0] * 3, [10.0] * 3), [0.0] * 3, config) == (True, True)
