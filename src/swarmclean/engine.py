@@ -1,19 +1,19 @@
 """World state, unicycle kinematics, contact sensing, and the tick loop.
 
-The run is a loop over whole seconds around a loop over that second's
-ticks (default 0.1 s each). At the top of each second, each waiting robot
-erodes the field once, the second's row of the preallocated metrics
-series is written, and an optional observer sees the run's World; it sees
-it once more after the last tick. Each tick: read the ground sensors,
-detect robot/wall contacts from the current poses, step every robot's
-state machine, then integrate motion. The whole trajectory is a pure
-function of the config, including its seed.
+A batch of runs that differ only in seed (one run is a batch of one) is a
+loop over whole seconds around a loop over that second's ticks (0.1 s by
+default). At the top of each second, run by run, each waiting robot erodes
+its run's field once, the run's metrics row is written, and an optional
+observer sees the run's World, once more after the last tick. Each tick,
+for all runs' robots at once: read the ground sensors, detect contacts,
+step the state machines, then integrate motion. Each run's trajectory is
+a pure function of its own config, including its seed.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -135,15 +135,15 @@ class SimConfig:
             raise ConfigError(f"waiting_formula must be 'squared' or 'literal', got {self.waiting_formula!r}")
 
 
-def ground_sensor_points(xy, cos_sin, wheel_base_cm, out) -> None:
+def ground_sensor_points(xy, cos_sin, signed_h, out) -> None:
     """Ground-sensor points under the wheels, written into out, shape (2, 2N).
 
     Each sensor sits wheel_base/2 from the center, perpendicular to the
     heading: left sensors go to out[:, :n], right sensors to out[:, n:].
-    xy and cos_sin are (2, N): positions, and cos/sin of the headings.
+    xy and cos_sin are (2, N): positions, and cos/sin of the headings;
+    signed_h is (wheel_base / 2) * _SENSOR_SIGNS.
     """
     # left offsets (-h sin, h cos) and right ones (h sin, -h cos), h = wheel_base/2, in one broadcast
-    signed_h = (0.5 * wheel_base_cm) * _SENSOR_SIGNS
     np.add(xy[:, None], signed_h * cos_sin[::-1, None], out=out.reshape(2, 2, xy.shape[1], copy=False))
 
 
@@ -206,6 +206,9 @@ class PairGeometry:
     to the nearest position it can reach along either axis, and the same
     bound lets `clears_walls` rule out every wall contact.
 
+    xy may hold `runs` blocks of N robots: pairs never cross blocks, `upper_d2`
+    holds each block's triangle in turn, and one drift bound and wall_gap cover all.
+
     Every squared distance is d * d summed over both axes, with d = xy[:, j]
     - xy[:, i] gathered by one `take` over a (2, P) index array. A rebuild
     evaluates it over every pair i < j, row by row, as `upper_d2`, which
@@ -218,13 +221,14 @@ class PairGeometry:
         "_all_pairs", "_rebuilt_xy", "_tick_travel", "_half_skin", "_reach2", "_body_r", "_far_walls",
     )
 
-    def __init__(self, xy: np.ndarray, config: SimConfig):
+    def __init__(self, xy: np.ndarray, config: SimConfig, runs: int = 1):
         self._tick_travel = WHEEL_UNIT_CM_S * config.wheel_max * config.dt_s
         # ticks * tick_travel, not a running sum, so a second of integrate steps lands on it exactly
         self._half_skin = config.ticks_per_second * self._tick_travel
         cutoff = max(config.contact_range_cm, 2.0 * config.body_radius_cm)
         self._reach2 = (cutoff + 2.0 * self._half_skin) ** 2
-        self._all_pairs = np.array(np.triu_indices(xy.shape[1], k=1))
+        n = xy.shape[1] // runs
+        self._all_pairs = np.hstack([np.array(np.triu_indices(n, k=1)) + k * n for k in range(runs)])
         self._body_r, self._far_walls = config.body_radius_cm, _far_walls(config)
         self.rebuild(xy)
 
@@ -300,9 +304,9 @@ def _detect_events_trig(xy, cos_sin, geom, config, far_walls):
 class World:
     """The state of one run: what the observer sees each second and what the run returns.
 
-    The arrays are the engine's own and live: at time t (whole seconds),
+    The arrays are live views into the engine's batch: at time t (whole seconds),
     xy (2, N) holds the positions in cm, heading the headings in radians,
-    modes the controller's mode codes (FORWARD, WAITING, ...), field the
+    modes a copy of the controller's mode codes (FORWARD, WAITING, ...), field the
     cue field, and cleanings each robot's count of boundaries spent
     cleaning. series has one metrics row per whole second. An observer
     copies what it keeps and mutates nothing.
@@ -386,73 +390,91 @@ def _separate_overlaps(xy: np.ndarray, config: SimConfig, geom: PairGeometry) ->
 
 
 def run_simulation(config: SimConfig, observer=None) -> World:
-    """Run one full simulation; deterministic for a fixed config.
+    """Run one full simulation, a batch of one (see `run_batch`); deterministic for a fixed config."""
+    return run_batch([config], observer)[0]
 
-    RNG streams are derived from the seed with a fixed splitting rule:
-    substream [seed, 0] drives placement, substream [seed, i + 1] drives
-    robot i, so each robot's behavior is independent of the swarm size.
-    `observer(world)` is called at every whole second, 0 to duration_s,
-    with the same World that the run returns: at t < duration_s after
-    that second's cleaning and metrics row, at duration_s after the last
-    tick.
+
+def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
+    """Run configs that differ only in seed side by side, one World each, with the bits each run has alone.
+
+    RNG streams are derived from each run's seed with a fixed splitting
+    rule: substream [seed, 0] drives placement, substream [seed, i + 1]
+    drives robot i, so each robot's behavior is independent of the swarm
+    size. `observer(world)` sees each run's returned World at every whole
+    second, 0 to duration_s: at t < duration_s after that second's cleaning
+    and metrics row, at duration_s after the last tick.
     """
-    config.validate()
-    n = config.n_robots
-    dt = config.dt_s
-    tps = config.ticks_per_second
+    for config in configs:
+        config.validate()
+    if not configs or any(replace(other, seed=configs[0].seed) != configs[0] for other in configs):
+        raise ConfigError("a batch needs at least one config, and its configs must differ only in seed")
+    config, runs, n, dt = configs[0], len(configs), configs[0].n_robots, configs[0].dt_s
+    m = runs * n
 
+    # (runs, rows, cols); a batch of one views the field without a copy
     cue = init_circular_gradient(
         config.arena_width_cm, config.arena_height_cm, config.cue_center, config.cue_radius_cm, config.cue_peak
-    )
+    )[None]
+    cue = np.repeat(cue, runs, axis=0) if runs > 1 else cue
+    # each ground sensor reads its own run's field: the flat cell offset of its run, left sensors then right
+    cell_offsets = np.tile(np.repeat(np.arange(runs) * cue[0].size, n), 2)
 
-    placement_rng = np.random.default_rng([config.seed, 0])
-    # poses: xy is (2, N) with row views x and y; cos_sin holds each tick's trig
-    xy = _place_robots(config, placement_rng)
-    x, y = xy
-    heading = placement_rng.uniform(-math.pi, math.pi, size=n)
-    cos_sin = np.empty((2, n))
-    robot_rngs = [np.random.default_rng([config.seed, i + 1]) for i in range(n)]
-    geom = PairGeometry(xy, config)
-    far_walls = _far_walls(config)
-
-    # one metrics row per whole second, written in place at the top of each second
+    # poses: xy is (2, runs * N), run k's robots in columns k * N to (k + 1) * N; cos_sin holds each tick's trig
+    xy = np.empty((2, m))
+    heading = np.empty(m)
+    cleanings = np.zeros(m, dtype=np.int64)
     d = config.duration_s
-    series = MetricsSeries(np.arange(d, dtype=np.int64), np.empty(d), np.empty(d), np.empty(d))
-    world = World(0, xy, heading, [FORWARD] * n, cue, series, np.zeros(n, dtype=np.int64))
-    modes, cleanings = world.modes, world.cleanings
-    remaining = [0.0] * n
-    refractory = [0.0] * n
-    # ground-sensor points: left sensors in [:, :n], right sensors in [:, n:]
-    sensors = np.empty((2, 2 * n))
+    robot_rngs, worlds = [], []
+    for k, run_config in enumerate(configs):
+        run = slice(k * n, (k + 1) * n)
+        placement_rng = np.random.default_rng([run_config.seed, 0])
+        xy[:, run] = _place_robots(run_config, placement_rng)
+        heading[run] = placement_rng.uniform(-math.pi, math.pi, size=n)
+        robot_rngs += [np.random.default_rng([run_config.seed, i + 1]) for i in range(n)]
+        # one metrics row per whole second, written in place at the top of each second
+        series = MetricsSeries(np.arange(d, dtype=np.int64), np.empty(d), np.empty(d), np.empty(d))
+        worlds.append(World(0, xy[:, run], heading[run], [FORWARD] * n, cue[k], series, cleanings[run]))
+    cos_sin = np.empty((2, m))
+    geom = PairGeometry(xy, config, runs)
+    far_walls = _far_walls(config)
+    signed_h = (0.5 * config.wheel_base_cm) * _SENSOR_SIGNS
+    modes = [FORWARD] * m
+    remaining, refractory = [0.0] * m, [0.0] * m
+    # ground-sensor points: left sensors in [:, :m], right sensors in [:, m:]
+    sensors = np.empty((2, 2 * m))
+    n_pairs = n * (n - 1) // 2
 
     for t in range(d):
-        waiting = [i for i, mode in enumerate(modes) if mode == WAITING]
-        if waiting:
-            apply_cleaning(cue, x[waiting], y[waiting])
-            cleanings[waiting] += 1
-        series.mean_cue[t] = mean_intensity(cue)
-        series.ratio_within_rc[t] = ratio_within(xy, config.cue_center, config.metric_radius_cm)
-        geom.rebuild(xy)  # coherency reads the full triangle; the list is renewed with it
-        series.coherency_m[t] = coherency(geom)
-        world.t = t
-        if observer is not None:
-            observer(world)
+        geom.rebuild(xy)  # coherency reads the full triangles; the list is renewed with them
+        for k, world in enumerate(worlds):
+            world.t, world.modes, series = t, modes[k * n:(k + 1) * n], world.series
+            waiting = [i for i, mode in enumerate(world.modes) if mode == WAITING]
+            if waiting:
+                apply_cleaning(world.field, *world.xy[:, waiting])
+                world.cleanings[waiting] += 1
+            # only cleaning changes the field, so a second without any keeps the last second's mean
+            series.mean_cue[t] = mean_intensity(world.field) if waiting or not t else series.mean_cue[t - 1]
+            series.ratio_within_rc[t] = ratio_within(world.xy, config.cue_center, config.metric_radius_cm)
+            series.coherency_m[t] = coherency(geom.upper_d2[k * n_pairs:(k + 1) * n_pairs])
+            if observer is not None:
+                observer(world)
 
-        for _ in range(tps):
+        for _ in range(config.ticks_per_second):
             np.cos(heading, out=cos_sin[0])
             np.sin(heading, out=cos_sin[1])
-            ground_sensor_points(xy, cos_sin, config.wheel_base_cm, sensors)
-            sensed = sample_many(cue, sensors[0], sensors[1]).tolist()
+            ground_sensor_points(xy, cos_sin, signed_h, sensors)
+            sensed = sample_many(cue, sensors[0], sensors[1], cell_offsets).tolist()
             robot_contact, wall_contact = _detect_events_trig(xy, cos_sin, geom, config, far_walls)
             n_l, n_r, turn_deg = step_fsm(
-                modes, remaining, refractory, sensed[:n], sensed[n:], robot_contact.tolist(), wall_contact.tolist(),
+                modes, remaining, refractory, sensed[:m], sensed[m:], robot_contact.tolist(), wall_contact.tolist(),
                 dt, robot_rngs, config,
             )
             integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, config, far_walls, not geom.clears_walls(0.0, 1))
             _separate_overlaps(xy, config, geom)
 
     # after the last tick: the observer sees the end state, with no cleaning or metrics row
-    world.t = d
-    if observer is not None:
-        observer(world)
-    return world
+    for k, world in enumerate(worlds):
+        world.t, world.modes = d, modes[k * n:(k + 1) * n]
+        if observer is not None:
+            observer(world)
+    return worlds

@@ -57,19 +57,21 @@ def init_circular_gradient(
     return field
 
 
-def sample_many(field: np.ndarray, xs_cm: np.ndarray, ys_cm: np.ndarray) -> np.ndarray:
+def sample_many(field: np.ndarray, xs_cm: np.ndarray, ys_cm: np.ndarray, cell_offset=0) -> np.ndarray:
     """Intensities of the cells containing each point; 0 outside the arena.
 
     Nearest-cell semantics: no interpolation, the raw (possibly fractional)
-    cell value is returned. Total over the whole plane.
+    cell value is returned. Total over the whole plane. field may be a stack
+    (runs, rows, cols): a point's cell_offset of k * rows * cols reads field[k].
     """
-    rows, cols = field.shape
+    rows, cols = field.shape[-2:]
     c = np.floor(xs_cm).astype(np.intp)
     r = np.floor(ys_cm).astype(np.intp)
     # a negative index wraps to a huge unsigned one, so one comparison per axis checks both bounds
     inside = (c.view(np.uintp) < cols) & (r.view(np.uintp) < rows)
     r *= cols
     r += c
+    r += cell_offset  # on the integer index: floor(y + k * rows) could round across a cell edge
     out = field.take(r, mode="clip")
     out *= inside  # cells are finite and >= 0, so outside points read +0.0
     return out

@@ -48,16 +48,16 @@ def ratio_within(xy: np.ndarray, center_cm: tuple[float, float], r_c_cm: float =
     return float(np.count_nonzero(d <= r_c_cm)) / n
 
 
-def coherency(geom) -> float:
+def coherency(upper_d2: np.ndarray) -> float:
     """Mean distance over all unordered robot pairs, in meters.
 
-    geom is the engine's PairGeometry, rebuilt for the current poses: its
-    upper_d2 holds the squared center distance of every pair, in cm^2.
-    Fewer than two robots report 0.
+    upper_d2 holds the squared center distance of every pair, in cm^2: one
+    run's block of the `upper_d2` of the engine's PairGeometry, rebuilt for
+    the current poses. Fewer than two robots report 0.
     """
-    if len(geom.upper_d2) == 0:
+    if len(upper_d2) == 0:
         return 0.0
-    return float(np.sqrt(geom.upper_d2).mean()) / 100.0
+    return float(np.sqrt(upper_d2).mean()) / 100.0
 
 
 @dataclass

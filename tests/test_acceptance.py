@@ -56,6 +56,34 @@ def ratio_window_change(medians, n: int) -> tuple[float, float]:
     return np.abs(np.diff(window_means(medians[(n, 6.0)].ratio_within_rc[2000:]))).max(), 0.05
 
 
+# The orderings that criteria 2, 3 and 5 also require, each True while it holds.
+
+
+def cue_orderings(medians) -> tuple[bool, bool]:
+    """Criterion 2: the final median cue falls with population at each speed, and with speed at each population."""
+    final = {cell: med.mean_cue[-1] for cell, med in medians.items()}
+    ok_pop = all(final[(50, b)] <= final[(30, b)] <= final[(10, b)] for b in (3.0, 6.0))
+    ok_speed = all(final[(n, 6.0)] <= final[(n, 3.0)] for n in (10, 20, 30, 40, 50))
+    return ok_pop, ok_speed
+
+
+def ratio_rises(medians, n: int) -> bool:
+    """Criterion 3: the N=n, beta=6 ratio rises above its start within the first 1000 s."""
+    ratio = medians[(n, 6.0)].ratio_within_rc
+    return ratio[:1000].max() > ratio[0]
+
+
+def ratio_plateaus(medians) -> dict[int, float]:
+    """Criterion 3: mean ratio after 2000 s for N=30 and N=50 at beta=6; N=50's must not exceed N=30's."""
+    return {n: medians[(n, 6.0)].ratio_within_rc[2000:].mean() for n in (30, 50)}
+
+
+def coherency_population_over_time(analysis) -> bool:
+    """Criterion 5: population explains coherency better than time does (a larger F)."""
+    coh = analysis.anova_coherency
+    return coh.effect("population").f_value > coh.effect("time").f_value
+
+
 def stabilization_times(med) -> tuple[int | None, int | None]:
     """End of the first window after which coherency, and the cue, change by less than 5% and 2%."""
     coh_changes = np.abs(np.diff(window_means(med.coherency_m)))
@@ -100,9 +128,7 @@ def test_criterion_1_cue_disappearance(cell_medians):
 
 
 def test_criterion_2_population_and_speed_ordering(cell_medians):
-    final = {cell: med.mean_cue[-1] for cell, med in cell_medians.items()}
-    ok_pop = all(final[(50, b)] <= final[(30, b)] <= final[(10, b)] for b in (3.0, 6.0))
-    ok_speed = all(final[(n, 6.0)] <= final[(n, 3.0)] for n in (10, 20, 30, 40, 50))
+    ok_pop, ok_speed = cue_orderings(cell_medians)
     ratio, bound = extreme_cue_ratio(cell_medians)
     ok_gap = ratio <= bound
     ok = ok_pop and ok_speed and ok_gap
@@ -120,17 +146,15 @@ def test_criterion_2_population_and_speed_ordering(cell_medians):
 
 
 def test_criterion_3_ratio_shape(cell_medians):
-    plateaus = {}
+    plateaus = ratio_plateaus(cell_medians)
     ok_all = True
     details = []
     margin = math.inf
     for n in (30, 50):
-        ratio = cell_medians[(n, 6.0)].ratio_within_rc
-        rises = ratio[:1000].max() > ratio[0]
+        rises = ratio_rises(cell_medians, n)
         max_change, bound = ratio_window_change(cell_medians, n)
         flat = max_change < bound
         margin = min(margin, bound - max_change)
-        plateaus[n] = ratio[2000:].mean()
         ok_all = ok_all and rises and flat
         details.append(f"N={n}: rises {rises}, max window change {max_change:.3f}")
     ordered = plateaus[50] <= plateaus[30]
@@ -154,8 +178,7 @@ def test_criterion_5_anova_significance(default_sweep):
     results = {"cue": analysis.anova_mean_cue, "coherency": analysis.anova_coherency}
     largest_p, bound = largest_anova_p(analysis)
     ok_sig = largest_p <= bound
-    coh = results["coherency"]
-    ok_order = coh.effect("population").f_value > coh.effect("time").f_value
+    ok_order = coherency_population_over_time(analysis)
     ok = ok_sig and ok_order
     fs = {
         label: {e.name: round(e.f_value, 2) for e in result.effects} for label, result in results.items()
@@ -235,3 +258,22 @@ def test_criterion_8_determinism(default_sweep, tmp_path):
     _report(8, "determinism", ok, f"sweep-cell rerun identical {ok_sweep}, repeated run identical {ok_repeat}")
     assert ok_sweep
     assert ok_repeat
+
+
+def test_margins_script_exit_status_follows_the_tests_strictness(monkeypatch, capsys):
+    """`acceptance_margins.py` exits 1 on any failed criterion or ordering, with the bounds as strict as here."""
+    import acceptance_margins
+
+    monkeypatch.setattr(acceptance_margins, "cmd_sweep", lambda *args, **kwargs: None)
+    rows = [("1: strict", 0.1, 0.1, True), ("2: at most", 0.7, 0.7, False)]
+    orderings = [("2: ordering", True)]
+    monkeypatch.setattr(acceptance_margins, "margins", lambda sweep_dir: (rows, orderings))
+    assert acceptance_margins.main(["--base-seed", "2"]) == 1  # criterion 1 fails at exactly its bound
+    assert "FAILED at base seed 2: 1: strict" in capsys.readouterr().err
+    rows[0] = ("1: strict", 0.099, 0.1, True)
+    assert acceptance_margins.main(["--base-seed", "2"]) == 0  # criterion 2 passes at exactly its bound
+    rows[1] = ("2: at most", math.nan, 0.7, False)
+    assert acceptance_margins.main(["--base-seed", "2"]) == 1
+    rows[1] = ("2: at most", 0.7, 0.7, False)
+    orderings[0] = ("2: ordering", False)
+    assert acceptance_margins.main(["--base-seed", "2"]) == 1

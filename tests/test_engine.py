@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from swarmclean.engine import (
     MAX_ARENA_CM,
     MAX_DURATION_S,
     MAX_ROBOTS,
+    _SENSOR_SIGNS,
     ConfigError,
     PairGeometry,
     PlacementError,
@@ -19,6 +20,7 @@ from swarmclean.engine import (
     _far_walls,
     ground_sensor_points,
     integrate,
+    run_batch,
     run_simulation,
     wrap_angle,
 )
@@ -88,7 +90,7 @@ def sensor_points(x, y, heading, wheel_base_cm=8.0):
     x, y, heading = np.atleast_1d(x), np.atleast_1d(y), np.atleast_1d(heading)
     n = len(x)
     out = np.empty((2, 2 * n))
-    ground_sensor_points(np.stack((x, y)), trig(heading), wheel_base_cm, out)
+    ground_sensor_points(np.stack((x, y)), trig(heading), (0.5 * wheel_base_cm) * _SENSOR_SIGNS, out)
     return out[:, :n].T, out[:, n:].T
 
 
@@ -520,3 +522,63 @@ class TestRunSimulation:
             prev["xy"] = world.xy.copy()
 
         run_simulation(small_config(n_robots=6, duration_s=30, seed=8), observer=obs)
+
+
+# arenas of the golden cases: default, clipped at the walls, and dense
+BATCH_ARENAS = {
+    "default": {},
+    "clipped": dict(arena_width_cm=100.0, arena_height_cm=60.0, body_radius_cm=1.5, wheel_base_cm=12.0),
+    "dense": dict(arena_width_cm=120.0, arena_height_cm=120.0),
+}
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRunBatch:
+    @given(
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        st.sampled_from([0, 1, 2, 3, 7, 12]),
+        st.integers(0, 12),
+        st.sampled_from(sorted(BATCH_ARENAS)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batch_gives_each_run_its_single_run_bits(self, seeds, n, duration, arena):
+        configs = [SimConfig(n_robots=n, duration_s=duration, seed=seed, **BATCH_ARENAS[arena]) for seed in seeds]
+        seen = {}
+
+        def observer(world):
+            seen.setdefault(id(world), []).append((world.t, list(world.modes), world.xy.copy(), world.field.copy()))
+
+        worlds = run_batch(configs, observer)
+        assert len(worlds) == len(configs)
+        for config, world in zip(configs, worlds):
+            alone_seen = []
+            alone = run_simulation(
+                config, lambda w: alone_seen.append((w.t, list(w.modes), w.xy.copy(), w.field.copy()))
+            )
+            assert world.t == alone.t == duration
+            assert world.modes == alone.modes
+            for name in ("xy", "heading", "field", "cleanings"):
+                assert _same_bits(getattr(world, name), getattr(alone, name)), name
+            for name in ("t", "mean_cue", "ratio_within_rc", "coherency_m"):
+                assert _same_bits(getattr(world.series, name), getattr(alone.series, name)), name
+            # the observer saw this run's World at every whole second, as the run alone sees it
+            calls = seen[id(world)]
+            assert [(t, modes) for t, modes, _, _ in calls] == [(t, modes) for t, modes, _, _ in alone_seen]
+            assert all(_same_bits(a[2], b[2]) and _same_bits(a[3], b[3]) for a, b in zip(calls, alone_seen))
+
+    def test_configs_must_differ_only_in_seed(self):
+        base = small_config()
+        assert len(run_batch([base, replace(base, seed=12)])) == 2
+        for other in (replace(base, beta=3.0), replace(base, n_robots=6), replace(base, duration_s=21)):
+            with pytest.raises(ConfigError, match="must differ only in seed"):
+                run_batch([base, other])
+        with pytest.raises(ConfigError, match="at least one config"):
+            run_batch([])
+
+    def test_every_config_is_validated(self):
+        with pytest.raises(ConfigError, match="seed"):
+            run_batch([small_config(), small_config(seed=-1)])

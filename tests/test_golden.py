@@ -12,9 +12,11 @@ that alters behaviour on purpose re-captures them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names the behaviour that changed in CHANGES.md. On x86-64 the cases run
-a second time in a subprocess with numpy's SIMD dispatch cut to the baseline,
-so a kernel whose bits depend on the CPU it runs on fails here too.
+and names the behaviour that changed in CHANGES.md. Every case also runs
+inside a batch of three runs (`run_batch`), first and last in the batch, and
+must give the same digests. On x86-64 the cases run a second time in a
+subprocess with numpy's SIMD dispatch cut to the baseline, so a kernel whose
+bits depend on the CPU it runs on fails here too.
 """
 import hashlib
 import os
@@ -22,11 +24,12 @@ import platform
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from swarmclean.engine import PairGeometry, SimConfig, run_simulation
+from swarmclean.engine import PairGeometry, SimConfig, run_batch, run_simulation
 
 CASES = {
     "N0": dict(n_robots=0, duration_s=20, seed=3),
@@ -107,8 +110,20 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digests(case: str, tmp_dir) -> dict[str, str]:
-    result = run_simulation(SimConfig(**CASES[case]))
+# the seeds a case shares its batch with
+BATCH_NEIGHBOUR_SEEDS = (101, 102)
+BATCH_POSITIONS = ("first", "last")
+
+
+def run_digests(case: str, tmp_dir, batch_position: str | None = None) -> dict[str, str]:
+    """The case's digests run alone, or in a batch of three at the given position ("first" or "last")."""
+    config = SimConfig(**CASES[case])
+    if batch_position is None:
+        result = run_simulation(config)
+    else:
+        others = [replace(config, seed=seed) for seed in BATCH_NEIGHBOUR_SEEDS]
+        configs = [config, *others] if batch_position == "first" else [*others, config]
+        result = run_batch(configs)[0 if batch_position == "first" else -1]
     path = os.path.join(tmp_dir, f"{case}_metrics.csv")
     result.series.to_csv(path)
     with open(path, "rb") as fh:
@@ -125,6 +140,13 @@ def run_digests(case: str, tmp_dir) -> dict[str, str]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_digests(case, tmp_path):
     assert run_digests(case, tmp_path) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("position", BATCH_POSITIONS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_digests_inside_a_batch(case, position, tmp_path):
+    """A run gives the same bits whatever runs beside it in a batch."""
+    assert run_digests(case, tmp_path, position) == GOLDEN[case]
 
 
 def test_dense_case_rebuilds_only_at_whole_seconds(tmp_path, monkeypatch):
@@ -154,7 +176,12 @@ active = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
 if active:
     raise SystemExit(f"dispatch targets still enabled: {active}")
 with tempfile.TemporaryDirectory() as tmp:
-    changed = [c for c in test_golden.CASES if test_golden.run_digests(c, tmp) != test_golden.GOLDEN[c]]
+    changed = [
+        (c, position)
+        for c in test_golden.CASES
+        for position in (None, *test_golden.BATCH_POSITIONS)
+        if test_golden.run_digests(c, tmp, position) != test_golden.GOLDEN[c]
+    ]
 if changed:
     raise SystemExit(f"digests differ at baseline dispatch: {changed}")
 """

@@ -6,9 +6,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from swarmclean import harness
+from swarmclean import engine, harness
 from swarmclean.cli import main as cli_main
-from swarmclean.engine import ConfigError, SimConfig, run_simulation
+from swarmclean.engine import ConfigError, PlacementError, SimConfig, run_simulation
 from swarmclean.field import pgm_raster, read_pgm, to_pgm_bytes
 from swarmclean.harness import (
     ExperimentPlan,
@@ -392,21 +392,55 @@ class TestCmdSweep:
         for spec in read_manifest(out / "manifest.csv"):
             assert (out / spec.path).exists() == (spec.status == "ok")
 
+    def test_failed_run_leaves_its_batch_siblings_as_a_clean_sweep(self, tmp_path, monkeypatch):
+        plan = tiny_plan()
+        victim = plan.runs()[1]  # N=3, repetition 1: its batch sibling is repetition 0
+        clean = tmp_path / "clean"
+        cmd_sweep(plan, clean)
+        place = engine._place_robots
 
-def _worker_that_dies_at_n5(task):
-    """Sweep worker whose process exits abruptly on the N=5 runs."""
-    if task[1].n_robots == 5:
+        def fail_victim(config, rng):
+            if config.seed == victim.seed:
+                raise PlacementError("placement refused for this seed")
+            return place(config, rng)
+
+        monkeypatch.setattr(engine, "_place_robots", fail_victim)
+        out = tmp_path / "sweep"
+        with pytest.raises(SweepFailure):
+            cmd_sweep(plan, out)
+        statuses = {spec.path: spec.status for spec in read_manifest(out / "manifest.csv")}
+        assert statuses.pop(victim.path) == "failed"
+        assert set(statuses.values()) == {"ok"}
+        assert not (out / victim.path).exists()
+        for path in statuses:
+            assert (out / path / "metrics.csv").read_bytes() == (clean / path / "metrics.csv").read_bytes()
+
+    def test_reused_sweep_dir_keeps_no_stale_snapshot(self, tmp_path):
+        out = tmp_path / "sweep"
+        cmd_sweep(tiny_plan(), out)
+        run_dir = out / read_manifest(out / "manifest.csv")[0].path
+        (run_dir / "snapshot_t5.pgm").write_bytes(b"stale")
+        cmd_sweep(tiny_plan(), out)
+        assert sorted(p.name for p in run_dir.iterdir()) == ["metrics.csv"]
+
+
+def _worker_that_dies_at_n5(batch):
+    """Sweep worker whose process exits abruptly on the batch of N=5 runs."""
+    if batch[0][1].n_robots == 5:
         os._exit(3)
-    return _SWEEP_WORKER(task)
+    return _SWEEP_WORKER(batch)
 
 
 _SWEEP_WORKER = harness._sweep_worker
 
 
 class _RecordingExecutor:
-    """Synchronous stand-in for ProcessPoolExecutor that records its size and submissions."""
+    """Synchronous stand-in for ProcessPoolExecutor that records its size and submissions.
 
-    submitted: list[int] = []
+    Each submission is recorded as the populations of the batch's runs.
+    """
+
+    submitted: list[list[int]] = []
     max_workers: list[int] = []
 
     def __init__(self, max_workers):
@@ -418,10 +452,10 @@ class _RecordingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, task):
-        self.submitted.append(task[1].n_robots)
+    def submit(self, fn, batch):
+        self.submitted.append([cfg.n_robots for _, cfg, _ in batch])
         future = concurrent.futures.Future()
-        future.set_result(fn(task))
+        future.set_result(fn(batch))
         return future
 
 
@@ -448,15 +482,31 @@ class TestSweepPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
         monkeypatch.setattr(_RecordingExecutor, "submitted", [])
         cmd_sweep(tiny_plan(populations=(3, 7, 5)), tmp_path / "sweep", jobs=2)
-        assert _RecordingExecutor.submitted == [7, 7, 5, 5, 3, 3]
+        assert _RecordingExecutor.submitted == [[7, 7], [5, 5], [3, 3]]
 
-    def test_workers_capped_at_number_of_runs(self, tmp_path, monkeypatch):
+    def test_batches_capped_at_batch_robots(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(_RecordingExecutor, "submitted", [])
+        monkeypatch.setattr(harness, "BATCH_ROBOTS", 10)
+        cmd_sweep(tiny_plan(populations=(3, 5), repetitions=5), tmp_path / "sweep", jobs=2)
+        assert _RecordingExecutor.submitted == [[5], [5, 5], [5, 5], [3, 3], [3, 3, 3]]
+
+    def test_cells_split_so_that_every_worker_has_a_batch(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(_RecordingExecutor, "submitted", [])
+        cmd_sweep(tiny_plan(populations=(3,), repetitions=6), tmp_path / "sweep", jobs=3)
+        assert _RecordingExecutor.submitted == [[3, 3], [3, 3], [3, 3]]
+
+    def test_workers_capped_at_number_of_batches(self, tmp_path, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
         monkeypatch.setattr(_RecordingExecutor, "submitted", [])
         monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
-        cmd_sweep(tiny_plan(), tmp_path / "wide", jobs=500)
-        cmd_sweep(tiny_plan(), tmp_path / "narrow", jobs=3)
-        assert _RecordingExecutor.max_workers == [4, 3]
+        plan = tiny_plan(repetitions=3)  # two cells of three runs: two batches, split to six at most
+        cmd_sweep(plan, tmp_path / "wide", jobs=500)
+        cmd_sweep(plan, tmp_path / "narrow", jobs=3)
+        cmd_sweep(plan, tmp_path / "two", jobs=2)
+        assert _RecordingExecutor.max_workers == [6, 3, 2]
+        assert list(map(len, _RecordingExecutor.submitted[-2:])) == [3, 3]
 
 
 class TestCmdAnalyze:

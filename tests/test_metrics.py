@@ -16,7 +16,7 @@ from swarmclean.metrics import coherency as coherency_of_geometry
 def coherency(positions_cm):
     """Coherency of an (N, 2) array of positions, through the PairGeometry the engine keeps."""
     pos = np.asarray(positions_cm, dtype=np.float64).reshape(-1, 2)
-    return coherency_of_geometry(PairGeometry(pos.T.copy(), SimConfig()))
+    return coherency_of_geometry(PairGeometry(pos.T.copy(), SimConfig()).upper_d2)
 
 
 def coherency_dense(positions_cm):
@@ -116,7 +116,7 @@ class TestCoherency:
             y[moved] -= shift[1]
             geom.track(xy, pushed=True)
             geom.rebuild(xy)
-        assert coherency_of_geometry(geom) == coherency_dense(np.column_stack((x, y)))
+        assert coherency_of_geometry(geom.upper_d2) == coherency_dense(np.column_stack((x, y)))
 
     def test_bounded_by_arena_diagonal(self):
         rng = np.random.default_rng(9)
