@@ -85,12 +85,13 @@ def step_fsm(
     wall_contact: list[bool],
     dt: float,
     rngs: list[np.random.Generator],
-    config: SimConfig,
+    configs: list[SimConfig],
 ) -> tuple[list[float], list[float], list[float]]:
     """Advance every robot's state machine by dt, updating modes, remaining and refractory in place.
 
     s_l[i] and s_r[i] are the cue intensities under robot i's left and
-    right wheels; robot i draws its turns from rngs[i]. Returns
+    right wheels; robot i draws its turns from rngs[i] and its laws read
+    configs[i] (robots may differ in beta, but not in turn_rate_deg_s). Returns
     (n_l, n_r, turn_deg): the wheel speeds and the in-place turn consumed
     this step in degrees. Robot contact takes priority over wall contact;
     waiting and turning robots ignore contact events, and so does a robot
@@ -104,7 +105,7 @@ def step_fsm(
     n_l = [0.0] * n
     n_r = [0.0] * n
     turn_deg = [0.0] * n
-    max_step = config.turn_rate_deg_s * dt
+    max_step = configs[0].turn_rate_deg_s * dt if configs else 0.0
     for i, mode in enumerate(modes):
         refr = refractory[i]
         if refr > 0.0:
@@ -113,20 +114,20 @@ def step_fsm(
         if mode == FORWARD:
             if robot_contact[i] and refr <= 0.0:
                 modes[i] = WAITING
-                remaining[i] = waiting_time(0.5 * (s_l[i] + s_r[i]), config)
+                remaining[i] = waiting_time(0.5 * (s_l[i] + s_r[i]), configs[i])
             elif wall_contact[i]:
                 modes[i] = AVOID_WALL
-                remaining[i] = random_turn(rngs[i], config)
+                remaining[i] = random_turn(rngs[i], configs[i])
             else:
-                n_l[i], n_r[i] = wheel_speeds(s_l[i], s_r[i], config)
+                n_l[i], n_r[i] = wheel_speeds(s_l[i], s_r[i], configs[i])
         elif mode == WAITING:
             left = remaining[i] - dt
             if left > 0.0:
                 remaining[i] = left
             else:
                 modes[i] = POST_WAIT_TURN
-                remaining[i] = random_turn(rngs[i], config)
-                refractory[i] = config.refractory_s
+                remaining[i] = random_turn(rngs[i], configs[i])
+                refractory[i] = configs[i].refractory_s
         else:
             # AVOID_WALL / POST_WAIT_TURN: rotate in place until the angle is consumed
             turn = remaining[i]

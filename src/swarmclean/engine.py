@@ -1,13 +1,13 @@
 """World state, unicycle kinematics, contact sensing, and the tick loop.
 
-A batch of runs that differ only in seed (one run is a batch of one) is a
-loop over whole seconds around a loop over that second's ticks (0.1 s by
-default). At the top of each second, run by run, each waiting robot erodes
-its run's field once, the run's metrics row is written, and an optional
-observer sees the run's World, once more after the last tick. Each tick,
-for all runs' robots at once: read the ground sensors, detect contacts,
-step the state machines, then integrate motion. Each run's trajectory is
-a pure function of its own config, including its seed.
+A batch of runs that differ only in seed, N and beta (one run is a batch of
+one) is a loop over whole seconds around a loop over that second's ticks
+(0.1 s by default). At the top of each second, run by run, each waiting
+robot erodes its run's field once, the run's metrics row is written, and an
+optional observer sees the run's World, once more after the last tick. Each
+tick, for all runs' robots at once: read the ground sensors, detect
+contacts, step the state machines, then integrate motion. Each run's
+trajectory is a pure function of its own config, including its seed.
 """
 from __future__ import annotations
 
@@ -206,8 +206,9 @@ class PairGeometry:
     to the nearest position it can reach along either axis, and the same
     bound lets `clears_walls` rule out every wall contact.
 
-    xy may hold `runs` blocks of N robots: pairs never cross blocks, `upper_d2`
-    holds each block's triangle in turn, and one drift bound and wall_gap cover all.
+    xy may hold one block of robots per run, `sizes` robots each (by default
+    one block of all): pairs never cross blocks, `upper_d2` holds each block's
+    triangle in turn, and one drift bound and wall_gap cover all.
 
     Every squared distance is d * d summed over both axes, with d = xy[:, j]
     - xy[:, i] gathered by one `take` over a (2, P) index array. A rebuild
@@ -221,14 +222,15 @@ class PairGeometry:
         "_all_pairs", "_rebuilt_xy", "_tick_travel", "_half_skin", "_reach2", "_body_r", "_far_walls",
     )
 
-    def __init__(self, xy: np.ndarray, config: SimConfig, runs: int = 1):
+    def __init__(self, xy: np.ndarray, config: SimConfig, sizes=None):
         self._tick_travel = WHEEL_UNIT_CM_S * config.wheel_max * config.dt_s
         # ticks * tick_travel, not a running sum, so a second of integrate steps lands on it exactly
         self._half_skin = config.ticks_per_second * self._tick_travel
         cutoff = max(config.contact_range_cm, 2.0 * config.body_radius_cm)
         self._reach2 = (cutoff + 2.0 * self._half_skin) ** 2
-        n = xy.shape[1] // runs
-        self._all_pairs = np.hstack([np.array(np.triu_indices(n, k=1)) + k * n for k in range(runs)])
+        sizes = [xy.shape[1]] if sizes is None else sizes
+        starts = np.cumsum([0, *sizes])
+        self._all_pairs = np.hstack([np.array(np.triu_indices(n, k=1)) + start for n, start in zip(sizes, starts)])
         self._body_r, self._far_walls = config.body_radius_cm, _far_walls(config)
         self.rebuild(xy)
 
@@ -349,14 +351,15 @@ def _place_robots(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
     return xy
 
 
-def _separate_overlaps(xy: np.ndarray, config: SimConfig, geom: PairGeometry) -> bool:
+def _separate_overlaps(xy: np.ndarray, config: SimConfig, geom: PairGeometry, far_walls) -> bool:
     """Push apart robot pairs whose bodies interpenetrate, in place in the (2, N) poses xy.
 
     The poses arrive one `integrate` step after `geom` last saw them, and
-    inside the walls (`integrate` clamps them), so only the moved robots
-    need clipping. `geom` is tracked to them, then to the pushed poses, so
-    the next tick's contact detection reads the geometry of the current
-    poses. Returns True when any position changed.
+    inside the walls (`integrate` clamps them), so clamping all of them to
+    the walls (far_walls the far ones) moves only pushed robots. `geom` is
+    tracked to them, then to the pushed poses, so the next tick's contact
+    detection reads the geometry of the current poses. Returns True when
+    any position changed.
     """
     geom.track(xy)
     min_d = 2.0 * config.body_radius_cm
@@ -380,11 +383,10 @@ def _separate_overlaps(xy: np.ndarray, config: SimConfig, geom: PairGeometry) ->
         xs[j] += ux * shift
         ys[j] += uy * shift
     moved = np.flatnonzero(np.bincount(overlapping.ravel(), minlength=len(x))).tolist()
-    r = config.body_radius_cm
-    hi_x = config.arena_width_cm - r
-    hi_y = config.arena_height_cm - r
-    x[moved] = [min(max(xs[k], r), hi_x) for k in moved]
-    y[moved] = [min(max(ys[k], r), hi_y) for k in moved]
+    x[moved] = [xs[k] for k in moved]
+    y[moved] = [ys[k] for k in moved]
+    np.maximum(xy, config.body_radius_cm, out=xy)
+    np.minimum(xy, far_walls, out=xy)
     geom.track(xy, pushed=True)
     return True
 
@@ -395,21 +397,25 @@ def run_simulation(config: SimConfig, observer=None) -> World:
 
 
 def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
-    """Run configs that differ only in seed side by side, one World each, with the bits each run has alone.
+    """Run configs that differ only in seed, n_robots and beta side by side: one World each, bits as run alone.
 
-    RNG streams are derived from each run's seed with a fixed splitting
-    rule: substream [seed, 0] drives placement, substream [seed, i + 1]
-    drives robot i, so each robot's behavior is independent of the swarm
-    size. `observer(world)` sees each run's returned World at every whole
-    second, 0 to duration_s: at t < duration_s after that second's cleaning
-    and metrics row, at duration_s after the last tick.
+    Run k's robots are the columns starts[k]:starts[k + 1] of every per-robot
+    array, starts being the running sum of the runs' n_robots. RNG streams
+    are derived from each run's seed with a fixed splitting rule: substream
+    [seed, 0] drives placement, substream [seed, i + 1] drives robot i, so
+    each robot's behavior is independent of the swarm size. `observer(world)`
+    sees each run's returned World at every whole second, 0 to duration_s:
+    at t < duration_s after that second's cleaning and metrics row, at
+    duration_s after the last tick.
     """
     for config in configs:
         config.validate()
-    if not configs or any(replace(other, seed=configs[0].seed) != configs[0] for other in configs):
-        raise ConfigError("a batch needs at least one config, and its configs must differ only in seed")
-    config, runs, n, dt = configs[0], len(configs), configs[0].n_robots, configs[0].dt_s
-    m = runs * n
+    physics = [replace(c, seed=0, n_robots=0, beta=0.0) for c in configs]
+    if not configs or any(p != physics[0] for p in physics):
+        raise ConfigError("a batch needs at least one config, and its configs must differ only in seed, n_robots, beta")
+    config, runs, dt, sizes = configs[0], len(configs), configs[0].dt_s, [c.n_robots for c in configs]
+    starts = np.cumsum([0, *sizes]).tolist()
+    m = starts[-1]
 
     # (runs, rows, cols); a batch of one views the field without a copy
     cue = init_circular_gradient(
@@ -417,37 +423,38 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
     )[None]
     cue = np.repeat(cue, runs, axis=0) if runs > 1 else cue
     # each ground sensor reads its own run's field: the flat cell offset of its run, left sensors then right
-    cell_offsets = np.tile(np.repeat(np.arange(runs) * cue[0].size, n), 2)
+    cell_offsets = np.tile(np.repeat(np.arange(runs) * cue[0].size, sizes), 2)
 
-    # poses: xy is (2, runs * N), run k's robots in columns k * N to (k + 1) * N; cos_sin holds each tick's trig
+    # poses: xy is (2, m), run k's robots in columns starts[k] to starts[k + 1]; cos_sin holds each tick's trig
     xy = np.empty((2, m))
     heading = np.empty(m)
     cleanings = np.zeros(m, dtype=np.int64)
     d = config.duration_s
-    robot_rngs, worlds = [], []
+    robot_rngs, robot_configs, worlds = [], [], []
     for k, run_config in enumerate(configs):
-        run = slice(k * n, (k + 1) * n)
+        n, run = run_config.n_robots, slice(starts[k], starts[k + 1])
         placement_rng = np.random.default_rng([run_config.seed, 0])
         xy[:, run] = _place_robots(run_config, placement_rng)
         heading[run] = placement_rng.uniform(-math.pi, math.pi, size=n)
         robot_rngs += [np.random.default_rng([run_config.seed, i + 1]) for i in range(n)]
+        robot_configs += [run_config] * n
         # one metrics row per whole second, written in place at the top of each second
         series = MetricsSeries(np.arange(d, dtype=np.int64), np.empty(d), np.empty(d), np.empty(d))
         worlds.append(World(0, xy[:, run], heading[run], [FORWARD] * n, cue[k], series, cleanings[run]))
     cos_sin = np.empty((2, m))
-    geom = PairGeometry(xy, config, runs)
+    geom = PairGeometry(xy, config, sizes)
     far_walls = _far_walls(config)
     signed_h = (0.5 * config.wheel_base_cm) * _SENSOR_SIGNS
     modes = [FORWARD] * m
     remaining, refractory = [0.0] * m, [0.0] * m
     # ground-sensor points: left sensors in [:, :m], right sensors in [:, m:]
     sensors = np.empty((2, 2 * m))
-    n_pairs = n * (n - 1) // 2
+    pair_starts = np.cumsum([0, *(n * (n - 1) // 2 for n in sizes)]).tolist()
 
     for t in range(d):
         geom.rebuild(xy)  # coherency reads the full triangles; the list is renewed with them
         for k, world in enumerate(worlds):
-            world.t, world.modes, series = t, modes[k * n:(k + 1) * n], world.series
+            world.t, world.modes, series = t, modes[starts[k]:starts[k + 1]], world.series
             waiting = [i for i, mode in enumerate(world.modes) if mode == WAITING]
             if waiting:
                 apply_cleaning(world.field, *world.xy[:, waiting])
@@ -455,7 +462,7 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
             # only cleaning changes the field, so a second without any keeps the last second's mean
             series.mean_cue[t] = mean_intensity(world.field) if waiting or not t else series.mean_cue[t - 1]
             series.ratio_within_rc[t] = ratio_within(world.xy, config.cue_center, config.metric_radius_cm)
-            series.coherency_m[t] = coherency(geom.upper_d2[k * n_pairs:(k + 1) * n_pairs])
+            series.coherency_m[t] = coherency(geom.upper_d2[pair_starts[k]:pair_starts[k + 1]])
             if observer is not None:
                 observer(world)
 
@@ -467,14 +474,14 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
             robot_contact, wall_contact = _detect_events_trig(xy, cos_sin, geom, config, far_walls)
             n_l, n_r, turn_deg = step_fsm(
                 modes, remaining, refractory, sensed[:m], sensed[m:], robot_contact.tolist(), wall_contact.tolist(),
-                dt, robot_rngs, config,
+                dt, robot_rngs, robot_configs,
             )
             integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, config, far_walls, not geom.clears_walls(0.0, 1))
-            _separate_overlaps(xy, config, geom)
+            _separate_overlaps(xy, config, geom, far_walls)
 
     # after the last tick: the observer sees the end state, with no cleaning or metrics row
     for k, world in enumerate(worlds):
-        world.t, world.modes = d, modes[k * n:(k + 1) * n]
+        world.t, world.modes = d, modes[starts[k]:starts[k + 1]]
         if observer is not None:
             observer(world)
     return worlds

@@ -280,29 +280,36 @@ def read_manifest(path) -> list[RunSpec]:
 def cmd_sweep(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunSpec]:
     """Run the full grid; write per-run metrics and the sweep manifest.
 
-    Each grid cell's repetitions run as one `run_batch`, in even parts of at
-    most BATCH_ROBOTS robots, BATCH_CELLS field cells and a jobs-th of the
-    runs, in a bounded worker pool, largest population first so the pool
-    does not end on slow runs; outputs depend only on each run's derived
-    seed. A batch that raises runs again run by run. A worker process that
-    dies breaks the pool: its batch and every one not yet finished are
-    marked failed instead of waiting forever. Failures are recorded in the
+    The runs of all grid cells are packed into batches, one `run_batch` each
+    in a bounded worker pool: max(jobs, robots / BATCH_ROBOTS, runs * field
+    cells / BATCH_CELLS) batches, rounded up and at most one per run. Runs
+    are dealt largest population first, each to the batch with the fewest
+    robots (then runs), or to a new batch where that would break a cap.
+    Batches go most robots first so the pool does not end on slow ones;
+    outputs depend only on each run's derived seed, not on the packing. A
+    batch that raises runs again run by run. A worker process that dies
+    breaks the pool: its batch and every one not yet finished are marked
+    failed instead of waiting forever. Failures are recorded in the
     manifest and reported via SweepFailure after the sweep ends.
     """
     runs = plan.runs()
     os.makedirs(out_dir, exist_ok=True)
-    cells: dict[tuple[int, float], list] = {}
-    for idx, spec in enumerate(runs):
-        cfg = replace(plan.base_config, n_robots=spec.n_robots, beta=spec.beta, seed=spec.seed)
-        cells.setdefault((spec.n_robots, spec.beta), []).append((idx, cfg, os.path.join(out_dir, spec.path)))
-    batches = []
-    for tasks in cells.values():
-        cfg = tasks[0][1]
-        field_cells = round(cfg.arena_width_cm) * round(cfg.arena_height_cm)
-        caps = (BATCH_ROBOTS // max(cfg.n_robots, 1), BATCH_CELLS // field_cells, len(runs) // max(jobs, 1))
-        k = -(-len(tasks) // max(1, min(caps)))  # batches for this cell, as even as they can be
-        batches += [tasks[i * len(tasks) // k:(i + 1) * len(tasks) // k] for i in range(k)]
-    batches.sort(key=lambda batch: -batch[0][1].n_robots)
+    base = plan.base_config
+    tasks = [(idx, replace(base, n_robots=r.n_robots, beta=r.beta, seed=r.seed), os.path.join(out_dir, r.path))
+             for idx, r in enumerate(runs)]
+
+    def robots(batch) -> int:
+        return sum(cfg.n_robots for _, cfg, _ in batch)
+
+    field_cells = round(base.arena_width_cm) * round(base.arena_height_cm)
+    k = max(jobs, -(-robots(tasks) // BATCH_ROBOTS), -(-len(tasks) * field_cells // BATCH_CELLS))
+    batches: list[list] = [[] for _ in range(min(k, len(tasks)))]
+    for task in sorted(tasks, key=lambda task: -task[1].n_robots):
+        batch = min(batches, key=lambda b: (robots(b), len(b)))
+        if batch and (robots(batch) + task[1].n_robots > BATCH_ROBOTS or (len(batch) + 1) * field_cells > BATCH_CELLS):
+            batches.append(batch := [])
+        batch.append(task)
+    batches.sort(key=lambda batch: -robots(batch))
 
     if jobs > 1 and len(batches) > 1:
         # imported on use: the pool machinery adds about 1 MB and a dozen

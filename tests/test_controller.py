@@ -118,7 +118,7 @@ def step_one(mode, remaining, s_l, s_r, robot_contact, wall_contact, rng=None, r
     """Step a one-robot swarm: ((mode, remaining), (n_l, n_r), turn_deg, refractory after the step)."""
     modes, rem, refr = [mode], [remaining], [refractory]
     n_l, n_r, turn = step_fsm(
-        modes, rem, refr, [float(s_l)], [float(s_r)], [robot_contact], [wall_contact], 0.1, [rng or _rng()], P
+        modes, rem, refr, [float(s_l)], [float(s_r)], [robot_contact], [wall_contact], 0.1, [rng or _rng()], [P]
     )
     return (modes[0], rem[0]), (n_l[0], n_r[0]), turn[0], refr[0]
 
@@ -218,7 +218,7 @@ class TestWheelCommandInvariants:
         modes, remaining, refractory = [FORWARD, WAITING, AVOID_WALL], [0.0, 0.05, 30.0], [0.0, 0.0, 0.0]
         rngs = [_rng() for _ in modes]
         n_l, n_r, turn = step_fsm(
-            modes, remaining, refractory, [1.5] * 3, [0.5] * 3, [False] * 3, [False] * 3, 0.1, rngs, P
+            modes, remaining, refractory, [1.5] * 3, [0.5] * 3, [False] * 3, [False] * 3, 0.1, rngs, [P] * 3
         )
         assert (n_l, n_r) == ([5.5, 0.0, 0.0], [6.5, 0.0, 0.0])
         assert turn == [0.0, 0.0, pytest.approx(18.0)]
@@ -244,17 +244,20 @@ REFRACTORY_DT = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.floats(0.0, 
 
 
 @given(
-    st.lists(st.tuples(ROBOTS, REFRACTORY_DT), max_size=60),
+    st.lists(st.tuples(ROBOTS, REFRACTORY_DT, st.sampled_from([0.0, 3.0, 6.0, 10.0])), max_size=60),
     st.sampled_from([0.1, 0.05, 1.0]),
     st.sampled_from(["squared", "literal"]),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
 def test_batched_step_equals_per_robot_oracle(robots, dt, formula, seed):
-    """One batched step equals one oracle call per robot, RNG draws and refractory time included."""
-    config = SimConfig(waiting_formula=formula, beta=3.0)
-    refractory = [k * dt for _, k in robots]
-    robots = [robot for robot, _ in robots]
+    """One batched step equals one oracle call per robot, RNG draws and refractory time included.
+
+    Each robot has its own beta, as robots of runs from different grid cells do in one batch.
+    """
+    configs = [SimConfig(waiting_formula=formula, beta=beta) for _, _, beta in robots]
+    refractory = [k * dt for _, k, _ in robots]
+    robots = [robot for robot, _, _ in robots]
     modes = [mode for (mode, _), *_ in robots]
     remaining = [rem for (_, rem), *_ in robots]
     s_l = [r[1] for r in robots]
@@ -266,18 +269,18 @@ def test_batched_step_equals_per_robot_oracle(robots, dt, formula, seed):
     want_refractory = np.array(refractory, dtype=np.float64)
 
     n_l, n_r, turn = step_fsm(
-        modes, remaining, refractory, s_l, s_r, robot_contact, wall_contact, dt, rngs, config
+        modes, remaining, refractory, s_l, s_r, robot_contact, wall_contact, dt, rngs, configs
     )
 
     woke = []
     for i, ((mode, rem), sl, sr, rc, wc) in enumerate(robots):
         old = oracle.to_state(mode, rem)
         seen = oracle.robot_contact_seen(rc, want_refractory[i])
-        state, command, turn_deg = oracle.step_fsm(old, sl, sr, seen, wc, dt, oracle_rngs[i], config)
+        state, command, turn_deg = oracle.step_fsm(old, sl, sr, seen, wc, dt, oracle_rngs[i], configs[i])
         if type(old) is oracle.Waiting and type(state) is not oracle.Waiting:
             woke.append(i)
         assert (modes[i], remaining[i]) == oracle.from_state(state)
         assert (n_l[i], n_r[i], turn[i]) == (command.n_l, command.n_r, turn_deg)
         assert rngs[i].bit_generator.state == oracle_rngs[i].bit_generator.state
-    oracle.step_refractory(want_refractory, woke, dt, config)
+    oracle.step_refractory(want_refractory, woke, dt, SimConfig())
     assert np.array(refractory, dtype=np.float64).tobytes() == want_refractory.tobytes()

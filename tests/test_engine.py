@@ -258,7 +258,7 @@ class TestDetectEvents:
         assert rc.tolist() == [True, True]
         modes, remaining, refractory = [FORWARD, FORWARD], [0.0, 0.0], [1.5, 0.0]
         rngs = [np.random.default_rng(i) for i in range(2)]
-        step_fsm(modes, remaining, refractory, [100.0] * 2, [100.0] * 2, rc.tolist(), wc.tolist(), 0.1, rngs, cfg)
+        step_fsm(modes, remaining, refractory, [100.0] * 2, [100.0] * 2, rc.tolist(), wc.tolist(), 0.1, rngs, [cfg] * 2)
         assert modes == [FORWARD, WAITING]
         assert refractory == [1.4, 0.0]
 
@@ -537,6 +537,35 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _assert_batch_matches_alone(configs):
+    """run_batch gives every run the World arrays, series and observer calls that run_simulation gives it alone."""
+    seen = {}
+
+    def observer(world):
+        seen.setdefault(id(world), []).append((world.t, list(world.modes), world.xy.copy(), world.field.copy()))
+
+    worlds = run_batch(configs, observer)
+    assert len(worlds) == len(configs)
+    for config, world in zip(configs, worlds):
+        alone_seen = []
+        alone = run_simulation(
+            config, lambda w: alone_seen.append((w.t, list(w.modes), w.xy.copy(), w.field.copy()))
+        )
+        assert world.t == alone.t == config.duration_s
+        assert world.modes == alone.modes
+        for name in ("xy", "heading", "field", "cleanings"):
+            assert _same_bits(getattr(world, name), getattr(alone, name)), name
+        for name in ("t", "mean_cue", "ratio_within_rc", "coherency_m"):
+            assert _same_bits(getattr(world.series, name), getattr(alone.series, name)), name
+        # the observer saw this run's World at every whole second, as the run alone sees it
+        calls = seen[id(world)]
+        assert [(t, modes) for t, modes, _, _ in calls] == [(t, modes) for t, modes, _, _ in alone_seen]
+        assert all(_same_bits(a[2], b[2]) and _same_bits(a[3], b[3]) for a, b in zip(calls, alone_seen))
+
+
+BETAS = st.one_of(st.sampled_from([0.0, 3.0, 6.0, 10.0]), st.floats(0.0, 10.0))
+
+
 class TestRunBatch:
     @given(
         st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
@@ -546,35 +575,29 @@ class TestRunBatch:
     )
     @settings(max_examples=40, deadline=None)
     def test_batch_gives_each_run_its_single_run_bits(self, seeds, n, duration, arena):
-        configs = [SimConfig(n_robots=n, duration_s=duration, seed=seed, **BATCH_ARENAS[arena]) for seed in seeds]
-        seen = {}
+        _assert_batch_matches_alone(
+            [SimConfig(n_robots=n, duration_s=duration, seed=seed, **BATCH_ARENAS[arena]) for seed in seeds]
+        )
 
-        def observer(world):
-            seen.setdefault(id(world), []).append((world.t, list(world.modes), world.xy.copy(), world.field.copy()))
-
-        worlds = run_batch(configs, observer)
-        assert len(worlds) == len(configs)
-        for config, world in zip(configs, worlds):
-            alone_seen = []
-            alone = run_simulation(
-                config, lambda w: alone_seen.append((w.t, list(w.modes), w.xy.copy(), w.field.copy()))
-            )
-            assert world.t == alone.t == duration
-            assert world.modes == alone.modes
-            for name in ("xy", "heading", "field", "cleanings"):
-                assert _same_bits(getattr(world, name), getattr(alone, name)), name
-            for name in ("t", "mean_cue", "ratio_within_rc", "coherency_m"):
-                assert _same_bits(getattr(world.series, name), getattr(alone.series, name)), name
-            # the observer saw this run's World at every whole second, as the run alone sees it
-            calls = seen[id(world)]
-            assert [(t, modes) for t, modes, _, _ in calls] == [(t, modes) for t, modes, _, _ in alone_seen]
-            assert all(_same_bits(a[2], b[2]) and _same_bits(a[3], b[3]) for a, b in zip(calls, alone_seen))
+    @given(
+        st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 12), BETAS), min_size=1, max_size=5),
+        st.integers(0, 12),
+        st.sampled_from(sorted(BATCH_ARENAS)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_batch_gives_each_run_its_single_run_bits(self, runs, duration, arena):
+        """Runs of different N and beta, as from different sweep grid cells, share a batch without a bit changing."""
+        _assert_batch_matches_alone([
+            SimConfig(n_robots=n, beta=beta, duration_s=duration, seed=seed, **BATCH_ARENAS[arena])
+            for seed, n, beta in runs
+        ])
 
     def test_configs_must_differ_only_in_seed(self):
+        """Seed, n_robots and beta, the sweep grid's coordinates, may differ inside a batch; nothing else may."""
         base = small_config()
-        assert len(run_batch([base, replace(base, seed=12)])) == 2
-        for other in (replace(base, beta=3.0), replace(base, n_robots=6), replace(base, duration_s=21)):
-            with pytest.raises(ConfigError, match="must differ only in seed"):
+        assert len(run_batch([base, replace(base, seed=12, n_robots=6, beta=3.0), replace(base, n_robots=0)])) == 3
+        for other in (replace(base, duration_s=21), replace(base, arena_width_cm=200.0), replace(base, dt_s=0.05)):
+            with pytest.raises(ConfigError, match="must differ only in seed, n_robots, beta"):
                 run_batch([base, other])
         with pytest.raises(ConfigError, match="at least one config"):
             run_batch([])

@@ -14,7 +14,8 @@ that alters behaviour on purpose re-captures them with
 
 and names the behaviour that changed in CHANGES.md. Every case also runs
 inside a batch of three runs (`run_batch`), first and last in the batch, and
-must give the same digests. On x86-64 the cases run a second time in a
+must give the same digests: once beside runs of other seeds, and once beside
+runs of other grid cells (another N and beta), as a sweep packs them. On x86-64 the cases run a second time in a
 subprocess with numpy's SIMD dispatch cut to the baseline, so a kernel whose
 bits depend on the CPU it runs on fails here too.
 """
@@ -113,15 +114,28 @@ def _sha(data: bytes) -> str:
 # the seeds a case shares its batch with
 BATCH_NEIGHBOUR_SEEDS = (101, 102)
 BATCH_POSITIONS = ("first", "last")
+# every way a case runs: alone, then each position beside runs of other seeds and of other grid cells
+RUN_KINDS = ((None, False), *((position, other_cells) for position in BATCH_POSITIONS for other_cells in (False, True)))
 
 
-def run_digests(case: str, tmp_dir, batch_position: str | None = None) -> dict[str, str]:
+def batch_companions(config: SimConfig, other_cells: bool = False) -> list[SimConfig]:
+    """The two runs beside a case in its batch: other seeds, and with other_cells also another N and beta each."""
+    if not other_cells:
+        return [replace(config, seed=seed) for seed in BATCH_NEIGHBOUR_SEEDS]
+    seed_a, seed_b = BATCH_NEIGHBOUR_SEEDS
+    return [
+        replace(config, seed=seed_a, n_robots=config.n_robots // 2 + 3, beta=9.0 - config.beta),
+        replace(config, seed=seed_b, n_robots=2, beta=4.5),
+    ]
+
+
+def run_digests(case: str, tmp_dir, batch_position: str | None = None, other_cells: bool = False) -> dict[str, str]:
     """The case's digests run alone, or in a batch of three at the given position ("first" or "last")."""
     config = SimConfig(**CASES[case])
     if batch_position is None:
         result = run_simulation(config)
     else:
-        others = [replace(config, seed=seed) for seed in BATCH_NEIGHBOUR_SEEDS]
+        others = batch_companions(config, other_cells)
         configs = [config, *others] if batch_position == "first" else [*others, config]
         result = run_batch(configs)[0 if batch_position == "first" else -1]
     path = os.path.join(tmp_dir, f"{case}_metrics.csv")
@@ -147,6 +161,16 @@ def test_golden_digests(case, tmp_path):
 def test_golden_digests_inside_a_batch(case, position, tmp_path):
     """A run gives the same bits whatever runs beside it in a batch."""
     assert run_digests(case, tmp_path, position) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("position", BATCH_POSITIONS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_digests_inside_a_batch_of_other_cells(case, position, tmp_path):
+    """A run gives the same bits beside runs of other populations and speeds, with the same physics and duration."""
+    config = SimConfig(**CASES[case])
+    for other in batch_companions(config, other_cells=True):
+        assert other.n_robots != config.n_robots and other.beta != config.beta
+    assert run_digests(case, tmp_path, position, other_cells=True) == GOLDEN[case]
 
 
 def test_dense_case_rebuilds_only_at_whole_seconds(tmp_path, monkeypatch):
@@ -177,10 +201,10 @@ if active:
     raise SystemExit(f"dispatch targets still enabled: {active}")
 with tempfile.TemporaryDirectory() as tmp:
     changed = [
-        (c, position)
+        (c, position, other_cells)
         for c in test_golden.CASES
-        for position in (None, *test_golden.BATCH_POSITIONS)
-        if test_golden.run_digests(c, tmp, position) != test_golden.GOLDEN[c]
+        for position, other_cells in test_golden.RUN_KINDS
+        if test_golden.run_digests(c, tmp, position, other_cells) != test_golden.GOLDEN[c]
     ]
 if changed:
     raise SystemExit(f"digests differ at baseline dispatch: {changed}")

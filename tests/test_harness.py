@@ -1,10 +1,13 @@
 import concurrent.futures
 import os
 import signal
+import tempfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmclean import engine, harness
 from swarmclean.cli import main as cli_main
@@ -394,7 +397,7 @@ class TestCmdSweep:
 
     def test_failed_run_leaves_its_batch_siblings_as_a_clean_sweep(self, tmp_path, monkeypatch):
         plan = tiny_plan()
-        victim = plan.runs()[1]  # N=3, repetition 1: its batch sibling is repetition 0
+        victim = plan.runs()[1]  # N=3, repetition 1: at --jobs 1 every other run shares its batch
         clean = tmp_path / "clean"
         cmd_sweep(plan, clean)
         place = engine._place_robots
@@ -414,6 +417,56 @@ class TestCmdSweep:
         assert not (out / victim.path).exists()
         for path in statuses:
             assert (out / path / "metrics.csv").read_bytes() == (clean / path / "metrics.csv").read_bytes()
+
+    def test_failed_run_leaves_its_siblings_from_other_cells_as_a_clean_sweep(self, tmp_path, monkeypatch):
+        plan = tiny_plan(betas=(3.0, 6.0))
+        victim = plan.runs()[1]  # N=3, beta 3, repetition 1
+        clean = tmp_path / "clean"
+        cmd_sweep(plan, clean, jobs=2)
+        place = engine._place_robots
+
+        def fail_victim(config, rng):
+            if config.seed == victim.seed:
+                raise PlacementError("placement refused for this seed")
+            return place(config, rng)
+
+        monkeypatch.setattr(engine, "_place_robots", fail_victim)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(_RecordingExecutor, "batches", [])
+        out = tmp_path / "sweep"
+        with pytest.raises(SweepFailure):
+            cmd_sweep(plan, out, jobs=2)
+        # the victim's batch also held runs of other populations and speeds
+        victim_batch = next(b for b in _RecordingExecutor.batches if victim.seed in [c.seed for _, c, _ in b])
+        assert {(c.n_robots, c.beta) for _, c, _ in victim_batch} > {(victim.n_robots, victim.beta)}
+        statuses = {spec.path: spec.status for spec in read_manifest(out / "manifest.csv")}
+        assert statuses.pop(victim.path) == "failed"
+        assert set(statuses.values()) == {"ok"}
+        assert not (out / victim.path).exists()
+        for path in statuses:
+            assert (out / path / "metrics.csv").read_bytes() == (clean / path / "metrics.csv").read_bytes()
+
+    def test_outputs_do_not_depend_on_the_packing(self, tmp_path, monkeypatch):
+        """--jobs 1, 2 and 3 pack a two-speed plan into different batches and write the same bytes."""
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(_RecordingExecutor, "batches", [])
+        packings = []
+        worker = harness._sweep_worker
+
+        def recording_worker(batch):
+            packings[-1].append(sorted(idx for idx, _, _ in batch))
+            return worker(batch)
+
+        monkeypatch.setattr(harness, "_sweep_worker", recording_worker)
+        plan = tiny_plan(betas=(3.0, 6.0))
+        for jobs in (1, 2, 3):
+            packings.append([])
+            cmd_sweep(plan, tmp_path / f"jobs{jobs}", jobs=jobs)
+        assert len({str(sorted(packing)) for packing in packings}) == 3
+        assert list(map(len, packings)) == [1, 2, 3]
+        for jobs in (2, 3):
+            for name in ["manifest.csv", *(os.path.join(spec.path, "metrics.csv") for spec in plan.runs())]:
+                assert (tmp_path / f"jobs{jobs}" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes()
 
     def test_reused_sweep_dir_keeps_no_stale_snapshot(self, tmp_path):
         out = tmp_path / "sweep"
@@ -437,10 +490,11 @@ _SWEEP_WORKER = harness._sweep_worker
 class _RecordingExecutor:
     """Synchronous stand-in for ProcessPoolExecutor that records its size and submissions.
 
-    Each submission is recorded as the populations of the batch's runs.
+    Each submission is recorded as the populations of the batch's runs, and the batch itself in `batches`.
     """
 
     submitted: list[list[int]] = []
+    batches: list[list] = []
     max_workers: list[int] = []
 
     def __init__(self, max_workers):
@@ -454,6 +508,7 @@ class _RecordingExecutor:
 
     def submit(self, fn, batch):
         self.submitted.append([cfg.n_robots for _, cfg, _ in batch])
+        self.batches.append(batch)
         future = concurrent.futures.Future()
         future.set_result(fn(batch))
         return future
@@ -479,34 +534,88 @@ class TestSweepPool:
         assert {spec.status for spec in manifest if spec.n_robots == 5} == {"failed"}
 
     def test_largest_population_submitted_first(self, tmp_path, monkeypatch):
+        """Runs are dealt largest population first, each to the batch with the fewest robots; most robots go first."""
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
         monkeypatch.setattr(_RecordingExecutor, "submitted", [])
-        cmd_sweep(tiny_plan(populations=(3, 7, 5)), tmp_path / "sweep", jobs=2)
-        assert _RecordingExecutor.submitted == [[7, 7], [5, 5], [3, 3]]
+        cmd_sweep(tiny_plan(populations=(3, 7, 5)), tmp_path / "two", jobs=2)
+        cmd_sweep(tiny_plan(populations=(3, 7, 5)), tmp_path / "four", jobs=4)
+        assert _RecordingExecutor.submitted == [[7, 5, 3], [7, 5, 3], [5, 3], [5, 3], [7], [7]]
 
     def test_batches_capped_at_batch_robots(self, tmp_path, monkeypatch):
+        """A run that would take the fewest-robot batch over BATCH_ROBOTS opens another batch."""
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
         monkeypatch.setattr(_RecordingExecutor, "submitted", [])
         monkeypatch.setattr(harness, "BATCH_ROBOTS", 10)
         cmd_sweep(tiny_plan(populations=(3, 5), repetitions=5), tmp_path / "sweep", jobs=2)
-        assert _RecordingExecutor.submitted == [[5], [5, 5], [5, 5], [3, 3], [3, 3, 3]]
+        assert _RecordingExecutor.submitted == [[5, 5], [5, 3], [5, 3], [5, 3], [3, 3]]
 
     def test_cells_split_so_that_every_worker_has_a_batch(self, tmp_path, monkeypatch):
+        """Every worker gets a batch: one cell is split three ways, and so are the four runs of two cells."""
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
         monkeypatch.setattr(_RecordingExecutor, "submitted", [])
-        cmd_sweep(tiny_plan(populations=(3,), repetitions=6), tmp_path / "sweep", jobs=3)
-        assert _RecordingExecutor.submitted == [[3, 3], [3, 3], [3, 3]]
+        cmd_sweep(tiny_plan(populations=(3,), repetitions=6), tmp_path / "one", jobs=3)
+        cmd_sweep(tiny_plan(repetitions=2), tmp_path / "two", jobs=3)
+        assert _RecordingExecutor.submitted == [[3, 3], [3, 3], [3, 3], [3, 3], [5], [5]]
 
     def test_workers_capped_at_number_of_batches(self, tmp_path, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
         monkeypatch.setattr(_RecordingExecutor, "submitted", [])
         monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
-        plan = tiny_plan(repetitions=3)  # two cells of three runs: two batches, split to six at most
+        plan = tiny_plan(repetitions=3)  # two cells of three runs: six batches at most, one per run
         cmd_sweep(plan, tmp_path / "wide", jobs=500)
         cmd_sweep(plan, tmp_path / "narrow", jobs=3)
         cmd_sweep(plan, tmp_path / "two", jobs=2)
         assert _RecordingExecutor.max_workers == [6, 3, 2]
         assert list(map(len, _RecordingExecutor.submitted[-2:])) == [3, 3]
+
+    @staticmethod
+    def packed(plan, jobs, monkeypatch) -> list[list[int]]:
+        """The populations of each batch cmd_sweep submits for the plan, without running them."""
+        batches = []
+
+        def record(batch):
+            batches.append([cfg.n_robots for _, cfg, _ in batch])
+            return [(idx, "ok") for idx, _, _ in batch]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(_RecordingExecutor, "submitted", [])
+        monkeypatch.setattr(_RecordingExecutor, "batches", [])
+        monkeypatch.setattr(harness, "_sweep_worker", record)
+        with tempfile.TemporaryDirectory() as out:
+            cmd_sweep(plan, out, jobs=jobs)
+        return batches
+
+    def test_sweep_cells_shape_packs_into_batches_of_300_robots(self, monkeypatch):
+        """The bench's sweep_cells grid at --jobs 2 is 2 batches of 300 robots; the default grid is 6 of them."""
+        cells_shape = ExperimentPlan(repetitions=2, base_config=SimConfig(duration_s=1))
+        assert [(sum(b), len(b)) for b in self.packed(cells_shape, 2, monkeypatch)] == [(300, 10)] * 2
+        default_grid = ExperimentPlan(base_config=SimConfig(duration_s=1))
+        assert [(sum(b), len(b)) for b in self.packed(default_grid, 2, monkeypatch)] == [(300, 10)] * 6
+
+    @given(
+        st.lists(st.integers(0, 120), min_size=1, max_size=5, unique=True),
+        st.integers(1, 2),
+        st.integers(1, 8),
+        st.integers(1, 9),
+        st.sampled_from([(285.0, 285.0), (100.0, 60.0), (1200.0, 900.0)]),
+        st.sampled_from([(300, 1_000_000), (40, 200_000), (7, 10_000)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_no_batch_exceeds_the_caps(self, populations, n_betas, repetitions, jobs, arena, caps):
+        """Every batch keeps to BATCH_ROBOTS and BATCH_CELLS, unless it is one run that alone exceeds a cap."""
+        plan = ExperimentPlan(
+            populations=tuple(populations), betas=(3.0, 6.0)[:n_betas], repetitions=repetitions,
+            base_config=SimConfig(duration_s=1, arena_width_cm=arena[0], arena_height_cm=arena[1]),
+        )
+        field_cells = round(arena[0]) * round(arena[1])
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(harness, "BATCH_ROBOTS", caps[0])
+            monkeypatch.setattr(harness, "BATCH_CELLS", caps[1])
+            batches = self.packed(plan, jobs, monkeypatch)
+        assert sorted(n for batch in batches for n in batch) == sorted(r.n_robots for r in plan.runs())
+        assert len(batches) >= min(jobs, len(plan.runs())) and all(batches)
+        for batch in batches:
+            assert len(batch) == 1 or (sum(batch) <= caps[0] and len(batch) * field_cells <= caps[1])
 
 
 class TestCmdAnalyze:

@@ -169,7 +169,7 @@ def test_separation_leaves_geometry_of_current_poses(swarm, seed):
     tick_step(*before, rng.uniform(-math.pi, math.pi, len(x)), rng.uniform(0.0, 1.0, len(x)))
     geom = PairGeometry(before, CFG)
     ref_x, ref_y = x.copy(), y.copy()
-    moved = _separate_overlaps(xy, CFG, geom)
+    moved = _separate_overlaps(xy, CFG, geom, _far_walls(CFG))
     assert moved == separate_dense(ref_x, ref_y, CFG)
     assert same_bits(x, ref_x) and same_bits(y, ref_y)
     assert_geometry_of(geom, x, y)
@@ -187,7 +187,7 @@ def test_carried_list_matches_dense(swarm, ticks, seed):
     for _ in range(ticks):
         tick_step(x, y, heading, speed)
         ref_x, ref_y = x.copy(), y.copy()
-        assert _separate_overlaps(xy, CFG, geom) == separate_dense(ref_x, ref_y, CFG)
+        assert _separate_overlaps(xy, CFG, geom, _far_walls(CFG)) == separate_dense(ref_x, ref_y, CFG)
         assert same_bits(x, ref_x) and same_bits(y, ref_y)
         assert_geometry_of(geom, x, y)
         got, want = detect(x, y, rng.uniform(-math.pi, math.pi, len(x)), geom)
@@ -289,7 +289,7 @@ def test_coincident_and_overlapping_robots_match_dense_separation():
     x, y = xy
     ref_x, ref_y = x.copy(), y.copy()
     geom = PairGeometry(xy, CFG)
-    assert _separate_overlaps(xy, CFG, geom)
+    assert _separate_overlaps(xy, CFG, geom, _far_walls(CFG))
     assert separate_dense(ref_x, ref_y, CFG)
     assert same_bits(x, ref_x) and same_bits(y, ref_y)
     assert_geometry_of(geom, x, y)
@@ -323,7 +323,7 @@ def advance(xy, heading, geom, wheels, turn, config):
     integrate(ref_xy, ref_heading, cos_sin, *wheels, turn, config.dt_s, config, _far_walls(config))
     integrate(xy, heading, cos_sin, *wheels, turn, config.dt_s, config, _far_walls(config), clamp)
     assert same_bits(xy, ref_xy) and same_bits(heading, ref_heading)
-    _separate_overlaps(xy, config, geom)
+    _separate_overlaps(xy, config, geom, _far_walls(config))
     return geom.clears_walls(config.wall_range_cm), not clamp
 
 
@@ -408,7 +408,7 @@ def test_separation_push_toward_a_wall_is_charged():
     geom = PairGeometry(xy, config)
     assert geom.wall_gap == rng_cm + 1.0
     xy_before = xy.copy()
-    assert _separate_overlaps(xy, config, geom)
+    assert _separate_overlaps(xy, config, geom, _far_walls(config))
     assert xy[0, 0] == xy_before[0, 0] - 2.0 and geom.drift == 2.0
     assert not geom.clears_walls(rng_cm)
     _, wall = _detect_events_trig(xy, trig(heading), geom, config, _far_walls(config))
