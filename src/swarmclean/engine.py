@@ -24,8 +24,9 @@ from .metrics import MetricsSeries, coherency, ratio_within
 # wheel-unit calibration: bias 6 drives 8 cm/s, bias 3 drives 4 cm/s
 WHEEL_UNIT_CM_S = 4.0 / 3.0
 
-TWO_PI = 2.0 * math.pi
-DEG_TO_RAD = math.pi / 180.0
+# 0-d operands: numpy turns a Python float operand into an array on every call, and takes a 0-d array as it is
+_PI, _TWO_PI, _DEG_TO_RAD, _ZERO = (np.array(v) for v in (math.pi, 2.0 * math.pi, math.pi / 180.0, 0.0))
+_HALF_WHEEL_UNIT, _WHEEL_UNIT = np.array(WHEEL_UNIT_CM_S * 0.5), np.array(WHEEL_UNIT_CM_S)
 _SENSOR_SIGNS = np.array([[[-1.0], [1.0]], [[1.0], [-1.0]]])  # (axis, side, 1): signs of the ground-sensor offsets
 
 # validation bounds: floats are finite and at most MAX_MAGNITUDE in size,
@@ -96,7 +97,8 @@ class SimConfig:
         Every field is checked here, the controller's too: integers and
         finite floats of the right type, each inside its physical range.
         Floats are bounded in magnitude so that no speed, yaw rate or
-        waiting time overflows.
+        waiting time overflows. Bodies that no packing fits into the arena
+        are a PlacementError here, before any placement is tried.
         """
         for f in fields(self):
             value = getattr(self, f.name)
@@ -125,6 +127,10 @@ class SimConfig:
         if min(round(self.arena_width_cm), round(self.arena_height_cm)) < 1:
             # the field has round(side) cells per side (see init_circular_gradient)
             raise ConfigError("arena sides must round to at least one 1 cm field cell")
+        # no packing of equal disks covers more than pi / sqrt(12) of the area, the hexagonal one (Fejes Toth)
+        bodies_cm2 = self.n_robots * math.pi * self.body_radius_cm**2
+        if bodies_cm2 > math.pi / math.sqrt(12.0) * self.arena_width_cm * self.arena_height_cm:
+            raise PlacementError(f"{self.n_robots} bodies cover {bodies_cm2:g} cm^2, over pi/sqrt(12) of the arena")
         if self.cue_peak > 255:
             raise ConfigError(f"cue_peak must be at most 255, got {self.cue_peak}")
         if self.turn_min_deg > self.turn_max_deg:
@@ -135,22 +141,10 @@ class SimConfig:
             raise ConfigError(f"waiting_formula must be 'squared' or 'literal', got {self.waiting_formula!r}")
 
 
-def ground_sensor_points(xy, cos_sin, signed_h, out) -> None:
-    """Ground-sensor points under the wheels, written into out, shape (2, 2N).
-
-    Each sensor sits wheel_base/2 from the center, perpendicular to the
-    heading: left sensors go to out[:, :n], right sensors to out[:, n:].
-    xy and cos_sin are (2, N): positions, and cos/sin of the headings;
-    signed_h is (wheel_base / 2) * _SENSOR_SIGNS.
-    """
-    # left offsets (-h sin, h cos) and right ones (h sin, -h cos), h = wheel_base/2, in one broadcast
-    np.add(xy[:, None], signed_h * cos_sin[::-1, None], out=out.reshape(2, 2, xy.shape[1], copy=False))
-
-
 def wrap_angle(theta):
     """Wrap to (-pi, pi]; a float or an array."""
     # for a theta just above pi the remainder rounds up to 2 pi; fmod maps that alone to 0
-    return math.pi - np.fmod((math.pi - theta) % TWO_PI, TWO_PI)
+    return _PI - np.fmod((_PI - theta) % _TWO_PI, _TWO_PI)
 
 
 def _far_walls(config: SimConfig) -> np.ndarray:
@@ -159,26 +153,26 @@ def _far_walls(config: SimConfig) -> np.ndarray:
     return np.array([[config.arena_width_cm - r], [config.arena_height_cm - r]])
 
 
-def integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt: float, config: SimConfig, far_walls, clamp=True) -> None:
+def integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, config: SimConfig, far_walls, clamp=True) -> None:
     """One explicit-Euler step of the unicycle model for every robot, in place.
 
     xy (2, N) and heading (N,) are updated; cos_sin holds the cos and sin
-    of the headings before the step. Wheel units map to a forward speed
+    of the headings before the step, and dt is a float or a 0-d array. Wheel units map to a forward speed
     of WHEEL_UNIT_CM_S * (n_l + n_r) / 2 cm/s and a yaw rate of
     WHEEL_UNIT_CM_S * (n_r - n_l) / wheel_base rad/s. A nonzero turn_deg
     then rotates the robot in place; positions are clamped to the arena,
     whose far walls are `_far_walls(config)`, unless clamp is False.
     """
     n_l, n_r = np.array((n_l, n_r), dtype=np.float64)
-    v = WHEEL_UNIT_CM_S * 0.5 * (n_l + n_r)
-    omega = WHEEL_UNIT_CM_S * (n_r - n_l) / config.wheel_base_cm
+    v = _HALF_WHEEL_UNIT * (n_l + n_r)
+    omega = _WHEEL_UNIT * (n_r - n_l) / config.wheel_base_cm
     xy += v * cos_sin * dt
     heading[:] = wrap_angle(heading + omega * dt)
     if any(turn_deg):
         # only turning robots wrap twice: wrapping rounds through pi - theta, which moves the
         # low bits of many headings already in (-pi, pi]
         turn = np.array(turn_deg, dtype=np.float64)
-        np.copyto(heading, wrap_angle(heading + turn * DEG_TO_RAD), where=turn != 0.0)
+        np.copyto(heading, wrap_angle(heading + turn * _DEG_TO_RAD), where=turn != _ZERO)
     if clamp:
         np.maximum(xy, config.body_radius_cm, out=xy)
         np.minimum(xy, far_walls, out=xy)
@@ -208,7 +202,8 @@ class PairGeometry:
 
     xy may hold one block of robots per run, `sizes` robots each (by default
     one block of all): pairs never cross blocks, `upper_d2` holds each block's
-    triangle in turn, and one drift bound and wall_gap cover all.
+    triangle in turn, and one drift bound and wall_gap cover all. `contact_d2`
+    and `overlap_d2`, the squared contact range and body diameter, are 0-d arrays.
 
     Every squared distance is d * d summed over both axes, with d = xy[:, j]
     - xy[:, i] gathered by one `take` over a (2, P) index array. A rebuild
@@ -218,7 +213,7 @@ class PairGeometry:
     """
 
     __slots__ = (
-        "upper_d2", "pairs", "pair_d2", "ticks", "drift", "wall_gap",
+        "upper_d2", "pairs", "pair_d2", "ticks", "drift", "wall_gap", "contact_d2", "overlap_d2",
         "_all_pairs", "_rebuilt_xy", "_tick_travel", "_half_skin", "_reach2", "_body_r", "_far_walls",
     )
 
@@ -226,12 +221,14 @@ class PairGeometry:
         self._tick_travel = WHEEL_UNIT_CM_S * config.wheel_max * config.dt_s
         # ticks * tick_travel, not a running sum, so a second of integrate steps lands on it exactly
         self._half_skin = config.ticks_per_second * self._tick_travel
-        cutoff = max(config.contact_range_cm, 2.0 * config.body_radius_cm)
-        self._reach2 = (cutoff + 2.0 * self._half_skin) ** 2
+        min_d = 2.0 * config.body_radius_cm
+        cutoff = max(config.contact_range_cm, min_d)
+        self._reach2 = np.array((cutoff + 2.0 * self._half_skin) ** 2)
+        self.contact_d2, self.overlap_d2 = np.array(config.contact_range_cm**2), np.array(min_d * min_d)
         sizes = [xy.shape[1]] if sizes is None else sizes
         starts = np.cumsum([0, *sizes])
         self._all_pairs = np.hstack([np.array(np.triu_indices(n, k=1)) + start for n, start in zip(sizes, starts)])
-        self._body_r, self._far_walls = config.body_radius_cm, _far_walls(config)
+        self._body_r, self._far_walls = np.array(config.body_radius_cm), _far_walls(config)
         self.rebuild(xy)
 
     @staticmethod
@@ -282,23 +279,20 @@ def _detect_events_trig(xy, cos_sin, geom, config, far_walls):
     to a wall that lies in the frontal arc, unless `geom` clears the walls;
     far_walls is `_far_walls(config)`.
     """
-    x, y = xy
-    cos_t, sin_t = cos_sin
-    robot_contact = np.zeros(len(x), dtype=bool)
-    near = geom.pair_d2 <= config.contact_range_cm**2
+    robot_contact = np.zeros(xy.shape[1], dtype=bool)
+    near = geom.pair_d2 <= geom.contact_d2
     if np.count_nonzero(near):
-        # both directions of every pair in range, in one frontal test
+        # both directions of every pair in range, in one frontal test: cos * dx + sin * dy >= 0, both axes at once
         in_range = geom.pairs.compress(near, axis=1)
         ii, jj = in_range.ravel(), in_range[::-1].ravel()
-        frontal = cos_t[ii] * (x[jj] - x[ii]) + sin_t[ii] * (y[jj] - y[ii]) >= 0.0
-        robot_contact[ii[frontal]] = True
+        ahead = cos_sin.take(ii, axis=1) * (xy.take(jj, axis=1) - xy.take(ii, axis=1))
+        robot_contact[ii[ahead[0] + ahead[1] >= _ZERO]] = True
     if geom.clears_walls(config.wall_range_cm):
-        return robot_contact, np.zeros(len(x), dtype=bool)
+        return robot_contact, np.zeros(xy.shape[1], dtype=bool)
 
     # rows: x and the vertical walls, y and the horizontal walls
-    r = config.body_radius_cm
-    rng_cm = config.wall_range_cm
-    near_wall = ((xy - r < rng_cm) & (cos_sin <= 0.0)) | ((far_walls - xy < rng_cm) & (cos_sin >= 0.0))
+    r, rng_cm = config.body_radius_cm, config.wall_range_cm
+    near_wall = ((xy - r < rng_cm) & (cos_sin <= _ZERO)) | ((far_walls - xy < rng_cm) & (cos_sin >= _ZERO))
     return robot_contact, near_wall[0] | near_wall[1]
 
 
@@ -362,14 +356,14 @@ def _separate_overlaps(xy: np.ndarray, config: SimConfig, geom: PairGeometry, fa
     any position changed.
     """
     geom.track(xy)
-    min_d = 2.0 * config.body_radius_cm
-    overlap = geom.pair_d2 < min_d * min_d
+    overlap = geom.pair_d2 < geom.overlap_d2
     if not np.count_nonzero(overlap):
         return False
     overlapping = geom.pairs.compress(overlap, axis=1)
     ii, jj = overlapping
     x, y = xy
     xs, ys = x.tolist(), y.tolist()  # Python floats: same arithmetic, cheaper per element
+    min_d = 2.0 * config.body_radius_cm
     for i, j in zip(ii.tolist(), jj.tolist()):
         d = math.hypot(xs[j] - xs[i], ys[j] - ys[i])
         if d < 1e-9:
@@ -423,7 +417,7 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
     )[None]
     cue = np.repeat(cue, runs, axis=0) if runs > 1 else cue
     # each ground sensor reads its own run's field: the flat cell offset of its run, left sensors then right
-    cell_offsets = np.tile(np.repeat(np.arange(runs) * cue[0].size, sizes), 2)
+    cell_offsets = np.tile(np.repeat(np.arange(runs) * cue[0].size, sizes), 2) if runs > 1 else None
 
     # poses: xy is (2, m), run k's robots in columns starts[k] to starts[k + 1]; cos_sin holds each tick's trig
     xy = np.empty((2, m))
@@ -441,14 +435,16 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
         # one metrics row per whole second, written in place at the top of each second
         series = MetricsSeries(np.arange(d, dtype=np.int64), np.empty(d), np.empty(d), np.empty(d))
         worlds.append(World(0, xy[:, run], heading[run], [FORWARD] * n, cue[k], series, cleanings[run]))
-    cos_sin = np.empty((2, m))
     geom = PairGeometry(xy, config, sizes)
     far_walls = _far_walls(config)
-    signed_h = (0.5 * config.wheel_base_cm) * _SENSOR_SIGNS
     modes = [FORWARD] * m
     remaining, refractory = [0.0] * m, [0.0] * m
-    # ground-sensor points: left sensors in [:, :m], right sensors in [:, m:]
-    sensors = np.empty((2, 2 * m))
+    # ground sensors sit wheel_base / 2 = h across the heading: left ones at (-h sin, h cos) from the center, in
+    # sensors[:, :m], right ones at (h sin, -h cos) in [:, m:]; the views and 0-d operands are made once, not per tick
+    cos_sin, sensors, offsets = np.empty((2, m)), np.empty((2, 2 * m)), np.empty((2, 2, m))
+    cos_row, sin_row, sin_cos, xy_col = *cos_sin, cos_sin[::-1, None], xy[:, None]
+    sensor_grid, signed_h = sensors.reshape(2, 2, m, copy=False), (0.5 * config.wheel_base_cm) * _SENSOR_SIGNS
+    dt_0d, center_0d, r_c_0d = np.array(dt), tuple(map(np.array, config.cue_center)), np.array(config.metric_radius_cm)
     pair_starts = np.cumsum([0, *(n * (n - 1) // 2 for n in sizes)]).tolist()
 
     for t in range(d):
@@ -461,22 +457,23 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
                 world.cleanings[waiting] += 1
             # only cleaning changes the field, so a second without any keeps the last second's mean
             series.mean_cue[t] = mean_intensity(world.field) if waiting or not t else series.mean_cue[t - 1]
-            series.ratio_within_rc[t] = ratio_within(world.xy, config.cue_center, config.metric_radius_cm)
+            series.ratio_within_rc[t] = ratio_within(world.xy, center_0d, r_c_0d)
             series.coherency_m[t] = coherency(geom.upper_d2[pair_starts[k]:pair_starts[k + 1]])
             if observer is not None:
                 observer(world)
 
         for _ in range(config.ticks_per_second):
-            np.cos(heading, out=cos_sin[0])
-            np.sin(heading, out=cos_sin[1])
-            ground_sensor_points(xy, cos_sin, signed_h, sensors)
-            sensed = sample_many(cue, sensors[0], sensors[1], cell_offsets).tolist()
+            np.cos(heading, out=cos_row)
+            np.sin(heading, out=sin_row)
+            np.multiply(signed_h, sin_cos, out=offsets)
+            np.add(xy_col, offsets, out=sensor_grid)
+            sensed = sample_many(cue, sensors, cell_offsets).tolist()
             robot_contact, wall_contact = _detect_events_trig(xy, cos_sin, geom, config, far_walls)
             n_l, n_r, turn_deg = step_fsm(
                 modes, remaining, refractory, sensed[:m], sensed[m:], robot_contact.tolist(), wall_contact.tolist(),
                 dt, robot_rngs, robot_configs,
             )
-            integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, config, far_walls, not geom.clears_walls(0.0, 1))
+            integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt_0d, config, far_walls, not geom.clears_walls(0.0, 1))
             _separate_overlaps(xy, config, geom, far_walls)
 
     # after the last tick: the observer sees the end state, with no cleaning or metrics row

@@ -8,6 +8,7 @@ the waiting state; nothing ever raises a cell.
 """
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -17,7 +18,9 @@ import numpy as np
 # weakest at the corners (8 - sqrt(32) ~ 2.343); every entry is positive.
 KERNEL_REACH = 4
 _KERNEL_OFFSETS = np.arange(-KERNEL_REACH, KERNEL_REACH + 1)
-CLEAN_KERNEL = 8.0 - np.sqrt(_KERNEL_OFFSETS[:, None] ** 2 + _KERNEL_OFFSETS[None, :] ** 2)
+_KERNEL_ROW_OFFSETS = _KERNEL_OFFSETS[:, None]
+CLEAN_KERNEL = 8.0 - np.sqrt(_KERNEL_ROW_OFFSETS**2 + _KERNEL_OFFSETS[None, :] ** 2)
+_ZERO = np.array(0.0)  # a 0-d operand: numpy converts a Python float operand on every call
 # one PGM header token after any whitespace and '#' comments (to the line end), possessive: no backtracking
 _PGM_TOKEN = rb"(?:\s|#[^\n]*+)*+([^\s#]\S*)"
 
@@ -57,22 +60,30 @@ def init_circular_gradient(
     return field
 
 
-def sample_many(field: np.ndarray, xs_cm: np.ndarray, ys_cm: np.ndarray, cell_offset=0) -> np.ndarray:
-    """Intensities of the cells containing each point; 0 outside the arena.
+@functools.cache
+def _grid_operands(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2, 1) uintp bounds (cols, rows) and the 0-d intp row stride of a rows x cols field, made once per shape."""
+    bounds, stride = np.array([[cols], [rows]], dtype=np.uintp), np.array(cols, dtype=np.intp)
+    bounds.flags.writeable = stride.flags.writeable = False  # every caller shares them
+    return bounds, stride
+
+
+def sample_many(field: np.ndarray, points_cm: np.ndarray, cell_offset=None) -> np.ndarray:
+    """Intensities of the cells containing each point of the (2, K) points_cm (x, then y); 0 outside the arena.
 
     Nearest-cell semantics: no interpolation, the raw (possibly fractional)
     cell value is returned. Total over the whole plane. field may be a stack
     (runs, rows, cols): a point's cell_offset of k * rows * cols reads field[k].
     """
-    rows, cols = field.shape[-2:]
-    c = np.floor(xs_cm).astype(np.intp)
-    r = np.floor(ys_cm).astype(np.intp)
-    # a negative index wraps to a huge unsigned one, so one comparison per axis checks both bounds
-    inside = (c.view(np.uintp) < cols) & (r.view(np.uintp) < rows)
-    r *= cols
-    r += c
-    r += cell_offset  # on the integer index: floor(y + k * rows) could round across a cell edge
-    out = field.take(r, mode="clip")
+    bounds, stride = _grid_operands(*field.shape[-2:])
+    cells = np.floor(points_cm).astype(np.intp)  # columns, then rows
+    # a negative index wraps to a huge unsigned one, so one comparison checks both bounds of both axes
+    inside = cells.view(np.uintp) < bounds
+    inside = inside[0] & inside[1]
+    index = cells[1] * stride + cells[0]
+    if cell_offset is not None:
+        index += cell_offset  # on the integer index: floor(y + k * rows) could round across a cell edge
+    out = field.take(index, mode="clip")
     out *= inside  # cells are finite and >= 0, so outside points read +0.0
     return out
 
@@ -88,16 +99,16 @@ def apply_cleaning(field: np.ndarray, xs_cm: np.ndarray, ys_cm: np.ndarray) -> N
     robot: every kernel entry is positive, so a cell that goes negative
     stays negative and ends at zero either way.
     """
-    rows, cols = field.shape
+    (col_bound, row_bound), stride = _grid_operands(*field.shape)
     # window cell indices per robot: rows (robots, 9, 1), columns (robots, 1, 9)
-    r = np.floor(ys_cm).astype(np.intp).reshape(-1, 1, 1) + _KERNEL_OFFSETS[:, None]
+    r = np.floor(ys_cm).astype(np.intp).reshape(-1, 1, 1) + _KERNEL_ROW_OFFSETS
     c = np.floor(xs_cm).astype(np.intp).reshape(-1, 1, 1) + _KERNEL_OFFSETS
     # a negative index wraps to a huge unsigned one, so one comparison per axis checks both bounds
-    inside = (r.view(np.uintp) < rows) & (c.view(np.uintp) < cols)
-    cells = (r * cols + c)[inside]
+    inside = (r.view(np.uintp) < row_bound) & (c.view(np.uintp) < col_bound)
+    cells = (r * stride + c)[inside]
     flat = field.reshape(-1, copy=False)  # a view; a field that is not one block of cells raises
     np.subtract.at(flat, cells, (inside * CLEAN_KERNEL)[inside])
-    flat[cells] = np.maximum(flat[cells], 0.0)
+    flat[cells] = np.maximum(flat[cells], _ZERO)
 
 
 def mean_intensity(field: np.ndarray) -> float:

@@ -9,6 +9,11 @@ floats, and one kernel application per robot. The refractory timer is the
 numpy array the tick loop kept beside the FSM: contact detection masked
 robot contacts with it, and the loop counted it down after each step. The
 tests hold the batched code to these bit for bit.
+
+Two array laws are kept as they were written before their constant operands
+became 0-d arrays, made once: `wrap_angle_float_operands` and
+`integrate_float_operands` pass Python floats to numpy, which converts each
+of them on every call. The engine's versions must give the same bits.
 """
 from __future__ import annotations
 
@@ -176,6 +181,39 @@ def integrate(
     elif y > hi_y:
         y = hi_y
     return x, y, heading
+
+
+def wrap_angle_float_operands(theta):
+    """The engine's `wrap_angle` with Python float operands: (-pi, pi], a float or an array."""
+    return math.pi - np.fmod((math.pi - theta) % TWO_PI, TWO_PI)
+
+
+def integrate_float_operands(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, config, far_walls, clamp=True) -> None:
+    """The engine's vectorised `integrate` with Python float operands, in place, same arguments."""
+    n_l, n_r = np.array((n_l, n_r), dtype=np.float64)
+    v = WHEEL_UNIT_CM_S * 0.5 * (n_l + n_r)
+    omega = WHEEL_UNIT_CM_S * (n_r - n_l) / config.wheel_base_cm
+    xy += v * cos_sin * dt
+    heading[:] = wrap_angle_float_operands(heading + omega * dt)
+    if any(turn_deg):
+        turn = np.array(turn_deg, dtype=np.float64)
+        np.copyto(heading, wrap_angle_float_operands(heading + turn * (math.pi / 180.0)), where=turn != 0.0)
+    if clamp:
+        np.maximum(xy, config.body_radius_cm, out=xy)
+        np.minimum(xy, far_walls, out=xy)
+
+
+def ground_sensor_points(xy, cos_sin, signed_h, out) -> None:
+    """Ground-sensor points under the wheels, written into out, shape (2, 2N), in one broadcast add.
+
+    Each sensor sits wheel_base/2 from the center, perpendicular to the
+    heading: left sensors go to out[:, :n], right sensors to out[:, n:].
+    xy and cos_sin are (2, N): positions, and cos/sin of the headings;
+    signed_h is (wheel_base / 2) * the engine's _SENSOR_SIGNS. The tick loop
+    computes the same expression into views it makes once per run.
+    """
+    # left offsets (-h sin, h cos) and right ones (h sin, -h cos), h = wheel_base/2, in one broadcast
+    np.add(xy[:, None], signed_h * cos_sin[::-1, None], out=out.reshape(2, 2, xy.shape[1], copy=False))
 
 
 def apply_cleaning(field: np.ndarray, x_cm: float, y_cm: float) -> None:

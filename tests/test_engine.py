@@ -18,7 +18,6 @@ from swarmclean.engine import (
     SimConfig,
     _detect_events_trig,
     _far_walls,
-    ground_sensor_points,
     integrate,
     run_batch,
     run_simulation,
@@ -90,7 +89,7 @@ def sensor_points(x, y, heading, wheel_base_cm=8.0):
     x, y, heading = np.atleast_1d(x), np.atleast_1d(y), np.atleast_1d(heading)
     n = len(x)
     out = np.empty((2, 2 * n))
-    ground_sensor_points(np.stack((x, y)), trig(heading), (0.5 * wheel_base_cm) * _SENSOR_SIGNS, out)
+    oracle.ground_sensor_points(np.stack((x, y)), trig(heading), (0.5 * wheel_base_cm) * _SENSOR_SIGNS, out)
     return out[:, :n].T, out[:, n:].T
 
 
@@ -201,6 +200,59 @@ class TestIntegrate:
         for i, robot in enumerate(robots):
             want = oracle.integrate(*robot[:3], oracle.WheelCommand(robot[3], robot[4]), robot[5], dt, cfg)
             assert np.array([xy[0, i], xy[1, i], h[i]]).tobytes() == np.array(want).tobytes()
+
+
+def _angles_near(centers, ulps=8):
+    """Every float within `ulps` steps of each center, both ways."""
+    out = []
+    for c in centers:
+        below = above = c
+        out.append(c)
+        for _ in range(ulps):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            out += [below, above]
+    return out
+
+
+# around +-pi, 0 and multiples of 2 pi, where the remainder and the fmod in wrap_angle round
+WRAP_GRID = _angles_near([math.pi, -math.pi, 0.0, NEXT_ABOVE_PI, *(2 * k * math.pi for k in range(-6, 7) if k)])
+
+
+class TestZeroDimOperands:
+    """The engine's 0-d constant operands give the bits of the Python floats they replaced."""
+
+    def test_wrap_angle_grid_and_random_arrays(self):
+        rng = np.random.default_rng(5)
+        for theta in (np.array(WRAP_GRID), rng.uniform(-50.0, 50.0, 1000), rng.uniform(-1e6, 1e6, 1000)):
+            assert wrap_angle(theta).tobytes() == oracle.wrap_angle_float_operands(theta).tobytes()
+
+    def test_wrap_angle_of_a_float_is_a_float(self):
+        for theta in WRAP_GRID:
+            w = wrap_angle(theta)
+            assert isinstance(w, float) and np.ndim(w) == 0
+            assert np.float64(w).tobytes() == np.float64(oracle.wrap_angle_float_operands(theta)).tobytes()
+
+    @pytest.mark.parametrize("dt", [0.1, 0.05, 1.0])
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_integrate_on_random_states(self, dt, clamp):
+        rng = np.random.default_rng(int(dt * 100) + clamp)
+        cfg = SimConfig(wheel_base_cm=rng.choice([8.0, 12.0, 3.3]))
+        for _ in range(20):
+            n = int(rng.integers(0, 40))
+            xy = rng.uniform(-5.0, 300.0, (2, n))
+            heading = rng.choice([*WRAP_GRID, *rng.uniform(-math.pi, math.pi, 40)], n)
+            wheels = [np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 10.0, n)).tolist() for _ in range(2)]
+            turn = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-18.0, 18.0, n)).tolist()
+            want_xy, want_heading = xy.copy(), heading.copy()
+            oracle.integrate_float_operands(
+                want_xy, want_heading, trig(heading), *wheels, turn, dt, cfg, _far_walls(cfg), clamp
+            )
+            # dt as the run loop passes it, a 0-d array, and as a float
+            for dt_op in (np.array(dt), dt):
+                got_xy, got_heading = xy.copy(), heading.copy()
+                integrate(got_xy, got_heading, trig(heading), *wheels, turn, dt_op, cfg, _far_walls(cfg), clamp)
+                assert got_xy.tobytes() == want_xy.tobytes()
+                assert got_heading.tobytes() == want_heading.tobytes()
 
 
 class TestDetectEvents:
@@ -332,6 +384,20 @@ class TestConfigValidation:
     def test_accepts_the_longest_duration(self):
         small_config(duration_s=MAX_DURATION_S).validate()
 
+    def test_rejects_bodies_beyond_the_densest_packing(self):
+        # 2,000 bodies of radius 4 cover 1.24 times the default 285 x 285 arena
+        with pytest.raises(PlacementError, match=r"over pi/sqrt\(12\) of the arena"):
+            SimConfig(n_robots=2000).validate()
+
+    @pytest.mark.parametrize("arena", [dict(), dict(arena_width_cm=120.0, arena_height_cm=40.0, body_radius_cm=1.5)])
+    def test_packing_bound_is_the_hexagonal_density(self, arena):
+        cfg = SimConfig(**arena)
+        hexagonal = math.pi / math.sqrt(12.0) * cfg.arena_width_cm * cfg.arena_height_cm
+        largest = math.floor(hexagonal / (math.pi * cfg.body_radius_cm**2))
+        replace(cfg, n_robots=largest).validate()
+        with pytest.raises(PlacementError):
+            replace(cfg, n_robots=largest + 1).validate()
+
 
 PLAUSIBLE = {
     "n_robots": st.sampled_from([5, 8, 2, 1, 0]),
@@ -387,8 +453,8 @@ def test_validated_configs_run_to_finite_poses(cfg):
     """Either validate() rejects a config, or a short run ends in a sane state.
 
     PlacementError is a ConfigError too, raised by the run when rejection
-    sampling finds no room for every body; whether N bodies fit is a packing
-    question that validate() does not answer up front.
+    sampling finds no room for every body; validate() refuses up front only
+    the swarms that no packing fits, so sampling can still fail below that.
     """
     try:
         cfg.validate()

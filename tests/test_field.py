@@ -82,7 +82,7 @@ class TestInitCircularGradient:
 
 def sample(field, x_cm, y_cm):
     """One point through `sample_many`."""
-    return float(sample_many(field, np.array([x_cm]), np.array([y_cm]))[0])
+    return float(sample_many(field, np.array([[x_cm], [y_cm]]))[0])
 
 
 def cell_lookup(field, x_cm, y_cm):
@@ -90,6 +90,19 @@ def cell_lookup(field, x_cm, y_cm):
     col, row = math.floor(x_cm), math.floor(y_cm)
     rows, cols = field.shape
     return float(field[row, col]) if 0 <= row < rows and 0 <= col < cols else 0.0
+
+
+def _small_random_field(seed=7):
+    f = np.zeros((30, 40))
+    rng = np.random.default_rng(seed)
+    f[:] = rng.uniform(0, 255, size=f.shape)
+    return f
+
+
+def _near_edges(side):
+    """Coordinates on and around both edges of an axis `side` cells long, or anywhere near the arena."""
+    edges = [-1.0, -1e-12, -5e-324, -0.0, 0.0, 1e-12, side - 1e-9, side - 5e-15, side, side + 1e-12, side + 1.0]
+    return st.one_of(st.sampled_from(edges), st.floats(-2.0, side + 2.0))
 
 
 class TestSample:
@@ -123,15 +136,39 @@ class TestSample:
     @settings(max_examples=50, deadline=None)
     def test_scalar_and_vector_sampling_agree(self, points):
         f = _small_random_field()
-        xs, ys = np.array(points, dtype=float).reshape(-1, 2).T
-        assert sample_many(f, xs, ys).tolist() == [cell_lookup(f, x, y) for x, y in points]
+        points_cm = np.array(points, dtype=float).reshape(-1, 2).T
+        assert sample_many(f, points_cm).tolist() == [cell_lookup(f, x, y) for x, y in points]
 
+    def test_edges_and_far_points_read_positive_zero(self):
+        f = _small_random_field()
+        rows, cols = f.shape
+        assert f.min() > 0.0
+        xs = [cols, 5.0, -1e-12, 5.0, -5e-324, 1e9, -1e9, 1e18, 5.0, cols + 1e-12]
+        ys = [5.0, rows, 5.0, -1e-12, 5.0, 5.0, 1e18, 5.0, -1e15, rows]
+        assert sample_many(f, np.array([xs, ys])).tobytes() == np.zeros(len(xs)).tobytes()
 
-def _small_random_field():
-    f = np.zeros((30, 40))
-    rng = np.random.default_rng(7)
-    f[:] = rng.uniform(0, 255, size=f.shape)
-    return f
+    @given(st.floats(-1e-12, 0.0, exclude_max=True), st.floats(0.0, 29.5), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_just_below_zero_reads_positive_zero(self, below, inside, on_x):
+        f = _small_random_field()
+        point = [[below], [inside]] if on_x else [[inside], [below]]
+        assert sample_many(f, np.array(point)).tobytes() == np.zeros(1).tobytes()
+
+    def test_just_inside_the_far_edges_reads_the_last_cells(self):
+        f = _small_random_field()
+        rows, cols = f.shape
+        points = np.array([[cols - 1e-9, 3.5, cols - 1e-9, 0.0], [2.5, rows - 1e-9, rows - 1e-9, -0.0]])
+        assert sample_many(f, points).tolist() == [f[2, cols - 1], f[rows - 1, 3], f[rows - 1, cols - 1], f[0, 0]]
+
+    @given(st.integers(1, 4), st.lists(st.tuples(st.integers(0, 3), _near_edges(40), _near_edges(30)), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_a_stacked_field_reads_only_the_points_own_run(self, runs, points):
+        stack = np.stack([_small_random_field(seed) for seed in range(runs)])
+        run = np.array([k % runs for k, _, _ in points], dtype=np.intp)
+        points_cm = np.array([(x, y) for _, x, y in points], dtype=float).reshape(-1, 2).T
+        got = sample_many(stack, points_cm, run * stack[0].size)
+        want = [cell_lookup(stack[k], x, y) for k, (x, y) in zip(run.tolist(), points_cm.T.tolist())]
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
 
 class TestCleaning:

@@ -2,6 +2,7 @@ import concurrent.futures
 import os
 import signal
 import tempfile
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -369,9 +370,9 @@ class TestCmdSweep:
             ).read_bytes()
 
     def test_partial_failure_recorded(self, tmp_path):
-        # 30 robots cannot be placed in a 20 cm arena; 3 robots can
+        # 7 bodies pass the packing bound of a 20 cm arena, but no more than 5 can be placed in it; 3 robots can
         plan = tiny_plan(
-            populations=(3, 30),
+            populations=(3, 7),
             base_config=SimConfig(duration_s=5, arena_width_cm=20.0, arena_height_cm=20.0, cue_radius_cm=8.0),
         )
         out = tmp_path / "sweep"
@@ -382,11 +383,11 @@ class TestCmdSweep:
         for spec in manifest:
             by_pop.setdefault(spec.n_robots, set()).add(spec.status)
         assert by_pop[3] == {"ok"}
-        assert by_pop[30] == {"failed"}
+        assert by_pop[7] == {"failed"}
 
     def test_failed_run_leaves_no_directory(self, tmp_path):
         plan = tiny_plan(
-            populations=(3, 30),
+            populations=(3, 7),
             base_config=SimConfig(duration_s=5, arena_width_cm=20.0, arena_height_cm=20.0, cue_radius_cm=8.0),
         )
         out = tmp_path / "sweep"
@@ -597,7 +598,8 @@ class TestSweepPool:
         st.integers(1, 2),
         st.integers(1, 8),
         st.integers(1, 9),
-        st.sampled_from([(285.0, 285.0), (100.0, 60.0), (1200.0, 900.0)]),
+        # every arena holds 120 bodies within the packing bound that validate() applies
+        st.sampled_from([(285.0, 285.0), (100.0, 70.0), (1200.0, 900.0)]),
         st.sampled_from([(300, 1_000_000), (40, 200_000), (7, 10_000)]),
     )
     @settings(max_examples=60, deadline=None)
@@ -782,6 +784,25 @@ class TestCli:
         cfg = write(tmp_path / "run.cfg", "schema_version = 1\nwheel_base_cm = 0\n")
         assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
 
+    def test_unplaceable_swarm_exits_before_placement(self, tmp_path, monkeypatch):
+        """Bodies beyond the densest packing are refused by validation, before rejection sampling starts."""
+
+        def no_placement(*args):
+            raise AssertionError("placement attempted")
+
+        monkeypatch.setattr(engine, "_place_robots", no_placement)
+        cfg = write(tmp_path / "run.cfg", "schema_version = 1\nn_robots = 2000\n")
+        plan = write(tmp_path / "p.cfg", "schema_version = 1\npopulations = 10,2000\nbetas = 6\n")
+        start = time.monotonic()
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert cli_main(["sweep", "--plan", plan, "--out", str(tmp_path / "sweep")]) == 1
+        assert time.monotonic() - start < 1.0
+        with pytest.raises(ConfigError, match=r"pi/sqrt\(12\)"):
+            ExperimentPlan(populations=(10, 2000))
+        with pytest.raises(ConfigError, match=r"pi/sqrt\(12\)"):
+            run_simulation(SimConfig(n_robots=2000))
+        assert not os.path.exists(tmp_path / "out") and not os.path.exists(tmp_path / "sweep")
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "out")]) == 2
 
@@ -802,7 +823,7 @@ class TestCli:
     def test_sweep_partial_failure_exit_code(self, tmp_path):
         plan = write(
             tmp_path / "p.cfg",
-            "schema_version = 1\npopulations = 3,30\nbetas = 6\nrepetitions = 1\n"
+            "schema_version = 1\npopulations = 3,7\nbetas = 6\nrepetitions = 1\n"
             "duration_s = 5\narena_width_cm = 20\narena_height_cm = 20\ncue_radius_cm = 8\n",
         )
         assert cli_main(["sweep", "--plan", plan, "--out", str(tmp_path / "out")]) == 3
