@@ -18,14 +18,14 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .controller import FORWARD, WAITING, step_fsm
-from .field import apply_cleaning, init_circular_gradient, mean_intensity, sample_many
+from .field import _ZERO, apply_cleaning, init_circular_gradient, mean_intensity, sample_many
 from .metrics import MetricsSeries, coherency, ratio_within
 
 # wheel-unit calibration: bias 6 drives 8 cm/s, bias 3 drives 4 cm/s
 WHEEL_UNIT_CM_S = 4.0 / 3.0
 
-# 0-d operands: numpy turns a Python float operand into an array on every call, and takes a 0-d array as it is
-_PI, _TWO_PI, _DEG_TO_RAD, _ZERO = (np.array(v) for v in (math.pi, 2.0 * math.pi, math.pi / 180.0, 0.0))
+# more 0-d operands, made once like field._ZERO
+_PI, _TWO_PI, _DEG_TO_RAD = (np.array(v) for v in (math.pi, 2.0 * math.pi, math.pi / 180.0))
 _HALF_WHEEL_UNIT, _WHEEL_UNIT = np.array(WHEEL_UNIT_CM_S * 0.5), np.array(WHEEL_UNIT_CM_S)
 _SENSOR_SIGNS = np.array([[[-1.0], [1.0]], [[1.0], [-1.0]]])  # (axis, side, 1): signs of the ground-sensor offsets
 
@@ -141,6 +141,16 @@ class SimConfig:
             raise ConfigError(f"waiting_formula must be 'squared' or 'literal', got {self.waiting_formula!r}")
 
 
+def ground_sensor_points(xy_col, sin_cos, signed_h, offsets, sensor_grid) -> None:
+    """Ground sensors h = wheel_base/2 across each heading: left at (-h sin, h cos) from xy, right at (h sin, -h cos).
+
+    The arguments are views made once per run: xy_col = xy[:, None], sin_cos = cos_sin[::-1, None], signed_h =
+    h * _SENSOR_SIGNS, sensor_grid = the (2, 2N) sensors as (axis, side, robot); offsets is (2, 2, N) scratch.
+    """
+    np.multiply(signed_h, sin_cos, out=offsets)
+    np.add(xy_col, offsets, out=sensor_grid)
+
+
 def wrap_angle(theta):
     """Wrap to (-pi, pi]; a float or an array."""
     # for a theta just above pi the remainder rounds up to 2 pi; fmod maps that alone to 0
@@ -203,7 +213,7 @@ class PairGeometry:
     xy may hold one block of robots per run, `sizes` robots each (by default
     one block of all): pairs never cross blocks, `upper_d2` holds each block's
     triangle in turn, and one drift bound and wall_gap cover all. `contact_d2`
-    and `overlap_d2`, the squared contact range and body diameter, are 0-d arrays.
+    and `overlap_d2` are 0-d arrays: the squared contact range and body diameter `body_d`.
 
     Every squared distance is d * d summed over both axes, with d = xy[:, j]
     - xy[:, i] gathered by one `take` over a (2, P) index array. A rebuild
@@ -213,7 +223,7 @@ class PairGeometry:
     """
 
     __slots__ = (
-        "upper_d2", "pairs", "pair_d2", "ticks", "drift", "wall_gap", "contact_d2", "overlap_d2",
+        "upper_d2", "pairs", "pair_d2", "ticks", "drift", "wall_gap", "contact_d2", "overlap_d2", "body_d",
         "_all_pairs", "_rebuilt_xy", "_tick_travel", "_half_skin", "_reach2", "_body_r", "_far_walls",
     )
 
@@ -221,7 +231,7 @@ class PairGeometry:
         self._tick_travel = WHEEL_UNIT_CM_S * config.wheel_max * config.dt_s
         # ticks * tick_travel, not a running sum, so a second of integrate steps lands on it exactly
         self._half_skin = config.ticks_per_second * self._tick_travel
-        min_d = 2.0 * config.body_radius_cm
+        self.body_d = min_d = 2.0 * config.body_radius_cm
         cutoff = max(config.contact_range_cm, min_d)
         self._reach2 = np.array((cutoff + 2.0 * self._half_skin) ** 2)
         self.contact_d2, self.overlap_d2 = np.array(config.contact_range_cm**2), np.array(min_d * min_d)
@@ -363,7 +373,6 @@ def _separate_overlaps(xy: np.ndarray, config: SimConfig, geom: PairGeometry, fa
     ii, jj = overlapping
     x, y = xy
     xs, ys = x.tolist(), y.tolist()  # Python floats: same arithmetic, cheaper per element
-    min_d = 2.0 * config.body_radius_cm
     for i, j in zip(ii.tolist(), jj.tolist()):
         d = math.hypot(xs[j] - xs[i], ys[j] - ys[i])
         if d < 1e-9:
@@ -371,7 +380,7 @@ def _separate_overlaps(xy: np.ndarray, config: SimConfig, geom: PairGeometry, fa
             d = 0.0
         else:
             ux, uy = (xs[j] - xs[i]) / d, (ys[j] - ys[i]) / d
-        shift = 0.5 * (min_d - d)
+        shift = 0.5 * (geom.body_d - d)
         xs[i] -= ux * shift
         ys[i] -= uy * shift
         xs[j] += ux * shift
@@ -420,10 +429,7 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
     cell_offsets = np.tile(np.repeat(np.arange(runs) * cue[0].size, sizes), 2) if runs > 1 else None
 
     # poses: xy is (2, m), run k's robots in columns starts[k] to starts[k + 1]; cos_sin holds each tick's trig
-    xy = np.empty((2, m))
-    heading = np.empty(m)
-    cleanings = np.zeros(m, dtype=np.int64)
-    d = config.duration_s
+    xy, heading, cleanings, d = np.empty((2, m)), np.empty(m), np.zeros(m, dtype=np.int64), config.duration_s
     robot_rngs, robot_configs, worlds = [], [], []
     for k, run_config in enumerate(configs):
         n, run = run_config.n_robots, slice(starts[k], starts[k + 1])
@@ -437,10 +443,8 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
         worlds.append(World(0, xy[:, run], heading[run], [FORWARD] * n, cue[k], series, cleanings[run]))
     geom = PairGeometry(xy, config, sizes)
     far_walls = _far_walls(config)
-    modes = [FORWARD] * m
-    remaining, refractory = [0.0] * m, [0.0] * m
-    # ground sensors sit wheel_base / 2 = h across the heading: left ones at (-h sin, h cos) from the center, in
-    # sensors[:, :m], right ones at (h sin, -h cos) in [:, m:]; the views and 0-d operands are made once, not per tick
+    modes, remaining, refractory = [FORWARD] * m, [0.0] * m, [0.0] * m
+    # ground sensors: left ones in sensors[:, :m], right ones in [:, m:]; the views and 0-d operands are made once
     cos_sin, sensors, offsets = np.empty((2, m)), np.empty((2, 2 * m)), np.empty((2, 2, m))
     cos_row, sin_row, sin_cos, xy_col = *cos_sin, cos_sin[::-1, None], xy[:, None]
     sensor_grid, signed_h = sensors.reshape(2, 2, m, copy=False), (0.5 * config.wheel_base_cm) * _SENSOR_SIGNS
@@ -465,8 +469,7 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
         for _ in range(config.ticks_per_second):
             np.cos(heading, out=cos_row)
             np.sin(heading, out=sin_row)
-            np.multiply(signed_h, sin_cos, out=offsets)
-            np.add(xy_col, offsets, out=sensor_grid)
+            ground_sensor_points(xy_col, sin_cos, signed_h, offsets, sensor_grid)
             sensed = sample_many(cue, sensors, cell_offsets).tolist()
             robot_contact, wall_contact = _detect_events_trig(xy, cos_sin, geom, config, far_walls)
             n_l, n_r, turn_deg = step_fsm(

@@ -78,8 +78,7 @@ def sample_many(field: np.ndarray, points_cm: np.ndarray, cell_offset=None) -> n
     bounds, stride = _grid_operands(*field.shape[-2:])
     cells = np.floor(points_cm).astype(np.intp)  # columns, then rows
     # a negative index wraps to a huge unsigned one, so one comparison checks both bounds of both axes
-    inside = cells.view(np.uintp) < bounds
-    inside = inside[0] & inside[1]
+    inside = np.logical_and(*(cells.view(np.uintp) < bounds))
     index = cells[1] * stride + cells[0]
     if cell_offset is not None:
         index += cell_offset  # on the integer index: floor(y + k * rows) could round across a cell edge

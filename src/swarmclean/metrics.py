@@ -34,11 +34,11 @@ def open_atomic(path):
         raise
 
 
-def ratio_within(xy: np.ndarray, center_cm: tuple[float, float], r_c_cm: float = 70.0) -> float:
+def ratio_within(xy: np.ndarray, center_cm: tuple[float | np.ndarray, ...], r_c_cm: float | np.ndarray = 70.0) -> float:
     """Fraction of robots within r_c of the center (boundary counts as inside).
 
     xy is the engine's (2, N) position array: row 0 holds x, row 1 y, in
-    cm. An empty swarm reports 0.
+    cm; the (x, y) center and r_c are floats or 0-d arrays. An empty swarm reports 0.
     """
     x, y = xy
     n = len(x)

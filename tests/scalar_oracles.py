@@ -203,19 +203,6 @@ def integrate_float_operands(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, confi
         np.minimum(xy, far_walls, out=xy)
 
 
-def ground_sensor_points(xy, cos_sin, signed_h, out) -> None:
-    """Ground-sensor points under the wheels, written into out, shape (2, 2N), in one broadcast add.
-
-    Each sensor sits wheel_base/2 from the center, perpendicular to the
-    heading: left sensors go to out[:, :n], right sensors to out[:, n:].
-    xy and cos_sin are (2, N): positions, and cos/sin of the headings;
-    signed_h is (wheel_base / 2) * the engine's _SENSOR_SIGNS. The tick loop
-    computes the same expression into views it makes once per run.
-    """
-    # left offsets (-h sin, h cos) and right ones (h sin, -h cos), h = wheel_base/2, in one broadcast
-    np.add(xy[:, None], signed_h * cos_sin[::-1, None], out=out.reshape(2, 2, xy.shape[1], copy=False))
-
-
 def apply_cleaning(field: np.ndarray, x_cm: float, y_cm: float) -> None:
     """Erode the field around one robot center: subtract the clipped kernel window, clamp at zero."""
     col = math.floor(x_cm)

@@ -18,6 +18,7 @@ from swarmclean.engine import (
     SimConfig,
     _detect_events_trig,
     _far_walls,
+    ground_sensor_points,
     integrate,
     run_batch,
     run_simulation,
@@ -85,11 +86,12 @@ class TestSpeedConversion:
 
 
 def sensor_points(x, y, heading, wheel_base_cm=8.0):
-    """(left, right) sensor coordinates per robot, from `ground_sensor_points`."""
+    """(left, right) sensor coordinates per robot, from `ground_sensor_points` over the views the tick loop makes."""
     x, y, heading = np.atleast_1d(x), np.atleast_1d(y), np.atleast_1d(heading)
     n = len(x)
-    out = np.empty((2, 2 * n))
-    oracle.ground_sensor_points(np.stack((x, y)), trig(heading), (0.5 * wheel_base_cm) * _SENSOR_SIGNS, out)
+    xy, cos_sin, out = np.stack((x, y)), trig(heading), np.empty((2, 2 * n))
+    signed_h = (0.5 * wheel_base_cm) * _SENSOR_SIGNS
+    ground_sensor_points(xy[:, None], cos_sin[::-1, None], signed_h, np.empty((2, 2, n)), out.reshape(2, 2, n))
     return out[:, :n].T, out[:, n:].T
 
 

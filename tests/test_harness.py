@@ -2,7 +2,6 @@ import concurrent.futures
 import os
 import signal
 import tempfile
-import time
 from dataclasses import fields
 
 import numpy as np
@@ -793,10 +792,8 @@ class TestCli:
         monkeypatch.setattr(engine, "_place_robots", no_placement)
         cfg = write(tmp_path / "run.cfg", "schema_version = 1\nn_robots = 2000\n")
         plan = write(tmp_path / "p.cfg", "schema_version = 1\npopulations = 10,2000\nbetas = 6\n")
-        start = time.monotonic()
         assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert cli_main(["sweep", "--plan", plan, "--out", str(tmp_path / "sweep")]) == 1
-        assert time.monotonic() - start < 1.0
         with pytest.raises(ConfigError, match=r"pi/sqrt\(12\)"):
             ExperimentPlan(populations=(10, 2000))
         with pytest.raises(ConfigError, match=r"pi/sqrt\(12\)"):
