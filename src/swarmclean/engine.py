@@ -2,9 +2,11 @@
 
 A batch of runs that differ only in seed, N and beta (one run is a batch of
 one) is a loop over whole seconds around a loop over that second's ticks
-(0.1 s by default). At the top of each second, run by run, each waiting
-robot erodes its run's field once, the run's metrics row is written, and an
-optional observer sees the run's World, once more after the last tick. Each
+(0.1 s by default). At the top of each second, for all runs at once, each
+waiting robot erodes its own run's field once and the ratio and coherency of
+every run are reduced from one pass; then, run by run, the mean cue (for a run
+that cleaned) and the metrics row are written and an optional observer sees
+the run's World, once more after the last tick. Each
 tick, for all runs' robots at once: read the ground sensors, detect
 contacts, step the state machines, then integrate motion. Each run's
 trajectory is a pure function of its own config, including its seed.
@@ -453,16 +455,18 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
 
     for t in range(d):
         geom.rebuild(xy)  # coherency reads the full triangles; the list is renewed with them
+        # the whole batch at once: each waiting robot erodes its own run's field, offset like its sensors
+        waiting = [i for i, mode in enumerate(modes) if mode == WAITING]
+        if waiting:
+            apply_cleaning(cue, *xy[:, waiting], cell_offsets[waiting] if runs > 1 else None)
+            cleanings[waiting] += 1
+        ratios, coherencies = ratio_within(xy, center_0d, r_c_0d, starts), coherency(geom.upper_d2, pair_starts)
         for k, world in enumerate(worlds):
             world.t, world.modes, series = t, modes[starts[k]:starts[k + 1]], world.series
-            waiting = [i for i, mode in enumerate(world.modes) if mode == WAITING]
-            if waiting:
-                apply_cleaning(world.field, *world.xy[:, waiting])
-                world.cleanings[waiting] += 1
-            # only cleaning changes the field, so a second without any keeps the last second's mean
-            series.mean_cue[t] = mean_intensity(world.field) if waiting or not t else series.mean_cue[t - 1]
-            series.ratio_within_rc[t] = ratio_within(world.xy, center_0d, r_c_0d)
-            series.coherency_m[t] = coherency(geom.upper_d2[pair_starts[k]:pair_starts[k + 1]])
+            # only cleaning changes the field, so a run with no robot waiting keeps the last second's mean
+            cleaned = WAITING in world.modes or not t
+            series.mean_cue[t] = mean_intensity(world.field) if cleaned else series.mean_cue[t - 1]
+            series.ratio_within_rc[t], series.coherency_m[t] = ratios[k], coherencies[k]
             if observer is not None:
                 observer(world)
 

@@ -87,7 +87,7 @@ def sample_many(field: np.ndarray, points_cm: np.ndarray, cell_offset=None) -> n
     return out
 
 
-def apply_cleaning(field: np.ndarray, xs_cm: np.ndarray, ys_cm: np.ndarray) -> None:
+def apply_cleaning(field: np.ndarray, xs_cm: np.ndarray, ys_cm: np.ndarray, cell_offset=None) -> None:
     """Erode the field around each robot center with the 9x9 cleaning kernel.
 
     Each cell at offset (p, q) from a robot's cell drops by
@@ -96,23 +96,29 @@ def apply_cleaning(field: np.ndarray, xs_cm: np.ndarray, ys_cm: np.ndarray) -> N
     waiting robots. The decrements are subtracted in robot order and the
     clamp comes last, which gives the same bits as cleaning robot by
     robot: every kernel entry is positive, so a cell that goes negative
-    stays negative and ends at zero either way.
+    stays negative and ends at zero either way. field may be a stack
+    (runs, rows, cols), as in `sample_many`: a robot's cell_offset of
+    k * rows * cols erodes field[k], so robots of different runs never
+    share a cell and each run gets the bits of cleaning its field alone.
     """
-    (col_bound, row_bound), stride = _grid_operands(*field.shape)
+    (col_bound, row_bound), stride = _grid_operands(*field.shape[-2:])
     # window cell indices per robot: rows (robots, 9, 1), columns (robots, 1, 9)
     r = np.floor(ys_cm).astype(np.intp).reshape(-1, 1, 1) + _KERNEL_ROW_OFFSETS
     c = np.floor(xs_cm).astype(np.intp).reshape(-1, 1, 1) + _KERNEL_OFFSETS
     # a negative index wraps to a huge unsigned one, so one comparison per axis checks both bounds
     inside = (r.view(np.uintp) < row_bound) & (c.view(np.uintp) < col_bound)
-    cells = (r * stride + c)[inside]
+    cells = r * stride + c
+    if cell_offset is not None:
+        cells += cell_offset.reshape(-1, 1, 1)  # after the bounds check, on the integer index
+    cells = cells[inside]
     flat = field.reshape(-1, copy=False)  # a view; a field that is not one block of cells raises
     np.subtract.at(flat, cells, (inside * CLEAN_KERNEL)[inside])
     flat[cells] = np.maximum(flat[cells], _ZERO)
 
 
 def mean_intensity(field: np.ndarray) -> float:
-    """Arithmetic mean over every arena cell (zeros outside the cue included)."""
-    return float(field.mean())
+    """Arithmetic mean over every arena cell (zeros outside the cue included), as `field.mean()` without its wrapper."""
+    return float(np.add.reduce(field, axis=None) / field.size)
 
 
 def pgm_raster(field: np.ndarray) -> np.ndarray:

@@ -236,8 +236,8 @@ def _write_run(out_dir, series: MetricsSeries, snapshots: dict) -> tuple[str, di
 
 def _sweep_worker(batch) -> list[tuple[int, str]]:
     """Run one batch of (index, config, run_dir) tasks, or each run alone if it raises; return (index, status)s."""
-    try:
-        worlds = run_batch([cfg for _, cfg, _ in batch])
+    try:  # a batch of one runs once, alone, below
+        worlds = run_batch([cfg for _, cfg, _ in batch]) if len(batch) > 1 else [None]
     except Exception:  # then each run alone, so each status says whether that run failed, and why
         worlds = [None] * len(batch)
     statuses = []

@@ -34,30 +34,31 @@ def open_atomic(path):
         raise
 
 
-def ratio_within(xy: np.ndarray, center_cm: tuple[float | np.ndarray, ...], r_c_cm: float | np.ndarray = 70.0) -> float:
-    """Fraction of robots within r_c of the center (boundary counts as inside).
+def ratio_within(xy: np.ndarray, center_cm: tuple[float | np.ndarray, ...], r_c_cm=70.0, starts=None) -> list[float]:
+    """Fraction of robots within r_c of the center (boundary counts as inside), one per block of robots.
 
     xy is the engine's (2, N) position array: row 0 holds x, row 1 y, in
-    cm; the (x, y) center and r_c are floats or 0-d arrays. An empty swarm reports 0.
+    cm; the (x, y) center and r_c are floats or 0-d arrays. Block k is the
+    columns starts[k]:starts[k + 1], by default one block of all. An empty block reports 0.
     """
     x, y = xy
-    n = len(x)
-    if n == 0:
-        return 0.0
-    d = np.hypot(x - center_cm[0], y - center_cm[1])
-    return float(np.count_nonzero(d <= r_c_cm)) / n
+    inside = np.hypot(x - center_cm[0], y - center_cm[1]) <= r_c_cm if len(x) else x  # no pass for no robots
+    starts = (0, len(x)) if starts is None else starts
+    return [float(np.count_nonzero(inside[a:b])) / (b - a) if b > a else 0.0 for a, b in zip(starts, starts[1:])]
 
 
-def coherency(upper_d2: np.ndarray) -> float:
-    """Mean distance over all unordered robot pairs, in meters.
+def coherency(upper_d2: np.ndarray, starts=None) -> list[float]:
+    """Mean distance over all unordered robot pairs, in meters, one per block of pairs.
 
-    upper_d2 holds the squared center distance of every pair, in cm^2: one
-    run's block of the `upper_d2` of the engine's PairGeometry, rebuilt for
-    the current poses. Fewer than two robots report 0.
+    upper_d2 holds the squared center distance of every pair, in cm^2: the
+    `upper_d2` of the engine's PairGeometry, rebuilt for the current poses,
+    whose block k, upper_d2[starts[k]:starts[k + 1]], holds run k's pairs (by
+    default one block of all). A block of fewer than two robots reports 0.
     """
-    if len(upper_d2) == 0:
-        return 0.0
-    return float(np.sqrt(upper_d2).mean()) / 100.0
+    d = np.sqrt(upper_d2) if len(upper_d2) else upper_d2
+    starts = (0, len(d)) if starts is None else starts
+    # the sum and division of .mean(), the same bits, without its Python-level wrapper
+    return [float(np.add.reduce(d[a:b]) / (b - a)) / 100.0 if b > a else 0.0 for a, b in zip(starts, starts[1:])]
 
 
 @dataclass

@@ -274,6 +274,32 @@ class TestCleaning:
             oracle.apply_cleaning(g, x, y)
         assert f.tobytes() == g.tobytes()
 
+    @given(
+        st.integers(9, 30),
+        st.integers(9, 30),
+        st.integers(1, 4),
+        st.lists(st.tuples(st.integers(0, 3), st.floats(-0.1, 1.1), st.floats(-0.1, 1.1)), min_size=1, max_size=30),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_stack_with_cell_offsets_matches_each_run_alone(self, cols, rows, runs, robots, seed):
+        """One call over a (runs, rows, cols) stack equals cleaning each run's field alone, bit for bit.
+
+        Each robot's cell_offset is its run times rows * cols. Robots sit up to a tenth of a side
+        outside the field, so windows are clipped at every wall, and each robot has a twin on the
+        same (row, col) in the next run, so robots of different runs share a cell.
+        """
+        run = [k % runs for k, _, _ in robots]
+        run = np.array(run + [(k + 1) % runs for k in run])
+        xs = np.array([px * cols for _, px, _ in robots] * 2)
+        ys = np.array([py * rows for _, _, py in robots] * 2)
+        stack = np.random.default_rng(seed).uniform(0, 12, (runs, rows, cols))  # two windows can reach zero
+        alone = stack.copy()
+        apply_cleaning(stack, xs, ys, run * (rows * cols))
+        for k in range(runs):
+            apply_cleaning(alone[k], xs[run == k], ys[run == k])
+        assert stack.tobytes() == alone.tobytes()
+
     def test_monotone_depletion(self):
         f = fresh_field()
         rng = np.random.default_rng(3)
@@ -293,6 +319,18 @@ class TestMeanIntensity:
         f = np.zeros((20, 20))
         f[:] = 37.25
         assert mean_intensity(f) == pytest.approx(37.25, abs=1e-12)
+
+    @given(st.integers(1, 300), st.integers(1, 300), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_numpy_mean_bit_for_bit(self, cols, rows, runs, seed):
+        """On cleaned fields, each a (rows, cols) view of a stack or a copy of one, the mean is `field.mean()`."""
+        rng = np.random.default_rng(seed)
+        stack = rng.uniform(0, 255, (runs, rows, cols))
+        robots = 3 * runs
+        offsets = rng.integers(0, runs, robots) * (rows * cols)
+        apply_cleaning(stack, rng.uniform(0, cols, robots), rng.uniform(0, rows, robots), offsets)
+        for field in (*stack, stack[-1].copy(), fresh_field()):
+            assert mean_intensity(field).hex() == float(field.mean()).hex()
 
     def test_fresh_field_matches_cone_volume(self):
         # analytic oracle: cone volume over arena area

@@ -446,6 +446,22 @@ class TestCmdSweep:
         for path in statuses:
             assert (out / path / "metrics.csv").read_bytes() == (clean / path / "metrics.csv").read_bytes()
 
+    def test_failing_run_alone_in_its_batch_is_attempted_once(self, tmp_path, monkeypatch):
+        """A batch of one is not rerun alone: a failed placement, which can take seconds, is tried once."""
+        attempts = []
+
+        def refuse(config, rng):
+            attempts.append(config.seed)
+            raise PlacementError("placement refused for this seed")
+
+        monkeypatch.setattr(engine, "_place_robots", refuse)
+        out = tmp_path / "sweep"
+        with pytest.raises(SweepFailure):
+            cmd_sweep(tiny_plan(populations=(3,), repetitions=1), out)
+        [spec] = read_manifest(out / "manifest.csv")
+        assert spec.status == "failed"
+        assert attempts == [spec.seed]
+
     def test_outputs_do_not_depend_on_the_packing(self, tmp_path, monkeypatch):
         """--jobs 1, 2 and 3 pack a two-speed plan into different batches and write the same bytes."""
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)

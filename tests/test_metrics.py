@@ -9,14 +9,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmclean.engine import PairGeometry, SimConfig
-from swarmclean.metrics import CSV_HEADER, MetricsSeries, ratio_within
+from swarmclean.metrics import CSV_HEADER, MetricsSeries
 from swarmclean.metrics import coherency as coherency_of_geometry
+from swarmclean.metrics import ratio_within as ratio_within_blocks
+
+
+def ratio_within(xy, center_cm, r_c_cm):
+    """The ratio of a (2, N) swarm taken as one block."""
+    [ratio] = ratio_within_blocks(xy, center_cm, r_c_cm)
+    return ratio
 
 
 def coherency(positions_cm):
     """Coherency of an (N, 2) array of positions, through the PairGeometry the engine keeps."""
     pos = np.asarray(positions_cm, dtype=np.float64).reshape(-1, 2)
-    return coherency_of_geometry(PairGeometry(pos.T.copy(), SimConfig()).upper_d2)
+    [value] = coherency_of_geometry(PairGeometry(pos.T.copy(), SimConfig()).upper_d2)
+    return value
 
 
 def coherency_dense(positions_cm):
@@ -116,7 +124,7 @@ class TestCoherency:
             y[moved] -= shift[1]
             geom.track(xy, pushed=True)
             geom.rebuild(xy)
-        assert coherency_of_geometry(geom.upper_d2) == coherency_dense(np.column_stack((x, y)))
+        assert coherency_of_geometry(geom.upper_d2) == [coherency_dense(np.column_stack((x, y)))]
 
     def test_bounded_by_arena_diagonal(self):
         rng = np.random.default_rng(9)

@@ -1,8 +1,12 @@
 """Print the engine's cost per tick at several swarm sizes, in µs of thread CPU time.
 
-Each size in SIZES is one `run_simulation` in the default arena at SEED, timed
-with `time.thread_time` and divided by its ticks; a size's cost is the
-minimum over --repeats runs. With --against DIR, the `src/` of another
+Each size in SIZES is one run in the default arena at SEED, timed with
+`time.thread_time` and divided by its ticks; a row's cost is the minimum over
+--repeats runs. The last row is one `run_batch` shaped like a batch of the
+bench's `sweep_cells` workload: its grid N = 10..50 x beta = 3, 6 at one
+repetition, ten runs of 300 robots in all at seeds SEED to SEED + 9, so it
+shows the once-per-second boundary's batch-wide work as well as the tick's;
+its cost is per tick of the whole batch. With --against DIR, the `src/` of another
 checkout is loaded in the same process under a second package name, and the
 two sides alternate run by run (which side goes first alternates by round),
 so a change in host speed reaches both sides alike; the last column is this
@@ -22,8 +26,10 @@ sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
 import swarmclean.engine  # noqa: E402
 
-SIZES = (0, 10, 30, 50, 200)  # swarm sizes, robots
+SIZES = (0, 10, 30, 50, 200)  # swarm sizes, robots, each one run at the default beta
+BATCH = tuple((n, beta) for n in (10, 20, 30, 40, 50) for beta in (3.0, 6.0))  # (N, beta) of each run of the batch row
 SEED = 101
+ROWS = {**{str(n): ((n, 6.0),) for n in SIZES}, "300 in 10 runs": BATCH}  # row label: the runs' (N, beta)
 
 
 def load_other(src_dir, name="swarmclean_other"):
@@ -38,12 +44,14 @@ def load_other(src_dir, name="swarmclean_other"):
     return importlib.import_module(f"{name}.engine")
 
 
-def tick_cost_us(engine, n_robots, seconds):
-    """Thread CPU time of one run of n_robots over `seconds` simulated seconds, in µs per tick."""
-    config = engine.SimConfig(n_robots=n_robots, duration_s=seconds, seed=SEED)
+def tick_cost_us(engine, runs, seconds):
+    """Thread CPU time of one batch of `runs`, (N, beta) pairs, over `seconds` simulated seconds, in µs per tick."""
+    configs = [
+        engine.SimConfig(n_robots=n, beta=beta, duration_s=seconds, seed=SEED + k) for k, (n, beta) in enumerate(runs)
+    ]
     start = time.thread_time()
-    engine.run_simulation(config)
-    return (time.thread_time() - start) * 1e6 / (seconds * config.ticks_per_second)
+    engine.run_batch(configs)
+    return (time.thread_time() - start) * 1e6 / (seconds * configs[0].ticks_per_second)
 
 
 def main(argv=None):
@@ -59,19 +67,19 @@ def main(argv=None):
         engines["other"] = load_other(args.against)
     for engine in engines.values():  # untimed: the first run pays numpy's first-call costs
         engine.run_simulation(engine.SimConfig(n_robots=2, duration_s=1))
-    best = {(side, n): float("inf") for side in engines for n in SIZES}
+    best = {(side, label): float("inf") for side in engines for label in ROWS}
     for round_ in range(args.repeats):
-        for n in SIZES:
+        for label, runs in ROWS.items():
             sides = list(engines) if round_ % 2 == 0 else list(engines)[::-1]
             for side in sides:
-                cost = tick_cost_us(engines[side], n, args.seconds)
-                best[side, n] = min(best[side, n], cost)
+                cost = tick_cost_us(engines[side], runs, args.seconds)
+                best[side, label] = min(best[side, label], cost)
     print(f"µs per tick, minimum of {args.repeats} runs of {args.seconds} s, seed {SEED} (thread CPU time)")
     print("N\tthis" + ("\tother\tthis/other" if args.against else ""))
-    for n in SIZES:
-        row = f"{n}\t{best['this', n]:.1f}"
+    for label in ROWS:
+        row = f"{label}\t{best['this', label]:.1f}"
         if args.against:
-            row += f"\t{best['other', n]:.1f}\t{best['this', n] / best['other', n]:.3f}"
+            row += f"\t{best['other', label]:.1f}\t{best['this', label] / best['other', label]:.3f}"
         print(row)
 
 
