@@ -7,9 +7,9 @@ it ignores other robots for a refractory time. The swarm's FSM state is
 three plain lists indexed by robot: `modes`, one of the codes below,
 `remaining`, the mode's countdown (seconds left to wait, or signed
 degrees left to turn; 0 while driving forward), and `refractory`, the
-seconds left in which robot contacts are ignored. Transitions are pure
-functions of that state, the sensor readings and the contact events, so
-one call steps every robot, each independently of the others.
+seconds left in which robot contacts are ignored. The wheel law is array ops
+over all robots; the transitions are one scalar loop of pure functions of
+that state, the sensors and the contacts, and report who does not drive.
 """
 from __future__ import annotations
 
@@ -17,6 +17,8 @@ import math
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .field import _ZERO
 
 if TYPE_CHECKING:
     from .engine import SimConfig
@@ -47,22 +49,20 @@ def waiting_time(mean_cue: float, config: SimConfig) -> float:
     return config.omega_max_s * m / (m * m + WAIT_SATURATION)
 
 
-def wheel_speeds(s_l: float, s_r: float, config: SimConfig) -> tuple[float, float]:
-    """Differential steering toward the stronger of the two ground sensors.
+def wheel_speeds(s_l, s_r, alpha, betas, hi, wheels, n_l, n_r) -> None:
+    """Differential steering toward the stronger ground sensor, every robot at once, into the (2, n) wheels.
 
-    Returns (n_l, n_r) in wheel units: n_r = (s_l - s_r)/alpha + beta and
-    n_l the mirror image, both clamped to [0, wheel_max]. Equal sensors
-    drive straight at the bias beta, so beta sets the cruise speed; the
-    unclamped speeds always sum to 2*beta, and a smaller alpha steers harder.
+    Writes n_r = (s_l - s_r)/alpha + beta and n_l = beta - (s_l - s_r)/alpha in wheel units, clamped to
+    [0, hi]; s_l, s_r, betas, n_l and n_r are (n,) arrays, n_l and n_r the rows of wheels, and alpha and hi 0-d
+    arrays. Equal sensors drive straight at the bias beta, so beta sets the cruise speed; the unclamped speeds
+    always sum to 2*beta, and a smaller alpha steers harder.
     """
-    diff = (s_l - s_r) / config.alpha
-    hi = config.wheel_max
-    n_r = diff + config.beta
-    n_l = -diff + config.beta
-    return (
-        0.0 if n_l < 0.0 else (hi if n_l > hi else n_l),
-        0.0 if n_r < 0.0 else (hi if n_r > hi else n_r),
-    )
+    np.subtract(s_l, s_r, out=n_r)
+    np.divide(n_r, alpha, out=n_r)  # diff, then each row is one op against betas
+    np.subtract(betas, n_r, out=n_l)
+    np.add(n_r, betas, out=n_r)
+    np.maximum(wheels, _ZERO, out=wheels)
+    np.minimum(wheels, hi, out=wheels)
 
 
 def random_turn(rng: np.random.Generator, config: SimConfig) -> float:
@@ -76,24 +76,16 @@ def random_turn(rng: np.random.Generator, config: SimConfig) -> float:
 # --- state machine ----------------------------------------------------------
 
 def step_fsm(
-    modes: list[int],
-    remaining: list[float],
-    refractory: list[float],
-    s_l: list[float],
-    s_r: list[float],
-    robot_contact: list[bool],
-    wall_contact: list[bool],
-    dt: float,
-    rngs: list[np.random.Generator],
-    configs: list[SimConfig],
-) -> tuple[list[float], list[float], list[float]]:
+    modes: list[int], remaining: list[float], refractory: list[float], sensed, robot_contact: list[bool],
+    wall_contact: list[bool], dt: float, rngs: list[np.random.Generator], configs: list[SimConfig],
+) -> tuple[list[int], list[float]]:
     """Advance every robot's state machine by dt, updating modes, remaining and refractory in place.
 
-    s_l[i] and s_r[i] are the cue intensities under robot i's left and
-    right wheels; robot i draws its turns from rngs[i] and its laws read
-    configs[i] (robots may differ in beta, but not in turn_rate_deg_s). Returns
-    (n_l, n_r, turn_deg): the wheel speeds and the in-place turn consumed
-    this step in degrees. Robot contact takes priority over wall contact;
+    sensed holds the cue under the n robots' left wheels, then their right ones; robot i draws its turns
+    from rngs[i] and its laws read configs[i] (robots may differ in beta, but not in turn_rate_deg_s).
+    Returns (stopped, turn_deg): flat indices i and n + i into the (2, n) `wheel_speeds` of each robot i
+    that does not stay FORWARD, so does not drive, and the in-place turn consumed this step in degrees.
+    Only a robot that starts a wait reads sensed. Robot contact takes priority over wall contact;
     waiting and turning robots ignore contact events, and so does a robot
     whose refractory time, as it enters the step, is positive. Refractory
     time runs down by dt to 0, and restarts at refractory_s when a wait
@@ -102,8 +94,7 @@ def step_fsm(
     reverse speed.
     """
     n = len(modes)
-    n_l = [0.0] * n
-    n_r = [0.0] * n
+    stopped = []
     turn_deg = [0.0] * n
     max_step = configs[0].turn_rate_deg_s * dt if configs else 0.0
     for i, mode in enumerate(modes):
@@ -114,12 +105,12 @@ def step_fsm(
         if mode == FORWARD:
             if robot_contact[i] and refr <= 0.0:
                 modes[i] = WAITING
-                remaining[i] = waiting_time(0.5 * (s_l[i] + s_r[i]), configs[i])
+                remaining[i] = waiting_time(0.5 * (sensed[i] + sensed[n + i]), configs[i])
             elif wall_contact[i]:
                 modes[i] = AVOID_WALL
                 remaining[i] = random_turn(rngs[i], configs[i])
             else:
-                n_l[i], n_r[i] = wheel_speeds(s_l[i], s_r[i], configs[i])
+                continue  # drives at its wheel_speeds
         elif mode == WAITING:
             left = remaining[i] - dt
             if left > 0.0:
@@ -139,4 +130,5 @@ def step_fsm(
                 remaining[i] = 0.0
             else:
                 remaining[i] = left
-    return n_l, n_r, turn_deg
+        stopped += i, n + i
+    return stopped, turn_deg

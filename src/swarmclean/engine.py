@@ -6,10 +6,10 @@ one) is a loop over whole seconds around a loop over that second's ticks
 waiting robot erodes its own run's field once and the ratio and coherency of
 every run are reduced from one pass; then, run by run, the mean cue (for a run
 that cleaned) and the metrics row are written and an optional observer sees
-the run's World, once more after the last tick. Each
-tick, for all runs' robots at once: read the ground sensors, detect
-contacts, step the state machines, then integrate motion. Each run's
-trajectory is a pure function of its own config, including its seed.
+the run's World, once more after the last tick. Each tick, for all runs'
+robots at once: read the ground sensors, detect contacts, run the array wheel
+law and the scalar state machines, which stop the robots that do not drive,
+then integrate motion. Each run's trajectory is a pure function of its own config, seed included.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .controller import FORWARD, WAITING, step_fsm
+from .controller import FORWARD, WAITING, step_fsm, wheel_speeds
 from .field import _ZERO, apply_cleaning, init_circular_gradient, mean_intensity, sample_many
 from .metrics import MetricsSeries, coherency, ratio_within
 
@@ -33,7 +33,7 @@ _SENSOR_SIGNS = np.array([[[-1.0], [1.0]], [[1.0], [-1.0]]])  # (axis, side, 1):
 
 # validation bounds: floats are finite and at most MAX_MAGNITUDE in size,
 # strictly positive quantities at least MIN_POSITIVE; the field holds one
-# float per square cm and the neighbour list three arrays of N (N - 1) / 2 pairs;
+# float per square cm and the neighbour list five arrays of N (N - 1) / 2 pairs;
 # the metrics series preallocates 32 bytes per second, 32 MB at MAX_DURATION_S
 MAX_MAGNITUDE = 1e6
 MIN_POSITIVE = 1e-6
@@ -153,10 +153,10 @@ def ground_sensor_points(xy_col, sin_cos, signed_h, offsets, sensor_grid) -> Non
     np.add(xy_col, offsets, out=sensor_grid)
 
 
-def wrap_angle(theta):
-    """Wrap to (-pi, pi]; a float or an array."""
+def wrap_angle(theta, out=None):
+    """Wrap to (-pi, pi]; a float or an array, written into the array out if one is given."""
     # for a theta just above pi the remainder rounds up to 2 pi; fmod maps that alone to 0
-    return _PI - np.fmod((_PI - theta) % _TWO_PI, _TWO_PI)
+    return np.subtract(_PI, np.fmod((_PI - theta) % _TWO_PI, _TWO_PI), out=out)
 
 
 def _far_walls(config: SimConfig) -> np.ndarray:
@@ -165,28 +165,26 @@ def _far_walls(config: SimConfig) -> np.ndarray:
     return np.array([[config.arena_width_cm - r], [config.arena_height_cm - r]])
 
 
-def integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, config: SimConfig, far_walls, clamp=True) -> None:
+def integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, wheel_base, body_r, far_walls, clamp=True) -> None:
     """One explicit-Euler step of the unicycle model for every robot, in place.
 
-    xy (2, N) and heading (N,) are updated; cos_sin holds the cos and sin
-    of the headings before the step, and dt is a float or a 0-d array. Wheel units map to a forward speed
-    of WHEEL_UNIT_CM_S * (n_l + n_r) / 2 cm/s and a yaw rate of
-    WHEEL_UNIT_CM_S * (n_r - n_l) / wheel_base rad/s. A nonzero turn_deg
-    then rotates the robot in place; positions are clamped to the arena,
-    whose far walls are `_far_walls(config)`, unless clamp is False.
+    xy (2, N) and heading (N,) are updated; cos_sin holds the cos and sin of the headings before the
+    step, n_l and n_r (N,) arrays the wheel speeds; dt, wheel_base and body_r are floats or 0-d arrays.
+    Wheel units map to a forward speed of WHEEL_UNIT_CM_S * (n_l + n_r) / 2 cm/s and a yaw rate of
+    WHEEL_UNIT_CM_S * (n_r - n_l) / wheel_base rad/s. A nonzero turn_deg then rotates the robot in
+    place; positions are clamped to [body_r, far_walls] (`_far_walls(config)`) unless clamp is False.
     """
-    n_l, n_r = np.array((n_l, n_r), dtype=np.float64)
     v = _HALF_WHEEL_UNIT * (n_l + n_r)
-    omega = _WHEEL_UNIT * (n_r - n_l) / config.wheel_base_cm
+    omega = _WHEEL_UNIT * (n_r - n_l) / wheel_base
     xy += v * cos_sin * dt
-    heading[:] = wrap_angle(heading + omega * dt)
+    wrap_angle(heading + omega * dt, heading)
     if any(turn_deg):
         # only turning robots wrap twice: wrapping rounds through pi - theta, which moves the
         # low bits of many headings already in (-pi, pi]
         turn = np.array(turn_deg, dtype=np.float64)
         np.copyto(heading, wrap_angle(heading + turn * _DEG_TO_RAD), where=turn != _ZERO)
     if clamp:
-        np.maximum(xy, config.body_radius_cm, out=xy)
+        np.maximum(xy, body_r, out=xy)
         np.minimum(xy, far_walls, out=xy)
 
 
@@ -218,7 +216,8 @@ class PairGeometry:
     and `overlap_d2` are 0-d arrays: the squared contact range and body diameter `body_d`.
 
     Every squared distance is d * d summed over both axes, with d = xy[:, j]
-    - xy[:, i] gathered by one `take` over a (2, P) index array. A rebuild
+    - xy[:, i] gathered by one `take` from xy.ravel() over an (end, axis, pair) index, so the
+    subtraction reads contiguous blocks; `pairs` is its axis-0 view. A rebuild
     evaluates it over every pair i < j, row by row, as `upper_d2`, which
     `coherency` reads; between rebuilds only `pair_d2`, over the listed
     pairs, is updated. It always belongs to the poses last tracked.
@@ -226,7 +225,7 @@ class PairGeometry:
 
     __slots__ = (
         "upper_d2", "pairs", "pair_d2", "ticks", "drift", "wall_gap", "contact_d2", "overlap_d2", "body_d",
-        "_all_pairs", "_rebuilt_xy", "_tick_travel", "_half_skin", "_reach2", "_body_r", "_far_walls",
+        "_flat", "_all_flat", "_rebuilt_xy", "_tick_travel", "_half_skin", "_reach2", "_body_r", "_far_walls",
     )
 
     def __init__(self, xy: np.ndarray, config: SimConfig, sizes=None):
@@ -238,23 +237,24 @@ class PairGeometry:
         self._reach2 = np.array((cutoff + 2.0 * self._half_skin) ** 2)
         self.contact_d2, self.overlap_d2 = np.array(config.contact_range_cm**2), np.array(min_d * min_d)
         sizes = [xy.shape[1]] if sizes is None else sizes
-        starts = np.cumsum([0, *sizes])
-        self._all_pairs = np.hstack([np.array(np.triu_indices(n, k=1)) + start for n, start in zip(sizes, starts)])
+        pairs = np.hstack([np.array(np.triu_indices(n, k=1)) + s for n, s in zip(sizes, np.cumsum([0, *sizes]))])
+        self._all_flat = pairs[:, None] + np.array([[0], [xy.shape[1]]])  # (end, axis, pair): xy.ravel() indices
         self._body_r, self._far_walls = np.array(config.body_radius_cm), _far_walls(config)
         self.rebuild(xy)
 
     @staticmethod
-    def _d2(xy: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-        d = xy.take(pairs, axis=1)  # (axis, end, pair)
-        d = d[:, 1] - d[:, 0]
+    def _d2(xy: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        d = xy.ravel().take(flat)  # (end, axis, pair)
+        d = d[1] - d[0]
         d *= d
         return d[0] + d[1]
 
     def rebuild(self, xy: np.ndarray) -> None:
         """Every pair's squared distance at the poses xy, the pairs within cutoff + skin, and the wall gap."""
-        self.upper_d2 = self._d2(xy, self._all_pairs)
+        self.upper_d2 = self._d2(xy, self._all_flat)
         near = self.upper_d2 <= self._reach2
-        self.pairs = self._all_pairs.compress(near, axis=1)
+        self._flat = self._all_flat.compress(near, axis=2)
+        self.pairs = self._flat[:, 0]
         self.pair_d2 = self.upper_d2[near]
         self._rebuilt_xy = xy.copy()
         self.wall_gap = float(np.minimum(xy - self._body_r, self._far_walls - xy).min(initial=np.inf))
@@ -271,7 +271,7 @@ class PairGeometry:
         if self.drift + self.ticks * self._tick_travel > self._half_skin:
             self.rebuild(xy)
         else:
-            self.pair_d2 = self._d2(xy, self.pairs)
+            self.pair_d2 = self._d2(xy, self._flat)
 
     def clears_walls(self, reach: float, ticks_ahead: int = 0) -> bool:
         """True when no center can be within reach of the positions nearest a wall, ticks_ahead integrate steps on."""
@@ -447,10 +447,14 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
     far_walls = _far_walls(config)
     modes, remaining, refractory = [FORWARD] * m, [0.0] * m, [0.0] * m
     # ground sensors: left ones in sensors[:, :m], right ones in [:, m:]; the views and 0-d operands are made once
-    cos_sin, sensors, offsets = np.empty((2, m)), np.empty((2, 2 * m)), np.empty((2, 2, m))
-    cos_row, sin_row, sin_cos, xy_col = *cos_sin, cos_sin[::-1, None], xy[:, None]
+    cos_sin, sensors, offsets, sensed = np.empty((2, m)), np.empty((2, 2 * m)), np.empty((2, 2, m)), np.empty(2 * m)
+    cos_row, sin_row, sin_cos, xy_col, s_l, s_r = *cos_sin, cos_sin[::-1, None], xy[:, None], sensed[:m], sensed[m:]
     sensor_grid, signed_h = sensors.reshape(2, 2, m, copy=False), (0.5 * config.wheel_base_cm) * _SENSOR_SIGNS
     dt_0d, center_0d, r_c_0d = np.array(dt), tuple(map(np.array, config.cue_center)), np.array(config.metric_radius_cm)
+    alpha_0d, hi_0d = np.array(config.alpha), np.array(config.wheel_max)
+    base_0d, r_0d = np.array(config.wheel_base_cm), np.array(config.body_radius_cm)
+    wheels, betas = np.empty((2, m)), np.array([c.beta for c in robot_configs])  # wheel speeds: (n_l, n_r) rows
+    n_l, n_r = wheels
     pair_starts = np.cumsum([0, *(n * (n - 1) // 2 for n in sizes)]).tolist()
 
     for t in range(d):
@@ -474,13 +478,17 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
             np.cos(heading, out=cos_row)
             np.sin(heading, out=sin_row)
             ground_sensor_points(xy_col, sin_cos, signed_h, offsets, sensor_grid)
-            sensed = sample_many(cue, sensors, cell_offsets).tolist()
+            sample_many(cue, sensors, cell_offsets, sensed)
             robot_contact, wall_contact = _detect_events_trig(xy, cos_sin, geom, config, far_walls)
-            n_l, n_r, turn_deg = step_fsm(
-                modes, remaining, refractory, sensed[:m], sensed[m:], robot_contact.tolist(), wall_contact.tolist(),
-                dt, robot_rngs, robot_configs,
+            wheel_speeds(s_l, s_r, alpha_0d, betas, hi_0d, wheels, n_l, n_r)
+            stopped, turn_deg = step_fsm(
+                modes, remaining, refractory, sensed, robot_contact.tolist(), wall_contact.tolist(), dt, robot_rngs,
+                robot_configs,
             )
-            integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt_0d, config, far_walls, not geom.clears_walls(0.0, 1))
+            if stopped:
+                wheels.put(stopped, _ZERO)  # only a robot that stays FORWARD drives
+            clamp = not geom.clears_walls(0.0, 1)
+            integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt_0d, base_0d, r_0d, far_walls, clamp)
             _separate_overlaps(xy, config, geom, far_walls)
 
     # after the last tick: the observer sees the end state, with no cleaning or metrics row

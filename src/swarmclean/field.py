@@ -68,11 +68,11 @@ def _grid_operands(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     return bounds, stride
 
 
-def sample_many(field: np.ndarray, points_cm: np.ndarray, cell_offset=None) -> np.ndarray:
+def sample_many(field: np.ndarray, points_cm: np.ndarray, cell_offset=None, out=None) -> np.ndarray:
     """Intensities of the cells containing each point of the (2, K) points_cm (x, then y); 0 outside the arena.
 
     Nearest-cell semantics: no interpolation, the raw (possibly fractional)
-    cell value is returned. Total over the whole plane. field may be a stack
+    cell value is returned, in out (K,) if given. Total over the whole plane. field may be a stack
     (runs, rows, cols): a point's cell_offset of k * rows * cols reads field[k].
     """
     bounds, stride = _grid_operands(*field.shape[-2:])
@@ -82,7 +82,7 @@ def sample_many(field: np.ndarray, points_cm: np.ndarray, cell_offset=None) -> n
     index = cells[1] * stride + cells[0]
     if cell_offset is not None:
         index += cell_offset  # on the integer index: floor(y + k * rows) could round across a cell edge
-    out = field.take(index, mode="clip")
+    out = field.take(index, mode="clip", out=out)
     out *= inside  # cells are finite and >= 0, so outside points read +0.0
     return out
 

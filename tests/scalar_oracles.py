@@ -1,11 +1,12 @@
 """Per-robot reference implementations of the batched laws in `src/`.
 
-The engine steps every robot's state machine in one `step_fsm` call over
-three plain lists, integrates every pose in one vectorised `integrate`, and
+The engine computes every robot's wheel speeds in one array `wheel_speeds`
+call, steps every robot's state machine in one `step_fsm` call over three
+plain lists, integrates every pose in one vectorised `integrate`, and
 cleans under all waiting robots in one `apply_cleaning` call. The scalar
-versions below are the laws as they were written robot by robot: an FSM
-state object and a wheel command per robot, one pose at a time in Python
-floats, and one kernel application per robot. The refractory timer is the
+versions below are the laws as they were written robot by robot: the wheel
+law in Python floats, an FSM state object and a wheel command per robot,
+one pose at a time in Python floats, and one kernel application per robot. The refractory timer is the
 numpy array the tick loop kept beside the FSM: contact detection masked
 robot contacts with it, and the loop counted it down after each step. The
 tests hold the batched code to these bit for bit.
@@ -13,7 +14,8 @@ tests hold the batched code to these bit for bit.
 Two array laws are kept as they were written before their constant operands
 became 0-d arrays, made once: `wrap_angle_float_operands` and
 `integrate_float_operands` pass Python floats to numpy, which converts each
-of them on every call. The engine's versions must give the same bits.
+of them on every call, and the latter takes its wheel speeds as two lists.
+The engine's versions must give the same bits.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swarmclean.controller import AVOID_WALL, FORWARD, POST_WAIT_TURN, WAITING, random_turn, waiting_time, wheel_speeds
+from swarmclean.controller import AVOID_WALL, FORWARD, POST_WAIT_TURN, WAITING, random_turn, waiting_time
 from swarmclean.engine import WHEEL_UNIT_CM_S, SimConfig
 from swarmclean.field import CLEAN_KERNEL, KERNEL_REACH
 
@@ -67,6 +69,22 @@ class PostWaitTurn:
 
 
 FsmState = Forward | AvoidWall | Waiting | PostWaitTurn
+
+
+def wheel_speeds(s_l: float, s_r: float, config: SimConfig) -> tuple[float, float]:
+    """Differential steering toward the stronger of the two ground sensors, for one robot.
+
+    Returns (n_l, n_r) in wheel units: n_r = (s_l - s_r)/alpha + beta and
+    n_l the mirror image, both clamped to [0, wheel_max].
+    """
+    diff = (s_l - s_r) / config.alpha
+    hi = config.wheel_max
+    n_r = diff + config.beta
+    n_l = -diff + config.beta
+    return (
+        0.0 if n_l < 0.0 else (hi if n_l > hi else n_l),
+        0.0 if n_r < 0.0 else (hi if n_r > hi else n_r),
+    )
 
 
 def to_state(mode: int, remaining: float) -> FsmState:

@@ -22,6 +22,21 @@ import scalar_oracles as oracle
 P = SimConfig()
 
 
+def array_law(s_l, s_r, betas, alpha=P.alpha, wheel_max=P.wheel_max):
+    """The array law's (2, n) wheels for sensor readings s_l, s_r and one beta per robot, as the engine calls it."""
+    n = len(s_l)
+    sensed = np.array([*s_l, *s_r], dtype=np.float64)
+    wheels = np.full((2, n), np.nan)
+    alpha, betas, wheel_max = np.array(alpha), np.array(betas, dtype=np.float64), np.array(wheel_max)
+    wheel_speeds(sensed[:n], sensed[n:], alpha, betas, wheel_max, wheels, *wheels)
+    return wheels
+
+
+def speeds(s_l, s_r, config=P):
+    """One robot's (n_l, n_r) from the array law."""
+    return tuple(array_law([s_l], [s_r], [config.beta], config.alpha, config.wheel_max)[:, 0].tolist())
+
+
 class TestWaitingTime:
     def test_max_cue(self):
         # 30 * 255^2 / (255^2 + 25000), inside Table-range [0, 21.7]
@@ -65,31 +80,70 @@ class TestWaitingTime:
 
 class TestWheelSpeeds:
     def test_equal_sensors_drive_straight(self):
-        assert wheel_speeds(42.0, 42.0, P) == (6.0, 6.0)
+        assert speeds(42.0, 42.0) == (6.0, 6.0)
 
     def test_turns_toward_higher_left(self):
-        assert wheel_speeds(10.0, 6.0, P) == (4.0, 8.0)
+        assert speeds(10.0, 6.0) == (4.0, 8.0)
 
     def test_clamping_at_extremes(self):
-        assert wheel_speeds(255.0, 0.0, P) == (0.0, 10.0)
+        assert speeds(255.0, 0.0) == (0.0, 10.0)
+
+    def test_lands_exactly_on_both_clamps(self):
+        # diff = (s_l - s_r) / alpha lands on beta, -beta and wheel_max - beta exactly
+        assert speeds(13.0, 1.0) == (0.0, 10.0)  # diff = 6: n_l = 0, n_r = 12 clamped
+        assert speeds(1.0, 13.0) == (10.0, 0.0)
+        assert speeds(9.0, 1.0) == (2.0, 10.0)  # diff = 4: n_r = wheel_max unclamped
+        assert speeds(1.0, 9.0) == (10.0, 2.0)
+        assert array_law([5.0, 5.0, 5.0], [5.0, 2.0, 8.0], [0.0, 1.5, 1.5], alpha=1.0).tolist() == [
+            [0.0, 0.0, 4.5],
+            [0.0, 4.5, 0.0],
+        ]
 
     @given(st.floats(0, 255), st.floats(0, 255))
     @settings(max_examples=100, deadline=None)
     def test_unclamped_sum_is_twice_beta(self, s_l, s_r):
         diff = (s_l - s_r) / P.alpha
         assert (diff + P.beta) + (-diff + P.beta) == pytest.approx(2 * P.beta, abs=1e-9)
-        n_l, n_r = wheel_speeds(s_l, s_r, P)
+        n_l, n_r = speeds(s_l, s_r)
         assert 0.0 <= n_l <= 10.0
         assert 0.0 <= n_r <= 10.0
 
     @given(st.floats(0, 255), st.floats(0, 255))
     @settings(max_examples=100, deadline=None)
     def test_steers_toward_stronger_sensor(self, s_l, s_r):
-        n_l, n_r = wheel_speeds(s_l, s_r, P)
+        n_l, n_r = speeds(s_l, s_r)
         if s_l > s_r:
             assert n_r >= n_l
         elif s_r > s_l:
             assert n_l >= n_r
+
+
+@st.composite
+def law_swarms(draw):
+    """alpha, wheel_max, and per robot (s_l, s_r, beta): often landing exactly on a clamp, as dyadic alphas do."""
+    alpha = draw(st.one_of(st.sampled_from([2.0, 1.0, 0.5, 0.25, 4.0]), st.floats(1e-6, 1.0), st.floats(1.0, 50.0)))
+    wheel_max = draw(st.sampled_from([10.0, 7.5]))
+    robots = []
+    for _ in range(draw(st.integers(0, 40))):
+        beta = draw(st.sampled_from([0.0, 3.0, 6.0, wheel_max]))
+        s_r = draw(st.one_of(st.integers(0, 255).map(float), st.floats(0.0, 255.0)))
+        # the unclamped n_l = beta - diff and n_r = diff + beta on 0 or wheel_max, or anywhere
+        target = draw(st.sampled_from([beta, -beta, wheel_max - beta, beta - wheel_max, None]))
+        s_l = draw(st.floats(0.0, 255.0)) if target is None else s_r + target * alpha
+        robots.append((s_l, s_r, beta))
+    return alpha, wheel_max, robots
+
+
+@given(law_swarms())
+@settings(max_examples=200, deadline=None)
+def test_array_law_equals_scalar_law(swarm):
+    """The array wheel law gives each robot the scalar law's bits, beta per robot, clamps hit exactly included."""
+    alpha, wheel_max, robots = swarm
+    s_l, s_r, betas = ([r[k] for r in robots] for k in range(3))
+    wheels = array_law(s_l, s_r, betas, alpha, wheel_max)
+    for i, (sl, sr, beta) in enumerate(robots):
+        want = oracle.wheel_speeds(sl, sr, SimConfig(alpha=alpha, beta=beta, wheel_max=wheel_max))
+        assert wheels[:, i].tobytes() == np.array(want).tobytes()
 
 
 class TestRandomTurn:
@@ -114,13 +168,25 @@ def _rng():
     return np.random.default_rng(0)
 
 
+def step_swarm(modes, remaining, refractory, s_l, s_r, robot_contact, wall_contact, dt, rngs, configs):
+    """One control step as the tick loop takes it: the wheel law, the FSM step, then the stop mask.
+
+    Returns (stopped, wheels (2, n), turn_deg); modes, remaining and refractory are stepped in place.
+    """
+    sensed = np.array([*s_l, *s_r], dtype=np.float64)
+    wheels = array_law(s_l, s_r, [c.beta for c in configs], P.alpha, P.wheel_max)
+    stopped, turn = step_fsm(modes, remaining, refractory, sensed, robot_contact, wall_contact, dt, rngs, configs)
+    wheels.put(stopped, 0.0)
+    return stopped, wheels, turn
+
+
 def step_one(mode, remaining, s_l, s_r, robot_contact, wall_contact, rng=None, refractory=0.0):
     """Step a one-robot swarm: ((mode, remaining), (n_l, n_r), turn_deg, refractory after the step)."""
     modes, rem, refr = [mode], [remaining], [refractory]
-    n_l, n_r, turn = step_fsm(
+    _, wheels, turn = step_swarm(
         modes, rem, refr, [float(s_l)], [float(s_r)], [robot_contact], [wall_contact], 0.1, [rng or _rng()], [P]
     )
-    return (modes[0], rem[0]), (n_l[0], n_r[0]), turn[0], refr[0]
+    return (modes[0], rem[0]), tuple(wheels[:, 0].tolist()), turn[0], refr[0]
 
 
 class TestStepFsm:
@@ -214,15 +280,28 @@ class TestWheelCommandInvariants:
         assert (mode, remaining) == (FORWARD, 0.0)
 
     def test_command_is_plain_record(self):
-        # wheel speeds and turns come back as plain per-robot lists; refractory is stepped in place
+        # the robots that do not drive come back as flat wheel indices and turns as a plain per-robot list;
+        # refractory is stepped in place
         modes, remaining, refractory = [FORWARD, WAITING, AVOID_WALL], [0.0, 0.05, 30.0], [0.0, 0.0, 0.0]
         rngs = [_rng() for _ in modes]
-        n_l, n_r, turn = step_fsm(
+        stopped, wheels, turn = step_swarm(
             modes, remaining, refractory, [1.5] * 3, [0.5] * 3, [False] * 3, [False] * 3, 0.1, rngs, [P] * 3
         )
-        assert (n_l, n_r) == ([5.5, 0.0, 0.0], [6.5, 0.0, 0.0])
+        assert stopped == [1, 4, 2, 5]
+        assert wheels.tolist() == [[5.5, 0.0, 0.0], [6.5, 0.0, 0.0]]
         assert turn == [0.0, 0.0, pytest.approx(18.0)]
         assert refractory == [0.0, P.refractory_s, 0.0]
+
+    def test_reads_sensors_only_to_start_a_wait(self):
+        # the sensors enter the transitions only as a new wait's mean cue: NaN readings elsewhere change nothing
+        modes, remaining, refractory = [FORWARD, FORWARD, WAITING, POST_WAIT_TURN], [0.0, 0.0, 3.0, 50.0], [0.0] * 4
+        sensed = [math.nan, 10.0, math.nan, math.nan, math.nan, 20.0, math.nan, math.nan]
+        stopped, turn = step_fsm(
+            modes, remaining, refractory, sensed, [False, True, False, False], [False] * 4, 0.1, [_rng()] * 4, [P] * 4
+        )
+        assert stopped == [1, 5, 2, 6, 3, 7]
+        assert modes == [FORWARD, WAITING, WAITING, POST_WAIT_TURN]
+        assert remaining == [0.0, waiting_time(15.0, P), 2.9, 32.0]
 
     def test_sensor_reading_mean(self):
         # a new wait lasts the waiting time of the two sensors' mean
@@ -268,19 +347,23 @@ def test_batched_step_equals_per_robot_oracle(robots, dt, formula, seed):
     oracle_rngs = [np.random.default_rng([seed, i]) for i in range(len(robots))]
     want_refractory = np.array(refractory, dtype=np.float64)
 
-    n_l, n_r, turn = step_fsm(
+    stopped, wheels, turn = step_swarm(
         modes, remaining, refractory, s_l, s_r, robot_contact, wall_contact, dt, rngs, configs
     )
 
-    woke = []
+    woke, not_driving, n = [], [], len(robots)
     for i, ((mode, rem), sl, sr, rc, wc) in enumerate(robots):
         old = oracle.to_state(mode, rem)
         seen = oracle.robot_contact_seen(rc, want_refractory[i])
         state, command, turn_deg = oracle.step_fsm(old, sl, sr, seen, wc, dt, oracle_rngs[i], configs[i])
         if type(old) is oracle.Waiting and type(state) is not oracle.Waiting:
             woke.append(i)
+        if not (type(old) is type(state) is oracle.Forward):
+            not_driving += i, n + i
         assert (modes[i], remaining[i]) == oracle.from_state(state)
-        assert (n_l[i], n_r[i], turn[i]) == (command.n_l, command.n_r, turn_deg)
+        assert wheels[:, i].tobytes() == np.array((command.n_l, command.n_r)).tobytes()
+        assert turn[i] == turn_deg
         assert rngs[i].bit_generator.state == oracle_rngs[i].bit_generator.state
+    assert stopped == not_driving
     oracle.step_refractory(want_refractory, woke, dt, SimConfig())
     assert np.array(refractory, dtype=np.float64).tobytes() == want_refractory.tobytes()

@@ -55,8 +55,21 @@ def step_pose(x, y, heading, n_l, n_r, dt=0.1, config=None):
     xy = np.array([[x], [y]], dtype=float)
     h = np.array([heading], dtype=float)
     config = config or SimConfig()
-    integrate(xy, h, trig(h), [float(n_l)], [float(n_r)], [0.0], dt, config, _far_walls(config))
+    integrate(xy, h, trig(h), *wheel_rows([n_l], [n_r]), [0.0], dt, *body_operands(config))
     return xy[0, 0], xy[1, 0], h[0]
+
+
+def wheel_rows(n_l, n_r):
+    """The rows of a (2, N) wheel buffer holding the speeds n_l and n_r, as `integrate` takes them."""
+    return np.array((n_l, n_r), dtype=np.float64).reshape(2, -1)
+
+
+def body_operands(config, zero_d=False):
+    """integrate's wheel_base, body_r and far_walls for config; the first two are 0-d arrays, as in the loop, if zero_d."""
+    wheel_base, body_r = config.wheel_base_cm, config.body_radius_cm
+    if zero_d:
+        wheel_base, body_r = np.array(wheel_base), np.array(body_r)
+    return wheel_base, body_r, _far_walls(config)
 
 
 def body_motion(n_l, n_r):
@@ -171,7 +184,7 @@ class TestIntegrate:
         xy = np.array([[50.0, 60.0], [50.0, 60.0]])
         h = np.array([3.0, 1.0])
         cfg = SimConfig()
-        integrate(xy, h, trig(h), [0.0, 0.0], [0.0, 0.0], [18.0, 0.0], 0.1, cfg, _far_walls(cfg))
+        integrate(xy, h, trig(h), *wheel_rows([0.0, 0.0], [0.0, 0.0]), [18.0, 0.0], 0.1, *body_operands(cfg))
         assert h[0] == pytest.approx(3.0 + math.pi / 10 - 2 * math.pi)
         assert h[1] == wrap_angle(1.0)
         assert xy.tolist() == [[50.0, 60.0], [50.0, 60.0]]
@@ -198,7 +211,7 @@ class TestIntegrate:
         x, y, heading, n_l, n_r, turn = (list(col) for col in zip(*robots)) if robots else ([],) * 6
         xy = np.array([x, y], dtype=float).reshape(2, -1)
         h = np.array(heading, dtype=float)
-        integrate(xy, h, trig(h), n_l, n_r, turn, dt, cfg, _far_walls(cfg))
+        integrate(xy, h, trig(h), *wheel_rows(n_l, n_r), turn, dt, *body_operands(cfg))
         for i, robot in enumerate(robots):
             want = oracle.integrate(*robot[:3], oracle.WheelCommand(robot[3], robot[4]), robot[5], dt, cfg)
             assert np.array([xy[0, i], xy[1, i], h[i]]).tobytes() == np.array(want).tobytes()
@@ -249,10 +262,11 @@ class TestZeroDimOperands:
             oracle.integrate_float_operands(
                 want_xy, want_heading, trig(heading), *wheels, turn, dt, cfg, _far_walls(cfg), clamp
             )
-            # dt as the run loop passes it, a 0-d array, and as a float
-            for dt_op in (np.array(dt), dt):
+            # dt, wheel_base and body_r as the run loop passes them, 0-d arrays, and as floats
+            for dt_op, zero_d in ((np.array(dt), True), (dt, False)):
                 got_xy, got_heading = xy.copy(), heading.copy()
-                integrate(got_xy, got_heading, trig(heading), *wheels, turn, dt_op, cfg, _far_walls(cfg), clamp)
+                operands = body_operands(cfg, zero_d)
+                integrate(got_xy, got_heading, trig(heading), *wheel_rows(*wheels), turn, dt_op, *operands, clamp)
                 assert got_xy.tobytes() == want_xy.tobytes()
                 assert got_heading.tobytes() == want_heading.tobytes()
 
@@ -312,7 +326,7 @@ class TestDetectEvents:
         assert rc.tolist() == [True, True]
         modes, remaining, refractory = [FORWARD, FORWARD], [0.0, 0.0], [1.5, 0.0]
         rngs = [np.random.default_rng(i) for i in range(2)]
-        step_fsm(modes, remaining, refractory, [100.0] * 2, [100.0] * 2, rc.tolist(), wc.tolist(), 0.1, rngs, [cfg] * 2)
+        step_fsm(modes, remaining, refractory, [100.0] * 4, rc.tolist(), wc.tolist(), 0.1, rngs, [cfg] * 2)
         assert modes == [FORWARD, WAITING]
         assert refractory == [1.4, 0.0]
 

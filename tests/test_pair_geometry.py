@@ -298,6 +298,40 @@ def test_coincident_and_overlapping_robots_match_dense_separation():
     assert geom.drift == np.hypot(x - [50.0, 50.0, 53.0, 120.0], y - [50.0, 50.0, 50.0, 120.0]).max() > 0.0
 
 
+@given(
+    st.permutations([0, 1, 2, 7, 30]).flatmap(lambda sizes: st.integers(1, 5).map(lambda k: sizes[:k])),
+    st.sampled_from([20.0, 60.0, HI - R]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_blocks_match_each_block_alone(sizes, spread, seed):
+    """With `sizes`, each block's triangle, listed pairs and tracked distances are those of the block alone.
+
+    upper_d2 is the blocks' dense triangles in turn, bit for bit; `pairs` lists
+    them row by row, i < j, offset by the block's start; after `track`,
+    `pair_d2` is a fresh gather over the listed pairs.
+    """
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(R, R + spread, (2, sum(sizes)))
+    geom = PairGeometry(xy, CFG, sizes)
+    starts = np.cumsum([0, *sizes])
+    triangles, listed = [], []
+    for n, start in zip(sizes, starts):
+        d2 = dense_d2(*xy[:, start : start + n])
+        i, j = np.triu_indices(n, k=1)
+        triangles.append(d2[i, j])
+        near = d2[i, j] <= (CUTOFF + 2 * HALF_SKIN) ** 2
+        listed.append(np.array((i[near], j[near])) + start)
+    assert same_bits(geom.upper_d2, np.concatenate(triangles))
+    assert geom.pairs.tolist() == np.hstack(listed).tolist()
+    xy += rng.uniform(-TICK_TRAVEL, TICK_TRAVEL, xy.shape) / np.sqrt(2.0)
+    geom.track(xy)
+    assert geom.ticks == 1  # carried, not rebuilt
+    i, j = geom.pairs
+    d = xy[:, j] - xy[:, i]
+    assert same_bits(geom.pair_d2, d[0] * d[0] + d[1] * d[1])
+
+
 # --- the walls as neighbours ---------------------------------------------------
 
 
@@ -320,8 +354,10 @@ def advance(xy, heading, geom, wheels, turn, config):
     assert np.array_equal(wall, wall_reference(xy, heading, config))
     clamp = not geom.clears_walls(0.0, 1)
     ref_xy, ref_heading = xy.copy(), heading.copy()
-    integrate(ref_xy, ref_heading, cos_sin, *wheels, turn, config.dt_s, config, _far_walls(config))
-    integrate(xy, heading, cos_sin, *wheels, turn, config.dt_s, config, _far_walls(config), clamp)
+    n_l, n_r = np.array(wheels, dtype=np.float64).reshape(2, -1)
+    operands = (config.dt_s, config.wheel_base_cm, config.body_radius_cm, _far_walls(config))
+    integrate(ref_xy, ref_heading, cos_sin, n_l, n_r, turn, *operands)
+    integrate(xy, heading, cos_sin, n_l, n_r, turn, *operands, clamp)
     assert same_bits(xy, ref_xy) and same_bits(heading, ref_heading)
     _separate_overlaps(xy, config, geom, _far_walls(config))
     return geom.clears_walls(config.wall_range_cm), not clamp
