@@ -52,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--allow-partial", action="store_true", help="analyze despite missing runs")
     p_an.add_argument("--time-bins", type=int, default=8, help="time bins for the ANOVA time factor")
 
-    p_render = sub.add_parser("render", help="write a PGM image of a field")
-    p_render.add_argument("--field", required=True, help="PGM snapshot or run config file")
+    p_render = sub.add_parser("render", help="write a PGM image of a run config's initial field")
+    p_render.add_argument("--field", required=True, help="run config file")
     p_render.add_argument("--out", required=True, help="output PGM path")
     return parser
 

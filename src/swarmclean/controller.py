@@ -36,17 +36,13 @@ POST_WAIT_TURN = 3  # rotating in place after a wait expired
 # Each law reads its tunables from the run's SimConfig.
 
 def waiting_time(mean_cue: float, config: SimConfig) -> float:
-    """Waiting duration as a saturating function of the sensed cue mean.
+    """Waiting duration omega_max * m^2 / (m^2 + 25000) of the sensed cue mean m.
 
-    Default ("squared") form: omega_max * m^2 / (m^2 + 25000), increasing
-    on [0, 255] and topping out near 21.67 s at m = 255. The "literal"
-    form omega_max * m / (m^2 + 25000) is kept as a config switch; it
-    peaks below 0.1 s, which defeats aggregation.
+    It saturates in the squared cue, increasing on [0, 255] and topping out
+    near 21.67 s at m = 255.
     """
     m = float(mean_cue)
-    if config.waiting_formula == "squared":
-        return config.omega_max_s * m * m / (m * m + WAIT_SATURATION)
-    return config.omega_max_s * m / (m * m + WAIT_SATURATION)
+    return config.omega_max_s * m * m / (m * m + WAIT_SATURATION)
 
 
 def wheel_speeds(s_l, s_r, alpha, betas, hi, wheels, n_l, n_r) -> None:

@@ -83,7 +83,6 @@ class SimConfig:
     turn_max_deg: float = 180.0
     turn_rate_deg_s: float = _positive(180.0)
     wheel_max: float = _positive(10.0)
-    waiting_formula: str = "squared"
 
     @property
     def cue_center(self) -> tuple[float, float]:
@@ -139,8 +138,6 @@ class SimConfig:
             raise ConfigError(f"turn_min_deg {self.turn_min_deg} exceeds turn_max_deg {self.turn_max_deg}")
         if self.beta > self.wheel_max:
             raise ConfigError(f"beta must be in [0, {self.wheel_max}], got {self.beta}")
-        if self.waiting_formula not in ("squared", "literal"):
-            raise ConfigError(f"waiting_formula must be 'squared' or 'literal', got {self.waiting_formula!r}")
 
 
 def ground_sensor_points(xy_col, sin_cos, signed_h, offsets, sensor_grid) -> None:

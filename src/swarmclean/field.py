@@ -9,7 +9,6 @@ the waiting state; nothing ever raises a cell.
 from __future__ import annotations
 
 import functools
-import re
 
 import numpy as np
 
@@ -21,8 +20,6 @@ _KERNEL_OFFSETS = np.arange(-KERNEL_REACH, KERNEL_REACH + 1)
 _KERNEL_ROW_OFFSETS = _KERNEL_OFFSETS[:, None]
 CLEAN_KERNEL = 8.0 - np.sqrt(_KERNEL_ROW_OFFSETS**2 + _KERNEL_OFFSETS[None, :] ** 2)
 _ZERO = np.array(0.0)  # a 0-d operand: numpy converts a Python float operand on every call
-# one PGM header token after any whitespace and '#' comments (to the line end), possessive: no backtracking
-_PGM_TOKEN = rb"(?:\s|#[^\n]*+)*+([^\s#]\S*)"
 
 
 def init_circular_gradient(
@@ -136,29 +133,3 @@ def write_pgm(raster: np.ndarray, path) -> None:
     with open(path, "wb") as fh:
         fh.write(to_pgm_bytes(raster))
 
-
-def read_pgm(path) -> np.ndarray:
-    """Load a P5 PGM written by `write_pgm` back into its uint8 raster; a malformed file raises ValueError naming it."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    tokens, pos = [], 0
-    for _ in range(4):
-        token = re.compile(_PGM_TOKEN).match(data, pos)  # compiled on first use, then cached by re
-        if token is None:
-            raise ValueError(f"{path}: truncated PGM header")
-        tokens.append(token[1])
-        pos = token.end()
-    if tokens[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
-    try:
-        cols, rows, maxval = (int(token) for token in tokens[1:])
-    except ValueError:
-        raise ValueError(f"{path}: malformed PGM header {b' '.join(tokens)!r}") from None
-    if cols <= 0 or rows <= 0:
-        raise ValueError(f"{path}: image dimensions must be positive, got {cols} x {rows}")
-    if maxval != 255:
-        raise ValueError(f"{path}: expected 8-bit PGM, got maxval {maxval}")
-    pos += 1  # single whitespace byte after the header
-    if len(data) - pos < rows * cols:
-        raise ValueError(f"{path}: truncated raster, {max(len(data) - pos, 0)} of {rows * cols} bytes")
-    return np.frombuffer(data, dtype=np.uint8, count=rows * cols, offset=pos).reshape(rows, cols)

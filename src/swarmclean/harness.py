@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .engine import ConfigError, SimConfig, run_batch, run_simulation
-from .field import init_circular_gradient, pgm_raster, read_pgm, write_pgm
+from .field import init_circular_gradient, pgm_raster, write_pgm
 from .metrics import MetricsSeries, open_atomic
 from .stats import AnovaResult, ObservationTable, anova_main_effects, bin_means, median_series
 
@@ -30,14 +30,14 @@ BATCH_CELLS = 1_000_000
 
 
 class SweepFailure(RuntimeError):
-    """One or more sweep runs failed; the manifest records which."""
+    """One or more sweep runs failed; the manifest records which, and the message names the first and why."""
 
 
 # --- key-value config files ---------------------------------------------------
 
 # config-file keys and their types, one per SimConfig field; f.type is the
-# annotation string ("int", "float" or "str") that validate() also reads
-_TYPES = {"int": int, "float": float, "str": str}
+# annotation string ("int" or "float") that validate() also reads
+_TYPES = {"int": int, "float": float}
 _RUN_FIELDS: dict[str, type] = {f.name: _TYPES[f.type] for f in fields(SimConfig)}
 
 
@@ -335,7 +335,8 @@ def cmd_sweep(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunSpec]:
     write_manifest(os.path.join(out_dir, "manifest.csv"), runs)
     failed = [r for r in runs if r.status != "ok"]
     if failed:
-        raise SweepFailure(f"{len(failed)} of {len(runs)} runs failed; see manifest")
+        why = failed[0].status.removeprefix("failed: ")
+        raise SweepFailure(f"{len(failed)} of {len(runs)} runs failed, first {failed[0].path}: {why}; see manifest")
     return runs
 
 
@@ -425,15 +426,10 @@ def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> S
     return SweepAnalysis(medians=medians, anova_mean_cue=anova_cue, anova_coherency=anova_coh)
 
 
-def cmd_render(field_path, out_path) -> None:
-    """Re-emit a PGM snapshot, or render the initial field of a run config."""
-    with open(field_path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"P5":
-        raster = read_pgm(field_path)
-    else:
-        cfg = load_run_config(field_path)
-        raster = pgm_raster(init_circular_gradient(
-            cfg.arena_width_cm, cfg.arena_height_cm, cfg.cue_center, cfg.cue_radius_cm, cfg.cue_peak
-        ))
-    write_pgm(raster, out_path)
+def cmd_render(config_path, out_path) -> None:
+    """Write the initial (t = 0) field of a run config as a PGM; any other file is a ConfigError naming it."""
+    cfg = load_run_config(config_path)
+    field = init_circular_gradient(
+        cfg.arena_width_cm, cfg.arena_height_cm, cfg.cue_center, cfg.cue_radius_cm, cfg.cue_peak
+    )
+    write_pgm(pgm_raster(field), out_path)

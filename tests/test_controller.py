@@ -61,12 +61,6 @@ class TestWaitingTime:
         assert np.all(np.diff(values) > 0)  # squared form rises on [0, 255]
         assert values.argmax() == len(grid) - 1
 
-    def test_literal_form(self):
-        lit = SimConfig(waiting_formula="literal")
-        assert waiting_time(math.sqrt(25000), lit) == pytest.approx(30 * math.sqrt(25000) / 50000, rel=1e-12)
-        # the literal form cannot reach a second of waiting anywhere
-        assert max(waiting_time(m, lit) for m in np.linspace(0, 255, 1000)) < 0.1
-
     def test_rejects_bad_params(self):
         with pytest.raises(ConfigError):
             SimConfig(alpha=0).validate()
@@ -74,8 +68,6 @@ class TestWaitingTime:
             SimConfig(beta=11).validate()
         with pytest.raises(ConfigError):
             SimConfig(beta=-1).validate()
-        with pytest.raises(ConfigError):
-            SimConfig(waiting_formula="cubic").validate()
 
 
 class TestWheelSpeeds:
@@ -325,16 +317,15 @@ REFRACTORY_DT = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.floats(0.0, 
 @given(
     st.lists(st.tuples(ROBOTS, REFRACTORY_DT, st.sampled_from([0.0, 3.0, 6.0, 10.0])), max_size=60),
     st.sampled_from([0.1, 0.05, 1.0]),
-    st.sampled_from(["squared", "literal"]),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
-def test_batched_step_equals_per_robot_oracle(robots, dt, formula, seed):
+def test_batched_step_equals_per_robot_oracle(robots, dt, seed):
     """One batched step equals one oracle call per robot, RNG draws and refractory time included.
 
     Each robot has its own beta, as robots of runs from different grid cells do in one batch.
     """
-    configs = [SimConfig(waiting_formula=formula, beta=beta) for _, _, beta in robots]
+    configs = [SimConfig(beta=beta) for _, _, beta in robots]
     refractory = [k * dt for _, k, _ in robots]
     robots = [robot for robot, _, _ in robots]
     modes = [mode for (mode, _), *_ in robots]

@@ -382,7 +382,6 @@ class TestConfigValidation:
             dict(n_robots=True),
             dict(duration_s=10.0),
             dict(duration_s=MAX_DURATION_S + 1),
-            dict(waiting_formula="cubic"),
             # both sides round to zero field cells
             dict(
                 n_robots=1, arena_width_cm=0.4, arena_height_cm=0.4, body_radius_cm=0.1, wheel_base_cm=0.2,
@@ -428,7 +427,6 @@ PLAUSIBLE = {
     "refractory_s": st.floats(0.0, 4.0),
     "turn_min_deg": st.floats(0.0, 180.0),
     "turn_max_deg": st.floats(90.0, 360.0),
-    "waiting_formula": st.sampled_from(["squared", "literal"]),
 }
 NASTY_FLOATS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-6, 1e6, 5e-324, 1e300]),
@@ -442,7 +440,6 @@ NASTY = {
     # kept small: the field holds one float per square cm
     "arena_width_cm": st.one_of(st.floats(-10.0, 400.0), st.sampled_from([math.nan, math.inf, 1e300])),
     "arena_height_cm": st.one_of(st.floats(-10.0, 400.0), st.sampled_from([math.nan, math.inf, 1e300])),
-    "waiting_formula": st.sampled_from(["cubic", ""]),
 }
 
 

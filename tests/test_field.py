@@ -11,7 +11,6 @@ from swarmclean.field import (
     init_circular_gradient,
     mean_intensity,
     pgm_raster,
-    read_pgm,
     sample_many,
     to_pgm_bytes,
     write_pgm,
@@ -368,41 +367,13 @@ class TestPgm:
         f = fresh_field()
         path = tmp_path / "snap.pgm"
         write_pgm(pgm_raster(f), path)
-        back = read_pgm(path)
-        assert back.shape == f.shape
-        assert np.array_equal(back, np.rint(f))
-
-    def test_read_rejects_other_formats(self, tmp_path):
-        path = tmp_path / "bad.pgm"
-        path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
-        with pytest.raises(ValueError):
-            read_pgm(path)
+        data = path.read_bytes()
+        assert data == to_pgm_bytes(pgm_raster(f))
+        pixels = np.frombuffer(data, dtype=np.uint8, offset=len(b"P5\n285 285\n255\n")).reshape(f.shape)
+        assert np.array_equal(pixels, np.rint(f))
 
     def test_read_returns_the_written_raster(self, tmp_path):
         raster = pgm_raster(fresh_field())
         path = tmp_path / "snap.pgm"
         write_pgm(raster, path)
-        back = read_pgm(path)
-        assert back.dtype == np.uint8 and np.array_equal(back, raster)
-
-    def test_read_skips_header_comments(self, tmp_path):
-        path = tmp_path / "commented.pgm"
-        path.write_bytes(b"P5\n# by hand\n3 1 # width, height\n255\n\x01\x02\xff")
-        assert read_pgm(path).tolist() == [[1, 2, 255]]
-
-    @pytest.mark.parametrize(
-        "data, problem",
-        [
-            (b"P5\n285 2", "truncated PGM header"),
-            (b"P5\n2 2\n# no maxval", "truncated PGM header"),
-            (b"P5\n2 2\n255\n\x00\x01\x02", "truncated raster, 3 of 4 bytes"),
-            (b"P5\n2 2\n255", "truncated raster, 0 of 4 bytes"),
-            (b"P5\n2 two\n255\n\x00\x01\x02\x03", "malformed PGM header"),
-        ],
-    )
-    def test_read_errors_name_the_file(self, tmp_path, data, problem):
-        path = tmp_path / "cut.pgm"
-        path.write_bytes(data)
-        with pytest.raises(ValueError) as info:
-            read_pgm(path)
-        assert str(info.value).startswith(f"{path}: {problem}")
+        assert path.read_bytes() == to_pgm_bytes(raster) == b"P5\n285 285\n255\n" + raster.tobytes()

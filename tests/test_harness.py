@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from swarmclean import engine, harness
 from swarmclean.cli import main as cli_main
 from swarmclean.engine import ConfigError, PlacementError, SimConfig, run_simulation
-from swarmclean.field import pgm_raster, read_pgm, to_pgm_bytes
+from swarmclean.field import init_circular_gradient, pgm_raster, to_pgm_bytes
 from swarmclean.harness import (
     ExperimentPlan,
     SweepFailure,
@@ -49,6 +49,14 @@ duration_s = 12
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def initial_pgm(cfg):
+    """The PGM file of a config's initial field."""
+    field = init_circular_gradient(
+        cfg.arena_width_cm, cfg.arena_height_cm, cfg.cue_center, cfg.cue_radius_cm, cfg.cue_peak
+    )
+    return to_pgm_bytes(pgm_raster(field))
 
 
 class TestSeedDerivation:
@@ -92,8 +100,9 @@ class TestRunConfigParsing:
         assert cfg.arena_width_cm == 285.0
 
     def test_unknown_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown key"):
-            load_run_config(write(tmp_path / "run.cfg", "schema_version = 1\nrobot_count = 3\n"))
+        for line, key in (("robot_count = 3", "robot_count"), ("waiting_formula = squared", "waiting_formula")):
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                load_run_config(write(tmp_path / "run.cfg", f"schema_version = 1\n{line}\n"))
 
     def test_missing_schema_version(self, tmp_path):
         with pytest.raises(ConfigError, match="schema_version"):
@@ -182,7 +191,6 @@ NON_DEFAULT = {
     "turn_max_deg": 170.0,
     "turn_rate_deg_s": 150.0,
     "wheel_max": 9.5,
-    "waiting_formula": "literal",
 }
 GRID_OWNED = ("n_robots", "beta", "seed")
 
@@ -228,8 +236,10 @@ class TestCmdRun:
     def test_snapshot_t0_center_pixel(self, tmp_path):
         cfg = load_run_config(write(tmp_path / "run.cfg", RUN_CONFIG))
         out = cmd_run(cfg, tmp_path / "out")
-        snap = read_pgm(out["snapshots"][0])
-        assert snap[142, 142] == 255
+        with open(out["snapshots"][0], "rb") as fh:
+            data = fh.read()
+        assert data == initial_pgm(cfg)
+        assert data[len(b"P5\n285 285\n255\n") + 142 * 285 + 142] == 255
 
     def test_custom_snapshot_times(self, tmp_path):
         cfg = load_run_config(write(tmp_path / "run.cfg", RUN_CONFIG))
@@ -833,13 +843,15 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "mean_cue time:" in printed
 
-    def test_sweep_partial_failure_exit_code(self, tmp_path):
+    def test_sweep_partial_failure_exit_code(self, tmp_path, capsys):
         plan = write(
             tmp_path / "p.cfg",
             "schema_version = 1\npopulations = 3,7\nbetas = 6\nrepetitions = 1\n"
             "duration_s = 5\narena_width_cm = 20\narena_height_cm = 20\ncue_radius_cm = 8\n",
         )
         assert cli_main(["sweep", "--plan", plan, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err  # the first failed run and why, not only a count
+        assert "N07_beta6_rep0" in err and "PlacementError" in err
 
     def test_analyze_missing_dir(self, tmp_path):
         assert cli_main(["analyze", "--dir", str(tmp_path / "ghost")]) == 2
@@ -848,55 +860,29 @@ class TestCli:
         cfg = write(tmp_path / "run.cfg", RUN_CONFIG)
         out = tmp_path / "field.pgm"
         assert cli_main(["render", "--field", cfg, "--out", str(out)]) == 0
-        field = read_pgm(out)
-        assert field[142, 142] == 255
+        data = out.read_bytes()
+        assert data == initial_pgm(load_run_config(cfg))
+        assert data[len(b"P5\n285 285\n255\n") + 142 * 285 + 142] == 255
 
-    def test_render_roundtrips_pgm(self, tmp_path):
-        cfg = write(tmp_path / "run.cfg", RUN_CONFIG)
-        first = tmp_path / "a.pgm"
-        second = tmp_path / "b.pgm"
-        cli_main(["render", "--field", cfg, "--out", str(first)])
-        assert cli_main(["render", "--field", str(first), "--out", str(second)]) == 0
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_render_garbage_is_config_error(self, tmp_path):
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"\x89PNG not a field")
-        assert cli_main(["render", "--field", str(bad), "--out", str(tmp_path / "o.pgm")]) == 1
-
-    def test_render_rewrites_the_raster_it_read(self, tmp_path, monkeypatch):
-        cfg = write(tmp_path / "run.cfg", RUN_CONFIG)
-        first = tmp_path / "a.pgm"
-        second = tmp_path / "b.pgm"
-        assert cli_main(["render", "--field", cfg, "--out", str(first)]) == 0
-
-        def no_raster(field):
-            raise AssertionError("a PGM input is already a raster")
-
-        monkeypatch.setattr(harness, "pgm_raster", no_raster)
-        assert cli_main(["render", "--field", str(first), "--out", str(second)]) == 0
-        assert first.read_bytes() == second.read_bytes()
-
-    @pytest.mark.parametrize("cut", [b"P5\n285 28", b"P5\n2 2\n255\n\x00"])
-    def test_render_truncated_pgm_names_the_file(self, tmp_path, capsys, cut):
-        bad = tmp_path / "cut.pgm"
-        bad.write_bytes(cut)
-        out = tmp_path / "o.pgm"
-        assert cli_main(["render", "--field", str(bad), "--out", str(out)]) == 1
-        assert f"error: {bad}: truncated" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_render_corrupt_pgm_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(b"\x89PNG not a field", id="garbage"),
+            pytest.param(initial_pgm(SimConfig()), id="snapshot"),
+            pytest.param(b"P5\n2 2\n65535\n" + bytes(8), id="corrupt-pgm"),
+            pytest.param(b"P5\n285 28", id="truncated-header"),
+            pytest.param(b"P5\n2 2\n255\n\x00", id="truncated-raster"),
+            pytest.param(b"P5\n0 5\n255\n", id="no-columns"),
+            pytest.param(b"P5\n-3 5\n255\n", id="negative-columns"),
+            pytest.param(b"P5\n4 0\n255\n", id="no-rows"),
+        ],
+    )
+    def test_render_rejects_a_file_that_is_not_a_config(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.pgm"
-        bad.write_bytes(b"P5\n2 2\n65535\n\x00\x00\x00\x00\x00\x00\x00\x00")
-        assert cli_main(["render", "--field", str(bad), "--out", str(tmp_path / "o.pgm")]) == 1
-
-    @pytest.mark.parametrize("size", [b"0 5", b"-3 5", b"4 0"])
-    def test_render_pgm_without_cells_is_config_error(self, tmp_path, size):
-        bad = tmp_path / "empty.pgm"
-        bad.write_bytes(b"P5\n" + size + b"\n255\n")
+        bad.write_bytes(data)
         out = tmp_path / "o.pgm"
         assert cli_main(["render", "--field", str(bad), "--out", str(out)]) == 1
+        assert f"error: {bad}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_analyze_corrupt_metrics_is_config_error(self, tmp_path):
