@@ -347,59 +347,54 @@ class SweepAnalysis:
     anova_coherency: AnovaResult
 
 
-def load_sweep_series(sweep_dir, allow_partial: bool = False) -> dict[tuple[int, float], list[MetricsSeries]]:
-    """Load every run's metrics series, grouped by (population, beta)."""
-    manifest_path = os.path.join(sweep_dir, "manifest.csv")
-    runs = read_manifest(manifest_path)
-    groups: dict[tuple[int, float], list[MetricsSeries]] = {}
+def sweep_run_paths(sweep_dir, allow_partial: bool = False) -> dict[tuple[int, float], list[str]]:
+    """Every run's metrics.csv path from the sweep's manifest, grouped by (population, beta) in manifest order."""
+    cells: dict[tuple[int, float], list[str]] = {}
     missing = []
-    for spec in runs:
+    for spec in read_manifest(os.path.join(sweep_dir, "manifest.csv")):
         csv_path = os.path.join(sweep_dir, spec.path, "metrics.csv")
         if spec.status != "ok" or not os.path.exists(csv_path):
             missing.append(spec.path)
             continue
-        groups.setdefault((spec.n_robots, spec.beta), []).append(MetricsSeries.from_csv(csv_path))
+        cells.setdefault((spec.n_robots, spec.beta), []).append(csv_path)
     if missing and not allow_partial:
-        raise ConfigError(
-            f"{len(missing)} runs missing or failed (e.g. {missing[0]}); pass allow_partial to analyze anyway"
-        )
-    if not groups:
+        raise ConfigError(f"{len(missing)} runs missing or failed (e.g. {missing[0]}); allow_partial analyzes the rest")
+    if not cells:
         raise ConfigError(f"{sweep_dir}: no usable runs")
-    return groups
+    return cells
 
 
-def build_observation_table(
-    groups: dict[tuple[int, float], list[MetricsSeries]],
-    response: str,
-    time_bins: int = 8,
-) -> ObservationTable:
-    """One row per (run, time bin): the bin-mean response with factors
-    time bin, population, and speed.
+def _reduce_cell(name: str, paths: list[str], time_bins: int) -> tuple[MetricsSeries, str, np.ndarray]:
+    """One grid cell's median series, its CSV text, and its (runs, 2, time_bins) bin means of mean_cue and coherency_m.
 
-    Factors that are constant over the sweep (a single population or a
-    single speed) carry no information and are dropped from the design.
+    A run off the first run's time grid, or too short for the bins, is a ConfigError naming the cell and its file.
     """
-    rows = []
-    t_levels = []
-    n_levels = []
-    v_levels = []
-    for (n, beta), series_list in sorted(groups.items()):
-        for series in series_list:
-            values = getattr(series, response)
-            for k, m in enumerate(bin_means(values, time_bins)):
-                rows.append(m)
-                t_levels.append(k)
-                n_levels.append(n)
-                v_levels.append(beta)
-    factors = []
-    for name, levels in (
-        ("time", np.array(t_levels)),
-        ("population", np.array(n_levels)),
-        ("speed", np.array(v_levels)),
-    ):
-        if len(np.unique(levels)) >= 2:
-            factors.append((name, levels))
-    return ObservationTable(response=np.array(rows), factors=factors)
+    runs = [MetricsSeries.from_csv(path) for path in paths]
+    means = []
+    for path, run in zip(paths, runs):
+        try:
+            if not np.array_equal(run.t, runs[0].t):
+                raise ValueError(f"its time grid differs from that of {paths[0]}")
+            means.append([bin_means(run.mean_cue, time_bins), bin_means(run.coherency_m, time_bins)])
+        except ValueError as exc:
+            raise ConfigError(f"cell {name}: {path}: {exc}") from None
+    median = median_series(runs)
+    return median, median.csv_text(), np.array(means)
+
+
+def build_observation_table(cells: list[tuple[int, float]], means: list[np.ndarray]) -> ObservationTable:
+    """One row per (run, time bin) of each (population, beta) cell's (runs, time bins) bin means, cells in order.
+
+    The factors are time bin, population and speed; one constant over the sweep carries no information and is dropped.
+    """
+    rows = [m.size for m in means]
+    factors = (
+        ("time", np.arange(sum(rows)) % means[0].shape[1]),
+        ("population", np.repeat([n for n, _ in cells], rows)),
+        ("speed", np.repeat([beta for _, beta in cells], rows)),
+    )
+    response = np.concatenate([m.ravel() for m in means])
+    return ObservationTable(response, [(name, levels) for name, levels in factors if len(np.unique(levels)) >= 2])
 
 
 def write_anova_csv(path, result: AnovaResult) -> None:
@@ -410,20 +405,42 @@ def write_anova_csv(path, result: AnovaResult) -> None:
 
 
 def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> SweepAnalysis:
-    """Reduce a sweep: per-cell median series plus ANOVA for both responses."""
-    groups = load_sweep_series(sweep_dir, allow_partial=allow_partial)
+    """Reduce a sweep: per-cell median series plus ANOVA for both responses.
+
+    Each grid cell is one task, in one worker process per cell up to the CPUs this process may run on (one worker
+    runs them in-process); no output depends on the worker count, and a worker that dies is an OSError naming the
+    sweep. Nothing is written until every cell and both ANOVAs succeed; then stale median files are removed.
+    """
+    cells = sweep_run_paths(sweep_dir, allow_partial=allow_partial)
+    keys = sorted(cells)
+    names = [cell_name(n, beta) for n, beta in keys]
+    tasks = (names, [cells[key] for key in keys], [time_bins] * len(keys))
+    workers = min(len(keys), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor  # on use, as in cmd_sweep
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                reduced = list(pool.map(_reduce_cell, *tasks))
+        except BrokenProcessPool as exc:
+            raise OSError(f"{sweep_dir}: an analyze worker process died: {exc}") from None
+    else:
+        reduced = list(map(_reduce_cell, *tasks))
+    medians, texts, means = zip(*reduced)
     # everything that can fail runs before the first write, so a failed analyze leaves analysis/ as it was
-    medians = {cell: median_series(series_list) for cell, series_list in sorted(groups.items())}
-    anova_cue = anova_main_effects(build_observation_table(groups, "mean_cue", time_bins))
-    anova_coh = anova_main_effects(build_observation_table(groups, "coherency_m", time_bins))
+    anova_cue = anova_main_effects(build_observation_table(keys, [m[:, 0] for m in means]))
+    anova_coh = anova_main_effects(build_observation_table(keys, [m[:, 1] for m in means]))
 
     out_dir = os.path.join(sweep_dir, "analysis")
     os.makedirs(out_dir, exist_ok=True)
-    for (n, beta), med in medians.items():
-        med.to_csv(os.path.join(out_dir, f"medians_{cell_name(n, beta)}.csv"))
+    for name, text in zip(names, texts):
+        with open_atomic(os.path.join(out_dir, f"medians_{name}.csv")) as fh:
+            fh.write(text)
     write_anova_csv(os.path.join(out_dir, "anova_mean_cue.csv"), anova_cue)
     write_anova_csv(os.path.join(out_dir, "anova_coherency_m.csv"), anova_coh)
-    return SweepAnalysis(medians=medians, anova_mean_cue=anova_cue, anova_coherency=anova_coh)
+    for stale in set(os.listdir(out_dir)) - {f"medians_{name}.csv" for name in names}:
+        if stale.startswith("medians_") and stale.endswith(".csv"):
+            os.remove(os.path.join(out_dir, stale))
+    return SweepAnalysis(medians=dict(zip(keys, medians)), anova_mean_cue=anova_cue, anova_coherency=anova_coh)
 
 
 def cmd_render(config_path, out_path) -> None:

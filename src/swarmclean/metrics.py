@@ -73,13 +73,16 @@ class MetricsSeries:
     def __len__(self) -> int:
         return len(self.t)
 
-    def to_csv(self, path) -> None:
+    def csv_text(self) -> str:
+        """The text of the file `to_csv` writes: the header, then one row per second."""
         # one tolist() per column, as Python ints and floats; repr() of a float is the shortest round-trip
         # decimal, and rows index the lists, so a short column raises IndexError where zip would drop rows
         t, cue, ratio, coh = (c.tolist() for c in (self.t, self.mean_cue, self.ratio_within_rc, self.coherency_m))
+        return CSV_HEADER + "\n" + "".join([f"{t[i]},{cue[i]!r},{ratio[i]!r},{coh[i]!r}\n" for i in range(len(t))])
+
+    def to_csv(self, path) -> None:
         with open_atomic(path) as fh:
-            fh.write(CSV_HEADER + "\n")
-            fh.writelines(f"{t[i]},{cue[i]!r},{ratio[i]!r},{coh[i]!r}\n" for i in range(len(t)))
+            fh.write(self.csv_text())
 
     @classmethod
     def from_csv(cls, path) -> "MetricsSeries":

@@ -13,7 +13,8 @@ import pytest
 from swarmclean.controller import waiting_time
 from swarmclean.engine import SimConfig, run_simulation
 from swarmclean.field import CLEAN_KERNEL, init_circular_gradient, mean_intensity
-from swarmclean.harness import ExperimentPlan, cmd_analyze, cmd_run, cmd_sweep, load_sweep_series
+from swarmclean.harness import ExperimentPlan, cmd_analyze, cmd_run, cmd_sweep, sweep_run_paths
+from swarmclean.metrics import MetricsSeries
 from swarmclean.stats import f_tail_probability, median_series
 
 from test_stats import f_tail_trapezoid, one_factor_effect
@@ -32,8 +33,11 @@ def window_means(values: np.ndarray, width: int = WINDOW_S) -> np.ndarray:
 
 
 def cell_medians_of(sweep_dir) -> dict:
-    """Per-cell median series of a finished sweep, keyed by (population, beta)."""
-    return {cell: median_series(runs) for cell, runs in load_sweep_series(sweep_dir).items()}
+    """Per-cell median series of a finished sweep, keyed by (population, beta), from the runs' series."""
+    return {
+        cell: median_series([MetricsSeries.from_csv(path) for path in paths])
+        for cell, paths in sweep_run_paths(sweep_dir).items()
+    }
 
 
 # Criteria 1-5 each reduce the sweep to one (value, bound) pair. Every bound

@@ -1,5 +1,7 @@
 import concurrent.futures
+import concurrent.futures.process
 import os
+import shutil
 import signal
 import tempfile
 from dataclasses import fields
@@ -23,6 +25,7 @@ from swarmclean.harness import (
     load_plan,
     load_run_config,
     read_manifest,
+    write_manifest,
 )
 from swarmclean.metrics import MetricsSeries
 from swarmclean.stats import AnovaResult, FactorEffect, median_series
@@ -326,6 +329,11 @@ class TestPlanTypes:
     def test_numpy_integers_accepted(self):
         plan = ExperimentPlan(populations=(3,), betas=(6.0,), repetitions=np.int64(2), base_seed=np.int32(4))
         assert len(plan.runs()) == 2
+
+
+def see_cpus(monkeypatch, count):
+    """Make this process look as if it may run on `count` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def tiny_plan(**overrides):
@@ -760,12 +768,112 @@ class TestCmdAnalyze:
             harness.write_anova_csv(tmp_path / "anova_mean_cue.csv", result)
         assert os.listdir(tmp_path) == []  # neither a partial table nor a temp file
 
+    def test_stale_medians_are_removed(self, tmp_path):
+        """A cell left out of a later analyze loses its median file; other files in analysis/ stay."""
+        out = tmp_path / "sweep"
+        cmd_sweep(tiny_plan(populations=(3, 5, 7)), out)
+        assert cli_main(["analyze", "--dir", str(out)]) == 0
+        runs = read_manifest(out / "manifest.csv")
+        for spec in runs:
+            if spec.n_robots == 3:
+                spec.status = "failed"
+        write_manifest(out / "manifest.csv", runs)
+        (out / "analysis" / "notes.txt").write_text("kept")
+        assert cli_main(["analyze", "--dir", str(out), "--allow-partial"]) == 0
+        assert sorted(p.name for p in (out / "analysis").iterdir()) == [
+            "anova_coherency_m.csv", "anova_mean_cue.csv", "medians_N05_beta6.csv", "medians_N07_beta6.csv", "notes.txt"
+        ]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("damage, rep", [("row-short", 1), ("header-only", 1), ("row-short", 0)])
+    def test_run_off_the_time_grid_names_cell_and_file(self, tmp_path, capsys, monkeypatch, damage, rep, cpus):
+        see_cpus(monkeypatch, cpus)
+        out = tmp_path / "sweep"
+        cmd_sweep(tiny_plan(), out)
+        victim = out / f"N03_beta6_rep{rep}" / "metrics.csv"
+        lines = victim.read_text().splitlines(keepends=True)
+        victim.write_text("".join(lines[:-1] if damage == "row-short" else lines[:1]))
+        assert cli_main(["analyze", "--dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cell N03_beta6: ") and str(victim) in err and "time grid" in err
+        assert len(err.splitlines()) == 1 and not (out / "analysis").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_too_few_samples_for_the_bins_names_cell_and_file(self, tmp_path, capsys, monkeypatch, cpus):
+        see_cpus(monkeypatch, cpus)
+        out = tmp_path / "sweep"
+        cmd_sweep(tiny_plan(), out)  # 12 rows per run
+        assert cli_main(["analyze", "--dir", str(out), "--time-bins", "13"]) == 1
+        first = out / "N03_beta6_rep0" / "metrics.csv"
+        assert capsys.readouterr().err == f"error: cell N03_beta6: {first}: cannot form 13 bins from 12 samples\n"
+
     def test_single_speed_sweep_drops_constant_factor(self, tmp_path):
         out = tmp_path / "sweep"
         cmd_sweep(tiny_plan(), out)  # one beta only
         analysis = cmd_analyze(out)
         names = [e.name for e in analysis.anova_mean_cue.effects]
         assert names == ["time", "population"]
+
+
+def _task_that_dies(name, paths, time_bins):
+    """Per-cell analyze task whose worker process exits abruptly."""
+    os._exit(3)
+
+
+class _SizedPool(concurrent.futures.process.ProcessPoolExecutor):
+    """ProcessPoolExecutor that records the size of each pool made."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers)
+
+
+class TestAnalyzeWorkers:
+    @pytest.fixture
+    def sweep(self, tmp_path):
+        out = tmp_path / "sweep"
+        cmd_sweep(tiny_plan(betas=(3.0, 6.0)), out)  # four grid cells
+        return out
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, sweep, monkeypatch):
+        """One CPU reduces the cells in-process; more make a pool of min(cells, CPUs) workers. The bytes agree."""
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _SizedPool)
+        monkeypatch.setattr(_SizedPool, "sizes", [])
+        outputs = []
+        for cpus in (1, 3, 8, None):
+            if cpus is None:  # no affinity call on this platform: the CPU count
+                monkeypatch.delattr(os, "sched_getaffinity")
+                monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            else:
+                see_cpus(monkeypatch, cpus)
+            shutil.rmtree(sweep / "analysis", ignore_errors=True)
+            cmd_analyze(sweep)
+            outputs.append({p.name: p.read_bytes() for p in (sweep / "analysis").iterdir()})
+        assert _SizedPool.sizes == [3, 4, 2]
+        assert len(outputs[0]) == 6 and all(output == outputs[0] for output in outputs)
+
+    def test_dead_worker_is_one_error_naming_the_sweep(self, sweep, capfd, monkeypatch):
+        see_cpus(monkeypatch, 2)
+        cmd_analyze(sweep)
+        before = {p.name: p.read_bytes() for p in (sweep / "analysis").iterdir()}
+        monkeypatch.setattr(harness, "_reduce_cell", _task_that_dies)
+
+        def hang(signum, frame):
+            raise TimeoutError("analyze hung after a worker died")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(60)
+        try:
+            code = cli_main(["analyze", "--dir", str(sweep)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        out, err = capfd.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {sweep}: an analyze worker process died") and len(err.splitlines()) == 1
+        assert {p.name: p.read_bytes() for p in (sweep / "analysis").iterdir()} == before
 
 
 class TestCli:
@@ -885,13 +993,16 @@ class TestCli:
         assert f"error: {bad}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_analyze_corrupt_metrics_is_config_error(self, tmp_path):
+    def test_analyze_corrupt_metrics_is_config_error(self, tmp_path, capsys, monkeypatch):
+        see_cpus(monkeypatch, 2)  # parsed in a worker process: its error reaches stderr unchanged
         plan = write(tmp_path / "p.cfg", PLAN)
         out = tmp_path / "sweep"
         assert cli_main(["sweep", "--plan", plan, "--out", str(out)]) == 0
-        victim = read_manifest(out / "manifest.csv")[0]
-        (out / victim.path / "metrics.csv").write_text("t,mean_cue\n0,1\n")
+        victim = out / read_manifest(out / "manifest.csv")[0].path / "metrics.csv"
+        victim.write_text("t,mean_cue\n0,1\n")
+        capsys.readouterr()
         assert cli_main(["analyze", "--dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {victim}: unexpected metrics header 't,mean_cue'\n"
 
     def test_run_rejects_negative_seed(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", RUN_CONFIG)

@@ -9,9 +9,11 @@ shows the once-per-second boundary's batch-wide work as well as the tick's;
 its cost is per tick of the whole batch. With --against DIR, the `src/` of another
 checkout is loaded in the same process under a second package name, and the
 two sides alternate run by run (which side goes first alternates by round),
-so a change in host speed reaches both sides alike; the last column is this
-checkout's cost over the other's. pytest does not collect this file. Run it
-from the repository root:
+so a change in host speed reaches both sides alike. Each round's two runs of
+a row are one pair; the row then adds the other side's minimum, this side's
+minimum over it, and the median and quartiles of the per-pair ratios (this
+over other), which resolve a smaller change than the ratio of the minima. pytest
+does not collect this file. Run it from the repository root:
 
     python tests/tick_cost.py [--seconds 100] [--repeats 5] [--against ../other/src]
 """
@@ -20,6 +22,8 @@ import importlib.util
 import os
 import sys
 import time
+
+import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "src"))
@@ -67,19 +71,21 @@ def main(argv=None):
         engines["other"] = load_other(args.against)
     for engine in engines.values():  # untimed: the first run pays numpy's first-call costs
         engine.run_simulation(engine.SimConfig(n_robots=2, duration_s=1))
-    best = {(side, label): float("inf") for side in engines for label in ROWS}
+    costs = {(side, label): [] for side in engines for label in ROWS}  # one cost per round: round k is pair k
     for round_ in range(args.repeats):
         for label, runs in ROWS.items():
             sides = list(engines) if round_ % 2 == 0 else list(engines)[::-1]
             for side in sides:
-                cost = tick_cost_us(engines[side], runs, args.seconds)
-                best[side, label] = min(best[side, label], cost)
+                costs[side, label].append(tick_cost_us(engines[side], runs, args.seconds))
     print(f"µs per tick, minimum of {args.repeats} runs of {args.seconds} s, seed {SEED} (thread CPU time)")
-    print("N\tthis" + ("\tother\tthis/other" if args.against else ""))
+    print("N\tthis" + ("\tother\tthis/other\tpair ratio median (quartiles)" if args.against else ""))
     for label in ROWS:
-        row = f"{label}\t{best['this', label]:.1f}"
+        this = costs["this", label]
+        row = f"{label}\t{min(this):.1f}"
         if args.against:
-            row += f"\t{best['other', label]:.1f}\t{best['this', label] / best['other', label]:.3f}"
+            other = costs["other", label]
+            q1, median, q3 = np.percentile(np.divide(this, other), [25, 50, 75])
+            row += f"\t{min(other):.1f}\t{min(this) / min(other):.3f}\t{median:.3f} ({q1:.3f}-{q3:.3f})"
         print(row)
 
 
