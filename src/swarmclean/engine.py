@@ -394,20 +394,21 @@ def _separate_overlaps(xy: np.ndarray, config: SimConfig, geom: PairGeometry, fa
 
 
 def run_simulation(config: SimConfig, observer=None) -> World:
-    """Run one full simulation, a batch of one (see `run_batch`); deterministic for a fixed config."""
-    return run_batch([config], observer)[0]
+    """Run one full simulation, a batch of one (see `run_batch`) that raises its PlacementError; deterministic."""
+    if isinstance(world := run_batch([config], observer)[0], PlacementError):
+        raise world
+    return world
 
 
-def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
+def run_batch(configs: list[SimConfig], observer=None) -> list[World | PlacementError]:
     """Run configs that differ only in seed, n_robots and beta side by side: one World each, bits as run alone.
 
-    Run k's robots are the columns starts[k]:starts[k + 1] of every per-robot
-    array, starts being the running sum of the runs' n_robots. RNG streams
-    are derived from each run's seed with a fixed splitting rule: substream
-    [seed, 0] drives placement, substream [seed, i + 1] drives robot i, so
-    each robot's behavior is independent of the swarm size. `observer(world)`
-    sees each run's returned World at every whole second, 0 to duration_s:
-    at t < duration_s after that second's cleaning and metrics row, at
+    Each run is placed alone first, from substream [seed, 0]: positions, then headings. A run whose placement
+    raises PlacementError is left out: its slot holds that error, the observer never sees it, and a batch with
+    no run placed returns at once. Run k's robots are the columns starts[k]:starts[k + 1] of every per-robot
+    array, starts being the running sum of the placed runs' n_robots; substream [seed, i + 1] drives robot i,
+    so each robot's behavior is independent of the swarm size. `observer(world)` sees each placed run's World
+    at every whole second, 0 to duration_s: at t < duration_s after that second's cleaning and metrics row, at
     duration_s after the last tick.
     """
     for config in configs:
@@ -415,6 +416,17 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
     physics = [replace(c, seed=0, n_robots=0, beta=0.0) for c in configs]
     if not configs or any(p != physics[0] for p in physics):
         raise ConfigError("a batch needs at least one config, and its configs must differ only in seed, n_robots, beta")
+    results = []  # per run: its (positions, headings), then its World, or the PlacementError that stopped it
+    for c in configs:
+        rng = np.random.default_rng([c.seed, 0])
+        try:
+            results.append((_place_robots(c, rng), rng.uniform(-math.pi, math.pi, size=c.n_robots)))
+        except PlacementError as exc:
+            results.append(exc)
+    placed = [k for k, result in enumerate(results) if not isinstance(result, PlacementError)]
+    if not placed:
+        return results
+    configs = [configs[k] for k in placed]
     config, runs, dt, sizes = configs[0], len(configs), configs[0].dt_s, [c.n_robots for c in configs]
     starts = np.cumsum([0, *sizes]).tolist()
     m = starts[-1]
@@ -429,17 +441,16 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
 
     # poses: xy is (2, m), run k's robots in columns starts[k] to starts[k + 1]; cos_sin holds each tick's trig
     xy, heading, cleanings, d = np.empty((2, m)), np.empty(m), np.zeros(m, dtype=np.int64), config.duration_s
-    robot_rngs, robot_configs, worlds = [], [], []
+    robot_rngs, robot_configs = [], []
     for k, run_config in enumerate(configs):
         n, run = run_config.n_robots, slice(starts[k], starts[k + 1])
-        placement_rng = np.random.default_rng([run_config.seed, 0])
-        xy[:, run] = _place_robots(run_config, placement_rng)
-        heading[run] = placement_rng.uniform(-math.pi, math.pi, size=n)
+        xy[:, run], heading[run] = results[placed[k]]
         robot_rngs += [np.random.default_rng([run_config.seed, i + 1]) for i in range(n)]
         robot_configs += [run_config] * n
         # one metrics row per whole second, written in place at the top of each second
         series = MetricsSeries(np.arange(d, dtype=np.int64), np.empty(d), np.empty(d), np.empty(d))
-        worlds.append(World(0, xy[:, run], heading[run], [FORWARD] * n, cue[k], series, cleanings[run]))
+        results[placed[k]] = World(0, xy[:, run], heading[run], [FORWARD] * n, cue[k], series, cleanings[run])
+    worlds = [results[k] for k in placed]
     geom = PairGeometry(xy, config, sizes)
     far_walls = _far_walls(config)
     modes, remaining, refractory = [FORWARD] * m, [0.0] * m, [0.0] * m
@@ -493,4 +504,4 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World]:
         world.t, world.modes = d, modes[starts[k]:starts[k + 1]]
         if observer is not None:
             observer(world)
-    return worlds
+    return results

@@ -8,6 +8,7 @@ extending a plan never perturbs existing runs.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import numbers
 import os
@@ -235,18 +236,23 @@ def _write_run(out_dir, series: MetricsSeries, snapshots: dict) -> tuple[str, di
 
 
 def _sweep_worker(batch) -> list[tuple[int, str]]:
-    """Run one batch of (index, config, run_dir) tasks, or each run alone if it raises; return (index, status)s."""
-    try:  # a batch of one runs once, alone, below
-        worlds = run_batch([cfg for _, cfg, _ in batch]) if len(batch) > 1 else [None]
-    except Exception:  # then each run alone, so each status says whether that run failed, and why
-        worlds = [None] * len(batch)
+    """Run one batch of (index, config, run_dir) tasks as one `run_batch`; return (index, status)s."""
+    try:
+        worlds = run_batch([cfg for _, cfg, _ in batch])
+    except Exception as exc:  # not a placement (a bug, MemoryError): every run of the batch fails with it
+        worlds = [exc] * len(batch)
     statuses = []
-    for (index, cfg, run_dir), world in zip(batch, worlds):
+    for (index, _, run_dir), world in zip(batch, worlds):
         try:
-            _write_run(run_dir, (world or run_simulation(cfg)).series, {})
+            if isinstance(world, Exception):
+                raise world
+            _write_run(run_dir, world.series, {})
             statuses.append((index, "ok"))
         except Exception as exc:  # recorded per-run; the sweep keeps going
             statuses.append((index, f"failed: {type(exc).__name__}: {exc}"))
+            with contextlib.suppress(OSError):  # a failed run keeps no metrics.csv, nor a directory that held only it
+                os.remove(os.path.join(run_dir, "metrics.csv"))
+                os.rmdir(run_dir)
     return statuses
 
 
@@ -287,10 +293,11 @@ def cmd_sweep(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunSpec]:
     robots (then runs), or to a new batch where that would break a cap.
     Batches go most robots first so the pool does not end on slow ones;
     outputs depend only on each run's derived seed, not on the packing. A
-    batch that raises runs again run by run. A worker process that dies
-    breaks the pool: its batch and every one not yet finished are marked
-    failed instead of waiting forever. Failures are recorded in the
-    manifest and reported via SweepFailure after the sweep ends.
+    run that cannot be placed fails alone; any other error in a batch (a
+    bug, a MemoryError) fails every run of that batch with the same message.
+    A worker process that dies breaks the pool: its batch and every one not
+    yet finished are marked failed instead of waiting forever. Failures are
+    recorded in the manifest and reported via SweepFailure after the sweep ends.
     """
     runs = plan.runs()
     os.makedirs(out_dir, exist_ok=True)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmclean import engine
 from swarmclean.controller import FORWARD, WAITING, step_fsm
 from swarmclean.engine import (
     MAX_ARENA_CM,
@@ -16,6 +17,7 @@ from swarmclean.engine import (
     PairGeometry,
     PlacementError,
     SimConfig,
+    World,
     _detect_events_trig,
     _far_walls,
     ground_sensor_points,
@@ -617,7 +619,11 @@ def _same_bits(a, b) -> bool:
 
 
 def _assert_batch_matches_alone(configs):
-    """run_batch gives every run the World arrays, series and observer calls that run_simulation gives it alone."""
+    """run_batch gives every run the World arrays, series and observer calls that run_simulation gives it alone.
+
+    A config that cannot be placed gets, in its slot, the PlacementError that run_simulation raises for it, and
+    the observer never sees it. Returns run_batch's list.
+    """
     seen = {}
 
     def observer(world):
@@ -625,11 +631,16 @@ def _assert_batch_matches_alone(configs):
 
     worlds = run_batch(configs, observer)
     assert len(worlds) == len(configs)
+    assert set(seen) == {id(world) for world in worlds if not isinstance(world, PlacementError)}
     for config, world in zip(configs, worlds):
         alone_seen = []
-        alone = run_simulation(
-            config, lambda w: alone_seen.append((w.t, list(w.modes), w.xy.copy(), w.field.copy()))
-        )
+        try:
+            alone = run_simulation(
+                config, lambda w: alone_seen.append((w.t, list(w.modes), w.xy.copy(), w.field.copy()))
+            )
+        except PlacementError as exc:
+            assert isinstance(world, PlacementError) and str(world) == str(exc)
+            continue
         assert world.t == alone.t == config.duration_s
         assert world.modes == alone.modes
         for name in ("xy", "heading", "field", "cleanings"):
@@ -640,6 +651,11 @@ def _assert_batch_matches_alone(configs):
         calls = seen[id(world)]
         assert [(t, modes) for t, modes, _, _ in calls] == [(t, modes) for t, modes, _, _ in alone_seen]
         assert all(_same_bits(a[2], b[2]) and _same_bits(a[3], b[3]) for a, b in zip(calls, alone_seen))
+    return worlds
+
+
+# the arena of the sweep test of a partial failure: 7 bodies pass validate(), but no more than 5 can be placed
+SMALL_ARENA = dict(duration_s=5, arena_width_cm=20.0, arena_height_cm=20.0, cue_radius_cm=8.0)
 
 
 BETAS = st.one_of(st.sampled_from([0.0, 3.0, 6.0, 10.0]), st.floats(0.0, 10.0))
@@ -670,6 +686,22 @@ class TestRunBatch:
             SimConfig(n_robots=n, beta=beta, duration_s=duration, seed=seed, **BATCH_ARENAS[arena])
             for seed, n, beta in runs
         ])
+
+    def test_unplaceable_run_is_left_out_of_its_batch(self):
+        """The N = 7 run's slot holds the error it raises alone; the N = 3 runs on either side keep their bits."""
+        configs = [SimConfig(n_robots=n, seed=seed, **SMALL_ARENA) for seed, n in enumerate((3, 7, 3))]
+        worlds = _assert_batch_matches_alone(configs)
+        assert [type(world) for world in worlds] == [World, PlacementError, World]
+
+    def test_batch_of_unplaceable_runs_returns_their_errors_without_a_tick(self, monkeypatch):
+        def no_tick(*args):
+            raise AssertionError("a tick ran")
+
+        seen = []
+        monkeypatch.setattr(engine, "step_fsm", no_tick)
+        errors = run_batch([SimConfig(n_robots=7, seed=seed, **SMALL_ARENA) for seed in (2, 4)], seen.append)
+        assert [type(error) for error in errors] == [PlacementError, PlacementError]
+        assert seen == []
 
     def test_configs_must_differ_only_in_seed(self):
         """Seed, n_robots and beta, the sweep grid's coordinates, may differ inside a batch; nothing else may."""

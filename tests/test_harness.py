@@ -348,6 +348,21 @@ def tiny_plan(**overrides):
     return ExperimentPlan(**kwargs)
 
 
+def refuse_placement(monkeypatch, *seeds) -> list[int]:
+    """Make the engine refuse to place the runs of these seeds; returns the seeds of all placements, as tried."""
+    attempts = []
+    place = engine._place_robots
+
+    def refuse(config, rng):
+        attempts.append(config.seed)
+        if config.seed in seeds:
+            raise PlacementError("placement refused for this seed")
+        return place(config, rng)
+
+    monkeypatch.setattr(engine, "_place_robots", refuse)
+    return attempts
+
+
 class TestCmdSweep:
     def test_manifest_complete_and_files_exist(self, tmp_path):
         out = tmp_path / "sweep"
@@ -464,21 +479,75 @@ class TestCmdSweep:
         for path in statuses:
             assert (out / path / "metrics.csv").read_bytes() == (clean / path / "metrics.csv").read_bytes()
 
-    def test_failing_run_alone_in_its_batch_is_attempted_once(self, tmp_path, monkeypatch):
-        """A batch of one is not rerun alone: a failed placement, which can take seconds, is tried once."""
-        attempts = []
+    @pytest.mark.parametrize(
+        "overrides", [dict(populations=(3,), repetitions=1), {}], ids=["batch-of-one", "batch-of-four"]
+    )
+    def test_failing_run_alone_in_its_batch_is_attempted_once(self, tmp_path, monkeypatch, overrides):
+        """No run is placed twice: a failed placement, which can take seconds, is tried once, in one run_batch call.
 
-        def refuse(config, rng):
-            attempts.append(config.seed)
-            raise PlacementError("placement refused for this seed")
+        At --jobs 1 the plan is one batch, of one run or of four.
+        """
+        plan = tiny_plan(**overrides)
+        victim = plan.runs()[0]
+        attempts = refuse_placement(monkeypatch, victim.seed)
+        batch_sizes = []
+        batch = harness.run_batch
 
-        monkeypatch.setattr(engine, "_place_robots", refuse)
+        def record_batch(configs):
+            batch_sizes.append(len(configs))
+            return batch(configs)
+
+        monkeypatch.setattr(harness, "run_batch", record_batch)
         out = tmp_path / "sweep"
         with pytest.raises(SweepFailure):
-            cmd_sweep(tiny_plan(populations=(3,), repetitions=1), out)
-        [spec] = read_manifest(out / "manifest.csv")
-        assert spec.status == "failed"
-        assert attempts == [spec.seed]
+            cmd_sweep(plan, out)
+        statuses = {spec.path: spec.status for spec in read_manifest(out / "manifest.csv")}
+        assert statuses.pop(victim.path) == "failed"
+        assert set(statuses.values()) <= {"ok"}
+        assert sorted(attempts) == sorted(run.seed for run in plan.runs())
+        assert batch_sizes == [len(plan.runs())]
+
+    def test_failed_run_in_a_reused_sweep_dir_keeps_no_stale_metrics(self, tmp_path, monkeypatch):
+        """The failed run's metrics.csv from an earlier sweep goes, and with it a directory that held only that."""
+        plan = tiny_plan()
+        out = tmp_path / "sweep"
+        cmd_sweep(plan, out)
+        emptied, kept = plan.runs()[1], plan.runs()[3]
+        (out / kept.path / "notes.txt").write_text("not the sweep's")
+        refuse_placement(monkeypatch, emptied.seed, kept.seed)
+        with pytest.raises(SweepFailure):
+            cmd_sweep(plan, out)
+        statuses = {spec.path: spec.status for spec in read_manifest(out / "manifest.csv")}
+        assert (statuses[emptied.path], statuses[kept.path]) == ("failed", "failed")
+        assert not (out / emptied.path).exists()
+        assert sorted(p.name for p in (out / kept.path).iterdir()) == ["notes.txt"]
+
+    def test_error_that_is_not_a_placement_fails_its_whole_batch(self, tmp_path, monkeypatch):
+        """Any other error in a batch fails each of its runs with the same message; other batches run on."""
+        batch = harness.run_batch
+
+        def boom(configs):
+            if len(configs) > 1:
+                raise RuntimeError("boom")
+            return batch(configs)
+
+        statuses = []
+        worker = harness._sweep_worker
+
+        def recording_worker(tasks):
+            statuses.extend(worker(tasks))
+            return statuses[-len(tasks):]
+
+        monkeypatch.setattr(harness, "run_batch", boom)
+        monkeypatch.setattr(harness, "_sweep_worker", recording_worker)
+        monkeypatch.setattr(harness, "BATCH_ROBOTS", 6)  # the batches [5], [5] and [3, 3]
+        out = tmp_path / "sweep"
+        with pytest.raises(SweepFailure, match="RuntimeError: boom"):
+            cmd_sweep(tiny_plan(), out)
+        assert sorted(status for _, status in statuses) == ["failed: RuntimeError: boom"] * 2 + ["ok"] * 2
+        manifest = read_manifest(out / "manifest.csv")
+        assert {(spec.n_robots, spec.status) for spec in manifest} == {(3, "failed"), (5, "ok")}
+        assert {spec.path for spec in manifest if spec.status == "ok"} == {p.name for p in out.iterdir() if p.is_dir()}
 
     def test_outputs_do_not_depend_on_the_packing(self, tmp_path, monkeypatch):
         """--jobs 1, 2 and 3 pack a two-speed plan into different batches and write the same bytes."""
