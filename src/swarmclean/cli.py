@@ -1,4 +1,4 @@
-"""Command-line entry points: run, sweep, analyze, render.
+"""Command-line entry points: run, sweep, analyze.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 sweep with
 failed runs.
@@ -12,7 +12,6 @@ from .engine import ConfigError
 from .harness import (
     SweepFailure,
     cmd_analyze,
-    cmd_render,
     cmd_run,
     cmd_sweep,
     load_plan,
@@ -51,10 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--dir", required=True, help="sweep output directory")
     p_an.add_argument("--allow-partial", action="store_true", help="analyze despite missing runs")
     p_an.add_argument("--time-bins", type=int, default=8, help="time bins for the ANOVA time factor")
-
-    p_render = sub.add_parser("render", help="write a PGM image of a run config's initial field")
-    p_render.add_argument("--field", required=True, help="run config file")
-    p_render.add_argument("--out", required=True, help="output PGM path")
     return parser
 
 
@@ -86,9 +81,6 @@ def main(argv=None) -> int:
                     print(f"warning: {label} ANOVA has degenerate residual variance", file=sys.stderr)
                 for e in result.effects:
                     print(f"{label} {e.name}: F={e.f_value:.3f} p={e.p_value:.3g} df=({e.df_between},{e.df_within})")
-        elif args.command == "render":
-            cmd_render(args.field, args.out)
-            print(f"wrote {args.out}")
     except ValueError as exc:
         # ConfigError, DesignError, and malformed input files all land here
         print(f"error: {exc}", file=sys.stderr)

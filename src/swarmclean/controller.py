@@ -73,12 +73,12 @@ def random_turn(rng: np.random.Generator, config: SimConfig) -> float:
 
 def step_fsm(
     modes: list[int], remaining: list[float], refractory: list[float], sensed, robot_contact: list[bool],
-    wall_contact: list[bool], dt: float, rngs: list[np.random.Generator], configs: list[SimConfig],
+    wall_contact: list[bool], dt: float, rngs: list[np.random.Generator], config: SimConfig,
 ) -> tuple[list[int], list[float]]:
     """Advance every robot's state machine by dt, updating modes, remaining and refractory in place.
 
     sensed holds the cue under the n robots' left wheels, then their right ones; robot i draws its turns
-    from rngs[i] and its laws read configs[i] (robots may differ in beta, but not in turn_rate_deg_s).
+    from rngs[i]; the laws of every robot read config.
     Returns (stopped, turn_deg): flat indices i and n + i into the (2, n) `wheel_speeds` of each robot i
     that does not stay FORWARD, so does not drive, and the in-place turn consumed this step in degrees.
     Only a robot that starts a wait reads sensed. Robot contact takes priority over wall contact;
@@ -92,7 +92,7 @@ def step_fsm(
     n = len(modes)
     stopped = []
     turn_deg = [0.0] * n
-    max_step = configs[0].turn_rate_deg_s * dt if configs else 0.0
+    max_step = config.turn_rate_deg_s * dt
     for i, mode in enumerate(modes):
         refr = refractory[i]
         if refr > 0.0:
@@ -101,10 +101,10 @@ def step_fsm(
         if mode == FORWARD:
             if robot_contact[i] and refr <= 0.0:
                 modes[i] = WAITING
-                remaining[i] = waiting_time(0.5 * (sensed[i] + sensed[n + i]), configs[i])
+                remaining[i] = waiting_time(0.5 * (sensed[i] + sensed[n + i]), config)
             elif wall_contact[i]:
                 modes[i] = AVOID_WALL
-                remaining[i] = random_turn(rngs[i], configs[i])
+                remaining[i] = random_turn(rngs[i], config)
             else:
                 continue  # drives at its wheel_speeds
         elif mode == WAITING:
@@ -113,8 +113,8 @@ def step_fsm(
                 remaining[i] = left
             else:
                 modes[i] = POST_WAIT_TURN
-                remaining[i] = random_turn(rngs[i], configs[i])
-                refractory[i] = configs[i].refractory_s
+                remaining[i] = random_turn(rngs[i], config)
+                refractory[i] = config.refractory_s
         else:
             # AVOID_WALL / POST_WAIT_TURN: rotate in place until the angle is consumed
             turn = remaining[i]

@@ -441,12 +441,11 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World | Placement
 
     # poses: xy is (2, m), run k's robots in columns starts[k] to starts[k + 1]; cos_sin holds each tick's trig
     xy, heading, cleanings, d = np.empty((2, m)), np.empty(m), np.zeros(m, dtype=np.int64), config.duration_s
-    robot_rngs, robot_configs = [], []
+    robot_rngs = []
     for k, run_config in enumerate(configs):
         n, run = run_config.n_robots, slice(starts[k], starts[k + 1])
         xy[:, run], heading[run] = results[placed[k]]
         robot_rngs += [np.random.default_rng([run_config.seed, i + 1]) for i in range(n)]
-        robot_configs += [run_config] * n
         # one metrics row per whole second, written in place at the top of each second
         series = MetricsSeries(np.arange(d, dtype=np.int64), np.empty(d), np.empty(d), np.empty(d))
         results[placed[k]] = World(0, xy[:, run], heading[run], [FORWARD] * n, cue[k], series, cleanings[run])
@@ -461,7 +460,7 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World | Placement
     dt_0d, center_0d, r_c_0d = np.array(dt), tuple(map(np.array, config.cue_center)), np.array(config.metric_radius_cm)
     alpha_0d, hi_0d = np.array(config.alpha), np.array(config.wheel_max)
     base_0d, r_0d = np.array(config.wheel_base_cm), np.array(config.body_radius_cm)
-    wheels, betas = np.empty((2, m)), np.array([c.beta for c in robot_configs])  # wheel speeds: (n_l, n_r) rows
+    wheels, betas = np.empty((2, m)), np.repeat([c.beta for c in configs], sizes)  # wheel speeds: (n_l, n_r) rows
     n_l, n_r = wheels
     pair_starts = np.cumsum([0, *(n * (n - 1) // 2 for n in sizes)]).tolist()
 
@@ -491,7 +490,7 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World | Placement
             wheel_speeds(s_l, s_r, alpha_0d, betas, hi_0d, wheels, n_l, n_r)
             stopped, turn_deg = step_fsm(
                 modes, remaining, refractory, sensed, robot_contact.tolist(), wall_contact.tolist(), dt, robot_rngs,
-                robot_configs,
+                config,
             )
             if stopped:
                 wheels.put(stopped, _ZERO)  # only a robot that stays FORWARD drives

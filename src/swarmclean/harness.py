@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .engine import ConfigError, SimConfig, run_batch, run_simulation
-from .field import init_circular_gradient, pgm_raster, write_pgm
+from .field import pgm_raster, write_pgm
 from .metrics import MetricsSeries, open_atomic
 from .stats import AnovaResult, ObservationTable, anova_main_effects, bin_means, median_series
 
@@ -252,6 +252,7 @@ def _sweep_worker(batch) -> list[tuple[int, str]]:
             statuses.append((index, f"failed: {type(exc).__name__}: {exc}"))
             with contextlib.suppress(OSError):  # a failed run keeps no metrics.csv, nor a directory that held only it
                 os.remove(os.path.join(run_dir, "metrics.csv"))
+            with contextlib.suppress(OSError):  # also when metrics.csv was never written
                 os.rmdir(run_dir)
     return statuses
 
@@ -448,12 +449,3 @@ def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> S
         if stale.startswith("medians_") and stale.endswith(".csv"):
             os.remove(os.path.join(out_dir, stale))
     return SweepAnalysis(medians=dict(zip(keys, medians)), anova_mean_cue=anova_cue, anova_coherency=anova_coh)
-
-
-def cmd_render(config_path, out_path) -> None:
-    """Write the initial (t = 0) field of a run config as a PGM; any other file is a ConfigError naming it."""
-    cfg = load_run_config(config_path)
-    field = init_circular_gradient(
-        cfg.arena_width_cm, cfg.arena_height_cm, cfg.cue_center, cfg.cue_radius_cm, cfg.cue_peak
-    )
-    write_pgm(pgm_raster(field), out_path)

@@ -281,3 +281,30 @@ def test_margins_script_exit_status_follows_the_tests_strictness(monkeypatch, ca
     rows[1] = ("2: at most", 0.7, 0.7, False)
     orderings[0] = ("2: ordering", False)
     assert acceptance_margins.main(["--base-seed", "2"]) == 1
+
+
+def test_margins_script_over_base_seeds_names_the_failing_seeds(monkeypatch, capsys):
+    """`--base-seeds` sweeps once per seed, prints min, median and max per criterion, and exits 1 if any seed fails."""
+    import acceptance_margins
+
+    swept = []
+    monkeypatch.setattr(acceptance_margins, "cmd_sweep", lambda plan, *args, **kwargs: swept.append(plan.base_seed))
+
+    def margins(sweep_dir):
+        seed = swept[-1]
+        return [("3: strict", 0.01 * seed, 0.05, True)], [("3: ordering", seed != 2)]
+
+    monkeypatch.setattr(acceptance_margins, "margins", margins)
+    assert acceptance_margins.main(["--base-seeds", "1-3,5,2"]) == 1
+    assert swept == [1, 2, 3, 5]
+    out, err = capsys.readouterr()
+    assert "| 3: strict | 0.05 | 0.01 | 0.025 | 0.05 | 5 |" in out
+    assert "3: ordering: fails at base seeds 2" in out
+    assert "FAILED at base seeds 2, 5 of 4" in err
+    assert acceptance_margins.main(["--base-seeds", "1,4"]) == 0
+    assert "| 3: strict | 0.05 | 0.01 | 0.025 | 0.04 | none |" in capsys.readouterr().out
+    for bad in ("", "3-1", "1-", "a", "-2"):
+        with pytest.raises(SystemExit):
+            acceptance_margins.main(["--base-seeds", bad])
+    with pytest.raises(SystemExit):
+        acceptance_margins.main(["--base-seed", "2", "--base-seeds", "1-9"])

@@ -160,14 +160,14 @@ def _rng():
     return np.random.default_rng(0)
 
 
-def step_swarm(modes, remaining, refractory, s_l, s_r, robot_contact, wall_contact, dt, rngs, configs):
-    """One control step as the tick loop takes it: the wheel law, the FSM step, then the stop mask.
+def step_swarm(modes, remaining, refractory, s_l, s_r, robot_contact, wall_contact, dt, rngs, betas):
+    """One control step as the tick loop takes it: the wheel law at each robot's beta, the FSM step, the stop mask.
 
     Returns (stopped, wheels (2, n), turn_deg); modes, remaining and refractory are stepped in place.
     """
     sensed = np.array([*s_l, *s_r], dtype=np.float64)
-    wheels = array_law(s_l, s_r, [c.beta for c in configs], P.alpha, P.wheel_max)
-    stopped, turn = step_fsm(modes, remaining, refractory, sensed, robot_contact, wall_contact, dt, rngs, configs)
+    wheels = array_law(s_l, s_r, betas, P.alpha, P.wheel_max)
+    stopped, turn = step_fsm(modes, remaining, refractory, sensed, robot_contact, wall_contact, dt, rngs, P)
     wheels.put(stopped, 0.0)
     return stopped, wheels, turn
 
@@ -176,7 +176,7 @@ def step_one(mode, remaining, s_l, s_r, robot_contact, wall_contact, rng=None, r
     """Step a one-robot swarm: ((mode, remaining), (n_l, n_r), turn_deg, refractory after the step)."""
     modes, rem, refr = [mode], [remaining], [refractory]
     _, wheels, turn = step_swarm(
-        modes, rem, refr, [float(s_l)], [float(s_r)], [robot_contact], [wall_contact], 0.1, [rng or _rng()], [P]
+        modes, rem, refr, [float(s_l)], [float(s_r)], [robot_contact], [wall_contact], 0.1, [rng or _rng()], [P.beta]
     )
     return (modes[0], rem[0]), tuple(wheels[:, 0].tolist()), turn[0], refr[0]
 
@@ -277,7 +277,7 @@ class TestWheelCommandInvariants:
         modes, remaining, refractory = [FORWARD, WAITING, AVOID_WALL], [0.0, 0.05, 30.0], [0.0, 0.0, 0.0]
         rngs = [_rng() for _ in modes]
         stopped, wheels, turn = step_swarm(
-            modes, remaining, refractory, [1.5] * 3, [0.5] * 3, [False] * 3, [False] * 3, 0.1, rngs, [P] * 3
+            modes, remaining, refractory, [1.5] * 3, [0.5] * 3, [False] * 3, [False] * 3, 0.1, rngs, [P.beta] * 3
         )
         assert stopped == [1, 4, 2, 5]
         assert wheels.tolist() == [[5.5, 0.0, 0.0], [6.5, 0.0, 0.0]]
@@ -289,7 +289,7 @@ class TestWheelCommandInvariants:
         modes, remaining, refractory = [FORWARD, FORWARD, WAITING, POST_WAIT_TURN], [0.0, 0.0, 3.0, 50.0], [0.0] * 4
         sensed = [math.nan, 10.0, math.nan, math.nan, math.nan, 20.0, math.nan, math.nan]
         stopped, turn = step_fsm(
-            modes, remaining, refractory, sensed, [False, True, False, False], [False] * 4, 0.1, [_rng()] * 4, [P] * 4
+            modes, remaining, refractory, sensed, [False, True, False, False], [False] * 4, 0.1, [_rng()] * 4, P
         )
         assert stopped == [1, 5, 2, 6, 3, 7]
         assert modes == [FORWARD, WAITING, WAITING, POST_WAIT_TURN]
@@ -323,7 +323,8 @@ REFRACTORY_DT = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.floats(0.0, 
 def test_batched_step_equals_per_robot_oracle(robots, dt, seed):
     """One batched step equals one oracle call per robot, RNG draws and refractory time included.
 
-    Each robot has its own beta, as robots of runs from different grid cells do in one batch.
+    Each robot has its own beta, as robots of runs from different grid cells do in one batch; the rest of the
+    physics is the batch's one config.
     """
     configs = [SimConfig(beta=beta) for _, _, beta in robots]
     refractory = [k * dt for _, k, _ in robots]
@@ -339,7 +340,7 @@ def test_batched_step_equals_per_robot_oracle(robots, dt, seed):
     want_refractory = np.array(refractory, dtype=np.float64)
 
     stopped, wheels, turn = step_swarm(
-        modes, remaining, refractory, s_l, s_r, robot_contact, wall_contact, dt, rngs, configs
+        modes, remaining, refractory, s_l, s_r, robot_contact, wall_contact, dt, rngs, [c.beta for c in configs]
     )
 
     woke, not_driving, n = [], [], len(robots)

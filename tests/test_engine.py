@@ -328,7 +328,7 @@ class TestDetectEvents:
         assert rc.tolist() == [True, True]
         modes, remaining, refractory = [FORWARD, FORWARD], [0.0, 0.0], [1.5, 0.0]
         rngs = [np.random.default_rng(i) for i in range(2)]
-        step_fsm(modes, remaining, refractory, [100.0] * 4, rc.tolist(), wc.tolist(), 0.1, rngs, [cfg] * 2)
+        step_fsm(modes, remaining, refractory, [100.0] * 4, rc.tolist(), wc.tolist(), 0.1, rngs, cfg)
         assert modes == [FORWARD, WAITING]
         assert refractory == [1.4, 0.0]
 

@@ -428,6 +428,18 @@ class TestCmdSweep:
         for spec in read_manifest(out / "manifest.csv"):
             assert (out / spec.path).exists() == (spec.status == "ok")
 
+    def test_run_whose_own_write_fails_leaves_no_directory(self, tmp_path, monkeypatch):
+        """A run that fails writing its metrics.csv (here a full disk) leaves no empty run directory."""
+
+        def disk_full(series, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(MetricsSeries, "to_csv", disk_full)
+        out = tmp_path / "sweep"
+        with pytest.raises(SweepFailure, match="No space left on device"):
+            cmd_sweep(tiny_plan(populations=(3,), repetitions=1), out, jobs=1)
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.csv"]
+
     def test_failed_run_leaves_its_batch_siblings_as_a_clean_sweep(self, tmp_path, monkeypatch):
         plan = tiny_plan()
         victim = plan.runs()[1]  # N=3, repetition 1: at --jobs 1 every other run shares its batch
@@ -1033,13 +1045,14 @@ class TestCli:
     def test_analyze_missing_dir(self, tmp_path):
         assert cli_main(["analyze", "--dir", str(tmp_path / "ghost")]) == 2
 
-    def test_render_from_config(self, tmp_path):
-        cfg = write(tmp_path / "run.cfg", RUN_CONFIG)
-        out = tmp_path / "field.pgm"
-        assert cli_main(["render", "--field", cfg, "--out", str(out)]) == 0
-        data = out.read_bytes()
+    def test_run_of_duration_0_writes_the_initial_field(self, tmp_path):
+        cfg = write(tmp_path / "run.cfg", RUN_CONFIG.replace("duration_s = 8", "duration_s = 0"))
+        out = tmp_path / "t0"
+        assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 0
+        data = (out / "snapshot_t0.pgm").read_bytes()
         assert data == initial_pgm(load_run_config(cfg))
         assert data[len(b"P5\n285 285\n255\n") + 142 * 285 + 142] == 255
+        assert len(MetricsSeries.from_csv(out / "metrics.csv")) == 0  # the header only
 
     @pytest.mark.parametrize(
         "data",
@@ -1054,13 +1067,20 @@ class TestCli:
             pytest.param(b"P5\n4 0\n255\n", id="no-rows"),
         ],
     )
-    def test_render_rejects_a_file_that_is_not_a_config(self, tmp_path, capsys, data):
+    def test_run_rejects_a_file_that_is_not_a_config(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(data)
-        out = tmp_path / "o.pgm"
-        assert cli_main(["render", "--field", str(bad), "--out", str(out)]) == 1
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 1
         assert f"error: {bad}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_render_is_an_unknown_command(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.cfg", RUN_CONFIG)
+        with pytest.raises(SystemExit) as exit_info:  # an argparse usage error
+            cli_main(["render", "--field", cfg, "--out", str(tmp_path / "field.pgm")])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'render'" in capsys.readouterr().err
 
     def test_analyze_corrupt_metrics_is_config_error(self, tmp_path, capsys, monkeypatch):
         see_cpus(monkeypatch, 2)  # parsed in a worker process: its error reaches stderr unchanged
