@@ -1,7 +1,7 @@
 """Command-line entry points: run, sweep, analyze.
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 sweep with
-failed runs.
+Exit codes: 0 success, 1 configuration error (a command-line usage error
+included), 2 I/O error, 3 sweep with failed runs.
 """
 from __future__ import annotations
 
@@ -54,7 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error, or the help for --help
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         if args.command == "run":
             cfg = load_run_config(args.config)

@@ -7,9 +7,10 @@ waiting robot erodes its own run's field once and the ratio and coherency of
 every run are reduced from one pass; then, run by run, the mean cue (for a run
 that cleaned) and the metrics row are written and an optional observer sees
 the run's World, once more after the last tick. Each tick, for all runs'
-robots at once: read the ground sensors, detect contacts, run the array wheel
-law and the scalar state machines, which stop the robots that do not drive,
-then integrate motion. Each run's trajectory is a pure function of its own config, seed included.
+robots at once: read the ground sensors, detect contacts, step the state
+machines of the robots with an event, run the array wheel law, which stops the
+robots that do not drive, then integrate motion. Each run's trajectory is a
+pure function of its own config, seed included.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .controller import FORWARD, WAITING, step_fsm, wheel_speeds
+from .controller import FORWARD, WAITING, Fsm, step_fsm, wheel_speeds
 from .field import _ZERO, apply_cleaning, init_circular_gradient, mean_intensity, sample_many
 from .metrics import MetricsSeries, coherency, ratio_within
 
@@ -162,24 +163,24 @@ def _far_walls(config: SimConfig) -> np.ndarray:
     return np.array([[config.arena_width_cm - r], [config.arena_height_cm - r]])
 
 
-def integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, wheel_base, body_r, far_walls, clamp=True) -> None:
+def integrate(xy, heading, cos_sin, n_l, n_r, turned, turn_deg, dt, wheel_base, body_r, far_walls, clamp=True) -> None:
     """One explicit-Euler step of the unicycle model for every robot, in place.
 
     xy (2, N) and heading (N,) are updated; cos_sin holds the cos and sin of the headings before the
     step, n_l and n_r (N,) arrays the wheel speeds; dt, wheel_base and body_r are floats or 0-d arrays.
     Wheel units map to a forward speed of WHEEL_UNIT_CM_S * (n_l + n_r) / 2 cm/s and a yaw rate of
-    WHEEL_UNIT_CM_S * (n_r - n_l) / wheel_base rad/s. A nonzero turn_deg then rotates the robot in
-    place; positions are clamped to [body_r, far_walls] (`_far_walls(config)`) unless clamp is False.
+    WHEEL_UNIT_CM_S * (n_r - n_l) / wheel_base rad/s. Each robot in the list turned, once at most, then
+    rotates in place by its nonzero turn_deg entry; positions are clamped to [body_r, far_walls]
+    (`_far_walls(config)`) unless clamp is False.
     """
     v = _HALF_WHEEL_UNIT * (n_l + n_r)
     omega = _WHEEL_UNIT * (n_r - n_l) / wheel_base
     xy += v * cos_sin * dt
     wrap_angle(heading + omega * dt, heading)
-    if any(turn_deg):
+    if turned:
         # only turning robots wrap twice: wrapping rounds through pi - theta, which moves the
         # low bits of many headings already in (-pi, pi]
-        turn = np.array(turn_deg, dtype=np.float64)
-        np.copyto(heading, wrap_angle(heading + turn * _DEG_TO_RAD), where=turn != _ZERO)
+        heading[turned] = wrap_angle(heading[turned] + np.multiply(turn_deg, _DEG_TO_RAD))
     if clamp:
         np.maximum(xy, body_r, out=xy)
         np.minimum(xy, far_walls, out=xy)
@@ -280,29 +281,29 @@ class PairGeometry:
 
 
 def _detect_events_trig(xy, cos_sin, geom, config, far_walls):
-    """Contact flags for every robot, from poses (2, N), their cos/sin (2, N) and their PairGeometry.
+    """The robots with a contact, from poses (2, N), their cos/sin (2, N) and their PairGeometry.
 
-    Robot contact: another center within contact_range and inside the
-    frontal +/-90 degree arc (the state machine ignores it while the
-    robot is refractory). Wall contact: body edge closer than wall_range
-    to a wall that lies in the frontal arc, unless `geom` clears the walls;
+    Returns (robot_hits, wall_hits), each a list of robot indices or an empty tuple. Robot contact: another
+    center within contact_range and inside the frontal +/-90 degree arc (the state machine ignores it while
+    the robot is refractory); a robot sees each such neighbour, so its index may repeat. Wall contact: body
+    edge closer than wall_range to a wall that lies in the frontal arc, unless `geom` clears the walls;
     far_walls is `_far_walls(config)`.
     """
-    robot_contact = np.zeros(xy.shape[1], dtype=bool)
+    robot_hits = ()
     near = geom.pair_d2 <= geom.contact_d2
     if np.count_nonzero(near):
         # both directions of every pair in range, in one frontal test: cos * dx + sin * dy >= 0, both axes at once
         in_range = geom.pairs.compress(near, axis=1)
         ii, jj = in_range.ravel(), in_range[::-1].ravel()
         ahead = cos_sin.take(ii, axis=1) * (xy.take(jj, axis=1) - xy.take(ii, axis=1))
-        robot_contact[ii[ahead[0] + ahead[1] >= _ZERO]] = True
+        robot_hits = ii[ahead[0] + ahead[1] >= _ZERO].tolist()
     if geom.clears_walls(config.wall_range_cm):
-        return robot_contact, np.zeros(xy.shape[1], dtype=bool)
+        return robot_hits, ()
 
     # rows: x and the vertical walls, y and the horizontal walls
     r, rng_cm = config.body_radius_cm, config.wall_range_cm
     near_wall = ((xy - r < rng_cm) & (cos_sin <= _ZERO)) | ((far_walls - xy < rng_cm) & (cos_sin >= _ZERO))
-    return robot_contact, near_wall[0] | near_wall[1]
+    return robot_hits, np.flatnonzero(near_wall[0] | near_wall[1]).tolist()
 
 
 @dataclass
@@ -452,14 +453,14 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World | Placement
     worlds = [results[k] for k in placed]
     geom = PairGeometry(xy, config, sizes)
     far_walls = _far_walls(config)
-    modes, remaining, refractory = [FORWARD] * m, [0.0] * m, [0.0] * m
+    fsm = Fsm(m, config)
+    wheel_hi = fsm.wheel_hi.reshape(2, m)  # a view, like the wheels it clamps
     # ground sensors: left ones in sensors[:, :m], right ones in [:, m:]; the views and 0-d operands are made once
     cos_sin, sensors, offsets, sensed = np.empty((2, m)), np.empty((2, 2 * m)), np.empty((2, 2, m)), np.empty(2 * m)
     cos_row, sin_row, sin_cos, xy_col, s_l, s_r = *cos_sin, cos_sin[::-1, None], xy[:, None], sensed[:m], sensed[m:]
     sensor_grid, signed_h = sensors.reshape(2, 2, m, copy=False), (0.5 * config.wheel_base_cm) * _SENSOR_SIGNS
     dt_0d, center_0d, r_c_0d = np.array(dt), tuple(map(np.array, config.cue_center)), np.array(config.metric_radius_cm)
-    alpha_0d, hi_0d = np.array(config.alpha), np.array(config.wheel_max)
-    base_0d, r_0d = np.array(config.wheel_base_cm), np.array(config.body_radius_cm)
+    alpha_0d, base_0d, r_0d = np.array(config.alpha), np.array(config.wheel_base_cm), np.array(config.body_radius_cm)
     wheels, betas = np.empty((2, m)), np.repeat([c.beta for c in configs], sizes)  # wheel speeds: (n_l, n_r) rows
     n_l, n_r = wheels
     pair_starts = np.cumsum([0, *(n * (n - 1) // 2 for n in sizes)]).tolist()
@@ -467,13 +468,13 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World | Placement
     for t in range(d):
         geom.rebuild(xy)  # coherency reads the full triangles; the list is renewed with them
         # the whole batch at once: each waiting robot erodes its own run's field, offset like its sensors
-        waiting = [i for i, mode in enumerate(modes) if mode == WAITING]
+        waiting = [i for i, mode in enumerate(fsm.modes) if mode == WAITING]
         if waiting:
             apply_cleaning(cue, *xy[:, waiting], cell_offsets[waiting] if runs > 1 else None)
             cleanings[waiting] += 1
         ratios, coherencies = ratio_within(xy, center_0d, r_c_0d, starts), coherency(geom.upper_d2, pair_starts)
         for k, world in enumerate(worlds):
-            world.t, world.modes, series = t, modes[starts[k]:starts[k + 1]], world.series
+            world.t, world.modes, series = t, fsm.modes[starts[k]:starts[k + 1]], world.series
             # only cleaning changes the field, so a run with no robot waiting keeps the last second's mean
             cleaned = WAITING in world.modes or not t
             series.mean_cue[t] = mean_intensity(world.field) if cleaned else series.mean_cue[t - 1]
@@ -486,21 +487,16 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World | Placement
             np.sin(heading, out=sin_row)
             ground_sensor_points(xy_col, sin_cos, signed_h, offsets, sensor_grid)
             sample_many(cue, sensors, cell_offsets, sensed)
-            robot_contact, wall_contact = _detect_events_trig(xy, cos_sin, geom, config, far_walls)
-            wheel_speeds(s_l, s_r, alpha_0d, betas, hi_0d, wheels, n_l, n_r)
-            stopped, turn_deg = step_fsm(
-                modes, remaining, refractory, sensed, robot_contact.tolist(), wall_contact.tolist(), dt, robot_rngs,
-                config,
-            )
-            if stopped:
-                wheels.put(stopped, _ZERO)  # only a robot that stays FORWARD drives
+            robot_hits, wall_hits = _detect_events_trig(xy, cos_sin, geom, config, far_walls)
+            turned, turn_deg = step_fsm(fsm, robot_hits, wall_hits, sensed, robot_rngs, config)
+            wheel_speeds(s_l, s_r, alpha_0d, betas, wheel_hi, wheels, n_l, n_r)  # clamped to 0 unless driving
             clamp = not geom.clears_walls(0.0, 1)
-            integrate(xy, heading, cos_sin, n_l, n_r, turn_deg, dt_0d, base_0d, r_0d, far_walls, clamp)
+            integrate(xy, heading, cos_sin, n_l, n_r, turned, turn_deg, dt_0d, base_0d, r_0d, far_walls, clamp)
             _separate_overlaps(xy, config, geom, far_walls)
 
     # after the last tick: the observer sees the end state, with no cleaning or metrics row
     for k, world in enumerate(worlds):
-        world.t, world.modes = d, modes[starts[k]:starts[k + 1]]
+        world.t, world.modes = d, fsm.modes[starts[k]:starts[k + 1]]
         if observer is not None:
             observer(world)
     return results

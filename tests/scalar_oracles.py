@@ -1,15 +1,17 @@
 """Per-robot reference implementations of the batched laws in `src/`.
 
 The engine computes every robot's wheel speeds in one array `wheel_speeds`
-call, steps every robot's state machine in one `step_fsm` call over three
-plain lists, integrates every pose in one vectorised `integrate`, and
-cleans under all waiting robots in one `apply_cleaning` call. The scalar
-versions below are the laws as they were written robot by robot: the wheel
-law in Python floats, an FSM state object and a wheel command per robot,
-one pose at a time in Python floats, and one kernel application per robot. The refractory timer is the
-numpy array the tick loop kept beside the FSM: contact detection masked
-robot contacts with it, and the loop counted it down after each step. The
-tests hold the batched code to these bit for bit.
+call, steps the state machines of the robots with an event in one `step_fsm`
+call, its timers kept as tick stamps, integrates every pose in one vectorised
+`integrate`, and cleans under all waiting robots in one `apply_cleaning` call.
+The scalar versions below are the laws as they were written robot by robot:
+the wheel law in Python floats, an FSM state object and a wheel command per
+robot, one pose at a time in Python floats, and one kernel application per
+robot. The timers count down by dt on every tick: a wait in its state object,
+and the refractory time in the numpy array the tick loop kept beside the FSM:
+contact detection masked robot contacts with it, and the loop counted it down
+after each step. `CountdownFsm` runs these per-tick laws in place of the
+engine's `step_fsm`. The tests hold the batched code to these bit for bit.
 
 Two array laws are kept as they were written before their constant operands
 became 0-d arrays, made once: `wrap_angle_float_operands` and
@@ -87,20 +89,8 @@ def wheel_speeds(s_l: float, s_r: float, config: SimConfig) -> tuple[float, floa
     )
 
 
-def to_state(mode: int, remaining: float) -> FsmState:
-    """The state object for one robot's entries in the engine's (modes, remaining) lists."""
-    if mode == FORWARD:
-        return Forward()
-    if mode == AVOID_WALL:
-        return AvoidWall(remaining)
-    if mode == WAITING:
-        return Waiting(remaining)
-    assert mode == POST_WAIT_TURN
-    return PostWaitTurn(remaining)
-
-
 def from_state(state: FsmState) -> tuple[int, float]:
-    """(mode, remaining) for a state object; the inverse of `to_state`."""
+    """(mode code, the seconds left to wait or signed degrees left to turn, 0 while forward) of a state object."""
     if type(state) is Forward:
         return FORWARD, 0.0
     if type(state) is AvoidWall:
@@ -164,6 +154,44 @@ def step_refractory(refractory: np.ndarray, woke: list[int], dt: float, config: 
         refractory[woke] = config.refractory_s
 
 
+class CountdownFsm:
+    """The per-robot, per-tick state machine in place of `swarmclean.controller.step_fsm`, same arguments.
+
+    Every robot is stepped on every tick by one `step_fsm` oracle call on its state object, the robot contacts
+    it sees masked by a refractory array that `step_refractory` counts down. Each call writes the engine's Fsm as
+    the engine's step would (modes, the degrees left to turn, and wheel_hi: wheel_max only for a robot that stays
+    FORWARD) and returns the nonzero turns as (turned, turn_deg). A fresh CountdownFsm starts every robot FORWARD
+    and not refractory, as a fresh Fsm does.
+    """
+
+    def __init__(self):
+        self.states, self.refractory = None, None
+
+    def __call__(self, fsm, robot_hits, wall_hits, sensed, rngs, config):
+        n, dt = len(fsm.modes), config.dt_s
+        if self.states is None:
+            self.states, self.refractory = [Forward()] * n, np.zeros(n)
+        robot, wall = set(robot_hits), set(wall_hits)
+        woke, turned, turn_deg = [], [], []
+        for i, old in enumerate(self.states):
+            seen = robot_contact_seen(i in robot, self.refractory[i])
+            state, _, step = step_fsm(old, sensed[i], sensed[n + i], seen, i in wall, dt, rngs[i], config)
+            self.states[i] = state
+            if type(old) is Waiting and type(state) is not Waiting:
+                woke.append(i)
+            if step:
+                turned.append(i)
+                turn_deg.append(step)
+            fsm.modes[i], remaining = from_state(state)
+            if type(state) in (AvoidWall, PostWaitTurn):
+                fsm.turns[i] = remaining
+            else:
+                fsm.turns.pop(i, None)
+            fsm.wheel_hi[i] = fsm.wheel_hi[n + i] = config.wheel_max if type(old) is type(state) is Forward else 0.0
+        step_refractory(self.refractory, woke, dt, config)
+        return turned, turn_deg
+
+
 def wrap_angle(theta: float) -> float:
     """Wrap to (-pi, pi]."""
     wrapped = math.pi - (math.pi - theta) % TWO_PI
@@ -219,6 +247,12 @@ def integrate_float_operands(xy, heading, cos_sin, n_l, n_r, turn_deg, dt, confi
     if clamp:
         np.maximum(xy, config.body_radius_cm, out=xy)
         np.minimum(xy, far_walls, out=xy)
+
+
+def sparse_turns(turn_deg) -> tuple[list[int], list[float]]:
+    """The engine's (turned, turn_deg) form of a per-robot list of in-place turns: the robots whose turn is nonzero."""
+    turned = [i for i, step in enumerate(turn_deg) if step]
+    return turned, [turn_deg[i] for i in turned]
 
 
 def apply_cleaning(field: np.ndarray, x_cm: float, y_cm: float) -> None:

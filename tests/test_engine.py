@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmclean import engine
-from swarmclean.controller import FORWARD, WAITING, step_fsm
+from swarmclean.controller import FORWARD, WAITING, Fsm, step_fsm
 from swarmclean.engine import (
     MAX_ARENA_CM,
     MAX_DURATION_S,
@@ -43,7 +43,7 @@ def trig(heading):
 
 
 def detect_events(x, y, heading, config):
-    """Contact flags from a snapshot of the poses, as the tick loop computes them."""
+    """The robots with a robot and with a wall contact, from a snapshot of the poses, as the tick loop finds them."""
     xy = np.stack((x, y))
     return _detect_events_trig(xy, trig(heading), PairGeometry(xy, config), config, _far_walls(config))
 
@@ -57,7 +57,7 @@ def step_pose(x, y, heading, n_l, n_r, dt=0.1, config=None):
     xy = np.array([[x], [y]], dtype=float)
     h = np.array([heading], dtype=float)
     config = config or SimConfig()
-    integrate(xy, h, trig(h), *wheel_rows([n_l], [n_r]), [0.0], dt, *body_operands(config))
+    integrate(xy, h, trig(h), *wheel_rows([n_l], [n_r]), [], [], dt, *body_operands(config))
     return xy[0, 0], xy[1, 0], h[0]
 
 
@@ -174,9 +174,7 @@ class TestIntegrate:
         # heading straight into the left wall from just inside the offset
         x, y, h = step_pose(4.5, 100.0, math.pi, 6, 6, config=cfg)
         assert x == 4.0  # clamped at body offset
-        rc, wc = detect_events(np.array([x]), np.array([y]), np.array([h]), cfg)
-        assert not rc[0]
-        assert wc[0]
+        assert detect_events(np.array([x]), np.array([y]), np.array([h]), cfg) == ((), [0])
 
     def test_turning_in_place_from_differential(self):
         _, _, h = step_pose(100.0, 100.0, 0.0, 4, 8)
@@ -186,7 +184,7 @@ class TestIntegrate:
         xy = np.array([[50.0, 60.0], [50.0, 60.0]])
         h = np.array([3.0, 1.0])
         cfg = SimConfig()
-        integrate(xy, h, trig(h), *wheel_rows([0.0, 0.0], [0.0, 0.0]), [18.0, 0.0], 0.1, *body_operands(cfg))
+        integrate(xy, h, trig(h), *wheel_rows([0.0, 0.0], [0.0, 0.0]), [0], [18.0], 0.1, *body_operands(cfg))
         assert h[0] == pytest.approx(3.0 + math.pi / 10 - 2 * math.pi)
         assert h[1] == wrap_angle(1.0)
         assert xy.tolist() == [[50.0, 60.0], [50.0, 60.0]]
@@ -213,7 +211,7 @@ class TestIntegrate:
         x, y, heading, n_l, n_r, turn = (list(col) for col in zip(*robots)) if robots else ([],) * 6
         xy = np.array([x, y], dtype=float).reshape(2, -1)
         h = np.array(heading, dtype=float)
-        integrate(xy, h, trig(h), *wheel_rows(n_l, n_r), turn, dt, *body_operands(cfg))
+        integrate(xy, h, trig(h), *wheel_rows(n_l, n_r), *oracle.sparse_turns(turn), dt, *body_operands(cfg))
         for i, robot in enumerate(robots):
             want = oracle.integrate(*robot[:3], oracle.WheelCommand(robot[3], robot[4]), robot[5], dt, cfg)
             assert np.array([xy[0, i], xy[1, i], h[i]]).tobytes() == np.array(want).tobytes()
@@ -268,7 +266,8 @@ class TestZeroDimOperands:
             for dt_op, zero_d in ((np.array(dt), True), (dt, False)):
                 got_xy, got_heading = xy.copy(), heading.copy()
                 operands = body_operands(cfg, zero_d)
-                integrate(got_xy, got_heading, trig(heading), *wheel_rows(*wheels), turn, dt_op, *operands, clamp)
+                turns = oracle.sparse_turns(turn)
+                integrate(got_xy, got_heading, trig(heading), *wheel_rows(*wheels), *turns, dt_op, *operands, clamp)
                 assert got_xy.tobytes() == want_xy.tobytes()
                 assert got_heading.tobytes() == want_heading.tobytes()
 
@@ -279,18 +278,14 @@ class TestDetectEvents:
         x = np.array([100.0, 109.0])
         y = np.array([100.0, 100.0])
         h = np.array([0.0, math.pi])
-        rc, wc = detect_events(x, y, h, cfg)
-        assert rc.tolist() == [True, True]
-        assert wc.tolist() == [False, False]
+        assert detect_events(x, y, h, cfg) == ([0, 1], ())  # the walls are cleared: no wall test
 
     def test_out_of_range_silent(self):
         cfg = SimConfig()
         x = np.array([100.0, 150.0])
         y = np.array([100.0, 100.0])
         h = np.array([0.0, math.pi])
-        rc, wc = detect_events(x, y, h, cfg)
-        assert not rc.any()
-        assert not wc.any()
+        assert detect_events(x, y, h, cfg) == ((), ())
 
     def test_robot_behind_not_seen(self):
         cfg = SimConfig()
@@ -298,25 +293,26 @@ class TestDetectEvents:
         x = np.array([100.0, 91.0])
         y = np.array([100.0, 100.0])
         h = np.array([0.0, 0.0])
-        rc, _ = detect_events(x, y, h, cfg)
-        assert rc.tolist() == [False, True]
+        assert detect_events(x, y, h, cfg)[0] == [1]
 
     def test_wall_proximity_heading_in(self):
         cfg = SimConfig()
         # body edge 1 cm from the left wall, heading into it
-        rc, wc = detect_events(np.array([5.0]), np.array([100.0]), np.array([math.pi]), cfg)
-        assert not rc[0]
-        assert wc[0]
+        assert detect_events(np.array([5.0]), np.array([100.0]), np.array([math.pi]), cfg) == ((), [0])
 
     def test_wall_proximity_heading_away(self):
         cfg = SimConfig()
-        rc, wc = detect_events(np.array([5.0]), np.array([100.0]), np.array([0.0]), cfg)
-        assert not wc[0]
+        assert detect_events(np.array([5.0]), np.array([100.0]), np.array([0.0]), cfg) == ((), [])
 
     def test_far_from_everything(self):
         cfg = SimConfig()
-        rc, wc = detect_events(np.array([150.0]), np.array([150.0]), np.array([0.7]), cfg)
-        assert not rc[0] and not wc[0]
+        assert detect_events(np.array([150.0]), np.array([150.0]), np.array([0.7]), cfg) == ((), ())
+
+    def test_a_robot_with_two_contacts_is_listed_twice(self):
+        # all face east: robot 0 has robots 1 and 2 ahead of it in range, robot 2 has robot 1, robot 1 nobody
+        cfg = SimConfig()
+        x, y, h = np.array([100.0, 108.0, 105.0]), np.array([100.0, 100.0, 105.0]), np.zeros(3)
+        assert detect_events(x, y, h, cfg) == ([0, 0, 2], ())
 
     def test_refractory_suppresses_receiver_only(self):
         # both robots see each other; only the one that is not refractory starts waiting
@@ -324,18 +320,20 @@ class TestDetectEvents:
         x = np.array([100.0, 109.0])
         y = np.array([100.0, 100.0])
         h = np.array([0.0, math.pi])
-        rc, wc = detect_events(x, y, h, cfg)
-        assert rc.tolist() == [True, True]
-        modes, remaining, refractory = [FORWARD, FORWARD], [0.0, 0.0], [1.5, 0.0]
+        robot_hits, wall_hits = detect_events(x, y, h, cfg)
+        assert robot_hits == [0, 1]
+        fsm = Fsm(2, cfg)
+        fsm.refr_until[0] = 0  # robot 0 ignores robot contacts through tick 0
         rngs = [np.random.default_rng(i) for i in range(2)]
-        step_fsm(modes, remaining, refractory, [100.0] * 4, rc.tolist(), wc.tolist(), 0.1, rngs, cfg)
-        assert modes == [FORWARD, WAITING]
-        assert refractory == [1.4, 0.0]
+        step_fsm(fsm, robot_hits, wall_hits, np.full(4, 100.0), rngs, cfg)
+        assert fsm.modes == [FORWARD, WAITING]
+        assert fsm.refr_until == [0, -1] and fsm.wheel_hi.tolist() == [cfg.wheel_max, 0.0] * 2
+        step_fsm(fsm, robot_hits, wall_hits, np.full(4, 100.0), rngs, cfg)  # tick 1: robot 0 hears it
+        assert fsm.modes == [WAITING, WAITING]
 
     def test_empty_world(self):
         cfg = SimConfig(n_robots=0)
-        rc, wc = detect_events(np.empty(0), np.empty(0), np.empty(0), cfg)
-        assert len(rc) == 0 and len(wc) == 0
+        assert detect_events(np.empty(0), np.empty(0), np.empty(0), cfg) == ((), ())
 
 
 class TestConfigValidation:
@@ -716,3 +714,44 @@ class TestRunBatch:
     def test_every_config_is_validated(self):
         with pytest.raises(ConfigError, match="seed"):
             run_batch([small_config(), small_config(seed=-1)])
+
+
+def _assert_same_run(got, want):
+    """Two Worlds of one run agree in every bit: poses, modes, field, cleanings and every metrics column."""
+    assert got.t == want.t and got.modes == want.modes
+    for name in ("xy", "heading", "field", "cleanings"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+    for name in ("t", "mean_cue", "ratio_within_rc", "coherency_m"):
+        assert _same_bits(getattr(got.series, name), getattr(want.series, name)), name
+
+
+class TestCountdownOracleRuns:
+    """Whole runs on the event-driven FSM give the bytes of the same runs on the per-tick countdown FSM."""
+
+    def test_mixed_batch(self, monkeypatch):
+        runs = ((5, 30, 6.0), (6, 12, 3.0))
+        configs = [SimConfig(n_robots=n, beta=beta, duration_s=20, seed=seed) for seed, n, beta in runs]
+        got = run_batch(configs)
+        monkeypatch.setattr(engine, "step_fsm", oracle.CountdownFsm())
+        for world, want in zip(got, run_batch(configs)):
+            _assert_same_run(world, want)
+
+    def test_timers_longer_than_the_run(self, monkeypatch):
+        """Waits and refractory times of 1e6 s in a 5 s run end at the run's last tick, not 1e7 ticks later.
+
+        Outside the small cue a wait lasts 0 s, so refractory times start; inside it a wait outlasts the run.
+        """
+        config = SimConfig(n_robots=60, duration_s=5, omega_max_s=1e6, refractory_s=1e6, cue_radius_cm=60.0, seed=3)
+        fsms = []
+
+        def spy(fsm, *args):
+            fsms.append(fsm)
+            return step_fsm(fsm, *args)
+
+        monkeypatch.setattr(engine, "step_fsm", spy)
+        got = run_simulation(config)
+        fsm = fsms[0]
+        assert fsm.refr_ticks == fsm.ticks == 50
+        assert max(fsm.wakes) == 50 and max(fsm.refr_until) >= 50  # a wait and a refractory time outlast the run
+        monkeypatch.setattr(engine, "step_fsm", oracle.CountdownFsm())
+        _assert_same_run(got, run_simulation(config))

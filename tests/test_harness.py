@@ -1076,11 +1076,30 @@ class TestCli:
         assert not out.exists()
 
     def test_render_is_an_unknown_command(self, tmp_path, capsys):
+        # an argparse usage error is a configuration error, exit 1, not EXIT_IO's 2
         cfg = write(tmp_path / "run.cfg", RUN_CONFIG)
-        with pytest.raises(SystemExit) as exit_info:  # an argparse usage error
-            cli_main(["render", "--field", cfg, "--out", str(tmp_path / "field.pgm")])
-        assert exit_info.value.code == 2
+        assert cli_main(["render", "--field", cfg, "--out", str(tmp_path / "field.pgm")]) == 1
         assert "invalid choice: 'render'" in capsys.readouterr().err
+        assert not (tmp_path / "field.pgm").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--config", "run.cfg"], "the following arguments are required: --out"),
+            (["sweep", "--plan", "p.cfg", "--out", "o", "--jobs", "x"], "invalid int value: 'x'"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_usage_errors_exit_with_config_error(self, capsys, argv, message):
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: swarmclean") and message in err
+
+    def test_help_exits_zero(self, capsys):
+        assert cli_main(["--help"]) == 0
+        assert cli_main(["run", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("usage: swarmclean") == 2 and "--snapshot-times" in out
 
     def test_analyze_corrupt_metrics_is_config_error(self, tmp_path, capsys, monkeypatch):
         see_cpus(monkeypatch, 2)  # parsed in a worker process: its error reaches stderr unchanged

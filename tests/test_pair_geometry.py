@@ -26,6 +26,8 @@ from swarmclean.engine import (
     integrate,
 )
 
+from scalar_oracles import sparse_turns
+
 CFG = SimConfig()
 R = CFG.body_radius_cm
 HI = CFG.arena_width_cm - R
@@ -34,9 +36,9 @@ TICK_TRAVEL = WHEEL_UNIT_CM_S * CFG.wheel_max * CFG.dt_s  # the largest forward 
 
 
 def detect_dense(x, y, cos_t, sin_t, config):
-    """Contact flags from a freshly built N x N offset matrix."""
+    """Per robot, from a freshly built N x N offset matrix: how many robots it contacts, and its wall contact flag."""
     n = len(x)
-    robot_contact = np.zeros(n, dtype=bool)
+    robot_contact = np.zeros(n, dtype=np.int64)
     if n == 0:
         return robot_contact, np.zeros(n, dtype=bool)
     if n > 1:
@@ -46,7 +48,7 @@ def detect_dense(x, y, cos_t, sin_t, config):
         within = d2 <= config.contact_range_cm**2
         np.fill_diagonal(within, False)
         frontal = cos_t[:, None] * dx + sin_t[:, None] * dy >= 0.0
-        robot_contact = (within & frontal).any(axis=1)
+        robot_contact = (within & frontal).sum(axis=1)
     r = config.body_radius_cm
     rng_cm = config.wall_range_cm
     wall_contact = (
@@ -113,11 +115,28 @@ def assert_geometry_of(geom, x, y):
     assert np.isin(ii * n + jj, flat).all()
 
 
+def hit_arrays(hits, n):
+    """(robot contacts per robot, wall flags) from `_detect_events_trig`'s two index lists, for n robots.
+
+    A robot's index is in the robot list once per robot it contacts; the wall list is sorted, with no repeats.
+    """
+    robot_hits, wall_hits = hits
+    wall = np.zeros(n, dtype=bool)
+    wall[list(wall_hits)] = True
+    assert list(wall_hits) == np.flatnonzero(wall).tolist()
+    return np.bincount(np.array(robot_hits, dtype=np.intp), minlength=n), wall
+
+
+def wall_list(xy, heading, geom, config):
+    """`_detect_events_trig`'s wall contacts, a list of robot indices."""
+    return list(_detect_events_trig(xy, trig(heading), geom, config, _far_walls(config))[1])
+
+
 def detect(x, y, heading, geom):
     cos_t, sin_t = np.cos(heading), np.sin(heading)
     got = _detect_events_trig(np.stack((x, y)), np.stack((cos_t, sin_t)), geom, CFG, _far_walls(CFG))
     want = detect_dense(x, y, cos_t, sin_t, CFG)
-    return got, want
+    return hit_arrays(got, len(x)), want
 
 
 @st.composite
@@ -350,14 +369,13 @@ def advance(xy, heading, geom, wheels, turn, config):
     Returns whether the bound cleared the walls for detection and for the clamp.
     """
     cos_sin = trig(heading)
-    _, wall = _detect_events_trig(xy, cos_sin, geom, config, _far_walls(config))
-    assert np.array_equal(wall, wall_reference(xy, heading, config))
+    assert wall_list(xy, heading, geom, config) == np.flatnonzero(wall_reference(xy, heading, config)).tolist()
     clamp = not geom.clears_walls(0.0, 1)
     ref_xy, ref_heading = xy.copy(), heading.copy()
     n_l, n_r = np.array(wheels, dtype=np.float64).reshape(2, -1)
     operands = (config.dt_s, config.wheel_base_cm, config.body_radius_cm, _far_walls(config))
-    integrate(ref_xy, ref_heading, cos_sin, n_l, n_r, turn, *operands)
-    integrate(xy, heading, cos_sin, n_l, n_r, turn, *operands, clamp)
+    integrate(ref_xy, ref_heading, cos_sin, n_l, n_r, *sparse_turns(turn), *operands)
+    integrate(xy, heading, cos_sin, n_l, n_r, *sparse_turns(turn), *operands, clamp)
     assert same_bits(xy, ref_xy) and same_bits(heading, ref_heading)
     _separate_overlaps(xy, config, geom, _far_walls(config))
     return geom.clears_walls(config.wall_range_cm), not clamp
@@ -430,8 +448,7 @@ def test_robot_exactly_at_wall_range_plus_moved():
     cleared = [advance(xy, heading, geom, ([10.0], [10.0]), [0.0], config) for _ in range(ticks)]
     assert cleared[0] == (True, True) and cleared[-1] == (False, True)
     assert wall_reference(xy, heading, config).tolist() == [True]  # rounding took it inside the range
-    _, wall = _detect_events_trig(xy, trig(heading), geom, config, _far_walls(config))
-    assert wall.tolist() == [True]
+    assert wall_list(xy, heading, geom, config) == [0]
 
 
 def test_separation_push_toward_a_wall_is_charged():
@@ -447,8 +464,8 @@ def test_separation_push_toward_a_wall_is_charged():
     assert _separate_overlaps(xy, config, geom, _far_walls(config))
     assert xy[0, 0] == xy_before[0, 0] - 2.0 and geom.drift == 2.0
     assert not geom.clears_walls(rng_cm)
-    _, wall = _detect_events_trig(xy, trig(heading), geom, config, _far_walls(config))
-    assert wall.tolist() == wall_reference(xy, heading, config).tolist() == [True, False]
+    assert wall_reference(xy, heading, config).tolist() == [True, False]
+    assert wall_list(xy, heading, geom, config) == [0]
 
 
 def test_bound_clears_a_swarm_away_from_the_walls():

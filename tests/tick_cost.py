@@ -12,12 +12,15 @@ two sides alternate run by run (which side goes first alternates by round),
 so a change in host speed reaches both sides alike. Each round's two runs of
 a row are one pair; the row then adds the other side's minimum, this side's
 minimum over it, and the median and quartiles of the per-pair ratios (this
-over other), which resolve a smaller change than the ratio of the minima. pytest
-does not collect this file. Run it from the repository root:
+over other), which resolve a smaller change than the ratio of the minima, and
+whether both sides' runs gave the same bytes: every run's metrics columns,
+field, poses and cleaning counts, hashed. pytest does not collect this file.
+Run it from the repository root:
 
     python tests/tick_cost.py [--seconds 100] [--repeats 5] [--against ../other/src]
 """
 import argparse
+import hashlib
 import importlib.util
 import os
 import sys
@@ -49,13 +52,19 @@ def load_other(src_dir, name="swarmclean_other"):
 
 
 def tick_cost_us(engine, runs, seconds):
-    """Thread CPU time of one batch of `runs`, (N, beta) pairs, over `seconds` simulated seconds, in µs per tick."""
+    """One batch of `runs`, (N, beta) pairs, over `seconds` simulated seconds: (µs of thread CPU time per tick,
+    sha256 of every run's metrics columns, field, poses and cleaning counts)."""
     configs = [
         engine.SimConfig(n_robots=n, beta=beta, duration_s=seconds, seed=SEED + k) for k, (n, beta) in enumerate(runs)
     ]
     start = time.thread_time()
-    engine.run_batch(configs)
-    return (time.thread_time() - start) * 1e6 / (seconds * configs[0].ticks_per_second)
+    worlds = engine.run_batch(configs)
+    cost = (time.thread_time() - start) * 1e6 / (seconds * configs[0].ticks_per_second)
+    digest = hashlib.sha256()
+    for w in worlds:
+        for array in (*vars(w.series).values(), w.field, w.xy, w.heading, w.cleanings):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return cost, digest.hexdigest()
 
 
 def main(argv=None):
@@ -72,20 +81,24 @@ def main(argv=None):
     for engine in engines.values():  # untimed: the first run pays numpy's first-call costs
         engine.run_simulation(engine.SimConfig(n_robots=2, duration_s=1))
     costs = {(side, label): [] for side in engines for label in ROWS}  # one cost per round: round k is pair k
+    digests = {key: set() for key in costs}
     for round_ in range(args.repeats):
         for label, runs in ROWS.items():
             sides = list(engines) if round_ % 2 == 0 else list(engines)[::-1]
             for side in sides:
-                costs[side, label].append(tick_cost_us(engines[side], runs, args.seconds))
+                cost, digest = tick_cost_us(engines[side], runs, args.seconds)
+                costs[side, label].append(cost)
+                digests[side, label].add(digest)
     print(f"µs per tick, minimum of {args.repeats} runs of {args.seconds} s, seed {SEED} (thread CPU time)")
-    print("N\tthis" + ("\tother\tthis/other\tpair ratio median (quartiles)" if args.against else ""))
+    print("N\tthis" + ("\tother\tthis/other\tpair ratio median (quartiles)\tsame bytes" if args.against else ""))
     for label in ROWS:
         this = costs["this", label]
         row = f"{label}\t{min(this):.1f}"
         if args.against:
             other = costs["other", label]
             q1, median, q3 = np.percentile(np.divide(this, other), [25, 50, 75])
-            row += f"\t{min(other):.1f}\t{min(this) / min(other):.3f}\t{median:.3f} ({q1:.3f}-{q3:.3f})"
+            same = "yes" if len(digests["this", label] | digests["other", label]) == 1 else "NO"
+            row += f"\t{min(other):.1f}\t{min(this) / min(other):.3f}\t{median:.3f} ({q1:.3f}-{q3:.3f})\t{same}"
         print(row)
 
 
