@@ -9,8 +9,8 @@ that cleaned) and the metrics row are written and an optional observer sees
 the run's World, once more after the last tick. Each tick, for all runs'
 robots at once: read the ground sensors, detect contacts, step the state
 machines of the robots with an event, run the array wheel law, which stops the
-robots that do not drive, then integrate motion. Each run's trajectory is a
-pure function of its own config, seed included.
+robots that do not drive, integrate motion, then clamp and separate. Each
+run's trajectory is a pure function of its own config, seed included.
 """
 from __future__ import annotations
 
@@ -157,21 +157,14 @@ def wrap_angle(theta, out=None):
     return np.subtract(_PI, np.fmod((_PI - theta) % _TWO_PI, _TWO_PI), out=out)
 
 
-def _far_walls(config: SimConfig) -> np.ndarray:
-    """Largest center coordinates, as a (2, 1) column: arena width and height minus the body radius."""
-    r = config.body_radius_cm
-    return np.array([[config.arena_width_cm - r], [config.arena_height_cm - r]])
-
-
-def integrate(xy, heading, cos_sin, n_l, n_r, turned, turn_deg, dt, wheel_base, body_r, far_walls, clamp=True) -> None:
-    """One explicit-Euler step of the unicycle model for every robot, in place.
+def integrate(xy, heading, cos_sin, n_l, n_r, turned, turn_deg, dt, wheel_base) -> None:
+    """One explicit-Euler step of the unicycle model for every robot, in place; the walls are not looked at.
 
     xy (2, N) and heading (N,) are updated; cos_sin holds the cos and sin of the headings before the
-    step, n_l and n_r (N,) arrays the wheel speeds; dt, wheel_base and body_r are floats or 0-d arrays.
+    step, n_l and n_r (N,) arrays the wheel speeds; dt and wheel_base are floats or 0-d arrays.
     Wheel units map to a forward speed of WHEEL_UNIT_CM_S * (n_l + n_r) / 2 cm/s and a yaw rate of
     WHEEL_UNIT_CM_S * (n_r - n_l) / wheel_base rad/s. Each robot in the list turned, once at most, then
-    rotates in place by its nonzero turn_deg entry; positions are clamped to [body_r, far_walls]
-    (`_far_walls(config)`) unless clamp is False.
+    rotates in place by its nonzero turn_deg entry.
     """
     v = _HALF_WHEEL_UNIT * (n_l + n_r)
     omega = _WHEEL_UNIT * (n_r - n_l) / wheel_base
@@ -181,9 +174,6 @@ def integrate(xy, heading, cos_sin, n_l, n_r, turned, turn_deg, dt, wheel_base, 
         # only turning robots wrap twice: wrapping rounds through pi - theta, which moves the
         # low bits of many headings already in (-pi, pi]
         heading[turned] = wrap_angle(heading[turned] + np.multiply(turn_deg, _DEG_TO_RAD))
-    if clamp:
-        np.maximum(xy, body_r, out=xy)
-        np.minimum(xy, far_walls, out=xy)
 
 
 class PairGeometry:
@@ -204,9 +194,11 @@ class PairGeometry:
     cutoff, so every pair within cutoff is listed. `track` rebuilds once
     the bound passes half the skin; the engine also rebuilds at every whole
     second, so the integrate steps alone never do. The walls are neighbours
-    too: `wall_gap` is the smallest distance, at the rebuild, from a center
-    to the nearest position it can reach along either axis, and the same
-    bound lets `clears_walls` rule out every wall contact.
+    too: `clamp` holds the centers inside them, `wall_range` is how near a
+    body edge may come to a wall ahead before it is a contact, and
+    `wall_gap` is the smallest distance, at the rebuild, from a center to
+    the nearest position it can reach along either axis; the same bound
+    lets `clears_walls` rule out every wall contact, or every clamp move.
 
     xy may hold one block of robots per run, `sizes` robots each (by default
     one block of all): pairs never cross blocks, `upper_d2` holds each block's
@@ -222,8 +214,8 @@ class PairGeometry:
     """
 
     __slots__ = (
-        "upper_d2", "pairs", "pair_d2", "ticks", "drift", "wall_gap", "contact_d2", "overlap_d2", "body_d",
-        "_flat", "_all_flat", "_rebuilt_xy", "_tick_travel", "_half_skin", "_reach2", "_body_r", "_far_walls",
+        "upper_d2", "pairs", "pair_d2", "ticks", "drift", "wall_gap", "wall_range", "contact_d2", "overlap_d2",
+        "body_d", "_flat", "_all_flat", "_rebuilt_xy", "_tick_travel", "_half_skin", "_reach2", "_body_r", "_far_walls",
     )
 
     def __init__(self, xy: np.ndarray, config: SimConfig, sizes=None):
@@ -237,7 +229,8 @@ class PairGeometry:
         sizes = [xy.shape[1]] if sizes is None else sizes
         pairs = np.hstack([np.array(np.triu_indices(n, k=1)) + s for n, s in zip(sizes, np.cumsum([0, *sizes]))])
         self._all_flat = pairs[:, None] + np.array([[0], [xy.shape[1]]])  # (end, axis, pair): xy.ravel() indices
-        self._body_r, self._far_walls = np.array(config.body_radius_cm), _far_walls(config)
+        r, self.wall_range = config.body_radius_cm, config.wall_range_cm
+        self._body_r, self._far_walls = np.array(r), np.array([[config.arena_width_cm], [config.arena_height_cm]]) - r
         self.rebuild(xy)
 
     @staticmethod
@@ -279,15 +272,19 @@ class PairGeometry:
         # wall_gap and moved, that stays below 1.2e-10 * MAX_ARENA_CM + 1e-15 * moved, well inside this
         return self.wall_gap - moved > reach + 1e-9 * (1.0 + MAX_ARENA_CM + moved)
 
+    def clamp(self, xy: np.ndarray) -> None:
+        """Hold the centers xy, in place, inside the walls: [body_r, far wall] along either axis."""
+        np.maximum(xy, self._body_r, out=xy)
+        np.minimum(xy, self._far_walls, out=xy)
 
-def _detect_events_trig(xy, cos_sin, geom, config, far_walls):
+
+def _detect_events_trig(xy, cos_sin, geom):
     """The robots with a contact, from poses (2, N), their cos/sin (2, N) and their PairGeometry.
 
     Returns (robot_hits, wall_hits), each a list of robot indices or an empty tuple. Robot contact: another
     center within contact_range and inside the frontal +/-90 degree arc (the state machine ignores it while
     the robot is refractory); a robot sees each such neighbour, so its index may repeat. Wall contact: body
-    edge closer than wall_range to a wall that lies in the frontal arc, unless `geom` clears the walls;
-    far_walls is `_far_walls(config)`.
+    edge closer than `geom.wall_range` to a wall that lies in the frontal arc, unless `geom` clears the walls.
     """
     robot_hits = ()
     near = geom.pair_d2 <= geom.contact_d2
@@ -297,12 +294,11 @@ def _detect_events_trig(xy, cos_sin, geom, config, far_walls):
         ii, jj = in_range.ravel(), in_range[::-1].ravel()
         ahead = cos_sin.take(ii, axis=1) * (xy.take(jj, axis=1) - xy.take(ii, axis=1))
         robot_hits = ii[ahead[0] + ahead[1] >= _ZERO].tolist()
-    if geom.clears_walls(config.wall_range_cm):
+    if geom.clears_walls(rng_cm := geom.wall_range):
         return robot_hits, ()
 
     # rows: x and the vertical walls, y and the horizontal walls
-    r, rng_cm = config.body_radius_cm, config.wall_range_cm
-    near_wall = ((xy - r < rng_cm) & (cos_sin <= _ZERO)) | ((far_walls - xy < rng_cm) & (cos_sin >= _ZERO))
+    near_wall = (xy - geom._body_r < rng_cm) & (cos_sin <= _ZERO) | (geom._far_walls - xy < rng_cm) & (cos_sin >= _ZERO)
     return robot_hits, np.flatnonzero(near_wall[0] | near_wall[1]).tolist()
 
 
@@ -355,16 +351,18 @@ def _place_robots(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
     return xy
 
 
-def _separate_overlaps(xy: np.ndarray, config: SimConfig, geom: PairGeometry, far_walls) -> bool:
-    """Push apart robot pairs whose bodies interpenetrate, in place in the (2, N) poses xy.
+def _separate_overlaps(xy: np.ndarray, geom: PairGeometry) -> bool:
+    """Clamp the (2, N) poses xy to the walls, then push apart robot pairs whose bodies interpenetrate, in place.
 
-    The poses arrive one `integrate` step after `geom` last saw them, and
-    inside the walls (`integrate` clamps them), so clamping all of them to
-    the walls (far_walls the far ones) moves only pushed robots. `geom` is
-    tracked to them, then to the pushed poses, so the next tick's contact
-    detection reads the geometry of the current poses. Returns True when
-    any position changed.
+    The poses arrive one `integrate` step after `geom` last saw them. They
+    are clamped unless `geom`'s drift bound keeps every center a tick's
+    travel clear of the walls, so clamping all of them again after the
+    pushes moves only pushed robots. `geom` is tracked to the clamped poses,
+    then to the pushed ones, so the next tick's contact detection reads the
+    geometry of the current poses. Returns True when any pair was pushed.
     """
+    if not geom.clears_walls(0.0, 1):
+        geom.clamp(xy)
     geom.track(xy)
     overlap = geom.pair_d2 < geom.overlap_d2
     if not np.count_nonzero(overlap):
@@ -388,8 +386,7 @@ def _separate_overlaps(xy: np.ndarray, config: SimConfig, geom: PairGeometry, fa
     moved = np.flatnonzero(np.bincount(overlapping.ravel(), minlength=len(x))).tolist()
     x[moved] = [xs[k] for k in moved]
     y[moved] = [ys[k] for k in moved]
-    np.maximum(xy, config.body_radius_cm, out=xy)
-    np.minimum(xy, far_walls, out=xy)
+    geom.clamp(xy)
     geom.track(xy, pushed=True)
     return True
 
@@ -452,7 +449,6 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World | Placement
         results[placed[k]] = World(0, xy[:, run], heading[run], [FORWARD] * n, cue[k], series, cleanings[run])
     worlds = [results[k] for k in placed]
     geom = PairGeometry(xy, config, sizes)
-    far_walls = _far_walls(config)
     fsm = Fsm(m, config)
     wheel_hi = fsm.wheel_hi.reshape(2, m)  # a view, like the wheels it clamps
     # ground sensors: left ones in sensors[:, :m], right ones in [:, m:]; the views and 0-d operands are made once
@@ -460,7 +456,7 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World | Placement
     cos_row, sin_row, sin_cos, xy_col, s_l, s_r = *cos_sin, cos_sin[::-1, None], xy[:, None], sensed[:m], sensed[m:]
     sensor_grid, signed_h = sensors.reshape(2, 2, m, copy=False), (0.5 * config.wheel_base_cm) * _SENSOR_SIGNS
     dt_0d, center_0d, r_c_0d = np.array(dt), tuple(map(np.array, config.cue_center)), np.array(config.metric_radius_cm)
-    alpha_0d, base_0d, r_0d = np.array(config.alpha), np.array(config.wheel_base_cm), np.array(config.body_radius_cm)
+    alpha_0d, base_0d = np.array(config.alpha), np.array(config.wheel_base_cm)
     wheels, betas = np.empty((2, m)), np.repeat([c.beta for c in configs], sizes)  # wheel speeds: (n_l, n_r) rows
     n_l, n_r = wheels
     pair_starts = np.cumsum([0, *(n * (n - 1) // 2 for n in sizes)]).tolist()
@@ -487,12 +483,11 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World | Placement
             np.sin(heading, out=sin_row)
             ground_sensor_points(xy_col, sin_cos, signed_h, offsets, sensor_grid)
             sample_many(cue, sensors, cell_offsets, sensed)
-            robot_hits, wall_hits = _detect_events_trig(xy, cos_sin, geom, config, far_walls)
+            robot_hits, wall_hits = _detect_events_trig(xy, cos_sin, geom)
             turned, turn_deg = step_fsm(fsm, robot_hits, wall_hits, sensed, robot_rngs, config)
             wheel_speeds(s_l, s_r, alpha_0d, betas, wheel_hi, wheels, n_l, n_r)  # clamped to 0 unless driving
-            clamp = not geom.clears_walls(0.0, 1)
-            integrate(xy, heading, cos_sin, n_l, n_r, turned, turn_deg, dt_0d, base_0d, r_0d, far_walls, clamp)
-            _separate_overlaps(xy, config, geom, far_walls)
+            integrate(xy, heading, cos_sin, n_l, n_r, turned, turn_deg, dt_0d, base_0d)
+            _separate_overlaps(xy, geom)
 
     # after the last tick: the observer sees the end state, with no cleaning or metrics row
     for k, world in enumerate(worlds):

@@ -34,29 +34,27 @@ def open_atomic(path):
         raise
 
 
-def ratio_within(xy: np.ndarray, center_cm: tuple[float | np.ndarray, ...], r_c_cm=70.0, starts=None) -> list[float]:
+def ratio_within(xy: np.ndarray, center_cm: tuple[float | np.ndarray, ...], r_c_cm, starts) -> list[float]:
     """Fraction of robots within r_c of the center (boundary counts as inside), one per block of robots.
 
     xy is the engine's (2, N) position array: row 0 holds x, row 1 y, in
     cm; the (x, y) center and r_c are floats or 0-d arrays. Block k is the
-    columns starts[k]:starts[k + 1], by default one block of all. An empty block reports 0.
+    columns starts[k]:starts[k + 1]. An empty block reports 0.
     """
     x, y = xy
     inside = np.hypot(x - center_cm[0], y - center_cm[1]) <= r_c_cm if len(x) else x  # no pass for no robots
-    starts = (0, len(x)) if starts is None else starts
     return [float(np.count_nonzero(inside[a:b])) / (b - a) if b > a else 0.0 for a, b in zip(starts, starts[1:])]
 
 
-def coherency(upper_d2: np.ndarray, starts=None) -> list[float]:
+def coherency(upper_d2: np.ndarray, starts) -> list[float]:
     """Mean distance over all unordered robot pairs, in meters, one per block of pairs.
 
     upper_d2 holds the squared center distance of every pair, in cm^2: the
     `upper_d2` of the engine's PairGeometry, rebuilt for the current poses,
-    whose block k, upper_d2[starts[k]:starts[k + 1]], holds run k's pairs (by
-    default one block of all). A block of fewer than two robots reports 0.
+    whose block k, upper_d2[starts[k]:starts[k + 1]], holds run k's pairs. A
+    block of fewer than two robots reports 0.
     """
     d = np.sqrt(upper_d2) if len(upper_d2) else upper_d2
-    starts = (0, len(d)) if starts is None else starts
     # the sum and division of .mean(), the same bits, without its Python-level wrapper
     return [float(np.add.reduce(d[a:b]) / (b - a)) / 100.0 if b > a else 0.0 for a, b in zip(starts, starts[1:])]
 
@@ -86,7 +84,7 @@ class MetricsSeries:
 
     @classmethod
     def from_csv(cls, path) -> "MetricsSeries":
-        """Read a file as `to_csv` writes it; anything else raises ValueError naming the path."""
+        """Read a file as `to_csv` writes it, every value finite; anything else raises ValueError naming the path."""
         with open(path, "r") as fh:
             header, _, body = fh.read().partition("\n")
         if header.strip() != CSV_HEADER:
@@ -103,4 +101,6 @@ class MetricsSeries:
                 raise ValueError(f"{path}: malformed metrics row: {exc}") from exc
             for name in _CSV_DTYPE.names:
                 getattr(series, name)[:] = rows[name]
+                if not np.isfinite(rows[name]).all():  # loadtxt reads nan and inf; no run writes them
+                    raise ValueError(f"{path}: non-finite value in column {name}")
         return series

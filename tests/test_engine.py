@@ -19,7 +19,6 @@ from swarmclean.engine import (
     SimConfig,
     World,
     _detect_events_trig,
-    _far_walls,
     ground_sensor_points,
     integrate,
     run_batch,
@@ -45,7 +44,7 @@ def trig(heading):
 def detect_events(x, y, heading, config):
     """The robots with a robot and with a wall contact, from a snapshot of the poses, as the tick loop finds them."""
     xy = np.stack((x, y))
-    return _detect_events_trig(xy, trig(heading), PairGeometry(xy, config), config, _far_walls(config))
+    return _detect_events_trig(xy, trig(heading), PairGeometry(xy, config))
 
 
 # one ulp above pi: the remainder in wrap_angle rounds up to 2 pi there, and the heading must still wrap to pi
@@ -53,11 +52,12 @@ NEXT_ABOVE_PI = math.nextafter(math.pi, 4.0)
 
 
 def step_pose(x, y, heading, n_l, n_r, dt=0.1, config=None):
-    """One robot's pose after one `integrate` step with wheel speeds (n_l, n_r)."""
+    """One robot's pose after one `integrate` step with wheel speeds (n_l, n_r), clamped to the walls."""
     xy = np.array([[x], [y]], dtype=float)
     h = np.array([heading], dtype=float)
     config = config or SimConfig()
-    integrate(xy, h, trig(h), *wheel_rows([n_l], [n_r]), [], [], dt, *body_operands(config))
+    integrate(xy, h, trig(h), *wheel_rows([n_l], [n_r]), [], [], dt, wheel_base_operand(config))
+    walls(config).clamp(xy)
     return xy[0, 0], xy[1, 0], h[0]
 
 
@@ -66,12 +66,20 @@ def wheel_rows(n_l, n_r):
     return np.array((n_l, n_r), dtype=np.float64).reshape(2, -1)
 
 
-def body_operands(config, zero_d=False):
-    """integrate's wheel_base, body_r and far_walls for config; the first two are 0-d arrays, as in the loop, if zero_d."""
-    wheel_base, body_r = config.wheel_base_cm, config.body_radius_cm
-    if zero_d:
-        wheel_base, body_r = np.array(wheel_base), np.array(body_r)
-    return wheel_base, body_r, _far_walls(config)
+def wheel_base_operand(config, zero_d=False):
+    """integrate's wheel_base for config: a 0-d array, as in the loop, if zero_d, else a float."""
+    return np.array(config.wheel_base_cm) if zero_d else config.wheel_base_cm
+
+
+def walls(config):
+    """A PairGeometry of no robots in config's arena: its `clamp` holds centers inside the walls."""
+    return PairGeometry(np.empty((2, 0)), config)
+
+
+def far_walls(config):
+    """The oracle's largest center coordinates, a (2, 1) column: arena width and height minus the body radius."""
+    r = config.body_radius_cm
+    return np.array([[config.arena_width_cm - r], [config.arena_height_cm - r]])
 
 
 def body_motion(n_l, n_r):
@@ -184,7 +192,7 @@ class TestIntegrate:
         xy = np.array([[50.0, 60.0], [50.0, 60.0]])
         h = np.array([3.0, 1.0])
         cfg = SimConfig()
-        integrate(xy, h, trig(h), *wheel_rows([0.0, 0.0], [0.0, 0.0]), [0], [18.0], 0.1, *body_operands(cfg))
+        integrate(xy, h, trig(h), *wheel_rows([0.0, 0.0], [0.0, 0.0]), [0], [18.0], 0.1, wheel_base_operand(cfg))
         assert h[0] == pytest.approx(3.0 + math.pi / 10 - 2 * math.pi)
         assert h[1] == wrap_angle(1.0)
         assert xy.tolist() == [[50.0, 60.0], [50.0, 60.0]]
@@ -206,12 +214,13 @@ class TestIntegrate:
     )
     @settings(max_examples=150, deadline=None)
     def test_batched_step_equals_scalar_law(self, robots, dt, body):
-        """One vectorised step equals the per-robot scalar law (math.cos/sin, Python floats) bit for bit."""
+        """One vectorised step, then `clamp`, equals the scalar law (math.cos/sin, Python floats) bit for bit."""
         cfg = SimConfig(body_radius_cm=body[0], wheel_base_cm=body[1])
         x, y, heading, n_l, n_r, turn = (list(col) for col in zip(*robots)) if robots else ([],) * 6
         xy = np.array([x, y], dtype=float).reshape(2, -1)
         h = np.array(heading, dtype=float)
-        integrate(xy, h, trig(h), *wheel_rows(n_l, n_r), *oracle.sparse_turns(turn), dt, *body_operands(cfg))
+        integrate(xy, h, trig(h), *wheel_rows(n_l, n_r), *oracle.sparse_turns(turn), dt, wheel_base_operand(cfg))
+        walls(cfg).clamp(xy)
         for i, robot in enumerate(robots):
             want = oracle.integrate(*robot[:3], oracle.WheelCommand(robot[3], robot[4]), robot[5], dt, cfg)
             assert np.array([xy[0, i], xy[1, i], h[i]]).tobytes() == np.array(want).tobytes()
@@ -260,14 +269,15 @@ class TestZeroDimOperands:
             turn = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-18.0, 18.0, n)).tolist()
             want_xy, want_heading = xy.copy(), heading.copy()
             oracle.integrate_float_operands(
-                want_xy, want_heading, trig(heading), *wheels, turn, dt, cfg, _far_walls(cfg), clamp
+                want_xy, want_heading, trig(heading), *wheels, turn, dt, cfg, far_walls(cfg), clamp
             )
-            # dt, wheel_base and body_r as the run loop passes them, 0-d arrays, and as floats
+            # dt and wheel_base as the run loop passes them, 0-d arrays, and as floats; the clamp as separation runs it
             for dt_op, zero_d in ((np.array(dt), True), (dt, False)):
                 got_xy, got_heading = xy.copy(), heading.copy()
-                operands = body_operands(cfg, zero_d)
-                turns = oracle.sparse_turns(turn)
-                integrate(got_xy, got_heading, trig(heading), *wheel_rows(*wheels), *turns, dt_op, *operands, clamp)
+                base, turns = wheel_base_operand(cfg, zero_d), oracle.sparse_turns(turn)
+                integrate(got_xy, got_heading, trig(heading), *wheel_rows(*wheels), *turns, dt_op, base)
+                if clamp:
+                    walls(cfg).clamp(got_xy)
                 assert got_xy.tobytes() == want_xy.tobytes()
                 assert got_heading.tobytes() == want_heading.tobytes()
 
@@ -524,18 +534,31 @@ class TestRunSimulation:
         with pytest.raises(PlacementError):
             run_simulation(small_config(n_robots=40, arena_width_cm=20.0, arena_height_cm=20.0))
 
-    def test_robots_stay_inside_walls(self):
-        seen = []
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param(dict(n_robots=8, duration_s=60, seed=4), id="N8"),
+            pytest.param(dict(n_robots=50, duration_s=40, seed=6), id="N50"),
+            pytest.param(dict(n_robots=200, duration_s=40, seed=8), id="N200"),
+            # a corridor 30 cm wide: nearly every tick some center is within a tick's travel of a wall
+            pytest.param(dict(n_robots=10, duration_s=40, seed=10, arena_width_cm=30.0), id="N10-corridor"),
+            # no wall range: a robot sees a wall only once past it, so only the clamp keeps it inside
+            pytest.param(dict(n_robots=10, duration_s=40, seed=12, wall_range_cm=0.0), id="N10-no-wall-range"),
+        ],
+    )
+    def test_robots_stay_inside_walls(self, overrides):
+        """At every whole second every center lies in [r, side - r] on both axes, whether or not the clamp ran."""
+        cfg = small_config(**overrides)
+        r, seconds = cfg.body_radius_cm, []
 
         def obs(world):
-            seen.append(world.xy.copy())
+            x, y = world.xy
+            assert r <= x.min() and x.max() <= cfg.arena_width_cm - r
+            assert r <= y.min() and y.max() <= cfg.arena_height_cm - r
+            seconds.append(world.t)
 
-        cfg = small_config(n_robots=8, duration_s=60, seed=4)
         run_simulation(cfg, observer=obs)
-        r = cfg.body_radius_cm
-        for x, y in seen:
-            assert np.all(x >= r - 1e-9) and np.all(x <= cfg.arena_width_cm - r + 1e-9)
-            assert np.all(y >= r - 1e-9) and np.all(y <= cfg.arena_height_cm - r + 1e-9)
+        assert seconds == list(range(cfg.duration_s + 1))
 
     def test_no_body_overlap_at_boundaries(self):
         min_d = 2 * SimConfig().body_radius_cm

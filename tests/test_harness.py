@@ -1112,6 +1112,23 @@ class TestCli:
         assert cli_main(["analyze", "--dir", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {victim}: unexpected metrics header 't,mean_cue'\n"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_analyze_non_finite_metric_is_config_error(self, tmp_path, capsys, monkeypatch, value, cpus):
+        see_cpus(monkeypatch, cpus)  # one CPU reduces in-process, two in worker processes
+        plan = write(tmp_path / "p.cfg", PLAN)
+        out = tmp_path / "sweep"
+        assert cli_main(["sweep", "--plan", plan, "--out", str(out)]) == 0
+        victim = out / read_manifest(out / "manifest.csv")[-1].path / "metrics.csv"
+        series = MetricsSeries.from_csv(victim)
+        series.coherency_m[3] = value
+        series.to_csv(victim)
+        capsys.readouterr()
+        assert cli_main(["analyze", "--dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {victim}: non-finite value in column coherency_m\n"
+        assert not (out / "analysis").exists()
+
     def test_run_rejects_negative_seed(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", RUN_CONFIG)
         assert cli_main(["run", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "out")]) == 1

@@ -7,7 +7,7 @@ from the poses on each call, as both passes did before they shared a
 geometry; the engine must agree with them bit for bit, however long the
 list has been carried. The walls are neighbours too: while the list's drift
 bound keeps every center clear of them, contact detection skips the frontal
-wall test and integration skips the wall clamp, and neither may change a bit.
+wall test and separation skips its first wall clamp, and neither may change a bit.
 """
 import math
 
@@ -21,7 +21,6 @@ from swarmclean.engine import (
     PairGeometry,
     SimConfig,
     _detect_events_trig,
-    _far_walls,
     _separate_overlaps,
     integrate,
 )
@@ -129,12 +128,12 @@ def hit_arrays(hits, n):
 
 def wall_list(xy, heading, geom, config):
     """`_detect_events_trig`'s wall contacts, a list of robot indices."""
-    return list(_detect_events_trig(xy, trig(heading), geom, config, _far_walls(config))[1])
+    return list(_detect_events_trig(xy, trig(heading), geom)[1])
 
 
 def detect(x, y, heading, geom):
     cos_t, sin_t = np.cos(heading), np.sin(heading)
-    got = _detect_events_trig(np.stack((x, y)), np.stack((cos_t, sin_t)), geom, CFG, _far_walls(CFG))
+    got = _detect_events_trig(np.stack((x, y)), np.stack((cos_t, sin_t)), geom)
     want = detect_dense(x, y, cos_t, sin_t, CFG)
     return hit_arrays(got, len(x)), want
 
@@ -188,7 +187,7 @@ def test_separation_leaves_geometry_of_current_poses(swarm, seed):
     tick_step(*before, rng.uniform(-math.pi, math.pi, len(x)), rng.uniform(0.0, 1.0, len(x)))
     geom = PairGeometry(before, CFG)
     ref_x, ref_y = x.copy(), y.copy()
-    moved = _separate_overlaps(xy, CFG, geom, _far_walls(CFG))
+    moved = _separate_overlaps(xy, geom)
     assert moved == separate_dense(ref_x, ref_y, CFG)
     assert same_bits(x, ref_x) and same_bits(y, ref_y)
     assert_geometry_of(geom, x, y)
@@ -206,7 +205,7 @@ def test_carried_list_matches_dense(swarm, ticks, seed):
     for _ in range(ticks):
         tick_step(x, y, heading, speed)
         ref_x, ref_y = x.copy(), y.copy()
-        assert _separate_overlaps(xy, CFG, geom, _far_walls(CFG)) == separate_dense(ref_x, ref_y, CFG)
+        assert _separate_overlaps(xy, geom) == separate_dense(ref_x, ref_y, CFG)
         assert same_bits(x, ref_x) and same_bits(y, ref_y)
         assert_geometry_of(geom, x, y)
         got, want = detect(x, y, rng.uniform(-math.pi, math.pi, len(x)), geom)
@@ -308,7 +307,7 @@ def test_coincident_and_overlapping_robots_match_dense_separation():
     x, y = xy
     ref_x, ref_y = x.copy(), y.copy()
     geom = PairGeometry(xy, CFG)
-    assert _separate_overlaps(xy, CFG, geom, _far_walls(CFG))
+    assert _separate_overlaps(xy, geom)
     assert separate_dense(ref_x, ref_y, CFG)
     assert same_bits(x, ref_x) and same_bits(y, ref_y)
     assert_geometry_of(geom, x, y)
@@ -366,18 +365,18 @@ def wall_reference(xy, heading, config):
 def advance(xy, heading, geom, wheels, turn, config):
     """One tick as the engine runs it, checking the wall flags and the clamp skip against the full versions.
 
+    The reference clamps a copy of the integrated poses whatever the bound says, then separates it densely.
     Returns whether the bound cleared the walls for detection and for the clamp.
     """
     cos_sin = trig(heading)
     assert wall_list(xy, heading, geom, config) == np.flatnonzero(wall_reference(xy, heading, config)).tolist()
     clamp = not geom.clears_walls(0.0, 1)
-    ref_xy, ref_heading = xy.copy(), heading.copy()
     n_l, n_r = np.array(wheels, dtype=np.float64).reshape(2, -1)
-    operands = (config.dt_s, config.wheel_base_cm, config.body_radius_cm, _far_walls(config))
-    integrate(ref_xy, ref_heading, cos_sin, n_l, n_r, *sparse_turns(turn), *operands)
-    integrate(xy, heading, cos_sin, n_l, n_r, *sparse_turns(turn), *operands, clamp)
-    assert same_bits(xy, ref_xy) and same_bits(heading, ref_heading)
-    _separate_overlaps(xy, config, geom, _far_walls(config))
+    integrate(xy, heading, cos_sin, n_l, n_r, *sparse_turns(turn), config.dt_s, config.wheel_base_cm)
+    ref_xy = xy.copy()
+    geom.clamp(ref_xy)
+    assert _separate_overlaps(xy, geom) == separate_dense(*ref_xy, config)
+    assert same_bits(xy, ref_xy)
     return geom.clears_walls(config.wall_range_cm), not clamp
 
 
@@ -461,7 +460,7 @@ def test_separation_push_toward_a_wall_is_charged():
     geom = PairGeometry(xy, config)
     assert geom.wall_gap == rng_cm + 1.0
     xy_before = xy.copy()
-    assert _separate_overlaps(xy, config, geom, _far_walls(config))
+    assert _separate_overlaps(xy, geom)
     assert xy[0, 0] == xy_before[0, 0] - 2.0 and geom.drift == 2.0
     assert not geom.clears_walls(rng_cm)
     assert wall_reference(xy, heading, config).tolist() == [True, False]

@@ -14,7 +14,9 @@ a row are one pair; the row then adds the other side's minimum, this side's
 minimum over it, and the median and quartiles of the per-pair ratios (this
 over other), which resolve a smaller change than the ratio of the minima, and
 whether both sides' runs gave the same bytes: every run's metrics columns,
-field, poses and cleaning counts, hashed. pytest does not collect this file.
+field, poses and cleaning counts, hashed. The script exits 1 when any row
+prints NO there, so --against this checkout's own src/ checks that repeated
+runs give the same bytes. pytest does not collect this file.
 Run it from the repository root:
 
     python tests/tick_cost.py [--seconds 100] [--repeats 5] [--against ../other/src]
@@ -91,6 +93,7 @@ def main(argv=None):
                 digests[side, label].add(digest)
     print(f"µs per tick, minimum of {args.repeats} runs of {args.seconds} s, seed {SEED} (thread CPU time)")
     print("N\tthis" + ("\tother\tthis/other\tpair ratio median (quartiles)\tsame bytes" if args.against else ""))
+    differ = False
     for label in ROWS:
         this = costs["this", label]
         row = f"{label}\t{min(this):.1f}"
@@ -98,9 +101,11 @@ def main(argv=None):
             other = costs["other", label]
             q1, median, q3 = np.percentile(np.divide(this, other), [25, 50, 75])
             same = "yes" if len(digests["this", label] | digests["other", label]) == 1 else "NO"
+            differ |= same == "NO"
             row += f"\t{min(other):.1f}\t{min(this) / min(other):.3f}\t{median:.3f} ({q1:.3f}-{q3:.3f})\t{same}"
         print(row)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
