@@ -73,8 +73,6 @@ def main(argv=None) -> int:
             runs = cmd_sweep(plan, args.out, jobs=args.jobs)
             print(f"completed {len(runs)} runs into {args.out}")
         elif args.command == "analyze":
-            if args.time_bins < 1:
-                raise ConfigError(f"--time-bins must be >= 1, got {args.time_bins}")
             analysis = cmd_analyze(args.dir, allow_partial=args.allow_partial, time_bins=args.time_bins)
             for label, result in (
                 ("mean_cue", analysis.anova_mean_cue),

@@ -77,7 +77,7 @@ class SimConfig:
     body_radius_cm: float = _positive(4.0)
     wheel_base_cm: float = _positive(8.0)
     contact_range_cm: float = _positive(10.0)
-    wall_range_cm: float = _non_negative(2.0)
+    wall_range_cm: float = _positive(2.0)
     refractory_s: float = _non_negative(2.0)
     metric_radius_cm: float = _positive(70.0)
     turn_min_deg: float = _non_negative(90.0)

@@ -34,18 +34,11 @@ def init_circular_gradient(
     The field has round(height_cm) rows and round(width_cm) columns. A
     cell whose center sits at distance d from `center` gets the value
     peak * max(0, 1 - d / radius_cm): `peak` at the center, falling
-    linearly to zero at the circle edge, zero beyond it.
+    linearly to zero at the circle edge, zero beyond it. The caller passes
+    a validated `SimConfig`'s geometry: positive sides and radius, `peak`
+    in (0, 255] and `center` inside the arena.
     """
-    if width_cm <= 0 or height_cm <= 0:
-        raise ValueError(f"arena dimensions must be positive, got {width_cm} x {height_cm}")
-    if radius_cm <= 0:
-        raise ValueError(f"cue radius must be positive, got {radius_cm}")
-    if not 0 < peak <= 255:
-        raise ValueError(f"peak intensity must be in (0, 255], got {peak}")
     cx, cy = center
-    if not (0 <= cx <= width_cm and 0 <= cy <= height_cm):
-        raise ValueError(f"cue center {center} lies outside the arena")
-
     # distances from cell centers, turned into intensities in place (no full-size temporaries)
     xs = np.arange(round(width_cm)) + 0.5
     ys = np.arange(round(height_cm)) + 0.5

@@ -19,7 +19,7 @@ import numpy as np
 from .engine import ConfigError, SimConfig, run_batch, run_simulation
 from .field import pgm_raster, write_pgm
 from .metrics import MetricsSeries, open_atomic
-from .stats import AnovaResult, ObservationTable, anova_main_effects, bin_means, median_series
+from .stats import AnovaResult, DesignError, ObservationTable, anova_main_effects, bin_means, median_series
 
 SCHEMA_VERSION = 1
 DEFAULT_SNAPSHOT_TIMES = (0, 1000, 4000)
@@ -43,6 +43,7 @@ _RUN_FIELDS: dict[str, type] = {f.name: _TYPES[f.type] for f in fields(SimConfig
 
 
 def _parse_kv_file(path) -> dict[str, str]:
+    """The `key = value` pairs of a config or plan file, its schema_version checked and left out."""
     pairs: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -61,15 +62,12 @@ def _parse_kv_file(path) -> dict[str, str]:
         if key in pairs:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         pairs[key] = value
-    return pairs
-
-
-def _check_schema_version(pairs: dict[str, str], path) -> None:
     if "schema_version" not in pairs:
         raise ConfigError(f"{path}: missing required key 'schema_version'")
     version = pairs.pop("schema_version")
     if version != str(SCHEMA_VERSION):
         raise ConfigError(f"{path}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    return pairs
 
 
 def _convert(path, key: str, value: str, caster: type):
@@ -79,16 +77,21 @@ def _convert(path, key: str, value: str, caster: type):
         raise ConfigError(f"{path}: key {key!r} has invalid {caster.__name__} value {value!r}")
 
 
-def load_run_config(path) -> SimConfig:
-    """Parse a run config file into a validated SimConfig."""
-    pairs = _parse_kv_file(path)
-    _check_schema_version(pairs, path)
+def _sim_config(path, pairs: dict[str, str], grid_owned=()) -> SimConfig:
+    """The SimConfig of a file's pairs, each key a SimConfig field outside grid_owned; not yet validated."""
     kwargs = {}
     for key, value in pairs.items():
+        if key in grid_owned:
+            raise ConfigError(f"{path}: key {key!r} is owned by the sweep grid, not the plan physics")
         if key not in _RUN_FIELDS:
             raise ConfigError(f"{path}: unknown key {key!r}")
         kwargs[key] = _convert(path, key, value, _RUN_FIELDS[key])
-    cfg = SimConfig(**kwargs)
+    return SimConfig(**kwargs)
+
+
+def load_run_config(path) -> SimConfig:
+    """Parse a run config file into a validated SimConfig."""
+    cfg = _sim_config(path, _parse_kv_file(path))
     cfg.validate()
     return cfg
 
@@ -166,22 +169,14 @@ class RunSpec:
 def load_plan(path) -> ExperimentPlan:
     """Parse a sweep plan file (grid keys plus optional physics overrides)."""
     pairs = _parse_kv_file(path)
-    _check_schema_version(pairs, path)
     grid = {}  # keys left out take ExperimentPlan's defaults
-    cfg_kwargs = {}
-    for key, value in pairs.items():
-        if key in ("populations", "betas"):
-            caster = int if key == "populations" else float
-            grid[key] = tuple(_convert(path, key, v.strip(), caster) for v in value.split(","))
-        elif key in ("repetitions", "base_seed"):
-            grid[key] = _convert(path, key, value, int)
-        elif key in _RUN_FIELDS:
-            if key in ("n_robots", "beta", "seed"):
-                raise ConfigError(f"{path}: key {key!r} is owned by the sweep grid, not the plan physics")
-            cfg_kwargs[key] = _convert(path, key, value, _RUN_FIELDS[key])
-        else:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-    return ExperimentPlan(**grid, base_config=SimConfig(**cfg_kwargs))
+    for key, caster in (("populations", int), ("betas", float)):
+        if key in pairs:
+            grid[key] = tuple(_convert(path, key, v.strip(), caster) for v in pairs.pop(key).split(","))
+    for key in ("repetitions", "base_seed"):
+        if key in pairs:
+            grid[key] = _convert(path, key, pairs.pop(key), int)
+    return ExperimentPlan(**grid, base_config=_sim_config(path, pairs, grid_owned=("n_robots", "beta", "seed")))
 
 
 def derive_run_seed(base_seed: int, n_robots: int, beta: float, repetition: int) -> int:
@@ -200,7 +195,6 @@ def cmd_run(config: SimConfig, out_dir, snapshot_times=None) -> dict:
     observer; the default times are clipped to the duration, requested
     ones outside it are a ConfigError before the run starts.
     """
-    config.validate()
     if snapshot_times is None:
         snapshot_times = [t for t in DEFAULT_SNAPSHOT_TIMES if t <= config.duration_s]
     wanted = set(snapshot_times)
@@ -322,12 +316,19 @@ def cmd_sweep(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunSpec]:
     if jobs > 1 and len(batches) > 1:
         # imported on use: the pool machinery adds about 1 MB and a dozen
         # modules to every command's start-up, and only this one needs it
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures import Future, ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
         # under the fork start method the pool starts every worker up front, so no more than there are batches
         with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
-            futures = {pool.submit(_sweep_worker, batch): batch for batch in batches}
+            futures = {}
+            for batch in batches:
+                try:
+                    future = pool.submit(_sweep_worker, batch)
+                except BrokenProcessPool as exc:  # a worker died while later batches were still being submitted
+                    future = Future()
+                    future.set_exception(exc)
+                futures[future] = batch
             for future in as_completed(futures):
                 try:
                     statuses = future.result()
@@ -393,7 +394,8 @@ def _reduce_cell(name: str, paths: list[str], time_bins: int) -> tuple[MetricsSe
 def build_observation_table(cells: list[tuple[int, float]], means: list[np.ndarray]) -> ObservationTable:
     """One row per (run, time bin) of each (population, beta) cell's (runs, time bins) bin means, cells in order.
 
-    The factors are time bin, population and speed; one constant over the sweep carries no information and is dropped.
+    The factors are time bin, population and speed; one constant over the sweep carries no information and is dropped,
+    and a sweep in which none varies is a DesignError.
     """
     rows = [m.size for m in means]
     factors = (
@@ -401,8 +403,10 @@ def build_observation_table(cells: list[tuple[int, float]], means: list[np.ndarr
         ("population", np.repeat([n for n, _ in cells], rows)),
         ("speed", np.repeat([beta for _, beta in cells], rows)),
     )
-    response = np.concatenate([m.ravel() for m in means])
-    return ObservationTable(response, [(name, levels) for name, levels in factors if len(np.unique(levels)) >= 2])
+    varying = [(name, levels) for name, levels in factors if len(np.unique(levels)) >= 2]
+    if not varying:
+        raise DesignError("at least one factor is required")
+    return ObservationTable(np.concatenate([m.ravel() for m in means]), varying)
 
 
 def write_anova_csv(path, result: AnovaResult) -> None:
@@ -419,6 +423,8 @@ def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> S
     runs them in-process); no output depends on the worker count, and a worker that dies is an OSError naming the
     sweep. Nothing is written until every cell and both ANOVAs succeed; then stale median files are removed.
     """
+    if time_bins < 1:  # checked once, here, before any file is read
+        raise ConfigError(f"time_bins must be >= 1, got {time_bins}")
     cells = sweep_run_paths(sweep_dir, allow_partial=allow_partial)
     keys = sorted(cells)
     names = [cell_name(n, beta) for n, beta in keys]

@@ -26,14 +26,8 @@ def median_series(runs: list[MetricsSeries]) -> MetricsSeries:
     Even run counts take the mean of the two central values (numpy
     convention). A single run is returned as-is (copied).
     """
-    if not runs:
-        raise ValueError("median_series needs at least one run")
-    t0 = runs[0].t
-    for r in runs[1:]:
-        if len(r.t) != len(t0) or not np.array_equal(r.t, t0):
-            raise ValueError("runs do not share the same time grid")
     return MetricsSeries(
-        t=t0.copy(),
+        t=runs[0].t.copy(),
         mean_cue=np.median([r.mean_cue for r in runs], axis=0),
         ratio_within_rc=np.median([r.ratio_within_rc for r in runs], axis=0),
         coherency_m=np.median([r.coherency_m for r in runs], axis=0),
@@ -45,10 +39,9 @@ def bin_means(values: np.ndarray, n_bins: int) -> np.ndarray:
 
     A trailing remainder shorter than a full bin is folded into the last
     bin. Used to turn a per-second series into a categorical time factor.
+    `values` is a float64 array and n_bins >= 1 (`cmd_analyze` checks it);
+    fewer samples than bins is a ValueError.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     if len(values) < n_bins:
         raise ValueError(f"cannot form {n_bins} bins from {len(values)} samples")
     size = len(values) // n_bins
@@ -106,8 +99,6 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
@@ -125,9 +116,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 
 def f_tail_probability(f_value: float, df_num: int, df_den: int) -> float:
-    """P(F >= f_value) for an F(df_num, df_den) variate; p(0) = 1."""
-    if df_num < 1 or df_den < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got ({df_num}, {df_den})")
+    """P(F >= f_value) for an F(df_num, df_den) variate, df_num, df_den >= 1; p(0) = 1."""
     if f_value <= 0.0:
         return 1.0
     if math.isinf(f_value):
@@ -143,27 +132,13 @@ class ObservationTable:
     """Response vector plus ordered categorical factors.
 
     `factors` maps names to level labels (one per row, any hashable and
-    sortable values). Order matters: sums of squares are sequential.
+    sortable values). Order matters: sums of squares are sequential. The
+    maker (`build_observation_table`) guarantees a 1-D float64 response, at
+    least one factor, and per factor one label per row and at least 2 levels.
     """
 
     response: np.ndarray
     factors: list[tuple[str, np.ndarray]]
-
-    def __post_init__(self):
-        self.response = np.asarray(self.response, dtype=np.float64)
-        if self.response.ndim != 1 or len(self.response) == 0:
-            raise DesignError("response must be a non-empty 1-D array")
-        if not self.factors:
-            raise DesignError("at least one factor is required")
-        cleaned = []
-        for name, levels in self.factors:
-            levels = np.asarray(levels)
-            if len(levels) != len(self.response):
-                raise DesignError(f"factor {name!r} has {len(levels)} rows, response has {len(self.response)}")
-            if len(np.unique(levels)) < 2:
-                raise DesignError(f"factor {name!r} needs at least 2 levels")
-            cleaned.append((name, levels))
-        self.factors = cleaned
 
 
 @dataclass
@@ -174,7 +149,6 @@ class FactorEffect:
     df_between: int
     df_within: int
     sum_squares: float
-    degenerate: bool = False
 
 
 @dataclass
@@ -204,33 +178,32 @@ def anova_main_effects(table: ObservationTable) -> AnovaResult:
     when its indicator columns join the design (Type-I, in declared
     order; for balanced designs the order is immaterial). F divides the
     factor mean square by the full-model residual mean square. A zero
-    residual variance flags every effect degenerate with F = 0, p = 1.
+    residual variance flags the result degenerate, every effect F = 0, p = 1.
     Confounded factors (no new column rank) are rejected.
     """
     y = table.response
     n = len(y)
     design = np.ones((n, 1))
-    rank = 1
 
-    def rss_of(x: np.ndarray) -> float:
-        beta, *_ = np.linalg.lstsq(x, y, rcond=None)
+    def rss_of(x: np.ndarray) -> tuple[float, int]:
+        """The residual sum of squares of y on x, and x's rank: singular values above eps * max(M, N) * the largest."""
+        beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
         resid = y - x @ beta
-        return float(resid @ resid)
+        return float(resid @ resid), int(rank)
 
-    rss_prev = rss_of(design)
+    rss_prev, rank = rss_of(design)
     seq: list[tuple[str, float, int]] = []  # (name, SS, df)
     for name, levels in table.factors:
         cols = _dummy_columns(levels)
         df_k = cols.shape[1]
         design = np.hstack([design, cols])
-        new_rank = int(np.linalg.matrix_rank(design))
+        rss_k, new_rank = rss_of(design)
         if new_rank != rank + df_k:
             raise DesignError(
                 f"factor {name!r} is confounded with preceding factors "
                 f"(rank gained {new_rank - rank}, expected {df_k})"
             )
         rank = new_rank
-        rss_k = rss_of(design)
         seq.append((name, max(rss_prev - rss_k, 0.0), df_k))
         rss_prev = rss_k
 
@@ -246,12 +219,7 @@ def anova_main_effects(table: ObservationTable) -> AnovaResult:
 
     effects = []
     for name, ss, df_k in seq:
-        if degenerate:
-            effects.append(FactorEffect(name, 0.0, 1.0, df_k, residual_df, ss, degenerate=True))
-        else:
-            f_val = (ss / df_k) / ms_resid
-            effects.append(
-                FactorEffect(name, f_val, f_tail_probability(f_val, df_k, residual_df), df_k, residual_df, ss)
-            )
+        f_val = 0.0 if degenerate else (ss / df_k) / ms_resid  # p(0) = 1
+        effects.append(FactorEffect(name, f_val, f_tail_probability(f_val, df_k, residual_df), df_k, residual_df, ss))
     return AnovaResult(effects=effects, residual_ss=residual_ss, residual_df=residual_df, degenerate=degenerate)
 

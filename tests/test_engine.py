@@ -12,6 +12,7 @@ from swarmclean.engine import (
     MAX_ARENA_CM,
     MAX_DURATION_S,
     MAX_ROBOTS,
+    MIN_POSITIVE,
     _SENSOR_SIGNS,
     ConfigError,
     PairGeometry,
@@ -397,6 +398,12 @@ class TestConfigValidation:
                 n_robots=1, arena_width_cm=0.4, arena_height_cm=0.4, body_radius_cm=0.1, wheel_base_cm=0.2,
                 duration_s=3,
             ),
+            # a robot clamped onto a wall would never sense it again
+            dict(wall_range_cm=0.0),
+            # the cue field needs a positive radius and peak, and positive sides
+            dict(cue_radius_cm=0.0),
+            dict(cue_peak=0.0),
+            dict(arena_height_cm=0.0),
         ],
     )
     def test_rejects_configs_the_engine_cannot_run(self, overrides):
@@ -542,8 +549,11 @@ class TestRunSimulation:
             pytest.param(dict(n_robots=200, duration_s=40, seed=8), id="N200"),
             # a corridor 30 cm wide: nearly every tick some center is within a tick's travel of a wall
             pytest.param(dict(n_robots=10, duration_s=40, seed=10, arena_width_cm=30.0), id="N10-corridor"),
-            # no wall range: a robot sees a wall only once past it, so only the clamp keeps it inside
-            pytest.param(dict(n_robots=10, duration_s=40, seed=12, wall_range_cm=0.0), id="N10-no-wall-range"),
+            # the least wall range: a robot senses a wall only once the clamp has put its body against it, so the
+            # clamp alone keeps a robot that drives at a wall inside
+            pytest.param(
+                dict(n_robots=10, duration_s=40, seed=12, wall_range_cm=MIN_POSITIVE), id="N10-no-wall-range"
+            ),
         ],
     )
     def test_robots_stay_inside_walls(self, overrides):

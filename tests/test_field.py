@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmclean import engine
+from swarmclean.engine import ConfigError, SimConfig, run_simulation
 from swarmclean.field import (
     CLEAN_KERNEL,
     apply_cleaning,
@@ -65,18 +67,25 @@ class TestInitCircularGradient:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(width_cm=-1, height_cm=285, center=CENTER, radius_cm=RADIUS, peak=PEAK),
-            dict(width_cm=285, height_cm=0, center=CENTER, radius_cm=RADIUS, peak=PEAK),
-            dict(width_cm=285, height_cm=285, center=CENTER, radius_cm=0, peak=PEAK),
-            dict(width_cm=285, height_cm=285, center=CENTER, radius_cm=-5, peak=PEAK),
-            dict(width_cm=285, height_cm=285, center=CENTER, radius_cm=RADIUS, peak=0),
-            dict(width_cm=285, height_cm=285, center=CENTER, radius_cm=RADIUS, peak=300),
-            dict(width_cm=285, height_cm=285, center=(300, 10), radius_cm=RADIUS, peak=PEAK),
+            dict(arena_width_cm=-1.0),
+            dict(arena_height_cm=0.0),
+            dict(cue_radius_cm=0.0),
+            dict(cue_radius_cm=-5.0),
+            dict(cue_peak=0.0),
+            dict(cue_peak=300.0),
+            # a field of no columns; the cue center is always the arena's, so it cannot lie outside
+            dict(n_robots=1, arena_width_cm=0.4, body_radius_cm=0.1, wheel_base_cm=0.2),
         ],
     )
-    def test_rejects_bad_geometry(self, kwargs):
-        with pytest.raises(ValueError):
-            init_circular_gradient(**kwargs)
+    def test_rejects_bad_geometry(self, kwargs, monkeypatch):
+        """A geometry the field cannot take is a ConfigError from the engine before it builds the field."""
+
+        def build_field(*args):
+            raise AssertionError(f"field built from {args}")
+
+        monkeypatch.setattr(engine, "init_circular_gradient", build_field)
+        with pytest.raises(ConfigError):
+            run_simulation(SimConfig(**{"n_robots": 2, "duration_s": 1, **kwargs}))
 
 
 def sample(field, x_cm, y_cm):

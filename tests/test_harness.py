@@ -629,6 +629,15 @@ class _RecordingExecutor:
         return future
 
 
+class _BreaksAfterFirstSubmission(_RecordingExecutor):
+    """A pool whose first batch's worker dies while the later batches are still being submitted."""
+
+    def submit(self, fn, batch):
+        if self.submitted:
+            raise concurrent.futures.process.BrokenProcessPool("a child process terminated abruptly")
+        return super().submit(fn, batch)
+
+
 class TestSweepPool:
     def test_dead_worker_fails_its_runs_instead_of_hanging(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "_sweep_worker", _worker_that_dies_at_n5)
@@ -647,6 +656,14 @@ class TestSweepPool:
         manifest = read_manifest(tmp_path / "sweep" / "manifest.csv")
         assert len(manifest) == 4
         assert {spec.status for spec in manifest if spec.n_robots == 5} == {"failed"}
+
+    def test_dead_worker_during_submission_fails_the_unsubmitted_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _BreaksAfterFirstSubmission)
+        monkeypatch.setattr(_RecordingExecutor, "submitted", [])
+        with pytest.raises(SweepFailure, match="2 of 4 runs failed, .*BrokenProcessPool"):
+            cmd_sweep(tiny_plan(), tmp_path / "sweep", jobs=2)
+        statuses = [spec.status for spec in read_manifest(tmp_path / "sweep" / "manifest.csv")]
+        assert sorted(statuses) == ["failed", "failed", "ok", "ok"]
 
     def test_largest_population_submitted_first(self, tmp_path, monkeypatch):
         """Runs are dealt largest population first, each to the batch with the fewest robots; most robots go first."""
@@ -1127,6 +1144,31 @@ class TestCli:
         assert cli_main(["analyze", "--dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {victim}: non-finite value in column coherency_m\n"
+        assert not (out / "analysis").exists()
+
+    def test_analyze_rejects_time_bins_below_one_before_reading(self, tmp_path, capsys, monkeypatch):
+        see_cpus(monkeypatch, 1)  # reduced in-process, where the spy below sees every read
+        out = tmp_path / "sweep"
+        assert cli_main(["sweep", "--plan", write(tmp_path / "p.cfg", PLAN), "--out", str(out)]) == 0
+        before = sorted(p.relative_to(out) for p in out.rglob("*"))
+        reads = []
+        monkeypatch.setattr(MetricsSeries, "from_csv", lambda path: reads.append(path))
+        capsys.readouterr()
+        assert cli_main(["analyze", "--dir", str(out), "--time-bins", "0"]) == 1
+        assert capsys.readouterr().err == "error: time_bins must be >= 1, got 0\n"
+        assert reads == []
+        assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
+
+    def test_analyze_of_a_sweep_with_no_varying_factor(self, tmp_path, capsys):
+        # one grid cell and one time bin: time, population and speed are all constant
+        plan = write(
+            tmp_path / "p.cfg", "schema_version = 1\npopulations = 3\nbetas = 6\nrepetitions = 2\nduration_s = 4\n"
+        )
+        out = tmp_path / "sweep"
+        assert cli_main(["sweep", "--plan", plan, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli_main(["analyze", "--dir", str(out), "--time-bins", "1"]) == 1
+        assert capsys.readouterr().err == "error: at least one factor is required\n"
         assert not (out / "analysis").exists()
 
     def test_run_rejects_negative_seed(self, tmp_path):
