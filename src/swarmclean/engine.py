@@ -43,14 +43,14 @@ MAX_ROBOTS = 10_000
 MAX_DURATION_S = 1_000_000
 
 
-def _positive(default):
-    """A field that `validate()` holds to at least MIN_POSITIVE."""
-    return field(default=default, metadata={"min": MIN_POSITIVE})
+def _positive(default, at_most=math.inf):
+    """A field that `validate()` holds to at least MIN_POSITIVE and at most `at_most`."""
+    return field(default=default, metadata={"min": MIN_POSITIVE, "max": at_most})
 
 
-def _non_negative(default):
-    """A field that `validate()` holds to at least 0."""
-    return field(default=default, metadata={"min": 0})
+def _non_negative(default, at_most=math.inf):
+    """A field that `validate()` holds to at least 0 and at most `at_most`."""
+    return field(default=default, metadata={"min": 0, "max": at_most})
 
 
 class ConfigError(ValueError):
@@ -63,15 +63,15 @@ class PlacementError(ConfigError):
 
 @dataclass
 class SimConfig:
-    n_robots: int = _non_negative(30)
+    n_robots: int = _non_negative(30, MAX_ROBOTS)
     beta: float = _non_negative(6.0)
     alpha: float = _positive(2.0)
     omega_max_s: float = _positive(30.0)
-    arena_width_cm: float = _positive(285.0)
-    arena_height_cm: float = _positive(285.0)
+    arena_width_cm: float = _positive(285.0, MAX_ARENA_CM)
+    arena_height_cm: float = _positive(285.0, MAX_ARENA_CM)
     cue_radius_cm: float = _positive(111.35)
-    cue_peak: float = _positive(255.0)
-    duration_s: int = _non_negative(4000)
+    cue_peak: float = _positive(255.0, 255)
+    duration_s: int = _non_negative(4000, MAX_DURATION_S)
     dt_s: float = _positive(0.1)
     seed: int = _non_negative(0)
     body_radius_cm: float = _positive(4.0)
@@ -116,14 +116,10 @@ class SimConfig:
                     raise ConfigError(f"{f.name} must be at most {MAX_MAGNITUDE:g} in size, got {value!r}")
             if "min" in f.metadata and value < f.metadata["min"]:
                 raise ConfigError(f"{f.name} must be at least {f.metadata['min']:g}, got {value!r}")
-        if self.n_robots > MAX_ROBOTS:
-            raise ConfigError(f"n_robots must be at most {MAX_ROBOTS}, got {self.n_robots}")
-        if self.duration_s > MAX_DURATION_S:
-            raise ConfigError(f"duration_s must be at most {MAX_DURATION_S}, got {self.duration_s}")
+            if "max" in f.metadata and value > f.metadata["max"]:
+                raise ConfigError(f"{f.name} must be at most {f.metadata['max']:g}, got {value!r}")
         if abs(self.ticks_per_second * self.dt_s - 1.0) > 1e-9:
             raise ConfigError(f"dt_s must divide 1 s evenly, got {self.dt_s}")
-        if max(self.arena_width_cm, self.arena_height_cm) > MAX_ARENA_CM:
-            raise ConfigError(f"arena sides must be at most {MAX_ARENA_CM:g} cm")
         if min(self.arena_width_cm, self.arena_height_cm) <= 2 * self.body_radius_cm:
             raise ConfigError("arena too small for the robot body")
         if min(round(self.arena_width_cm), round(self.arena_height_cm)) < 1:
@@ -133,8 +129,6 @@ class SimConfig:
         bodies_cm2 = self.n_robots * math.pi * self.body_radius_cm**2
         if bodies_cm2 > math.pi / math.sqrt(12.0) * self.arena_width_cm * self.arena_height_cm:
             raise PlacementError(f"{self.n_robots} bodies cover {bodies_cm2:g} cm^2, over pi/sqrt(12) of the arena")
-        if self.cue_peak > 255:
-            raise ConfigError(f"cue_peak must be at most 255, got {self.cue_peak}")
         if self.turn_min_deg > self.turn_max_deg:
             raise ConfigError(f"turn_min_deg {self.turn_min_deg} exceeds turn_max_deg {self.turn_max_deg}")
         if self.beta > self.wheel_max:

@@ -12,6 +12,8 @@ import functools
 
 import numpy as np
 
+from .metrics import write_atomic
+
 # Cleaning kernel: decrement(p, q) = 8 - sqrt(p^2 + q^2) for cell offsets
 # p, q in [-4, 4]. Strongest directly under the robot (8 per application),
 # weakest at the corners (8 - sqrt(32) ~ 2.343); every entry is positive.
@@ -123,6 +125,5 @@ def to_pgm_bytes(raster: np.ndarray) -> bytes:
 
 
 def write_pgm(raster: np.ndarray, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(to_pgm_bytes(raster))
+    write_atomic(path, to_pgm_bytes(raster))
 

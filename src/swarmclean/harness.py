@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import ConfigError, SimConfig, run_batch, run_simulation
 from .field import pgm_raster, write_pgm
-from .metrics import MetricsSeries, open_atomic
+from .metrics import MetricsSeries, write_atomic
 from .stats import AnovaResult, DesignError, ObservationTable, anova_main_effects, bin_means, median_series
 
 SCHEMA_VERSION = 1
@@ -252,11 +252,9 @@ def _sweep_worker(batch) -> list[tuple[int, str]]:
 
 
 def write_manifest(path, runs: list[RunSpec]) -> None:
-    with open_atomic(path) as fh:
-        fh.write(MANIFEST_HEADER + "\n")
-        for r in runs:
-            status = r.status if r.status == "ok" else "failed"
-            fh.write(f"{r.n_robots},{float(r.beta)!r},{r.repetition},{r.seed},{r.path},{status}\n")
+    statuses = [r.status if r.status == "ok" else "failed" for r in runs]
+    rows = [f"{r.n_robots},{float(r.beta)!r},{r.repetition},{r.seed},{r.path},{s}\n" for r, s in zip(runs, statuses)]
+    write_atomic(path, MANIFEST_HEADER + "\n" + "".join(rows))
 
 
 def read_manifest(path) -> list[RunSpec]:
@@ -410,10 +408,8 @@ def build_observation_table(cells: list[tuple[int, float]], means: list[np.ndarr
 
 
 def write_anova_csv(path, result: AnovaResult) -> None:
-    with open_atomic(path) as fh:
-        fh.write(ANOVA_HEADER + "\n")
-        for e in result.effects:
-            fh.write(f"{e.name},{e.f_value!r},{e.p_value!r},{e.df_between},{e.df_within}\n")
+    rows = [f"{e.name},{e.f_value!r},{e.p_value!r},{e.df_between},{e.df_within}\n" for e in result.effects]
+    write_atomic(path, ANOVA_HEADER + "\n" + "".join(rows))
 
 
 def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> SweepAnalysis:
@@ -447,8 +443,7 @@ def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> S
     out_dir = os.path.join(sweep_dir, "analysis")
     os.makedirs(out_dir, exist_ok=True)
     for name, text in zip(names, texts):
-        with open_atomic(os.path.join(out_dir, f"medians_{name}.csv")) as fh:
-            fh.write(text)
+        write_atomic(os.path.join(out_dir, f"medians_{name}.csv"), text)
     write_anova_csv(os.path.join(out_dir, "anova_mean_cue.csv"), anova_cue)
     write_anova_csv(os.path.join(out_dir, "anova_coherency_m.csv"), anova_coh)
     for stale in set(os.listdir(out_dir)) - {f"medians_{name}.csv" for name in names}:

@@ -7,7 +7,6 @@ the cue center, and the swarm coherency (mean pairwise distance).
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,22 +15,28 @@ CSV_HEADER = "t,mean_cue,ratio_within_rc,coherency_m"
 _CSV_DTYPE = np.dtype({"names": CSV_HEADER.split(","), "formats": ["i8", "f8", "f8", "f8"]})
 
 
-@contextmanager
-def open_atomic(path):
-    """Open a temp file beside `path` for writing text; it replaces `path` only once fully written.
+def write_atomic(path, data: str | bytes) -> None:
+    """Write `data` (a str as text with newline="", bytes as binary) to a temp file beside `path`, then move it there.
 
     On any error the temp file is removed and `path` is left as it was, so
     an interrupted write never leaves a partial file under the final name.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
-            yield fh
+        with open(tmp, "w", newline="") if isinstance(data, str) else open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _render(column: np.ndarray) -> list[str]:
+    """repr() of each float64 of column, called once per distinct bit pattern, so 0.0 and -0.0 each keep their text."""
+    bits, row_of = np.unique(column.view(np.int64), return_inverse=True)
+    text = [repr(v) for v in bits.view(np.float64).tolist()]  # repr() of a float is the shortest round-trip decimal
+    return [text[k] for k in row_of.tolist()]
 
 
 def ratio_within(xy: np.ndarray, center_cm: tuple[float | np.ndarray, ...], r_c_cm, starts) -> list[float]:
@@ -73,14 +78,12 @@ class MetricsSeries:
 
     def csv_text(self) -> str:
         """The text of the file `to_csv` writes: the header, then one row per second."""
-        # one tolist() per column, as Python ints and floats; repr() of a float is the shortest round-trip
-        # decimal, and rows index the lists, so a short column raises IndexError where zip would drop rows
-        t, cue, ratio, coh = (c.tolist() for c in (self.t, self.mean_cue, self.ratio_within_rc, self.coherency_m))
-        return CSV_HEADER + "\n" + "".join([f"{t[i]},{cue[i]!r},{ratio[i]!r},{coh[i]!r}\n" for i in range(len(t))])
+        # rows index the columns, so a short column raises IndexError where zip would drop rows
+        t, cue, ratio, coh = self.t.tolist(), *map(_render, (self.mean_cue, self.ratio_within_rc, self.coherency_m))
+        return CSV_HEADER + "\n" + "".join([f"{t[i]},{cue[i]},{ratio[i]},{coh[i]}\n" for i in range(len(t))])
 
     def to_csv(self, path) -> None:
-        with open_atomic(path) as fh:
-            fh.write(self.csv_text())
+        write_atomic(path, self.csv_text())
 
     @classmethod
     def from_csv(cls, path) -> "MetricsSeries":

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -409,6 +410,24 @@ class TestConfigValidation:
     def test_rejects_configs_the_engine_cannot_run(self, overrides):
         with pytest.raises(ConfigError):
             small_config(**overrides).validate()
+
+    @pytest.mark.parametrize(
+        "name, bound",
+        [
+            ("n_robots", MAX_ROBOTS),
+            ("duration_s", MAX_DURATION_S),
+            ("arena_width_cm", MAX_ARENA_CM),
+            ("arena_height_cm", MAX_ARENA_CM),
+            ("cue_peak", 255.0),
+        ],
+    )
+    def test_upper_bounds_are_inclusive_and_named(self, name, bound):
+        """Each upper bound is declared on its field: the bound itself passes, one more names the field and bound."""
+        over = bound + (1 if isinstance(bound, int) else 1.0)
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{name} must be at most {bound:g}, got {over!r}')}$"):
+            SimConfig(**{name: over}).validate()
+        # validate() allocates nothing, and MAX_ROBOTS bodies fit the largest arena
+        SimConfig(**{"arena_width_cm": MAX_ARENA_CM, "arena_height_cm": MAX_ARENA_CM, name: bound}).validate()
 
     def test_accepts_numpy_scalars(self):
         small_config(n_robots=np.int64(3), beta=np.float64(3.0)).validate()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmclean import engine
+from swarmclean import engine, field
 from swarmclean.engine import ConfigError, SimConfig, run_simulation
 from swarmclean.field import (
     CLEAN_KERNEL,
@@ -386,3 +386,18 @@ class TestPgm:
         path = tmp_path / "snap.pgm"
         write_pgm(raster, path)
         assert path.read_bytes() == to_pgm_bytes(raster) == b"P5\n285 285\n255\n" + raster.tobytes()
+
+    def test_failed_write_keeps_the_old_snapshot(self, tmp_path, monkeypatch):
+        """A snapshot whose bytes cannot be made leaves the earlier file whole, and no temp file beside it."""
+        path = tmp_path / "snapshot_t0.pgm"
+        write_pgm(pgm_raster(fresh_field()), path)
+        before = path.read_bytes()
+
+        def unencodable(raster):
+            raise MemoryError("no room for the PGM bytes")
+
+        monkeypatch.setattr(field, "to_pgm_bytes", unencodable)
+        with pytest.raises(MemoryError):
+            write_pgm(pgm_raster(fresh_field() * 0.5), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]

@@ -195,6 +195,45 @@ class TestMetricsSeries:
         assert p.read_bytes() == before
         assert list(tmp_path.iterdir()) == [p]
 
+    @staticmethod
+    def per_row_text(s):
+        """The oracle: repr() of every float of every row, one row at a time."""
+        rows = zip(s.t.tolist(), s.mean_cue.tolist(), s.ratio_within_rc.tolist(), s.coherency_m.tolist())
+        return CSV_HEADER + "\n" + "".join(f"{t},{a!r},{b!r},{c!r}\n" for t, a, b, c in rows)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            # heavy repetition: a ratio is k / N and a mean is held while no robot cleans
+            (np.repeat([40.75, 40.5, 39.125], [1500, 2, 498]), np.arange(2000) % 7 / 30, np.full(2000, 1.47)),
+            # 0.0 and -0.0 in one column are two bit patterns and two texts, though they compare equal
+            ([0.0, -0.0, 0.0, -0.0, 1.0], [-0.0, -0.0, 0.0, 0.0, -0.0], [-0.0, 1e-300, 0.0, -1e-300, -0.0]),
+            # subnormals, the extremes and values near +-1e300, each repeated
+            (
+                [5e-324, -5e-324, 2.2250738585072014e-308, 5e-324, -2.225073858507201e-308, 1.5e-310],
+                [1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, 1e300, 9.999999999999999e299],
+                [0.1 + 0.2, 0.3, 0.1 + 0.2, 1 / 3, 2.0000000000000004, 0.3],
+            ),
+            # a series of zero rows: the header alone
+            ([], [], []),
+        ],
+        ids=["repeated", "signed-zeros", "extremes", "zero-rows"],
+    )
+    def test_text_matches_per_row_repr(self, columns):
+        floats = [np.array(c, dtype=np.float64) for c in columns]
+        s = MetricsSeries(np.arange(len(floats[0]), dtype=np.int64) * 3 - 5, *floats)
+        assert s.csv_text() == self.per_row_text(s)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_text_matches_per_row_repr_over_repeated_draws(self, values, data):
+        """Columns drawn with replacement from a few floats and their negations: rows repeat values and signed zeros."""
+        pool = values + [-v for v in values]
+        rows = data.draw(st.integers(0, 30))
+        columns = [data.draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)) for _ in range(3)]
+        s = MetricsSeries(np.arange(rows, dtype=np.int64), *(np.array(c, dtype=np.float64) for c in columns))
+        assert s.csv_text() == self.per_row_text(s)
+
     def test_header_only_file_is_an_empty_series(self, tmp_path):
         # what a run of duration 0 writes
         p = tmp_path / "m.csv"
