@@ -349,7 +349,6 @@ def cmd_sweep(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunSpec]:
 
 @dataclass
 class SweepAnalysis:
-    medians: dict[tuple[int, float], MetricsSeries]
     anova_mean_cue: AnovaResult
     anova_coherency: AnovaResult
 
@@ -371,8 +370,8 @@ def sweep_run_paths(sweep_dir, allow_partial: bool = False) -> dict[tuple[int, f
     return cells
 
 
-def _reduce_cell(name: str, paths: list[str], time_bins: int) -> tuple[MetricsSeries, str, np.ndarray]:
-    """One grid cell's median series, its CSV text, and its (runs, 2, time_bins) bin means of mean_cue and coherency_m.
+def _reduce_cell(name: str, paths: list[str], time_bins: int, staged: str) -> np.ndarray:
+    """Write a cell's median series to `staged`; return its (runs, 2, time_bins) bin means of mean_cue and coherency_m.
 
     A run off the first run's time grid, or too short for the bins, is a ConfigError naming the cell and its file.
     """
@@ -385,8 +384,9 @@ def _reduce_cell(name: str, paths: list[str], time_bins: int) -> tuple[MetricsSe
             means.append([bin_means(run.mean_cue, time_bins), bin_means(run.coherency_m, time_bins)])
         except ValueError as exc:
             raise ConfigError(f"cell {name}: {path}: {exc}") from None
-    median = median_series(runs)
-    return median, median.csv_text(), np.array(means)
+    with open(staged, "w", newline="") as fh:  # not write_atomic, whose temp file a killed worker would leave behind
+        fh.write(median_series(runs).csv_text())
+    return np.array(means)
 
 
 def build_observation_table(cells: list[tuple[int, float]], means: list[np.ndarray]) -> ObservationTable:
@@ -413,40 +413,49 @@ def write_anova_csv(path, result: AnovaResult) -> None:
 
 
 def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> SweepAnalysis:
-    """Reduce a sweep: per-cell median series plus ANOVA for both responses.
+    """Reduce a sweep: per-cell median series plus ANOVA for both responses, written to sweep_dir/analysis/.
 
     Each grid cell is one task, in one worker process per cell up to the CPUs this process may run on (one worker
     runs them in-process); no output depends on the worker count, and a worker that dies is an OSError naming the
-    sweep. Nothing is written until every cell and both ANOVAs succeed; then stale median files are removed.
+    sweep. Each task writes its cell's median series to a staged file in sweep_dir, beside analysis/. Only after
+    every cell and both ANOVAs succeed are these moved into analysis/ as medians_<cell>.csv, the ANOVA tables written
+    and stale median files removed; on any error they are removed, and analysis/ is left as it was. The SweepAnalysis
+    holds the ANOVAs alone: read a cell's medians with MetricsSeries.from_csv.
     """
     if time_bins < 1:  # checked once, here, before any file is read
         raise ConfigError(f"time_bins must be >= 1, got {time_bins}")
     cells = sweep_run_paths(sweep_dir, allow_partial=allow_partial)
     keys = sorted(cells)
     names = [cell_name(n, beta) for n, beta in keys]
-    tasks = (names, [cells[key] for key in keys], [time_bins] * len(keys))
+    staged = [os.path.join(sweep_dir, f"medians_{name}.csv.{os.getpid()}.tmp") for name in names]
+    tasks = (names, [cells[key] for key in keys], [time_bins] * len(keys), staged)
     workers = min(len(keys), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor  # on use, as in cmd_sweep
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                reduced = list(pool.map(_reduce_cell, *tasks))
-        except BrokenProcessPool as exc:
-            raise OSError(f"{sweep_dir}: an analyze worker process died: {exc}") from None
-    else:
-        reduced = list(map(_reduce_cell, *tasks))
-    medians, texts, means = zip(*reduced)
-    # everything that can fail runs before the first write, so a failed analyze leaves analysis/ as it was
-    anova_cue = anova_main_effects(build_observation_table(keys, [m[:, 0] for m in means]))
-    anova_coh = anova_main_effects(build_observation_table(keys, [m[:, 1] for m in means]))
-
     out_dir = os.path.join(sweep_dir, "analysis")
-    os.makedirs(out_dir, exist_ok=True)
-    for name, text in zip(names, texts):
-        write_atomic(os.path.join(out_dir, f"medians_{name}.csv"), text)
+    try:
+        if workers > 1:
+            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor  # on use, as in cmd_sweep
+            try:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    means = list(pool.map(_reduce_cell, *tasks))
+            except BrokenProcessPool as exc:
+                raise OSError(f"{sweep_dir}: an analyze worker process died: {exc}") from None
+        else:
+            means = list(map(_reduce_cell, *tasks))
+        # everything that can fail runs before analysis/ is touched, so a failed analyze leaves it as it was
+        anova_cue = anova_main_effects(build_observation_table(keys, [m[:, 0] for m in means]))
+        anova_coh = anova_main_effects(build_observation_table(keys, [m[:, 1] for m in means]))
+        os.makedirs(out_dir, exist_ok=True)
+        for name, path in zip(names, staged):
+            os.replace(path, os.path.join(out_dir, f"medians_{name}.csv"))
+    except BaseException:
+        # outside the pool's `with`, whose shutdown has waited for every worker, so none writes a staged file later
+        for path in staged:
+            with contextlib.suppress(OSError):  # never written, or already moved
+                os.remove(path)
+        raise
     write_anova_csv(os.path.join(out_dir, "anova_mean_cue.csv"), anova_cue)
     write_anova_csv(os.path.join(out_dir, "anova_coherency_m.csv"), anova_coh)
     for stale in set(os.listdir(out_dir)) - {f"medians_{name}.csv" for name in names}:
         if stale.startswith("medians_") and stale.endswith(".csv"):
             os.remove(os.path.join(out_dir, stale))
-    return SweepAnalysis(medians=dict(zip(keys, medians)), anova_mean_cue=anova_cue, anova_coherency=anova_coh)
+    return SweepAnalysis(anova_mean_cue=anova_cue, anova_coherency=anova_coh)

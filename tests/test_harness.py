@@ -20,11 +20,13 @@ from swarmclean.harness import (
     SweepFailure,
     cmd_analyze,
     cmd_run,
+    cell_name,
     cmd_sweep,
     derive_run_seed,
     load_plan,
     load_run_config,
     read_manifest,
+    sweep_run_paths,
     write_manifest,
 )
 from swarmclean.metrics import MetricsSeries
@@ -329,6 +331,11 @@ class TestPlanTypes:
     def test_numpy_integers_accepted(self):
         plan = ExperimentPlan(populations=(3,), betas=(6.0,), repetitions=np.int64(2), base_seed=np.int32(4))
         assert len(plan.runs()) == 2
+
+
+def tree(root) -> dict:
+    """Every path under root, each file with its bytes: equal before and after means nothing was written or left."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
 def see_cpus(monkeypatch, count):
@@ -755,14 +762,16 @@ class TestCmdAnalyze:
     def test_medians_match_direct_computation(self, tmp_path):
         out = tmp_path / "sweep"
         cmd_sweep(tiny_plan(), out)
-        analysis = cmd_analyze(out)
-        for (n, beta), med in analysis.medians.items():
-            runs = []
-            for spec in read_manifest(out / "manifest.csv"):
-                if spec.n_robots == n and spec.beta == beta:
-                    runs.append(MetricsSeries.from_csv(out / spec.path / "metrics.csv"))
-            direct = median_series(runs)
-            assert np.array_equal(med.mean_cue, direct.mean_cue)
+        cmd_analyze(out)
+        cells = sweep_run_paths(out)
+        assert sorted(p.name for p in (out / "analysis").glob("medians_*.csv")) == [
+            f"medians_{cell_name(n, beta)}.csv" for n, beta in sorted(cells)
+        ]
+        for (n, beta), paths in cells.items():
+            written = MetricsSeries.from_csv(out / "analysis" / f"medians_{cell_name(n, beta)}.csv")
+            direct = median_series([MetricsSeries.from_csv(path) for path in paths])
+            for column in ("t", "mean_cue", "ratio_within_rc", "coherency_m"):  # bit for bit: csv_text writes repr
+                assert getattr(written, column).tobytes() == getattr(direct, column).tobytes()
         assert (out / "analysis" / "anova_mean_cue.csv").exists()
         assert (out / "analysis" / "anova_coherency_m.csv").exists()
         head = (out / "analysis" / "anova_mean_cue.csv").read_text().splitlines()[0]
@@ -775,8 +784,10 @@ class TestCmdAnalyze:
         os.remove(out / victim.path / "metrics.csv")
         with pytest.raises(ConfigError, match="allow_partial"):
             cmd_analyze(out)
-        analysis = cmd_analyze(out, allow_partial=True)
-        assert len(analysis.medians) == 2
+        cmd_analyze(out, allow_partial=True)
+        assert sorted(p.name for p in (out / "analysis").glob("medians_*.csv")) == [
+            "medians_N03_beta6.csv", "medians_N05_beta6.csv"
+        ]
 
     def test_time_bins_configurable(self, tmp_path):
         out = tmp_path / "sweep"
@@ -807,22 +818,26 @@ class TestCmdAnalyze:
         analysis = cmd_analyze(out, time_bins=2)
         assert analysis.anova_mean_cue.degenerate
 
-    def test_failed_analyze_writes_nothing(self, tmp_path):
+    def test_failed_analyze_writes_nothing(self, tmp_path, monkeypatch):
         out = tmp_path / "sweep"
         cmd_sweep(tiny_plan(betas=(3.0, 6.0), base_config=SimConfig(duration_s=5)), out)
-        with pytest.raises(ValueError, match="cannot form 9 bins"):
-            cmd_analyze(out, time_bins=9)
-        assert not (out / "analysis").exists()
-
-        cmd_analyze(out, time_bins=2)
-        before = {p.name: p.read_bytes() for p in (out / "analysis").iterdir()}
         victim = out / read_manifest(out / "manifest.csv")[0].path / "metrics.csv"
-        series = MetricsSeries.from_csv(victim)
-        series.mean_cue[0] += 1.0  # moves its cell's median
-        series.to_csv(victim)
-        with pytest.raises(ValueError, match="cannot form 9 bins"):
-            cmd_analyze(out, time_bins=9)
-        assert {p.name: p.read_bytes() for p in (out / "analysis").iterdir()} == before
+        for cpus in (1, 2):  # reduced in-process, then in worker processes
+            see_cpus(monkeypatch, cpus)
+            shutil.rmtree(out / "analysis", ignore_errors=True)
+            before = tree(out)
+            with pytest.raises(ValueError, match="cannot form 9 bins"):
+                cmd_analyze(out, time_bins=9)
+            assert tree(out) == before  # neither analysis/ nor a staged median file
+
+            cmd_analyze(out, time_bins=2)
+            series = MetricsSeries.from_csv(victim)
+            series.mean_cue[0] += 1.0  # moves its cell's median
+            series.to_csv(victim)
+            before = tree(out)
+            with pytest.raises(ValueError, match="cannot form 9 bins"):
+                cmd_analyze(out, time_bins=9)
+            assert tree(out) == before
 
     @pytest.mark.parametrize(
         "row",
@@ -891,10 +906,12 @@ class TestCmdAnalyze:
         victim = out / f"N03_beta6_rep{rep}" / "metrics.csv"
         lines = victim.read_text().splitlines(keepends=True)
         victim.write_text("".join(lines[:-1] if damage == "row-short" else lines[:1]))
+        before = tree(out)
         assert cli_main(["analyze", "--dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cell N03_beta6: ") and str(victim) in err and "time grid" in err
         assert len(err.splitlines()) == 1 and not (out / "analysis").exists()
+        assert tree(out) == before  # no staged median file either
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_too_few_samples_for_the_bins_names_cell_and_file(self, tmp_path, capsys, monkeypatch, cpus):
@@ -913,9 +930,17 @@ class TestCmdAnalyze:
         assert names == ["time", "population"]
 
 
-def _task_that_dies(name, paths, time_bins):
+def _task_that_dies(name, paths, time_bins, staged):
     """Per-cell analyze task whose worker process exits abruptly."""
     os._exit(3)
+
+
+def _task_that_dies_after_staging(name, paths, time_bins, staged, reduce_cell=harness._reduce_cell):
+    """Per-cell analyze task that reduces its cell, and whose worker exits abruptly once N05_beta6 is staged."""
+    means = reduce_cell(name, paths, time_bins, staged)
+    if name == "N05_beta6":
+        os._exit(3)
+    return means
 
 
 class _SizedPool(concurrent.futures.process.ProcessPoolExecutor):
@@ -955,23 +980,24 @@ class TestAnalyzeWorkers:
     def test_dead_worker_is_one_error_naming_the_sweep(self, sweep, capfd, monkeypatch):
         see_cpus(monkeypatch, 2)
         cmd_analyze(sweep)
-        before = {p.name: p.read_bytes() for p in (sweep / "analysis").iterdir()}
-        monkeypatch.setattr(harness, "_reduce_cell", _task_that_dies)
+        before = tree(sweep)
 
         def hang(signum, frame):
             raise TimeoutError("analyze hung after a worker died")
 
-        previous = signal.signal(signal.SIGALRM, hang)
-        signal.alarm(60)
-        try:
-            code = cli_main(["analyze", "--dir", str(sweep)])
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        out, err = capfd.readouterr()
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: {sweep}: an analyze worker process died") and len(err.splitlines()) == 1
-        assert {p.name: p.read_bytes() for p in (sweep / "analysis").iterdir()} == before
+        for task in (_task_that_dies, _task_that_dies_after_staging):
+            monkeypatch.setattr(harness, "_reduce_cell", task)
+            previous = signal.signal(signal.SIGALRM, hang)
+            signal.alarm(60)
+            try:
+                code = cli_main(["analyze", "--dir", str(sweep)])
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, previous)
+            out, err = capfd.readouterr()
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {sweep}: an analyze worker process died") and len(err.splitlines()) == 1
+            assert tree(sweep) == before  # analysis/ as it was, and no staged median file left
 
 
 class TestCli:
@@ -1140,11 +1166,13 @@ class TestCli:
         series = MetricsSeries.from_csv(victim)
         series.coherency_m[3] = value
         series.to_csv(victim)
+        before = tree(out)
         capsys.readouterr()
         assert cli_main(["analyze", "--dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {victim}: non-finite value in column coherency_m\n"
         assert not (out / "analysis").exists()
+        assert tree(out) == before  # no staged median file either
 
     def test_analyze_rejects_time_bins_below_one_before_reading(self, tmp_path, capsys, monkeypatch):
         see_cpus(monkeypatch, 1)  # reduced in-process, where the spy below sees every read
@@ -1160,16 +1188,19 @@ class TestCli:
         assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
 
     def test_analyze_of_a_sweep_with_no_varying_factor(self, tmp_path, capsys):
-        # one grid cell and one time bin: time, population and speed are all constant
+        # one grid cell and one time bin: time, population and speed are all constant; one cell is reduced
+        # in-process at any CPU count, and its median file is staged before the ANOVA fails
         plan = write(
             tmp_path / "p.cfg", "schema_version = 1\npopulations = 3\nbetas = 6\nrepetitions = 2\nduration_s = 4\n"
         )
         out = tmp_path / "sweep"
         assert cli_main(["sweep", "--plan", plan, "--out", str(out)]) == 0
+        before = tree(out)
         capsys.readouterr()
         assert cli_main(["analyze", "--dir", str(out), "--time-bins", "1"]) == 1
         assert capsys.readouterr().err == "error: at least one factor is required\n"
         assert not (out / "analysis").exists()
+        assert tree(out) == before  # the staged median file is removed
 
     def test_run_rejects_negative_seed(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", RUN_CONFIG)
