@@ -200,16 +200,22 @@ class PairGeometry:
     and `overlap_d2` are 0-d arrays: the squared contact range and body diameter `body_d`.
 
     Every squared distance is d * d summed over both axes, with d = xy[:, j]
-    - xy[:, i] gathered by one `take` from xy.ravel() over an (end, axis, pair) index, so the
-    subtraction reads contiguous blocks; `pairs` is its axis-0 view. A rebuild
-    evaluates it over every pair i < j, row by row, as `upper_d2`, which
-    `coherency` reads; between rebuilds only `pair_d2`, over the listed
-    pairs, is updated. It always belongs to the poses last tracked.
+    - xy[:, i], by the same operations in the same order on two routes. A
+    rebuild evaluates every pair i < j, row by row, as `upper_d2`, which
+    `coherency` reads, one axis at a time from the (2, P) list of all pairs.
+    Between rebuilds only `pair_d2`, over the listed pairs, is updated: one
+    `take` from xy.ravel() over an (end, axis, pair) index gathers both axes
+    of both ends, so the subtraction reads contiguous blocks; `pairs` is its
+    axis-0 view. Two routes, because the axis-at-a-time one would add about
+    four numpy calls to every tick, and an index over all pairs would hold 32
+    bytes a pair, not 16, and gather 48 more at each rebuild. `pair_d2`
+    always belongs to the poses last tracked.
     """
 
     __slots__ = (
         "upper_d2", "pairs", "pair_d2", "ticks", "drift", "wall_gap", "wall_range", "contact_d2", "overlap_d2",
-        "body_d", "_flat", "_all_flat", "_rebuilt_xy", "_tick_travel", "_half_skin", "_reach2", "_body_r", "_far_walls",
+        "body_d", "_flat", "_all_pairs", "_axis_offsets", "_rebuilt_xy", "_tick_travel", "_half_skin", "_reach2",
+        "_body_r", "_far_walls",
     )
 
     def __init__(self, xy: np.ndarray, config: SimConfig, sizes=None):
@@ -221,8 +227,13 @@ class PairGeometry:
         self._reach2 = np.array((cutoff + 2.0 * self._half_skin) ** 2)
         self.contact_d2, self.overlap_d2 = np.array(config.contact_range_cm**2), np.array(min_d * min_d)
         sizes = [xy.shape[1]] if sizes is None else sizes
-        pairs = np.hstack([np.array(np.triu_indices(n, k=1)) + s for n, s in zip(sizes, np.cumsum([0, *sizes]))])
-        self._all_flat = pairs[:, None] + np.array([[0], [xy.shape[1]]])  # (end, axis, pair): xy.ravel() indices
+        # every pair i < j within a block, row by row, written in place: no per-block index arrays to join
+        self._all_pairs, k = np.empty((2, sum(n * (n - 1) // 2 for n in sizes)), dtype=np.intp), 0
+        for i, end in enumerate(np.repeat(np.cumsum(sizes), sizes).tolist()):
+            row = self._all_pairs[:, k : k + end - i - 1]
+            row[0], row[1] = i, np.arange(i + 1, end)
+            k += end - i - 1
+        self._axis_offsets = np.array([[0], [xy.shape[1]]])  # from a robot's x to its y in xy.ravel()
         r, self.wall_range = config.body_radius_cm, config.wall_range_cm
         self._body_r, self._far_walls = np.array(r), np.array([[config.arena_width_cm], [config.arena_height_cm]]) - r
         self.rebuild(xy)
@@ -236,11 +247,19 @@ class PairGeometry:
 
     def rebuild(self, xy: np.ndarray) -> None:
         """Every pair's squared distance at the poses xy, the pairs within cutoff + skin, and the wall gap."""
-        self.upper_d2 = self._d2(xy, self._all_flat)
-        near = self.upper_d2 <= self._reach2
-        self._flat = self._all_flat.compress(near, axis=2)
+        self.upper_d2 = None  # released before its successor is built
+        (x, y), (i, j) = xy, self._all_pairs
+        d = x.take(j)
+        d -= x.take(i)
+        d *= d
+        e = y.take(j)
+        e -= y.take(i)
+        e *= e
+        d += e
+        self.upper_d2, near = d, d <= self._reach2
+        self._flat = self._all_pairs.compress(near, axis=1)[:, None] + self._axis_offsets  # (end, axis, pair)
         self.pairs = self._flat[:, 0]
-        self.pair_d2 = self.upper_d2[near]
+        self.pair_d2 = d[near]
         self._rebuilt_xy = xy.copy()
         self.wall_gap = float(np.minimum(xy - self._body_r, self._far_walls - xy).min(initial=np.inf))
         self.ticks = 0

@@ -22,6 +22,7 @@ _KERNEL_OFFSETS = np.arange(-KERNEL_REACH, KERNEL_REACH + 1)
 _KERNEL_ROW_OFFSETS = _KERNEL_OFFSETS[:, None]
 CLEAN_KERNEL = 8.0 - np.sqrt(_KERNEL_ROW_OFFSETS**2 + _KERNEL_OFFSETS[None, :] ** 2)
 _ZERO = np.array(0.0)  # a 0-d operand: numpy converts a Python float operand on every call
+_RASTER_ROWS = 32  # field rows per block of `pgm_raster`
 
 
 def init_circular_gradient(
@@ -114,8 +115,16 @@ def mean_intensity(field: np.ndarray) -> float:
 
 
 def pgm_raster(field: np.ndarray) -> np.ndarray:
-    """The PGM pixels of the field: round(intensity) clamped to [0, 255], as uint8."""
-    return np.clip(np.rint(field), 0, 255).astype(np.uint8)
+    """The PGM pixels of the field: round(intensity) clamped to [0, 255], as uint8.
+
+    Rounded _RASTER_ROWS rows at a time, so no float64 copy of the whole field is made: a block of a 285-column
+    field and numpy's 64 KiB cast buffer stay under a quarter of the field.
+    """
+    raster = np.empty(field.shape, dtype=np.uint8)
+    for start in range(0, len(field), _RASTER_ROWS):
+        rows = slice(start, start + _RASTER_ROWS)
+        np.clip(np.rint(field[rows]), 0, 255, out=raster[rows], casting="unsafe")
+    return raster
 
 
 def to_pgm_bytes(raster: np.ndarray) -> bytes:

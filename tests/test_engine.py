@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -27,9 +28,10 @@ from swarmclean.engine import (
     run_simulation,
     wrap_angle,
 )
-from swarmclean.field import mean_intensity
+from swarmclean.field import init_circular_gradient, mean_intensity, pgm_raster
 
 import scalar_oracles as oracle
+from peak_memory import traced_run_peak
 
 
 def small_config(**overrides):
@@ -601,6 +603,23 @@ class TestRunSimulation:
                     assert d >= min_d - 1e-6
 
         run_simulation(small_config(n_robots=10, duration_s=40, seed=9), observer=obs)
+
+    def test_peak_memory_per_pair_and_per_snapshot(self):
+        """A run's traced peak stays within 64 bytes a pair net of its field, and a raster's within a quarter field.
+
+        Neither may hold an index over all pairs, gather both axes of every pair at once, or round the whole field
+        in float64: that peaked at about 101 bytes a pair (N = 400 in a 400 cm arena) and at twice the field.
+        """
+        peak, per_pair = traced_run_peak(400, 400.0)
+        assert per_pair <= 64.0, f"{per_pair:.0f} B per pair, {peak} B in all"
+        cue = init_circular_gradient(285.0, 285.0, (142.5, 142.5), 111.35, 255.0)
+        tracemalloc.start()
+        try:
+            raster = pgm_raster(cue)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= raster.nbytes + cue.nbytes // 4, f"{peak} B for a {raster.nbytes} B raster"
 
     def test_cleaning_counter_matches_waiting_boundaries(self):
         waits = []

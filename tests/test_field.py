@@ -364,13 +364,19 @@ class TestPgm:
         assert list(raster) == [0, 2, 255, 200, 0, 255]
 
     def test_raster_is_the_clamped_rounded_field_in_one_byte_per_cell(self):
-        f = fresh_field()
-        f[0, :3] = [-4.0, 255.5, 300.0]
-        raster = pgm_raster(f)
-        assert raster.dtype == np.uint8 and raster.shape == f.shape
-        assert list(raster[0, :3]) == [0, 255, 255]
-        assert np.array_equal(raster, np.clip(np.rint(f), 0, 255))
-        assert raster.nbytes * 8 == f.nbytes
+        """Any row count, a short last block included: values below 0 or above 255 clamp, and .5 ties go to even."""
+        values = [-4.0, 255.5, 300.0, 0.5, 1.5, 2.5, 254.5, -0.5, 127.49999999999999, 1e300, -1e300, 3.5, 200.49]
+        pixels = [0, 255, 255, 0, 2, 2, 254, 0, 127, 255, 0, 4, 200]
+        for shape in [(285, 285), (1, 1), (3, 2), (65, 3), (130, 7)]:
+            f = np.resize(values, shape)  # the values over and over, row by row
+            rows = len(f)
+            if shape == (285, 285):
+                f[1:], rows = fresh_field()[1:], 1  # the cone below a first row of the values
+            raster = pgm_raster(f)
+            assert raster.dtype == np.uint8 and raster.shape == f.shape
+            assert raster[:rows].tolist() == np.resize(pixels, shape)[:rows].tolist()
+            assert np.array_equal(raster, np.clip(np.rint(f), 0, 255))
+            assert raster.nbytes * 8 == f.nbytes
 
     def test_roundtrip(self, tmp_path):
         f = fresh_field()

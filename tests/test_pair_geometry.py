@@ -327,21 +327,33 @@ def test_blocks_match_each_block_alone(sizes, spread, seed):
 
     upper_d2 is the blocks' dense triangles in turn, bit for bit; `pairs` lists
     them row by row, i < j, offset by the block's start; after `track`,
-    `pair_d2` is a fresh gather over the listed pairs.
+    `pair_d2` is a fresh gather over the listed pairs. The same holds after
+    the poses move beyond the skin and `rebuild` starts the list again.
     """
     rng = np.random.default_rng(seed)
     xy = rng.uniform(R, R + spread, (2, sum(sizes)))
     geom = PairGeometry(xy, CFG, sizes)
     starts = np.cumsum([0, *sizes])
-    triangles, listed = [], []
-    for n, start in zip(sizes, starts):
-        d2 = dense_d2(*xy[:, start : start + n])
-        i, j = np.triu_indices(n, k=1)
-        triangles.append(d2[i, j])
-        near = d2[i, j] <= (CUTOFF + 2 * HALF_SKIN) ** 2
-        listed.append(np.array((i[near], j[near])) + start)
-    assert same_bits(geom.upper_d2, np.concatenate(triangles))
-    assert geom.pairs.tolist() == np.hstack(listed).tolist()
+
+    def assert_blocks_alone():
+        triangles, listed = [], []
+        for n, start in zip(sizes, starts):
+            d2 = dense_d2(*xy[:, start : start + n])
+            i, j = np.triu_indices(n, k=1)
+            triangles.append(d2[i, j])
+            near = d2[i, j] <= (CUTOFF + 2 * HALF_SKIN) ** 2
+            listed.append(np.array((i[near], j[near])) + start)
+        assert same_bits(geom.upper_d2, np.concatenate(triangles))
+        assert geom.pairs.tolist() == np.hstack(listed).tolist()
+        assert same_bits(geom.pair_d2, geom.upper_d2[geom.upper_d2 <= (CUTOFF + 2 * HALF_SKIN) ** 2])
+
+    assert_blocks_alone()
+    # every center moves one to two skins in its own direction, then the list is rebuilt at the new poses
+    direction = rng.uniform(-np.pi, np.pi, len(xy[0]))
+    xy += rng.uniform(2 * HALF_SKIN, 4 * HALF_SKIN, len(xy[0])) * np.stack((np.cos(direction), np.sin(direction)))
+    geom.rebuild(xy)
+    assert geom.ticks == 0 and geom.drift == 0.0
+    assert_blocks_alone()
     xy += rng.uniform(-TICK_TRAVEL, TICK_TRAVEL, xy.shape) / np.sqrt(2.0)
     geom.track(xy)
     assert geom.ticks == 1  # carried, not rebuilt
