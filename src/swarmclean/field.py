@@ -105,6 +105,7 @@ def apply_cleaning(field: np.ndarray, xs_cm: np.ndarray, ys_cm: np.ndarray, cell
         cells += cell_offset.reshape(-1, 1, 1)  # after the bounds check, on the integer index
     cells = cells[inside]
     flat = field.reshape(-1, copy=False)  # a view; a field that is not one block of cells raises
+    # one value per cell, materialised: numpy 2.4.6's ufunc.at reads out of bounds when values broadcast over its index
     np.subtract.at(flat, cells, (inside * CLEAN_KERNEL)[inside])
     flat[cells] = np.maximum(flat[cells], _ZERO)
 

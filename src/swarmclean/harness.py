@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import numbers
 import os
 from dataclasses import dataclass, fields, replace
@@ -270,6 +271,8 @@ def read_manifest(path) -> list[RunSpec]:
                 if len(parts) != 6 or any("_" in cell for cell in parts[:4]):
                     raise ValueError("expected n_robots, beta, repetition, seed, path, status")
                 n_robots, beta, repetition, seed = int(parts[0]), float(parts[1]), int(parts[2]), int(parts[3])
+                if min(n_robots, beta, repetition) < 0 or not math.isfinite(beta):
+                    raise ValueError("n_robots, beta and repetition must be finite and >= 0")
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: malformed manifest row {line.strip()!r} ({exc})") from None
             runs.append(RunSpec(n_robots, beta, repetition, seed, path=parts[4], status=parts[5]))

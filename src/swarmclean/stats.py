@@ -45,12 +45,8 @@ def bin_means(values: np.ndarray, n_bins: int) -> np.ndarray:
     if len(values) < n_bins:
         raise ValueError(f"cannot form {n_bins} bins from {len(values)} samples")
     size = len(values) // n_bins
-    out = np.empty(n_bins)
-    for k in range(n_bins):
-        lo = k * size
-        hi = (k + 1) * size if k < n_bins - 1 else len(values)
-        out[k] = values[lo:hi].mean()
-    return out
+    edges = [*range(0, n_bins * size, size), len(values)]
+    return np.array([values[lo:hi].mean() for lo, hi in zip(edges, edges[1:])])
 
 
 # --- F distribution tail ----------------------------------------------------
@@ -61,38 +57,27 @@ _BETA_MAXIT = 300
 
 
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETA_FPMIN:
-        d = _BETA_FPMIN
-    d = 1.0 / d
-    h = d
+    """Continued fraction for the incomplete beta by modified Lentz (Numerical Recipes 6.4).
+
+    Each term aa sets d = 1 / (1 + aa d) and c = 1 + aa / c, both floored away from 0, and multiplies h by d c;
+    from c = inf and d = h = 1 the leading term's update is the usual start. Converged when an odd term's d c is 1.
+    """
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c, d, h, lead = math.inf, 1.0, 1.0, (-qab * x / qap,)  # the leading term goes before the first even term only
     for m in range(1, _BETA_MAXIT + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_EPS:
+        even, odd = m * (b - m) * x / ((qam + m2) * (a + m2)), -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (*lead, even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < _BETA_FPMIN:
+                d = _BETA_FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _BETA_FPMIN:
+                c = _BETA_FPMIN
+            d = 1.0 / d
+            h *= d * c
+        lead = ()
+        if abs(d * c - 1.0) < _BETA_EPS:
             return h
     raise ArithmeticError(f"incomplete beta continued fraction failed for a={a}, b={b}, x={x}")
 

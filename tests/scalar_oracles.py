@@ -18,6 +18,12 @@ became 0-d arrays, made once: `wrap_angle_float_operands` and
 `integrate_float_operands` pass Python floats to numpy, which converts each
 of them on every call, and the latter takes its wheel speeds as two lists.
 The engine's versions must give the same bits.
+
+Two of the ANOVA's numerics are kept as they were first written:
+`beta_cont_frac_two_half_steps` spells out the modified-Lentz update twice per
+iteration, once for the even term and once for the odd, with the leading term
+as a separate start; `bin_means_per_bin` slices each time bin in its own loop
+step. `stats` must give the same bits.
 """
 from __future__ import annotations
 
@@ -29,6 +35,7 @@ import numpy as np
 from swarmclean.controller import AVOID_WALL, FORWARD, POST_WAIT_TURN, WAITING, random_turn, waiting_time
 from swarmclean.engine import WHEEL_UNIT_CM_S, SimConfig
 from swarmclean.field import CLEAN_KERNEL, KERNEL_REACH
+from swarmclean.stats import _BETA_EPS, _BETA_FPMIN, _BETA_MAXIT
 
 TWO_PI = 2.0 * math.pi
 
@@ -271,3 +278,51 @@ def apply_cleaning(field: np.ndarray, x_cm: float, y_cm: float) -> None:
     window = field[r0:r1, c0:c1]
     np.subtract(window, CLEAN_KERNEL[kr0 : kr0 + (r1 - r0), kc0 : kc0 + (c1 - c0)], out=window)
     np.maximum(window, 0.0, out=window)
+
+
+def beta_cont_frac_two_half_steps(a: float, b: float, x: float) -> float:
+    """Continued fraction for the incomplete beta (modified Lentz), the even and odd half-steps written out."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _BETA_FPMIN:
+        d = _BETA_FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, _BETA_MAXIT + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _BETA_FPMIN:
+            d = _BETA_FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _BETA_FPMIN:
+            c = _BETA_FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _BETA_FPMIN:
+            d = _BETA_FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _BETA_FPMIN:
+            c = _BETA_FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _BETA_EPS:
+            return h
+    raise ArithmeticError(f"incomplete beta continued fraction failed for a={a}, b={b}, x={x}")
+
+
+def bin_means_per_bin(values: np.ndarray, n_bins: int) -> np.ndarray:
+    """Means of `values` over n_bins equal bins, the remainder folded into the last, one bin per loop step."""
+    size = len(values) // n_bins
+    out = np.empty(n_bins)
+    for k in range(n_bins):
+        lo = k * size
+        hi = (k + 1) * size if k < n_bins - 1 else len(values)
+        out[k] = values[lo:hi].mean()
+    return out

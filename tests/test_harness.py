@@ -842,7 +842,9 @@ class TestCmdAnalyze:
     @pytest.mark.parametrize(
         "row",
         ["x,6.0,0,17,N03_beta6_rep0,ok", "3,6.0,1_0,17,N03_beta6_rep0,ok", "3,6_0,0,17,N03_beta6_rep0,ok",
-         "3,6.0,0,17,N03_beta6_rep0"],
+         "3,6.0,0,17,N03_beta6_rep0", "3,inf,0,17,N03_beta6_rep0,ok", "3,-inf,0,17,N03_beta6_rep0,ok",
+         "3,nan,0,17,N03_beta6_rep0,ok", "3,-6.0,0,17,N03_beta6_rep0,ok", "-3,6.0,0,17,N03_beta6_rep0,ok",
+         "3,6.0,-1,17,N03_beta6_rep0,ok"],
     )
     def test_malformed_manifest_row_names_file_and_row(self, tmp_path, capsys, row):
         manifest = tmp_path / "manifest.csv"
@@ -851,6 +853,22 @@ class TestCmdAnalyze:
             read_manifest(manifest)
         assert cli_main(["analyze", "--dir", str(tmp_path)]) == 1
         assert f"error: {manifest}:3: malformed manifest row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", ["inf", "nan"])
+    def test_non_finite_manifest_beta_is_refused(self, tmp_path, capsys, beta):
+        """Read as a level, an inf beta became a speed level and a median file, and a nan one a confounded factor."""
+        out = tmp_path / "sweep"
+        cmd_sweep(tiny_plan(betas=(3.0, 6.0), base_config=SimConfig(duration_s=5)), out)
+        manifest = out / "manifest.csv"
+        lines = manifest.read_text().splitlines(keepends=True)
+        edited = [k for k, line in enumerate(lines) if line.startswith("3,6.0,")]
+        for k in edited:
+            lines[k] = lines[k].replace("3,6.0,", f"3,{beta},", 1)
+        manifest.write_text("".join(lines))
+        before = tree(out)
+        assert cli_main(["analyze", "--dir", str(out), "--time-bins", "2"]) == 1
+        assert f"error: {manifest}:{edited[0] + 1}: malformed manifest row" in capsys.readouterr().err
+        assert tree(out) == before
 
     def test_anova_csv_schema(self, tmp_path):
         out = tmp_path / "sweep"

@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scalar_oracles as oracle
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from swarmclean import stats
 from swarmclean.harness import build_observation_table
 from swarmclean.metrics import MetricsSeries
 from swarmclean.stats import (
@@ -144,6 +147,48 @@ class TestRegularizedIncompleteBeta:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             regularized_incomplete_beta(0.0, 1.0, 0.5)
+
+
+def outcome(fn, *args):
+    """fn(*args) bit for bit, as its float's hex, or "ArithmeticError" when it raised one."""
+    try:
+        return fn(*args).hex()
+    except ArithmeticError:
+        return "ArithmeticError"
+
+
+SHAPE = st.floats(0.05, 1e3)  # a and b of the incomplete beta
+
+
+class TestAgainstOracles:
+    """The continued fraction's one Lentz update per term, and bin_means's one slice per bin, keep the bits of the
+    two-half-step form and of the per-bin loop in `scalar_oracles`."""
+
+    @given(SHAPE, SHAPE, st.floats(0.0, 1.0))
+    @example(6.0, 0.5, 12 / 13).via("the F-tail at 1 and 12 degrees of freedom, F = 1")
+    @settings(max_examples=1000, deadline=None)
+    def test_incomplete_beta_is_the_two_half_step_form(self, a, b, x):
+        assert outcome(stats._beta_cont_frac, a, b, x) == outcome(oracle.beta_cont_frac_two_half_steps, a, b, x)
+        with mock.patch.object(stats, "_beta_cont_frac", oracle.beta_cont_frac_two_half_steps):
+            expected = outcome(regularized_incomplete_beta, a, b, x)
+        assert outcome(regularized_incomplete_beta, a, b, x) == expected
+
+    @given(st.sampled_from([1, 4, 7]), st.integers(12, 470), st.floats(min_value=0.0, allow_nan=False))
+    @settings(max_examples=1000, deadline=None)
+    def test_f_tail_is_the_two_half_step_form(self, df_num, df_den, f_value):
+        """The ANOVA's own degrees of freedom: time, population and speed factors against its residual."""
+        with mock.patch.object(stats, "_beta_cont_frac", oracle.beta_cont_frac_two_half_steps):
+            expected = outcome(f_tail_probability, f_value, df_num, df_den)
+        assert outcome(f_tail_probability, f_value, df_num, df_den) == expected
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300), st.integers(0, 299))
+    @settings(max_examples=500, deadline=None)
+    def test_bin_means_is_the_per_bin_loop(self, values, k):
+        values = np.array(values)
+        n_bins = 1 + k % len(values)
+        out = bin_means(values, n_bins)
+        assert out.dtype == np.float64
+        assert out.tobytes() == oracle.bin_means_per_bin(values, n_bins).tobytes()
 
 
 def classical_one_way(groups):

@@ -16,7 +16,10 @@ over other), which resolve a smaller change than the ratio of the minima, and
 whether both sides' runs gave the same bytes: every run's metrics columns,
 field, poses and cleaning counts, hashed. The script exits 1 when any row
 prints NO there, so --against this checkout's own src/ checks that repeated
-runs give the same bytes. pytest does not collect this file.
+runs give the same bytes. Where /proc/loadavg can be read, its line is printed
+before and after the rounds: load from other work moves the costs, and pair
+ratios taken while it changed are not to be trusted. pytest does not collect
+this file.
 Run it from the repository root:
 
     python tests/tick_cost.py [--seconds 100] [--repeats 5] [--against ../other/src]
@@ -69,6 +72,15 @@ def tick_cost_us(engine, runs, seconds):
     return cost, digest.hexdigest()
 
 
+def print_load(when):
+    """Print the host's load averages (1, 5 and 15 min, then running/all tasks), if /proc/loadavg can be read."""
+    try:
+        with open("/proc/loadavg") as fh:
+            print(f"load {when} the rounds: {fh.read().strip()}", flush=True)
+    except OSError:
+        pass
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seconds", type=int, default=100, help="simulated seconds per run")
@@ -84,6 +96,7 @@ def main(argv=None):
         engine.run_simulation(engine.SimConfig(n_robots=2, duration_s=1))
     costs = {(side, label): [] for side in engines for label in ROWS}  # one cost per round: round k is pair k
     digests = {key: set() for key in costs}
+    print_load("before")
     for round_ in range(args.repeats):
         for label, runs in ROWS.items():
             sides = list(engines) if round_ % 2 == 0 else list(engines)[::-1]
@@ -91,6 +104,7 @@ def main(argv=None):
                 cost, digest = tick_cost_us(engines[side], runs, args.seconds)
                 costs[side, label].append(cost)
                 digests[side, label].add(digest)
+    print_load("after")
     print(f"µs per tick, minimum of {args.repeats} runs of {args.seconds} s, seed {SEED} (thread CPU time)")
     print("N\tthis" + ("\tother\tthis/other\tpair ratio median (quartiles)\tsame bytes" if args.against else ""))
     differ = False
