@@ -190,7 +190,7 @@ def derive_run_seed(base_seed: int, n_robots: int, beta: float, repetition: int)
 # --- commands -----------------------------------------------------------------
 
 def cmd_run(config: SimConfig, out_dir, snapshot_times=None) -> dict:
-    """Execute one run; write metrics.csv and this run's PGM snapshots, and only those, into out_dir.
+    """Execute one run; write metrics.csv, metrics.csv.bin and this run's PGM snapshots, and only those, into out_dir.
 
     Snapshot times are whole seconds in [0, duration_s], rasterized by an
     observer; the default times are clipped to the duration, requested
@@ -245,9 +245,10 @@ def _sweep_worker(batch) -> list[tuple[int, str]]:
             statuses.append((index, "ok"))
         except Exception as exc:  # recorded per-run; the sweep keeps going
             statuses.append((index, f"failed: {type(exc).__name__}: {exc}"))
-            with contextlib.suppress(OSError):  # a failed run keeps no metrics.csv, nor a directory that held only it
-                os.remove(os.path.join(run_dir, "metrics.csv"))
-            with contextlib.suppress(OSError):  # also when metrics.csv was never written
+            for name in ("metrics.csv", "metrics.csv.bin"):  # a failed run keeps neither, nor a directory of only them
+                with contextlib.suppress(OSError):
+                    os.remove(os.path.join(run_dir, name))
+            with contextlib.suppress(OSError):  # also when they were never written
                 os.rmdir(run_dir)
     return statuses
 

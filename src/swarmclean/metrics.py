@@ -6,13 +6,16 @@ the cue center, and the swarm coherency (mean pairwise distance).
 """
 from __future__ import annotations
 
+import hashlib
+import io
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 CSV_HEADER = "t,mean_cue,ratio_within_rc,coherency_m"
-_CSV_DTYPE = np.dtype({"names": CSV_HEADER.split(","), "formats": ["i8", "f8", "f8", "f8"]})
+_CSV_DTYPE = np.dtype({"names": CSV_HEADER.split(","), "formats": ["<i8", "<f8", "<f8", "<f8"]})
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 
 def write_atomic(path, data: str | bytes) -> None:
@@ -83,27 +86,52 @@ class MetricsSeries:
         return CSV_HEADER + "\n" + "".join([f"{t[i]},{cue[i]},{ratio[i]},{coh[i]}\n" for i in range(len(t))])
 
     def to_csv(self, path) -> None:
-        write_atomic(path, self.csv_text())
+        """Write `csv_text()` to path, then to path + ".bin" the SHA-256 of the CSV bytes and records, then the records.
+
+        The CSV is the format; the copy, one `_CSV_DTYPE` record per row, spares `from_csv` the parse of those bytes.
+        """
+        text, rows = self.csv_text().encode(), np.empty(len(self), _CSV_DTYPE)
+        for name in _CSV_DTYPE.names:
+            rows[name] = getattr(self, name)
+        write_atomic(path, text)
+        records = rows.tobytes()
+        write_atomic(f"{path}.bin", hashlib.sha256(text + records).digest() + records)
 
     @classmethod
     def from_csv(cls, path) -> "MetricsSeries":
-        """Read a file as `to_csv` writes it, every value finite; anything else raises ValueError naming the path."""
-        with open(path, "r") as fh:
-            header, _, body = fh.read().partition("\n")
-        if header.strip() != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected metrics header {header.strip()!r}")
-        lines = body.removesuffix("\n").split("\n") if body else []  # one row per line
-        if "" in lines:  # loadtxt would skip a blank line silently
-            raise ValueError(f"{path}: blank line among the metrics rows")
-        # columns first: the parse's scratch is then freed from the top of the heap (analyze's peak RSS stays flat)
-        series = cls(**{name: np.empty(len(lines), _CSV_DTYPE[name]) for name in _CSV_DTYPE.names})
-        if lines:
-            try:
-                rows = np.loadtxt(lines, _CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
-            except ValueError as exc:
-                raise ValueError(f"{path}: malformed metrics row: {exc}") from exc
-            for name in _CSV_DTYPE.names:
-                getattr(series, name)[:] = rows[name]
-                if not np.isfinite(rows[name]).all():  # loadtxt reads nan and inf; no run writes them
-                    raise ValueError(f"{path}: non-finite value in column {name}")
-        return series
+        """Read a file as `to_csv` writes it, every value finite; anything else raises ValueError naming the path.
+
+        The rows come from the binary copy beside the file when it carries the digest of the file's bytes and its own
+        records, else from parsing the text; `repr` round-trips every float, so both give the same bits.
+        """
+        with open(path, "rb") as fh:
+            data = fh.read()
+        rows = _copied_rows(f"{path}.bin", data)
+        if rows is None:
+            header, _, body = io.TextIOWrapper(io.BytesIO(data)).read().partition("\n")  # decoded as by open(path)
+            if header.strip() != CSV_HEADER:
+                raise ValueError(f"{path}: unexpected metrics header {header.strip()!r}")
+            lines = body.removesuffix("\n").split("\n") if body else []  # one row per line
+            if "" in lines:  # loadtxt would skip a blank line silently
+                raise ValueError(f"{path}: blank line among the metrics rows")
+            rows = np.empty(0, _CSV_DTYPE)
+            if lines:  # loadtxt warns on no rows
+                try:
+                    rows = np.loadtxt(lines, _CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: malformed metrics row: {exc}") from exc
+        for name in _CSV_DTYPE.names:
+            if not np.isfinite(rows[name]).all():  # no run writes nan or inf, but loadtxt and to_csv pass them
+                raise ValueError(f"{path}: non-finite value in column {name}")
+        return cls(**{name: rows[name].copy() for name in _CSV_DTYPE.names})
+
+
+def _copied_rows(copy_path, data: bytes) -> np.ndarray | None:
+    """The records of the binary copy that `to_csv` wrote beside the CSV bytes `data`; None if copy_path holds none."""
+    try:
+        with open(copy_path, "rb") as fh:
+            digest, records = fh.read(_DIGEST_BYTES), fh.read()
+    except OSError:
+        return None
+    intact = len(records) % _CSV_DTYPE.itemsize == 0 and hashlib.sha256(data + records).digest() == digest
+    return np.frombuffer(records, _CSV_DTYPE) if intact else None

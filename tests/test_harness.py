@@ -5,6 +5,7 @@ import shutil
 import signal
 import tempfile
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -308,7 +309,7 @@ class TestCmdRun:
         out = tmp_path / "out"
         cmd_run(SimConfig(n_robots=5, duration_s=3, seed=0), out, snapshot_times=[0, 3])
         cmd_run(SimConfig(n_robots=5, duration_s=3, seed=0), out, snapshot_times=())
-        assert sorted(p.name for p in out.iterdir()) == ["metrics.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.csv", "metrics.csv.bin"]
 
 
 class TestPlanTypes:
@@ -596,7 +597,7 @@ class TestCmdSweep:
         run_dir = out / read_manifest(out / "manifest.csv")[0].path
         (run_dir / "snapshot_t5.pgm").write_bytes(b"stale")
         cmd_sweep(tiny_plan(), out)
-        assert sorted(p.name for p in run_dir.iterdir()) == ["metrics.csv"]
+        assert sorted(p.name for p in run_dir.iterdir()) == ["metrics.csv", "metrics.csv.bin"]
 
 
 def _worker_that_dies_at_n5(batch):
@@ -995,6 +996,25 @@ class TestAnalyzeWorkers:
         assert _SizedPool.sizes == [3, 4, 2]
         assert len(outputs[0]) == 6 and all(output == outputs[0] for output in outputs)
 
+    def test_outputs_do_not_depend_on_the_binary_copies(self, sweep, monkeypatch):
+        """analyze writes the same bytes, in-process and in a pool, from each run's metrics.csv.bin as from its text."""
+        copies = list(sweep.glob("*/metrics.csv.bin"))
+        assert len(copies) == len(read_manifest(sweep / "manifest.csv"))
+
+        def analyze(cpus) -> dict:
+            see_cpus(monkeypatch, cpus)
+            shutil.rmtree(sweep / "analysis", ignore_errors=True)
+            cmd_analyze(sweep)
+            return {p.name: p.read_bytes() for p in (sweep / "analysis").iterdir()}
+
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed beside a sound copy")):
+            outputs = [analyze(1)]  # in-process, where the patch reaches every read
+        outputs.append(analyze(2))
+        for copy in copies:
+            copy.unlink()
+        outputs += [analyze(1), analyze(2)]
+        assert len(outputs[0]) == 6 and all(output == outputs[0] for output in outputs)
+
     def test_dead_worker_is_one_error_naming_the_sweep(self, sweep, capfd, monkeypatch):
         see_cpus(monkeypatch, 2)
         cmd_analyze(sweep)
@@ -1033,7 +1053,9 @@ class TestCli:
         assert cli_main(["run", "--config", cfg, "--snapshot-times", "0,5", "--out", str(out)]) == 0
         assert (out / "snapshot_t5.pgm").exists()
         assert cli_main(["run", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == ["metrics.csv", "notes", "snapshot_t0.pgm", "snapshot_t5.txt"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "metrics.csv", "metrics.csv.bin", "notes", "snapshot_t0.pgm", "snapshot_t5.txt"
+        ]
         # what is left is the second run's output alone
         fresh = tmp_path / "fresh"
         assert cli_main(["run", "--config", cfg, "--seed", "3", "--out", str(fresh)]) == 0

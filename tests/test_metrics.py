@@ -1,7 +1,9 @@
 import re
+import shutil
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,15 @@ from swarmclean.engine import PairGeometry, SimConfig
 from swarmclean.metrics import CSV_HEADER, MetricsSeries
 from swarmclean.metrics import coherency as coherency_of_geometry
 from swarmclean.metrics import ratio_within as ratio_within_blocks
+
+COLUMNS = CSV_HEADER.split(",")
+
+
+def flip_bit(path, k):
+    """Flip the low bit of byte k of a file."""
+    data = bytearray(path.read_bytes())
+    data[k] ^= 0x01
+    path.write_bytes(bytes(data))
 
 
 def ratio_within(xy, center_cm, r_c_cm):
@@ -193,7 +204,7 @@ class TestMetricsSeries:
         with pytest.raises(IndexError):
             s.to_csv(p)
         assert p.read_bytes() == before
-        assert list(tmp_path.iterdir()) == [p]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["metrics.csv", "metrics.csv.bin"]
 
     @staticmethod
     def per_row_text(s):
@@ -331,3 +342,87 @@ class TestMetricsSeries:
         for k, column in enumerate((back.mean_cue, back.ratio_within_rc, back.coherency_m), start=1):
             expected = np.array([float(c[k]) for c in cells], dtype=np.float64)
             assert column.tobytes() == expected.tobytes()
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+        st.lists(st.tuples(st.integers(-(2**63), 2**63 - 1), *[st.integers(0, 15)] * 3), max_size=40),
+    )
+    @example([1.5], [])  # no rows: the header alone
+    @example([0.0, 2.5], [(2**63 - 1, 1, 2, 3), (-(2**63), 3, 3, 0), (4000, 14, 15, 1)])
+    @settings(max_examples=150, deadline=None)
+    def test_copy_and_parse_give_the_same_arrays(self, values, rows):
+        """from_csv returns the same arrays, bit for bit, from the binary copy as from parsing the text.
+
+        Each float cell picks from the drawn values, their negations, 0.0 and -0.0, so cells repeat and signed zeros
+        appear; t spans int64.
+        """
+        pool = values + [-v for v in values] + [0.0, -0.0]
+        cols = list(zip(*rows)) or [()] * 4
+        floats = (np.array([pool[k % len(pool)] for k in col], dtype=np.float64) for col in cols[1:])
+        s = MetricsSeries(np.array(cols[0], dtype=np.int64), *floats)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "metrics.csv")
+            s.to_csv(path)
+            with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed beside a sound copy")):
+                copied = MetricsSeries.from_csv(path)
+            Path(tmp, "metrics.csv.bin").unlink()
+            parsed = MetricsSeries.from_csv(path)
+        for name in COLUMNS:
+            a, b = getattr(copied, name), getattr(parsed, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes() == getattr(s, name).tobytes()
+            assert a.flags.c_contiguous and a.flags.owndata and a.flags.writeable
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda csv, copy, other: csv.write_text(CSV_HEADER + "\n0,1.5,2,3\n7,2.5,3,4\n"),
+                         id="csv rewritten by hand"),
+            pytest.param(lambda csv, copy, other: csv.write_text(CSV_HEADER + "\n0,1.5,2\n"),
+                         id="csv rewritten by hand, malformed"),
+            pytest.param(lambda csv, copy, other: csv.write_bytes(csv.read_bytes().replace(b"\n", b"\r\n")),
+                         id="csv given CRLF line ends"),
+            pytest.param(lambda csv, copy, other: copy.write_bytes(copy.read_bytes()[:-1]), id="copy cut mid-record"),
+            pytest.param(lambda csv, copy, other: copy.write_bytes(copy.read_bytes()[:-32]), id="a record short"),
+            pytest.param(lambda csv, copy, other: copy.write_bytes(copy.read_bytes()[:32]), id="digest alone"),
+            pytest.param(lambda csv, copy, other: copy.write_bytes(copy.read_bytes()[:5]), id="copy cut in the digest"),
+            pytest.param(lambda csv, copy, other: copy.write_bytes(b""), id="empty copy"),
+            pytest.param(lambda csv, copy, other: flip_bit(copy, 0), id="flipped first digest byte"),
+            pytest.param(lambda csv, copy, other: flip_bit(copy, 31), id="flipped last digest byte"),
+            pytest.param(lambda csv, copy, other: flip_bit(copy, 32), id="flipped byte of a t"),
+            pytest.param(lambda csv, copy, other: flip_bit(copy, 75), id="flipped byte of a float"),
+            pytest.param(lambda csv, copy, other: flip_bit(copy, -1), id="flipped last byte"),
+            pytest.param(lambda csv, copy, other: shutil.copyfile(other, copy), id="copy from another run"),
+            pytest.param(lambda csv, copy, other: copy.unlink(), id="missing copy"),
+        ],
+    )
+    def test_damaged_copy_falls_back_to_the_csv(self, tmp_path, damage):
+        """A copy not written beside the CSV's present bytes is ignored: the CSV's values, or its ValueError."""
+        csv, copy = tmp_path / "metrics.csv", tmp_path / "metrics.csv.bin"
+        self.make_series().to_csv(csv)
+        other = self.make_series()
+        other.mean_cue += 1.0  # another run: another CSV, another copy
+        other.to_csv(tmp_path / "other.csv")
+        damage(csv, copy, tmp_path / "other.csv.bin")
+        outcomes = []
+        for _ in range(2):  # with the damaged copy, then with none
+            with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parse:
+                try:
+                    series = MetricsSeries.from_csv(csv)
+                    outcomes.append([getattr(series, name).tobytes() for name in COLUMNS])
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert parse.call_count == 1
+            copy.unlink(missing_ok=True)
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize(
+        "column, value", [("mean_cue", np.nan), ("ratio_within_rc", np.inf), ("coherency_m", -np.inf)]
+    )
+    def test_non_finite_value_is_refused_from_the_copy(self, tmp_path, column, value):
+        s = self.make_series()
+        getattr(s, column)[1] = value
+        p = tmp_path / "metrics.csv"
+        s.to_csv(p)
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed beside a sound copy")):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: non-finite value in column {column}$"):
+                MetricsSeries.from_csv(p)
