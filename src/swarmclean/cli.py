@@ -68,8 +68,6 @@ def main(argv=None) -> int:
             print(f"wrote {out['metrics']} and {len(out['snapshots'])} snapshot(s)")
         elif args.command == "sweep":
             plan = load_plan(args.plan)
-            if args.jobs < 1:
-                raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
             runs = cmd_sweep(plan, args.out, jobs=args.jobs)
             print(f"completed {len(runs)} runs into {args.out}")
         elif args.command == "analyze":

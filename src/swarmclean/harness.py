@@ -243,14 +243,34 @@ def _sweep_worker(batch) -> list[tuple[int, str]]:
                 raise world
             _write_run(run_dir, world.series, {})
             statuses.append((index, "ok"))
-        except Exception as exc:  # recorded per-run; the sweep keeps going
+        except Exception as exc:  # recorded per-run; the sweep keeps going and removes what the run left
             statuses.append((index, f"failed: {type(exc).__name__}: {exc}"))
-            for name in ("metrics.csv", "metrics.csv.bin"):  # a failed run keeps neither, nor a directory of only them
-                with contextlib.suppress(OSError):
-                    os.remove(os.path.join(run_dir, name))
-            with contextlib.suppress(OSError):  # also when they were never written
-                os.rmdir(run_dir)
     return statuses
+
+
+def _map_tasks(fn, tasks: list[tuple], workers: int) -> list:
+    """fn(*task) for each task, in task order; in this process when min(workers, tasks) is 1, else in a pool that size.
+
+    A task lost with a dead worker, during its submission or while it ran, comes back as its BrokenProcessPool; tasks
+    that finished keep their results. Any other exception propagates once the pool has ended.
+    """
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    # imported on use: the pool machinery adds about 1 MB and a dozen modules to every command's start-up
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    def outcome(call, *args):
+        try:
+            return call(*args)
+        except BrokenProcessPool as exc:
+            return exc
+
+    # under the fork start method the pool starts every worker up front, so no more than there are tasks
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [outcome(pool.submit, fn, *task) for task in tasks]  # once one worker has died, every submit fails
+        return [future if isinstance(future, BrokenProcessPool) else outcome(future.result) for future in futures]
 
 
 def write_manifest(path, runs: list[RunSpec]) -> None:
@@ -260,7 +280,8 @@ def write_manifest(path, runs: list[RunSpec]) -> None:
 
 
 def read_manifest(path) -> list[RunSpec]:
-    runs = []
+    """The runs of a manifest as write_manifest writes it; a row that no sweep could have written is a ConfigError."""
+    runs, seen = [], {}
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip()
         if header != MANIFEST_HEADER:
@@ -274,8 +295,13 @@ def read_manifest(path) -> list[RunSpec]:
                 n_robots, beta, repetition, seed = int(parts[0]), float(parts[1]), int(parts[2]), int(parts[3])
                 if min(n_robots, beta, repetition) < 0 or not math.isfinite(beta):
                     raise ValueError("n_robots, beta and repetition must be finite and >= 0")
+                if parts[4] != f"{cell_name(n_robots, beta)}_rep{repetition}":  # which also rules out ../ and /
+                    raise ValueError(f"the path of this run is {cell_name(n_robots, beta)}_rep{repetition}")
+                if parts[4] in seen:
+                    raise ValueError(f"the run of line {seen[parts[4]]} again")
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: malformed manifest row {line.strip()!r} ({exc})") from None
+            seen[parts[4]] = lineno
             runs.append(RunSpec(n_robots, beta, repetition, seed, path=parts[4], status=parts[5]))
     return runs
 
@@ -293,9 +319,14 @@ def cmd_sweep(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunSpec]:
     run that cannot be placed fails alone; any other error in a batch (a
     bug, a MemoryError) fails every run of that batch with the same message.
     A worker process that dies breaks the pool: its batch and every one not
-    yet finished are marked failed instead of waiting forever. Failures are
-    recorded in the manifest and reported via SweepFailure after the sweep ends.
+    yet finished are marked failed instead of waiting forever. Once every
+    worker has ended, each run not ok loses its metrics.csv and
+    metrics.csv.bin, and its directory if that is then empty, whatever
+    failed it. Failures are recorded in the manifest and reported via
+    SweepFailure after the sweep ends. jobs < 1 is a ConfigError.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     runs = plan.runs()
     os.makedirs(out_dir, exist_ok=True)
     base = plan.base_config
@@ -315,34 +346,18 @@ def cmd_sweep(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunSpec]:
         batch.append(task)
     batches.sort(key=lambda batch: -robots(batch))
 
-    if jobs > 1 and len(batches) > 1:
-        # imported on use: the pool machinery adds about 1 MB and a dozen
-        # modules to every command's start-up, and only this one needs it
-        from concurrent.futures import Future, ProcessPoolExecutor, as_completed
-        from concurrent.futures.process import BrokenProcessPool
-
-        # under the fork start method the pool starts every worker up front, so no more than there are batches
-        with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
-            futures = {}
-            for batch in batches:
-                try:
-                    future = pool.submit(_sweep_worker, batch)
-                except BrokenProcessPool as exc:  # a worker died while later batches were still being submitted
-                    future = Future()
-                    future.set_exception(exc)
-                futures[future] = batch
-            for future in as_completed(futures):
-                try:
-                    statuses = future.result()
-                except BrokenProcessPool as exc:
-                    statuses = [(idx, f"failed: BrokenProcessPool: {exc}") for idx, _, _ in futures[future]]
-                for idx, status in statuses:
-                    runs[idx].status = status
-    else:
-        for batch in batches:
-            for idx, status in _sweep_worker(batch):
-                runs[idx].status = status
-
+    for batch, statuses in zip(batches, _map_tasks(_sweep_worker, [(batch,) for batch in batches], jobs)):
+        if isinstance(statuses, Exception):  # the batch was lost with its worker process
+            statuses = [(idx, f"failed: {type(statuses).__name__}: {statuses}") for idx, _, _ in batch]
+        for idx, status in statuses:
+            runs[idx].status = status
+    for run in (r for r in runs if r.status != "ok"):  # every worker has ended, whatever failed the run
+        run_dir = os.path.join(out_dir, run.path)
+        for name in ("metrics.csv", "metrics.csv.bin"):  # a failed run keeps neither, nor a directory of only them
+            with contextlib.suppress(OSError):  # also when they were never written
+                os.remove(os.path.join(run_dir, name))
+        with contextlib.suppress(OSError):  # kept if it holds other files
+            os.rmdir(run_dir)
     write_manifest(os.path.join(out_dir, "manifest.csv"), runs)
     failed = [r for r in runs if r.status != "ok"]
     if failed:
@@ -419,12 +434,12 @@ def write_anova_csv(path, result: AnovaResult) -> None:
 def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> SweepAnalysis:
     """Reduce a sweep: per-cell median series plus ANOVA for both responses, written to sweep_dir/analysis/.
 
-    Each grid cell is one task, in one worker process per cell up to the CPUs this process may run on (one worker
-    runs them in-process); no output depends on the worker count, and a worker that dies is an OSError naming the
-    sweep. Each task writes its cell's median series to a staged file in sweep_dir, beside analysis/. Only after
-    every cell and both ANOVAs succeed are these moved into analysis/ as medians_<cell>.csv, the ANOVA tables written
-    and stale median files removed; on any error they are removed, and analysis/ is left as it was. The SweepAnalysis
-    holds the ANOVAs alone: read a cell's medians with MetricsSeries.from_csv.
+    Each grid cell is one task, in one worker process per cell up to the CPUs this process may run on (one worker runs
+    them in-process) through _map_tasks, as in cmd_sweep; no output depends on the worker count, and a worker that dies
+    is an OSError naming the sweep. Each task writes its cell's median series to a staged file in sweep_dir, beside
+    analysis/. Only after every cell and both ANOVAs succeed are these moved into analysis/ as medians_<cell>.csv, the
+    ANOVA tables written and stale median files removed; on any error they are removed, and analysis/ is left as it was.
+    The SweepAnalysis holds the ANOVAs alone: read a cell's medians with MetricsSeries.from_csv.
     """
     if time_bins < 1:  # checked once, here, before any file is read
         raise ConfigError(f"time_bins must be >= 1, got {time_bins}")
@@ -432,19 +447,14 @@ def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> S
     keys = sorted(cells)
     names = [cell_name(n, beta) for n, beta in keys]
     staged = [os.path.join(sweep_dir, f"medians_{name}.csv.{os.getpid()}.tmp") for name in names]
-    tasks = (names, [cells[key] for key in keys], [time_bins] * len(keys), staged)
-    workers = min(len(keys), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    tasks = list(zip(names, [cells[key] for key in keys], [time_bins] * len(keys), staged))
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     out_dir = os.path.join(sweep_dir, "analysis")
     try:
-        if workers > 1:
-            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor  # on use, as in cmd_sweep
-            try:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    means = list(pool.map(_reduce_cell, *tasks))
-            except BrokenProcessPool as exc:
-                raise OSError(f"{sweep_dir}: an analyze worker process died: {exc}") from None
-        else:
-            means = list(map(_reduce_cell, *tasks))
+        means = _map_tasks(_reduce_cell, tasks, workers)
+        lost = next((m for m in means if isinstance(m, Exception)), None)
+        if lost is not None:
+            raise OSError(f"{sweep_dir}: an analyze worker process died: {lost}")
         # everything that can fail runs before analysis/ is touched, so a failed analyze leaves it as it was
         anova_cue = anova_main_effects(build_observation_table(keys, [m[:, 0] for m in means]))
         anova_coh = anova_main_effects(build_observation_table(keys, [m[:, 1] for m in means]))

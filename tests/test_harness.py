@@ -665,6 +665,32 @@ class TestSweepPool:
         assert len(manifest) == 4
         assert {spec.status for spec in manifest if spec.n_robots == 5} == {"failed"}
 
+    def test_dead_worker_in_a_reused_sweep_dir_leaves_no_metrics_of_a_failed_run(self, tmp_path, monkeypatch):
+        """Whichever batches the dead worker takes down with it, a failed run keeps no metrics and an ok run its bytes.
+
+        At --jobs 2 the plan is the batches [7] and [5, 3], and the worker of [5, 3] dies. Whether the batch [7]
+        finishes first is timing, so the test holds the invariant rather than the statuses.
+        """
+        plan = tiny_plan(populations=(3, 5, 7), repetitions=1)
+        out = tmp_path / "sweep"
+        cmd_sweep(plan, tmp_path / "clean", jobs=2)
+        shutil.copytree(tmp_path / "clean", out)
+        kept = next(run for run in plan.runs() if run.n_robots == 3)
+        (out / kept.path / "notes.txt").write_text("not the sweep's")
+        monkeypatch.setattr(harness, "_sweep_worker", _worker_that_dies_at_n5)
+        with pytest.raises(SweepFailure, match="BrokenProcessPool"):
+            cmd_sweep(plan, out, jobs=2)
+        statuses = {spec.path: spec.status for spec in read_manifest(out / "manifest.csv")}
+        assert statuses[kept.path] == "failed" and set(statuses.values()) <= {"ok", "failed"}
+        for path, status in statuses.items():
+            if status == "ok":
+                for name in ("metrics.csv", "metrics.csv.bin"):
+                    assert (out / path / name).read_bytes() == (tmp_path / "clean" / path / name).read_bytes()
+            elif path == kept.path:
+                assert sorted(p.name for p in (out / path).iterdir()) == ["notes.txt"]
+            else:
+                assert not (out / path).exists()
+
     def test_dead_worker_during_submission_fails_the_unsubmitted_runs(self, tmp_path, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _BreaksAfterFirstSubmission)
         monkeypatch.setattr(_RecordingExecutor, "submitted", [])
@@ -845,7 +871,9 @@ class TestCmdAnalyze:
         ["x,6.0,0,17,N03_beta6_rep0,ok", "3,6.0,1_0,17,N03_beta6_rep0,ok", "3,6_0,0,17,N03_beta6_rep0,ok",
          "3,6.0,0,17,N03_beta6_rep0", "3,inf,0,17,N03_beta6_rep0,ok", "3,-inf,0,17,N03_beta6_rep0,ok",
          "3,nan,0,17,N03_beta6_rep0,ok", "3,-6.0,0,17,N03_beta6_rep0,ok", "-3,6.0,0,17,N03_beta6_rep0,ok",
-         "3,6.0,-1,17,N03_beta6_rep0,ok"],
+         "3,6.0,-1,17,N03_beta6_rep0,ok", "3,6.0,1,17,N03_beta6_rep0,ok", "3,6.0,1,17,../N03_beta6_rep1,ok",
+         "3,6.0,1,17,/sweep/N03_beta6_rep1,ok", "3,6.0,0,17,N03_beta6_rep0,ok", "3,6.0,0,18,N03_beta6_rep0,failed",
+         "3,6.0000001,0,17,N03_beta6_rep0,ok"],
     )
     def test_malformed_manifest_row_names_file_and_row(self, tmp_path, capsys, row):
         manifest = tmp_path / "manifest.csv"
@@ -981,7 +1009,7 @@ class TestAnalyzeWorkers:
 
     def test_outputs_do_not_depend_on_the_worker_count(self, sweep, monkeypatch):
         """One CPU reduces the cells in-process; more make a pool of min(cells, CPUs) workers. The bytes agree."""
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _SizedPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SizedPool)
         monkeypatch.setattr(_SizedPool, "sizes", [])
         outputs = []
         for cpus in (1, 3, 8, None):
@@ -1124,6 +1152,16 @@ class TestCli:
         assert cli_main(["sweep", "--plan", plan, "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err  # the first failed run and why, not only a count
         assert "N07_beta6_rep0" in err and "PlacementError" in err
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_sweep_rejects_jobs_below_one_before_writing(self, tmp_path, capsys, jobs):
+        out = tmp_path / "sweep"
+        with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+            cmd_sweep(tiny_plan(), out, jobs=jobs)
+        plan = write(tmp_path / "p.cfg", PLAN)
+        assert cli_main(["sweep", "--plan", plan, "--out", str(out), "--jobs", str(jobs)]) == 1
+        assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
 
     def test_analyze_missing_dir(self, tmp_path):
         assert cli_main(["analyze", "--dir", str(tmp_path / "ghost")]) == 2
