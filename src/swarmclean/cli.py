@@ -10,6 +10,7 @@ import sys
 
 from .engine import ConfigError
 from .harness import (
+    RESPONSES,
     SweepFailure,
     cmd_analyze,
     cmd_run,
@@ -72,10 +73,7 @@ def main(argv=None) -> int:
             print(f"completed {len(runs)} runs into {args.out}")
         elif args.command == "analyze":
             analysis = cmd_analyze(args.dir, allow_partial=args.allow_partial, time_bins=args.time_bins)
-            for label, result in (
-                ("mean_cue", analysis.anova_mean_cue),
-                ("coherency_m", analysis.anova_coherency),
-            ):
+            for label, result in zip(RESPONSES, vars(analysis).values()):
                 if result.degenerate:
                     print(f"warning: {label} ANOVA has degenerate residual variance", file=sys.stderr)
                 for e in result.effects:

@@ -57,6 +57,23 @@ class ConfigError(ValueError):
     """Invalid simulation or experiment configuration."""
 
 
+def check_fields(obj) -> None:
+    """Raise ConfigError at the first int or float field of the dataclass obj of the wrong type or out of bounds."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "float":
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+            if abs(value) > MAX_MAGNITUDE:
+                raise ConfigError(f"{f.name} must be at most {MAX_MAGNITUDE:g} in size, got {value!r}")
+        if "min" in f.metadata and value < f.metadata["min"]:
+            raise ConfigError(f"{f.name} must be at least {f.metadata['min']:g}, got {value!r}")
+        if "max" in f.metadata and value > f.metadata["max"]:
+            raise ConfigError(f"{f.name} must be at most {f.metadata['max']:g}, got {value!r}")
+
+
 class PlacementError(ConfigError):
     """Robots cannot be placed in the arena without body overlap."""
 
@@ -102,22 +119,7 @@ class SimConfig:
         waiting time overflows. Bodies that no packing fits into the arena
         are a PlacementError here, before any placement is tried.
         """
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            if f.type == "int":
-                if not isinstance(value, numbers.Integral):
-                    raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            elif f.type == "float":
-                if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                    raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
-                if abs(value) > MAX_MAGNITUDE:
-                    raise ConfigError(f"{f.name} must be at most {MAX_MAGNITUDE:g} in size, got {value!r}")
-            if "min" in f.metadata and value < f.metadata["min"]:
-                raise ConfigError(f"{f.name} must be at least {f.metadata['min']:g}, got {value!r}")
-            if "max" in f.metadata and value > f.metadata["max"]:
-                raise ConfigError(f"{f.name} must be at most {f.metadata['max']:g}, got {value!r}")
+        check_fields(self)
         if abs(self.ticks_per_second * self.dt_s - 1.0) > 1e-9:
             raise ConfigError(f"dt_s must divide 1 s evenly, got {self.dt_s}")
         if min(self.arena_width_cm, self.arena_height_cm) <= 2 * self.body_radius_cm:
@@ -196,8 +198,9 @@ class PairGeometry:
 
     xy may hold one block of robots per run, `sizes` robots each (by default
     one block of all): pairs never cross blocks, `upper_d2` holds each block's
-    triangle in turn, and one drift bound and wall_gap cover all. `contact_d2`
-    and `overlap_d2` are 0-d arrays: the squared contact range and body diameter `body_d`.
+    triangle in turn, block k's from `pair_starts[k]` to `pair_starts[k + 1]`,
+    and one drift bound and wall_gap cover all. `contact_d2` and `overlap_d2`
+    are 0-d arrays: the squared contact range and body diameter `body_d`.
 
     Every squared distance is d * d summed over both axes, with d = xy[:, j]
     - xy[:, i], by the same operations in the same order on two routes. A
@@ -213,9 +216,9 @@ class PairGeometry:
     """
 
     __slots__ = (
-        "upper_d2", "pairs", "pair_d2", "ticks", "drift", "wall_gap", "wall_range", "contact_d2", "overlap_d2",
-        "body_d", "_flat", "_all_pairs", "_axis_offsets", "_rebuilt_xy", "_tick_travel", "_half_skin", "_reach2",
-        "_body_r", "_far_walls",
+        "upper_d2", "pair_starts", "pairs", "pair_d2", "ticks", "drift", "wall_gap", "wall_range", "contact_d2",
+        "overlap_d2", "body_d", "_flat", "_all_pairs", "_axis_offsets", "_rebuilt_xy", "_tick_travel", "_half_skin",
+        "_reach2", "_body_r", "_far_walls",
     )
 
     def __init__(self, xy: np.ndarray, config: SimConfig, sizes=None):
@@ -227,8 +230,9 @@ class PairGeometry:
         self._reach2 = np.array((cutoff + 2.0 * self._half_skin) ** 2)
         self.contact_d2, self.overlap_d2 = np.array(config.contact_range_cm**2), np.array(min_d * min_d)
         sizes = [xy.shape[1]] if sizes is None else sizes
+        self.pair_starts = np.cumsum([0, *(n * (n - 1) // 2 for n in sizes)]).tolist()
         # every pair i < j within a block, row by row, written in place: no per-block index arrays to join
-        self._all_pairs, k = np.empty((2, sum(n * (n - 1) // 2 for n in sizes)), dtype=np.intp), 0
+        self._all_pairs, k = np.empty((2, self.pair_starts[-1]), dtype=np.intp), 0
         for i, end in enumerate(np.repeat(np.cumsum(sizes), sizes).tolist()):
             row = self._all_pairs[:, k : k + end - i - 1]
             row[0], row[1] = i, np.arange(i + 1, end)
@@ -472,7 +476,6 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World | Placement
     alpha_0d, base_0d = np.array(config.alpha), np.array(config.wheel_base_cm)
     wheels, betas = np.empty((2, m)), np.repeat([c.beta for c in configs], sizes)  # wheel speeds: (n_l, n_r) rows
     n_l, n_r = wheels
-    pair_starts = np.cumsum([0, *(n * (n - 1) // 2 for n in sizes)]).tolist()
 
     for t in range(d):
         geom.rebuild(xy)  # coherency reads the full triangles; the list is renewed with them
@@ -481,7 +484,7 @@ def run_batch(configs: list[SimConfig], observer=None) -> list[World | Placement
         if waiting:
             apply_cleaning(cue, *xy[:, waiting], cell_offsets[waiting] if runs > 1 else None)
             cleanings[waiting] += 1
-        ratios, coherencies = ratio_within(xy, center_0d, r_c_0d, starts), coherency(geom.upper_d2, pair_starts)
+        ratios, coherencies = ratio_within(xy, center_0d, r_c_0d, starts), coherency(geom.upper_d2, geom.pair_starts)
         for k, world in enumerate(worlds):
             world.t, world.modes, series = t, fsm.modes[starts[k]:starts[k + 1]], world.series
             # only cleaning changes the field, so a run with no robot waiting keeps the last second's mean

@@ -13,19 +13,20 @@ import hashlib
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .engine import ConfigError, SimConfig, run_batch, run_simulation
+from .engine import ConfigError, SimConfig, check_fields, run_batch, run_simulation
 from .field import pgm_raster, write_pgm
 from .metrics import MetricsSeries, write_atomic
-from .stats import AnovaResult, DesignError, ObservationTable, anova_main_effects, bin_means, median_series
+from .stats import AnovaResult, DesignError, anova_main_effects, bin_means, median_series
 
 SCHEMA_VERSION = 1
 DEFAULT_SNAPSHOT_TIMES = (0, 1000, 4000)
 MANIFEST_HEADER = "n_robots,beta,repetition,seed,path,status"
 ANOVA_HEADER = "factor,F,p,df_between,df_within"
+RESPONSES = ("mean_cue", "coherency_m")  # the MetricsSeries columns analyze tests, in SweepAnalysis's field order
 # most robots and field cells (8 MB) in a sweep's batch: 6 runs at N=50 still ran 1.7x faster than one by one
 BATCH_ROBOTS = 300
 BATCH_CELLS = 1_000_000
@@ -107,19 +108,12 @@ class ExperimentPlan:
 
     populations: tuple[int, ...] = (10, 20, 30, 40, 50)
     betas: tuple[float, ...] = (3.0, 6.0)
-    repetitions: int = 6
+    repetitions: int = field(default=6, metadata={"min": 1})
     base_seed: int = 1
-    base_config: SimConfig = None  # type: ignore[assignment]
+    base_config: SimConfig = field(default_factory=SimConfig)
 
     def __post_init__(self):
-        if self.base_config is None:
-            self.base_config = SimConfig()
-        for name in ("repetitions", "base_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.repetitions < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        check_fields(self)  # repetitions and base_seed, as SimConfig.validate() checks its fields
         if not self.populations:
             raise ConfigError("at least one population is required")
         if not self.betas:
@@ -146,7 +140,7 @@ class ExperimentPlan:
                             beta=float(beta),
                             repetition=rep,
                             seed=derive_run_seed(self.base_seed, n, beta, rep),
-                            path=f"{cell_name(n, beta)}_rep{rep}",
+                            path=run_name(n, beta, rep),
                         )
                     )
         return out
@@ -155,6 +149,11 @@ class ExperimentPlan:
 def cell_name(n_robots: int, beta: float) -> str:
     """Name of a grid cell in run directories and median files, e.g. N30_beta6."""
     return f"N{n_robots:02d}_beta{beta:g}"
+
+
+def run_name(n_robots: int, beta: float, repetition: int) -> str:
+    """Name of a run's directory, e.g. N30_beta6_rep0."""
+    return f"{cell_name(n_robots, beta)}_rep{repetition}"
 
 
 @dataclass
@@ -295,8 +294,8 @@ def read_manifest(path) -> list[RunSpec]:
                 n_robots, beta, repetition, seed = int(parts[0]), float(parts[1]), int(parts[2]), int(parts[3])
                 if min(n_robots, beta, repetition) < 0 or not math.isfinite(beta):
                     raise ValueError("n_robots, beta and repetition must be finite and >= 0")
-                if parts[4] != f"{cell_name(n_robots, beta)}_rep{repetition}":  # which also rules out ../ and /
-                    raise ValueError(f"the path of this run is {cell_name(n_robots, beta)}_rep{repetition}")
+                if parts[4] != run_name(n_robots, beta, repetition):  # which also rules out ../ and /
+                    raise ValueError(f"the path of this run is {run_name(n_robots, beta, repetition)}")
                 if parts[4] in seen:
                     raise ValueError(f"the run of line {seen[parts[4]]} again")
             except ValueError as exc:
@@ -390,7 +389,7 @@ def sweep_run_paths(sweep_dir, allow_partial: bool = False) -> dict[tuple[int, f
 
 
 def _reduce_cell(name: str, paths: list[str], time_bins: int, staged: str) -> np.ndarray:
-    """Write a cell's median series to `staged`; return its (runs, 2, time_bins) bin means of mean_cue and coherency_m.
+    """Write a cell's median series to `staged`; return its (runs, responses, time_bins) bin means of RESPONSES.
 
     A run off the first run's time grid, or too short for the bins, is a ConfigError naming the cell and its file.
     """
@@ -400,7 +399,7 @@ def _reduce_cell(name: str, paths: list[str], time_bins: int, staged: str) -> np
         try:
             if not np.array_equal(run.t, runs[0].t):
                 raise ValueError(f"its time grid differs from that of {paths[0]}")
-            means.append([bin_means(run.mean_cue, time_bins), bin_means(run.coherency_m, time_bins)])
+            means.append([bin_means(getattr(run, response), time_bins) for response in RESPONSES])
         except ValueError as exc:
             raise ConfigError(f"cell {name}: {path}: {exc}") from None
     with open(staged, "w", newline="") as fh:  # not write_atomic, whose temp file a killed worker would leave behind
@@ -408,45 +407,47 @@ def _reduce_cell(name: str, paths: list[str], time_bins: int, staged: str) -> np
     return np.array(means)
 
 
-def build_observation_table(cells: list[tuple[int, float]], means: list[np.ndarray]) -> ObservationTable:
-    """One row per (run, time bin) of each (population, beta) cell's (runs, time bins) bin means, cells in order.
+def build_observation_table(cells: list[tuple[int, float]], means: list[np.ndarray]) -> tuple[np.ndarray, list]:
+    """The responses and the factors of anova_main_effects, from each cell's (runs, responses, time bins) bin means.
 
+    Each response is a row of the (responses, rows) array returned, one row per (run, time bin) of each cell in order.
     The factors are time bin, population and speed; one constant over the sweep carries no information and is dropped,
     and a sweep in which none varies is a DesignError.
     """
-    rows = [m.size for m in means]
+    rows = [len(m) * m.shape[2] for m in means]
     factors = (
-        ("time", np.arange(sum(rows)) % means[0].shape[1]),
+        ("time", np.arange(sum(rows)) % means[0].shape[2]),
         ("population", np.repeat([n for n, _ in cells], rows)),
         ("speed", np.repeat([beta for _, beta in cells], rows)),
     )
     varying = [(name, levels) for name, levels in factors if len(np.unique(levels)) >= 2]
     if not varying:
         raise DesignError("at least one factor is required")
-    return ObservationTable(np.concatenate([m.ravel() for m in means]), varying)
+    return np.concatenate([m.swapaxes(0, 1).reshape(m.shape[1], -1) for m in means], axis=1), varying
 
 
-def write_anova_csv(path, result: AnovaResult) -> None:
+def anova_csv(result: AnovaResult) -> str:
     rows = [f"{e.name},{e.f_value!r},{e.p_value!r},{e.df_between},{e.df_within}\n" for e in result.effects]
-    write_atomic(path, ANOVA_HEADER + "\n" + "".join(rows))
+    return ANOVA_HEADER + "\n" + "".join(rows)
 
 
 def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> SweepAnalysis:
-    """Reduce a sweep: per-cell median series plus ANOVA for both responses, written to sweep_dir/analysis/.
+    """Reduce a sweep: per-cell median series plus one ANOVA per response, written to sweep_dir/analysis/.
 
     Each grid cell is one task, in one worker process per cell up to the CPUs this process may run on (one worker runs
     them in-process) through _map_tasks, as in cmd_sweep; no output depends on the worker count, and a worker that dies
-    is an OSError naming the sweep. Each task writes its cell's median series to a staged file in sweep_dir, beside
-    analysis/. Only after every cell and both ANOVAs succeed are these moved into analysis/ as medians_<cell>.csv, the
-    ANOVA tables written and stale median files removed; on any error they are removed, and analysis/ is left as it was.
-    The SweepAnalysis holds the ANOVAs alone: read a cell's medians with MetricsSeries.from_csv.
+    is an OSError naming the sweep. Each task stages its cell's medians in sweep_dir, beside analysis/, and then this
+    process one anova_<response>.csv per response; once all are staged, they are renamed into analysis/ and stale median
+    files removed. On an error before the renames, every staged file is removed and analysis/ is left as it was. The
+    SweepAnalysis holds the ANOVAs alone: read a cell's medians with MetricsSeries.from_csv.
     """
     if time_bins < 1:  # checked once, here, before any file is read
         raise ConfigError(f"time_bins must be >= 1, got {time_bins}")
     cells = sweep_run_paths(sweep_dir, allow_partial=allow_partial)
     keys = sorted(cells)
     names = [cell_name(n, beta) for n, beta in keys]
-    staged = [os.path.join(sweep_dir, f"medians_{name}.csv.{os.getpid()}.tmp") for name in names]
+    outputs = [f"medians_{name}.csv" for name in names] + [f"anova_{response}.csv" for response in RESPONSES]
+    staged = [os.path.join(sweep_dir, f"{output}.{os.getpid()}.tmp") for output in outputs]
     tasks = list(zip(names, [cells[key] for key in keys], [time_bins] * len(keys), staged))
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     out_dir = os.path.join(sweep_dir, "analysis")
@@ -455,21 +456,22 @@ def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> S
         lost = next((m for m in means if isinstance(m, Exception)), None)
         if lost is not None:
             raise OSError(f"{sweep_dir}: an analyze worker process died: {lost}")
-        # everything that can fail runs before analysis/ is touched, so a failed analyze leaves it as it was
-        anova_cue = anova_main_effects(build_observation_table(keys, [m[:, 0] for m in means]))
-        anova_coh = anova_main_effects(build_observation_table(keys, [m[:, 1] for m in means]))
+        responses, factors = build_observation_table(keys, means)
+        anovas = [anova_main_effects(y, factors) for y in responses]
+        for anova, path in zip(anovas, staged[len(names):]):
+            with open(path, "w", newline="") as fh:
+                fh.write(anova_csv(anova))
+        # every output is staged: from here on, analysis/ changes by its creation and renames alone
         os.makedirs(out_dir, exist_ok=True)
-        for name, path in zip(names, staged):
-            os.replace(path, os.path.join(out_dir, f"medians_{name}.csv"))
+        for output, path in zip(outputs, staged):
+            os.replace(path, os.path.join(out_dir, output))
     except BaseException:
         # outside the pool's `with`, whose shutdown has waited for every worker, so none writes a staged file later
         for path in staged:
             with contextlib.suppress(OSError):  # never written, or already moved
                 os.remove(path)
         raise
-    write_anova_csv(os.path.join(out_dir, "anova_mean_cue.csv"), anova_cue)
-    write_anova_csv(os.path.join(out_dir, "anova_coherency_m.csv"), anova_coh)
-    for stale in set(os.listdir(out_dir)) - {f"medians_{name}.csv" for name in names}:
+    for stale in set(os.listdir(out_dir)) - set(outputs):
         if stale.startswith("medians_") and stale.endswith(".csv"):
             os.remove(os.path.join(out_dir, stale))
-    return SweepAnalysis(anova_mean_cue=anova_cue, anova_coherency=anova_coh)
+    return SweepAnalysis(*anovas)

@@ -17,7 +17,7 @@ from .metrics import MetricsSeries
 
 
 class DesignError(ValueError):
-    """The observation table cannot support the requested decomposition."""
+    """The observations cannot support the requested decomposition."""
 
 
 def median_series(runs: list[MetricsSeries]) -> MetricsSeries:
@@ -113,20 +113,6 @@ def f_tail_probability(f_value: float, df_num: int, df_den: int) -> float:
 # --- main-effects ANOVA ------------------------------------------------------
 
 @dataclass
-class ObservationTable:
-    """Response vector plus ordered categorical factors.
-
-    `factors` maps names to level labels (one per row, any hashable and
-    sortable values). Order matters: sums of squares are sequential. The
-    maker (`build_observation_table`) guarantees a 1-D float64 response, at
-    least one factor, and per factor one label per row and at least 2 levels.
-    """
-
-    response: np.ndarray
-    factors: list[tuple[str, np.ndarray]]
-
-
-@dataclass
 class FactorEffect:
     name: str
     f_value: float
@@ -156,17 +142,18 @@ def _dummy_columns(levels: np.ndarray) -> np.ndarray:
     return (levels[:, None] == uniq[None, 1:]).astype(np.float64)
 
 
-def anova_main_effects(table: ObservationTable) -> AnovaResult:
-    """Per-factor F and p from a sequential main-effects decomposition.
+def anova_main_effects(y: np.ndarray, factors: list[tuple[str, np.ndarray]]) -> AnovaResult:
+    """Per-factor F and p of the response y from a sequential main-effects decomposition.
 
-    Each factor's sum of squares is the drop in residual sum of squares
-    when its indicator columns join the design (Type-I, in declared
-    order; for balanced designs the order is immaterial). F divides the
-    factor mean square by the full-model residual mean square. A zero
-    residual variance flags the result degenerate, every effect F = 0, p = 1.
-    Confounded factors (no new column rank) are rejected.
+    y is 1-D float64; each of the one or more (name, labels) `factors` has a
+    label per row of y (hashable, sortable) and 2 or more levels, as
+    `build_observation_table` guarantees. A factor's sum of squares is the
+    drop in residual sum of squares when its indicator columns join the
+    design (Type-I, in declared order; for balanced designs the order is
+    immaterial). F divides the factor mean square by the full-model residual
+    mean square. A zero residual variance flags the result degenerate, every
+    effect F = 0, p = 1. Confounded factors (no new column rank) are rejected.
     """
-    y = table.response
     n = len(y)
     design = np.ones((n, 1))
 
@@ -178,7 +165,7 @@ def anova_main_effects(table: ObservationTable) -> AnovaResult:
 
     rss_prev, rank = rss_of(design)
     seq: list[tuple[str, float, int]] = []  # (name, SS, df)
-    for name, levels in table.factors:
+    for name, levels in factors:
         cols = _dummy_columns(levels)
         df_k = cols.shape[1]
         design = np.hstack([design, cols])

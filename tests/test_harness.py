@@ -1,5 +1,6 @@
 import concurrent.futures
 import concurrent.futures.process
+import itertools
 import os
 import shutil
 import signal
@@ -17,6 +18,7 @@ from swarmclean.cli import main as cli_main
 from swarmclean.engine import ConfigError, PlacementError, SimConfig, run_simulation
 from swarmclean.field import init_circular_gradient, pgm_raster, to_pgm_bytes
 from swarmclean.harness import (
+    RESPONSES,
     ExperimentPlan,
     SweepFailure,
     cmd_analyze,
@@ -31,7 +33,7 @@ from swarmclean.harness import (
     write_manifest,
 )
 from swarmclean.metrics import MetricsSeries
-from swarmclean.stats import AnovaResult, FactorEffect, median_series
+from swarmclean.stats import median_series
 
 RUN_CONFIG = """\
 schema_version = 1
@@ -910,23 +912,33 @@ class TestCmdAnalyze:
             assert len(parts) == 5
             float(parts[1]), float(parts[2]), int(parts[3]), int(parts[4])
 
-    def test_anova_csv_write_is_atomic(self, tmp_path):
-        class Unprintable(float):
-            def __repr__(self):
-                raise RuntimeError("cannot format")
-
-        result = AnovaResult(
-            effects=[
-                FactorEffect("time", 2.0, 0.25, 1, 10, 3.0),
-                FactorEffect("population", Unprintable(1.0), 0.5, 1, 10, 1.0),
-            ],
-            residual_ss=1.0,
-            residual_df=10,
-            degenerate=False,
-        )
+    def test_anova_csv_write_is_atomic(self, tmp_path, monkeypatch):
+        """A table that cannot be written leaves no analysis/, no partial table and no staged file."""
+        out = tmp_path / "sweep"
+        cmd_sweep(tiny_plan(betas=(3.0, 6.0)), out)
+        before = tree(out)
+        unprintable_anova(monkeypatch, RESPONSES.index("mean_cue"))
         with pytest.raises(RuntimeError, match="cannot format"):
-            harness.write_anova_csv(tmp_path / "anova_mean_cue.csv", result)
-        assert os.listdir(tmp_path) == []  # neither a partial table nor a temp file
+            cmd_analyze(out)
+        assert tree(out) == before
+
+    def test_failed_second_anova_leaves_analysis_as_it_was(self, tmp_path, monkeypatch):
+        """The second response's table failing to format changes no file: the medians and the first table are staged."""
+        out = tmp_path / "sweep"
+        cmd_sweep(tiny_plan(betas=(3.0, 6.0), base_config=SimConfig(duration_s=5)), out)
+        victim = out / read_manifest(out / "manifest.csv")[0].path / "metrics.csv"
+        for cpus in (1, 2):  # reduced in-process, then in worker processes
+            see_cpus(monkeypatch, cpus)
+            cmd_analyze(out, time_bins=2)
+            series = MetricsSeries.from_csv(victim)
+            series.mean_cue[0] += 1.0  # moves its cell's median and both tables
+            series.to_csv(victim)
+            before = tree(out)
+            with monkeypatch.context() as patch:
+                unprintable_anova(patch, RESPONSES.index("coherency_m"))
+                with pytest.raises(RuntimeError, match="cannot format"):
+                    cmd_analyze(out, time_bins=2)
+            assert tree(out) == before
 
     def test_stale_medians_are_removed(self, tmp_path):
         """A cell left out of a later analyze loses its median file; other files in analysis/ stay."""
@@ -975,6 +987,24 @@ class TestCmdAnalyze:
         analysis = cmd_analyze(out)
         names = [e.name for e in analysis.anova_mean_cue.effects]
         assert names == ["time", "population"]
+
+
+def unprintable_anova(monkeypatch, response: int) -> None:
+    """Make the ANOVA of the response-th of RESPONSES return a first F whose repr raises; the others are as computed."""
+
+    class Unprintable(float):
+        def __repr__(self):
+            raise RuntimeError("cannot format")
+
+    calls, anova = itertools.count(), harness.anova_main_effects
+
+    def patched(*args):
+        result = anova(*args)
+        if next(calls) % len(RESPONSES) == response:  # analyze computes one ANOVA per response, in order
+            result.effects[0].f_value = Unprintable(result.effects[0].f_value)
+        return result
+
+    monkeypatch.setattr(harness, "anova_main_effects", patched)
 
 
 def _task_that_dies(name, paths, time_bins, staged):

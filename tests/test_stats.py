@@ -12,7 +12,6 @@ from swarmclean.harness import build_observation_table
 from swarmclean.metrics import MetricsSeries
 from swarmclean.stats import (
     DesignError,
-    ObservationTable,
     anova_main_effects,
     bin_means,
     f_tail_probability,
@@ -205,8 +204,7 @@ def classical_one_way(groups):
 def one_factor_effect(groups):
     """The effect of a one-factor `anova_main_effects` over explicit groups."""
     levels = np.concatenate([np.full(len(g), k) for k, g in enumerate(groups)])
-    table = ObservationTable(np.concatenate(groups), [("group", levels)])
-    return anova_main_effects(table).effects[0]
+    return anova_main_effects(np.concatenate(groups), [("group", levels)]).effects[0]
 
 
 class TestAnova:
@@ -220,11 +218,7 @@ class TestAnova:
         assert effect.p_value == pytest.approx(f_tail_trapezoid(13.5, 1, 4, n=4_000_001), abs=1e-6)
 
     def test_constant_response_is_degenerate(self):
-        table = ObservationTable(
-            response=np.full(8, 3.5),
-            factors=[("g", np.array([0, 0, 0, 0, 1, 1, 1, 1]))],
-        )
-        result = anova_main_effects(table)
+        result = anova_main_effects(np.full(8, 3.5), [("g", np.array([0, 0, 0, 0, 1, 1, 1, 1]))])
         assert result.degenerate
         e = result.effects[0]
         assert e.f_value == 0.0
@@ -232,32 +226,24 @@ class TestAnova:
 
     def test_null_effect_factor(self):
         # identical group means, real residual variance
-        table = ObservationTable(
-            response=np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0]),
-            factors=[("g", np.array([0, 0, 0, 1, 1, 1]))],
-        )
-        result = anova_main_effects(table)
+        result = anova_main_effects(np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0]), [("g", np.array([0, 0, 0, 1, 1, 1]))])
         assert not result.degenerate
         assert result.effects[0].f_value == pytest.approx(0.0, abs=1e-9)
         assert result.effects[0].p_value == pytest.approx(1.0, abs=1e-9)
 
     def test_confounded_factor_rejected(self):
         g = np.array([0, 0, 1, 1, 2, 2])
-        table = ObservationTable(
-            response=np.arange(6, dtype=float),
-            factors=[("a", g), ("b", g * 10)],  # b carries no new information
-        )
         with pytest.raises(DesignError, match="confounded"):
-            anova_main_effects(table)
+            anova_main_effects(np.arange(6, dtype=float), [("a", g), ("b", g * 10)])  # b carries no new information
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(11)
         y = rng.normal(size=24)
         f1 = np.tile([0, 1, 2], 8)
         f2 = np.repeat([0, 1], 12)
-        base = anova_main_effects(ObservationTable(y, [("a", f1), ("b", f2)]))
+        base = anova_main_effects(y, [("a", f1), ("b", f2)])
         perm = rng.permutation(24)
-        shuffled = anova_main_effects(ObservationTable(y[perm], [("a", f1[perm]), ("b", f2[perm])]))
+        shuffled = anova_main_effects(y[perm], [("a", f1[perm]), ("b", f2[perm])])
         for e1, e2 in zip(base.effects, shuffled.effects):
             assert e1.f_value == pytest.approx(e2.f_value, rel=1e-9)
             assert e1.p_value == pytest.approx(e2.p_value, rel=1e-9)
@@ -292,8 +278,9 @@ class TestAnova:
                         f_pop.append(n)
                         f_speed.append(v)
         y = np.array(rows)
-        table = ObservationTable(y, [("time", np.array(f_time)), ("population", np.array(f_pop)), ("speed", np.array(f_speed))])
-        result = anova_main_effects(table)
+        result = anova_main_effects(
+            y, [("time", np.array(f_time)), ("population", np.array(f_pop)), ("speed", np.array(f_speed))]
+        )
         grand = y.mean()
         for effect, levels in zip(result.effects, (f_time, f_pop, f_speed)):
             levels = np.array(levels)
@@ -304,17 +291,27 @@ class TestAnova:
             assert 0.0 <= effect.p_value <= 1.0
 
     def test_residual_dof_guard(self):
-        table = ObservationTable(
-            response=np.array([1.0, 2.0, 3.0, 4.0]),
-            factors=[("a", np.array([0, 1, 2, 3]))],
-        )
         with pytest.raises(DesignError):
-            anova_main_effects(table)
+            anova_main_effects(np.array([1.0, 2.0, 3.0, 4.0]), [("a", np.array([0, 1, 2, 3]))])
 
     def test_factor_needs_two_levels(self):
         """The table's maker drops a factor constant over the sweep, and refuses a table with no factor left."""
-        means = [np.arange(4.0).reshape(2, 2), np.arange(4.0, 8.0).reshape(2, 2)]  # (runs, time bins) per cell
-        table = build_observation_table([(10, 6.0), (20, 6.0)], means)
-        assert [name for name, _ in table.factors] == ["time", "population"]
+        means = [np.arange(4.0).reshape(2, 1, 2), np.arange(4.0, 8.0).reshape(2, 1, 2)]  # (runs, responses, bins)
+        _, factors = build_observation_table([(10, 6.0), (20, 6.0)], means)
+        assert [name for name, _ in factors] == ["time", "population"]
         with pytest.raises(DesignError, match="at least one factor"):
-            build_observation_table([(10, 6.0)], [np.arange(2.0).reshape(2, 1)])
+            build_observation_table([(10, 6.0)], [np.arange(2.0).reshape(2, 1, 1)])
+
+    def test_one_row_per_run_and_time_bin_for_each_response(self):
+        """Each response is a row of the table, its values in cell, run, time-bin order; the factors label them."""
+        means = [np.arange(12.0).reshape(2, 2, 3), 100.0 + np.arange(6.0).reshape(1, 2, 3)]  # two cells
+        responses, factors = build_observation_table([(10, 3.0), (20, 6.0)], means)
+        assert responses.tolist() == [
+            [0.0, 1.0, 2.0, 6.0, 7.0, 8.0, 100.0, 101.0, 102.0],
+            [3.0, 4.0, 5.0, 9.0, 10.0, 11.0, 103.0, 104.0, 105.0],
+        ]
+        assert [(name, levels.tolist()) for name, levels in factors] == [
+            ("time", [0, 1, 2] * 3),
+            ("population", [10] * 6 + [20] * 3),
+            ("speed", [3.0] * 6 + [6.0] * 3),
+        ]
