@@ -10,7 +10,6 @@ import sys
 
 from .engine import ConfigError
 from .harness import (
-    RESPONSES,
     SweepFailure,
     cmd_analyze,
     cmd_run,
@@ -73,7 +72,7 @@ def main(argv=None) -> int:
             print(f"completed {len(runs)} runs into {args.out}")
         elif args.command == "analyze":
             analysis = cmd_analyze(args.dir, allow_partial=args.allow_partial, time_bins=args.time_bins)
-            for label, result in zip(RESPONSES, vars(analysis).values()):
+            for label, result in analysis.items():
                 if result.degenerate:
                     print(f"warning: {label} ANOVA has degenerate residual variance", file=sys.stderr)
                 for e in result.effects:

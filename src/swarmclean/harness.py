@@ -26,7 +26,7 @@ SCHEMA_VERSION = 1
 DEFAULT_SNAPSHOT_TIMES = (0, 1000, 4000)
 MANIFEST_HEADER = "n_robots,beta,repetition,seed,path,status"
 ANOVA_HEADER = "factor,F,p,df_between,df_within"
-RESPONSES = ("mean_cue", "coherency_m")  # the MetricsSeries columns analyze tests, in SweepAnalysis's field order
+RESPONSES = ("mean_cue", "coherency_m")  # MetricsSeries columns; analyze keys its ANOVA tables and results by them
 # most robots and field cells (8 MB) in a sweep's batch: 6 runs at N=50 still ran 1.7x faster than one by one
 BATCH_ROBOTS = 300
 BATCH_CELLS = 1_000_000
@@ -365,12 +365,6 @@ def cmd_sweep(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunSpec]:
     return runs
 
 
-@dataclass
-class SweepAnalysis:
-    anova_mean_cue: AnovaResult
-    anova_coherency: AnovaResult
-
-
 def sweep_run_paths(sweep_dir, allow_partial: bool = False) -> dict[tuple[int, float], list[str]]:
     """Every run's metrics.csv path from the sweep's manifest, grouped by (population, beta) in manifest order."""
     cells: dict[tuple[int, float], list[str]] = {}
@@ -431,15 +425,16 @@ def anova_csv(result: AnovaResult) -> str:
     return ANOVA_HEADER + "\n" + "".join(rows)
 
 
-def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> SweepAnalysis:
+def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> dict[str, AnovaResult]:
     """Reduce a sweep: per-cell median series plus one ANOVA per response, written to sweep_dir/analysis/.
 
     Each grid cell is one task, in one worker process per cell up to the CPUs this process may run on (one worker runs
     them in-process) through _map_tasks, as in cmd_sweep; no output depends on the worker count, and a worker that dies
     is an OSError naming the sweep. Each task stages its cell's medians in sweep_dir, beside analysis/, and then this
     process one anova_<response>.csv per response; once all are staged, they are renamed into analysis/ and stale median
-    files removed. On an error before the renames, every staged file is removed and analysis/ is left as it was. The
-    SweepAnalysis holds the ANOVAs alone: read a cell's medians with MetricsSeries.from_csv.
+    files removed. A directory at an output's name in analysis/ is an IsADirectoryError before any cell is read; on an
+    error before the renames, every staged file is removed and analysis/ is left as it was. Returns the ANOVAs alone,
+    {response: its AnovaResult} in RESPONSES order: read a cell's medians with MetricsSeries.from_csv.
     """
     if time_bins < 1:  # checked once, here, before any file is read
         raise ConfigError(f"time_bins must be >= 1, got {time_bins}")
@@ -447,10 +442,13 @@ def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> S
     keys = sorted(cells)
     names = [cell_name(n, beta) for n, beta in keys]
     outputs = [f"medians_{name}.csv" for name in names] + [f"anova_{response}.csv" for response in RESPONSES]
+    out_dir = os.path.join(sweep_dir, "analysis")
+    for output in outputs:  # os.replace fails on a directory, part-way through the renames; a symlink it replaces
+        if os.path.isdir(path := os.path.join(out_dir, output)) and not os.path.islink(path):
+            raise IsADirectoryError(f"{path}: a directory holds the name of an analyze output")
     staged = [os.path.join(sweep_dir, f"{output}.{os.getpid()}.tmp") for output in outputs]
     tasks = list(zip(names, [cells[key] for key in keys], [time_bins] * len(keys), staged))
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    out_dir = os.path.join(sweep_dir, "analysis")
     try:
         means = _map_tasks(_reduce_cell, tasks, workers)
         lost = next((m for m in means if isinstance(m, Exception)), None)
@@ -474,4 +472,4 @@ def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> S
     for stale in set(os.listdir(out_dir)) - set(outputs):
         if stale.startswith("medians_") and stale.endswith(".csv"):
             os.remove(os.path.join(out_dir, stale))
-    return SweepAnalysis(*anovas)
+    return dict(zip(RESPONSES, anovas))

@@ -124,16 +124,8 @@ class FactorEffect:
 
 @dataclass
 class AnovaResult:
-    effects: list[FactorEffect]
-    residual_ss: float
-    residual_df: int
+    effects: list[FactorEffect]  # each effect's df_within is the residual df
     degenerate: bool
-
-    def effect(self, name: str) -> FactorEffect:
-        for e in self.effects:
-            if e.name == name:
-                return e
-        raise KeyError(name)
 
 
 def _dummy_columns(levels: np.ndarray) -> np.ndarray:
@@ -193,5 +185,5 @@ def anova_main_effects(y: np.ndarray, factors: list[tuple[str, np.ndarray]]) -> 
     for name, ss, df_k in seq:
         f_val = 0.0 if degenerate else (ss / df_k) / ms_resid  # p(0) = 1
         effects.append(FactorEffect(name, f_val, f_tail_probability(f_val, df_k, residual_df), df_k, residual_df, ss))
-    return AnovaResult(effects=effects, residual_ss=residual_ss, residual_df=residual_df, degenerate=degenerate)
+    return AnovaResult(effects=effects, degenerate=degenerate)
 

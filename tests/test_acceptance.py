@@ -17,7 +17,7 @@ from swarmclean.harness import ExperimentPlan, cmd_analyze, cmd_run, cmd_sweep, 
 from swarmclean.metrics import MetricsSeries
 from swarmclean.stats import f_tail_probability, median_series
 
-from test_stats import f_tail_trapezoid, one_factor_effect
+from test_stats import effect, f_tail_trapezoid, one_factor_effect
 
 WINDOW_S = 200
 
@@ -84,8 +84,8 @@ def ratio_plateaus(medians) -> dict[int, float]:
 
 def coherency_population_over_time(analysis) -> bool:
     """Criterion 5: population explains coherency better than time does (a larger F)."""
-    coh = analysis.anova_coherency
-    return coh.effect("population").f_value > coh.effect("time").f_value
+    coh = analysis["coherency_m"]
+    return effect(coh, "population").f_value > effect(coh, "time").f_value
 
 
 def stabilization_times(med) -> tuple[int | None, int | None]:
@@ -105,9 +105,9 @@ def costabilization_gap(medians) -> tuple[float, float]:
 
 def largest_anova_p(analysis) -> tuple[float, float]:
     """Criterion 5: largest p of the time, population and speed effects on both responses; at most the bound."""
-    results = (analysis.anova_mean_cue, analysis.anova_coherency)
+    results = (analysis["mean_cue"], analysis["coherency_m"])
     # np.max, unlike max, carries a nan p through to a failed comparison
-    return float(np.max([r.effect(name).p_value for r in results for name in ("time", "population", "speed")])), 0.05
+    return float(np.max([effect(r, name).p_value for r in results for name in ("time", "population", "speed")])), 0.05
 
 
 @pytest.fixture(scope="session")
@@ -179,7 +179,7 @@ def test_criterion_4_coherency_costabilization(cell_medians):
 
 def test_criterion_5_anova_significance(default_sweep):
     analysis = cmd_analyze(default_sweep)
-    results = {"cue": analysis.anova_mean_cue, "coherency": analysis.anova_coherency}
+    results = {"cue": analysis["mean_cue"], "coherency": analysis["coherency_m"]}
     largest_p, bound = largest_anova_p(analysis)
     ok_sig = largest_p <= bound
     ok_order = coherency_population_over_time(analysis)

@@ -21,6 +21,7 @@ from swarmclean.harness import (
     RESPONSES,
     ExperimentPlan,
     SweepFailure,
+    anova_csv,
     cmd_analyze,
     cmd_run,
     cell_name,
@@ -34,6 +35,8 @@ from swarmclean.harness import (
 )
 from swarmclean.metrics import MetricsSeries
 from swarmclean.stats import median_series
+
+from test_stats import effect
 
 RUN_CONFIG = """\
 schema_version = 1
@@ -822,7 +825,7 @@ class TestCmdAnalyze:
         out = tmp_path / "sweep"
         cmd_sweep(tiny_plan(), out)
         analysis = cmd_analyze(out, time_bins=3)
-        assert analysis.anova_mean_cue.effect("time").df_between == 2
+        assert effect(analysis["mean_cue"], "time").df_between == 2
 
     def test_duplicated_runs_flag_degenerate_variance(self, tmp_path):
         # craft a sweep whose repetitions are bit-identical: zero residual variance
@@ -845,7 +848,7 @@ class TestCmdAnalyze:
                     rows.append(f"{n},{float(beta)!r},{rep},{100+rep},{path},ok")
         (out / "manifest.csv").write_text("n_robots,beta,repetition,seed,path,status\n" + "\n".join(rows) + "\n")
         analysis = cmd_analyze(out, time_bins=2)
-        assert analysis.anova_mean_cue.degenerate
+        assert analysis["mean_cue"].degenerate
 
     def test_failed_analyze_writes_nothing(self, tmp_path, monkeypatch):
         out = tmp_path / "sweep"
@@ -981,11 +984,42 @@ class TestCmdAnalyze:
         first = out / "N03_beta6_rep0" / "metrics.csv"
         assert capsys.readouterr().err == f"error: cell N03_beta6: {first}: cannot form 13 bins from 12 samples\n"
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_directory_at_an_output_name_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch, cpus):
+        """Refused before any cell is reduced; met among the renames, it kept the outputs renamed before it."""
+        see_cpus(monkeypatch, cpus)
+        out = tmp_path / "sweep"
+        cmd_sweep(tiny_plan(betas=(3.0, 6.0), base_config=SimConfig(duration_s=5)), out)
+        cmd_analyze(out, time_bins=2)
+        blocker = out / "analysis" / "anova_coherency_m.csv"
+        blocker.unlink()
+        blocker.mkdir()
+        before = tree(out)
+        with pytest.raises(IsADirectoryError) as refused:
+            cmd_analyze(out, time_bins=4)  # a new anova_mean_cue.csv, were it renamed in
+        assert tree(out) == before
+        assert str(refused.value) == f"{blocker}: a directory holds the name of an analyze output"
+        assert cli_main(["analyze", "--dir", str(out), "--time-bins", "4"]) == 2
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
+        assert tree(out) == before
+
+    def test_symlink_at_an_output_name_is_replaced(self, tmp_path):
+        """os.replace replaces a link, even one to a directory, and leaves what it points to alone."""
+        out = tmp_path / "sweep"
+        cmd_sweep(tiny_plan(), out)
+        (out / "analysis").mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        link = out / "analysis" / "anova_mean_cue.csv"
+        link.symlink_to(tmp_path / "elsewhere", target_is_directory=True)
+        cmd_analyze(out)
+        assert link.is_file() and not link.is_symlink()
+        assert list((tmp_path / "elsewhere").iterdir()) == []
+
     def test_single_speed_sweep_drops_constant_factor(self, tmp_path):
         out = tmp_path / "sweep"
         cmd_sweep(tiny_plan(), out)  # one beta only
         analysis = cmd_analyze(out)
-        names = [e.name for e in analysis.anova_mean_cue.effects]
+        names = [e.name for e in analysis["mean_cue"].effects]
         assert names == ["time", "population"]
 
 
@@ -1072,6 +1106,15 @@ class TestAnalyzeWorkers:
             copy.unlink()
         outputs += [analyze(1), analyze(2)]
         assert len(outputs[0]) == 6 and all(output == outputs[0] for output in outputs)
+
+    def test_result_is_one_anova_per_response_file(self, sweep, monkeypatch):
+        """The keys are RESPONSES, in order, and each value is the table that its anova_<response>.csv holds."""
+        for cpus in (1, 2):  # reduced in-process, then in worker processes
+            see_cpus(monkeypatch, cpus)
+            analysis = cmd_analyze(sweep)
+            assert list(analysis) == list(RESPONSES)
+            for response, result in analysis.items():
+                assert anova_csv(result).encode() == (sweep / "analysis" / f"anova_{response}.csv").read_bytes()
 
     def test_dead_worker_is_one_error_naming_the_sweep(self, sweep, capfd, monkeypatch):
         see_cpus(monkeypatch, 2)

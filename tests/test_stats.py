@@ -201,6 +201,14 @@ def classical_one_way(groups):
     return f, k - 1, n - k
 
 
+def effect(result, name: str):
+    """The effect named `name` of an AnovaResult; a KeyError when it has none."""
+    for e in result.effects:
+        if e.name == name:
+            return e
+    raise KeyError(name)
+
+
 def one_factor_effect(groups):
     """The effect of a one-factor `anova_main_effects` over explicit groups."""
     levels = np.concatenate([np.full(len(g), k) for k, g in enumerate(groups)])
