@@ -216,16 +216,16 @@ def cmd_run(config: SimConfig, out_dir, snapshot_times=None) -> dict:
 
 
 def _write_run(out_dir, series: MetricsSeries, snapshots: dict) -> tuple[str, dict]:
-    """Write one run's metrics.csv and snapshot rasters into out_dir, and remove any other snapshot_t*.pgm there."""
+    """Write one run's metrics.csv and snapshots into out_dir; remove other snapshot_t*.pgm files and symlinks there."""
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.csv")
     series.to_csv(metrics_path)
     snap_paths = {t: os.path.join(out_dir, f"snapshot_t{t}.pgm") for t in sorted(snapshots)}
     for t, path in snap_paths.items():
         write_pgm(snapshots[t], path)
-    for name in set(os.listdir(out_dir)) - {os.path.basename(path) for path in snap_paths.values()}:
-        if name.startswith("snapshot_t") and name.endswith(".pgm"):
-            os.remove(os.path.join(out_dir, name))
+    stale = [e for e in os.scandir(out_dir) if e.name.startswith("snapshot_t") and e.name.endswith(".pgm")]
+    for entry in (e for e in stale if e.path not in snap_paths.values() and not e.is_dir(follow_symlinks=False)):
+        os.remove(entry.path)  # a file or a symlink: a directory by a snapshot's name stays
     return metrics_path, snap_paths
 
 
@@ -275,7 +275,7 @@ def _map_tasks(fn, tasks: list[tuple], workers: int) -> list:
 def write_manifest(path, runs: list[RunSpec]) -> None:
     statuses = [r.status if r.status == "ok" else "failed" for r in runs]
     rows = [f"{r.n_robots},{float(r.beta)!r},{r.repetition},{r.seed},{r.path},{s}\n" for r, s in zip(runs, statuses)]
-    write_atomic(path, MANIFEST_HEADER + "\n" + "".join(rows))
+    write_atomic(path, (MANIFEST_HEADER + "\n" + "".join(rows)).encode())
 
 
 def read_manifest(path) -> list[RunSpec]:
@@ -432,9 +432,9 @@ def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> d
     them in-process) through _map_tasks, as in cmd_sweep; no output depends on the worker count, and a worker that dies
     is an OSError naming the sweep. Each task stages its cell's medians in sweep_dir, beside analysis/, and then this
     process one anova_<response>.csv per response; once all are staged, they are renamed into analysis/ and stale median
-    files removed. A directory at an output's name in analysis/ is an IsADirectoryError before any cell is read; on an
-    error before the renames, every staged file is removed and analysis/ is left as it was. Returns the ANOVAs alone,
-    {response: its AnovaResult} in RESPONSES order: read a cell's medians with MetricsSeries.from_csv.
+    files and symlinks removed. A directory at an output's name in analysis/ is an IsADirectoryError before any cell is
+    read; on an error before the renames, every staged file is removed and analysis/ is left as it was. Returns the
+    ANOVAs alone, {response: its AnovaResult} in RESPONSES order: read a cell's medians with MetricsSeries.from_csv.
     """
     if time_bins < 1:  # checked once, here, before any file is read
         raise ConfigError(f"time_bins must be >= 1, got {time_bins}")
@@ -469,7 +469,7 @@ def cmd_analyze(sweep_dir, allow_partial: bool = False, time_bins: int = 8) -> d
             with contextlib.suppress(OSError):  # never written, or already moved
                 os.remove(path)
         raise
-    for stale in set(os.listdir(out_dir)) - set(outputs):
-        if stale.startswith("medians_") and stale.endswith(".csv"):
-            os.remove(os.path.join(out_dir, stale))
+    stale = [e for e in os.scandir(out_dir) if e.name.startswith("medians_") and e.name.endswith(".csv")]
+    for entry in (e for e in stale if e.name not in outputs and not e.is_dir(follow_symlinks=False)):
+        os.remove(entry.path)  # a file or a symlink: a directory by a median file's name stays
     return dict(zip(RESPONSES, anovas))

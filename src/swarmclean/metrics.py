@@ -9,24 +9,22 @@ from __future__ import annotations
 import hashlib
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-CSV_HEADER = "t,mean_cue,ratio_within_rc,coherency_m"
-_CSV_DTYPE = np.dtype({"names": CSV_HEADER.split(","), "formats": ["<i8", "<f8", "<f8", "<f8"]})
 _DIGEST_BYTES = hashlib.sha256().digest_size
 
 
-def write_atomic(path, data: str | bytes) -> None:
-    """Write `data` (a str as text with newline="", bytes as binary) to a temp file beside `path`, then move it there.
+def write_atomic(path, data: bytes) -> None:
+    """Write the bytes `data` to a temp file beside `path`, then move it there.
 
     On any error the temp file is removed and `path` is left as it was, so
     an interrupted write never leaves a partial file under the final name.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline="") if isinstance(data, str) else open(tmp, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -81,20 +79,18 @@ class MetricsSeries:
 
     def csv_text(self) -> str:
         """The text of the file `to_csv` writes: the header, then one row per second."""
-        # rows index the columns, so a short column raises IndexError where zip would drop rows
-        t, cue, ratio, coh = self.t.tolist(), *map(_render, (self.mean_cue, self.ratio_within_rc, self.coherency_m))
-        return CSV_HEADER + "\n" + "".join([f"{t[i]},{cue[i]},{ratio[i]},{coh[i]}\n" for i in range(len(t))])
+        # strict: a float column shorter or longer than t is a ValueError, where a plain zip would drop rows or values
+        columns = [map(str, self.t.tolist()), *(_render(getattr(self, name)) for name in COLUMNS[1:])]
+        return "\n".join([CSV_HEADER, *map(",".join, zip(*columns, strict=True))]) + "\n"
 
     def to_csv(self, path) -> None:
         """Write `csv_text()` to path, then to path + ".bin" the SHA-256 of the CSV bytes and records, then the records.
 
         The CSV is the format; the copy, one `_CSV_DTYPE` record per row, spares `from_csv` the parse of those bytes.
         """
-        text, rows = self.csv_text().encode(), np.empty(len(self), _CSV_DTYPE)
-        for name in _CSV_DTYPE.names:
-            rows[name] = getattr(self, name)
+        text = self.csv_text().encode()
+        records = np.rec.fromarrays([getattr(self, name) for name in COLUMNS], dtype=_CSV_DTYPE).tobytes()
         write_atomic(path, text)
-        records = rows.tobytes()
         write_atomic(f"{path}.bin", hashlib.sha256(text + records).digest() + records)
 
     @classmethod
@@ -120,10 +116,15 @@ class MetricsSeries:
                     rows = np.loadtxt(lines, _CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
                 except ValueError as exc:
                     raise ValueError(f"{path}: malformed metrics row: {exc}") from exc
-        for name in _CSV_DTYPE.names:
+        for name in COLUMNS:
             if not np.isfinite(rows[name]).all():  # no run writes nan or inf, but loadtxt and to_csv pass them
                 raise ValueError(f"{path}: non-finite value in column {name}")
-        return cls(**{name: rows[name].copy() for name in _CSV_DTYPE.names})
+        return cls(**{name: rows[name].copy() for name in COLUMNS})
+
+
+COLUMNS = tuple(f.name for f in fields(MetricsSeries))  # the metrics columns, in file order: t, then the floats
+CSV_HEADER = ",".join(COLUMNS)
+_CSV_DTYPE = np.dtype([(name, "<i8" if name == "t" else "<f8") for name in COLUMNS])
 
 
 def _copied_rows(copy_path, data: bytes) -> np.ndarray | None:

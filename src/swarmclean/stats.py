@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import MetricsSeries
+from .metrics import COLUMNS, MetricsSeries
 
 
 class DesignError(ValueError):
@@ -26,12 +26,8 @@ def median_series(runs: list[MetricsSeries]) -> MetricsSeries:
     Even run counts take the mean of the two central values (numpy
     convention). A single run is returned as-is (copied).
     """
-    return MetricsSeries(
-        t=runs[0].t.copy(),
-        mean_cue=np.median([r.mean_cue for r in runs], axis=0),
-        ratio_within_rc=np.median([r.ratio_within_rc for r in runs], axis=0),
-        coherency_m=np.median([r.coherency_m for r in runs], axis=0),
-    )
+    medians = {name: np.median([getattr(r, name) for r in runs], axis=0) for name in COLUMNS[1:]}
+    return MetricsSeries(t=runs[0].t.copy(), **medians)
 
 
 def bin_means(values: np.ndarray, n_bins: int) -> np.ndarray:

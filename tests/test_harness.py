@@ -605,6 +605,18 @@ class TestCmdSweep:
         assert sorted(p.name for p in run_dir.iterdir()) == ["metrics.csv", "metrics.csv.bin"]
 
 
+    def test_reused_sweep_dir_keeps_a_directory_at_a_snapshot_name(self, tmp_path):
+        """A directory by a stale snapshot's name stays, and the run in it is ok."""
+        out = tmp_path / "sweep"
+        cmd_sweep(tiny_plan(base_config=SimConfig(duration_s=5)), out)
+        run_dir = out / read_manifest(out / "manifest.csv")[0].path
+        (run_dir / "snapshot_t3.pgm").mkdir()
+        runs = cmd_sweep(tiny_plan(base_config=SimConfig(duration_s=5)), out)
+        assert [r.status for r in runs] == ["ok"] * len(runs)
+        assert sorted(p.name for p in run_dir.iterdir()) == ["metrics.csv", "metrics.csv.bin", "snapshot_t3.pgm"]
+        assert (run_dir / "snapshot_t3.pgm").is_dir()
+
+
 def _worker_that_dies_at_n5(batch):
     """Sweep worker whose process exits abruptly on the batch of N=5 runs."""
     if batch[0][1].n_robots == 5:
@@ -960,6 +972,26 @@ class TestCmdAnalyze:
         ]
 
     @pytest.mark.parametrize("cpus", [1, 2])
+    def test_directory_at_a_stale_median_name_stays(self, tmp_path, capsys, monkeypatch, cpus):
+        """A stale median file or symlink is removed; a directory by such a name is left, and analyze succeeds."""
+        see_cpus(monkeypatch, cpus)
+        out = tmp_path / "sweep"
+        cmd_sweep(tiny_plan(betas=(3.0, 6.0), base_config=SimConfig(duration_s=5)), out)
+        (out / "analysis" / "medians_N09_beta6.csv").mkdir(parents=True)
+        (out / "analysis" / "medians_N09_beta6.csv" / "notes.txt").write_text("kept")
+        (out / "analysis" / "medians_N09_beta3.csv").write_text("stale")
+        (tmp_path / "elsewhere").mkdir()
+        (out / "analysis" / "medians_N11_beta6.csv").symlink_to(tmp_path / "elsewhere", target_is_directory=True)
+        assert cli_main(["analyze", "--dir", str(out), "--time-bins", "2"]) == 0
+        assert "error" not in capsys.readouterr().err  # 5 s runs warn of a degenerate mean_cue ANOVA
+        assert sorted(p.name for p in (out / "analysis").iterdir()) == [
+            "anova_coherency_m.csv", "anova_mean_cue.csv", "medians_N03_beta3.csv", "medians_N03_beta6.csv",
+            "medians_N05_beta3.csv", "medians_N05_beta6.csv", "medians_N09_beta6.csv"
+        ]
+        assert (out / "analysis" / "medians_N09_beta6.csv" / "notes.txt").read_text() == "kept"
+        assert (tmp_path / "elsewhere").is_dir()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("damage, rep", [("row-short", 1), ("header-only", 1), ("row-short", 0)])
     def test_run_off_the_time_grid_names_cell_and_file(self, tmp_path, capsys, monkeypatch, damage, rep, cpus):
         see_cpus(monkeypatch, cpus)
@@ -1162,6 +1194,21 @@ class TestCli:
         assert cli_main(["run", "--config", cfg, "--seed", "3", "--out", str(fresh)]) == 0
         for name in ("metrics.csv", "snapshot_t0.pgm"):
             assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_reused_out_dir_keeps_a_directory_at_a_snapshot_name(self, tmp_path, capsys):
+        """A stale snapshot file or symlink is removed; a directory by such a name is left, and the run succeeds."""
+        cfg = write(tmp_path / "run.cfg", RUN_CONFIG.replace("duration_s = 8", "duration_s = 5"))
+        out = tmp_path / "out"
+        (out / "snapshot_t3.pgm").mkdir(parents=True)
+        (out / "snapshot_t2.pgm").write_bytes(b"stale")
+        (tmp_path / "elsewhere").mkdir()
+        (out / "snapshot_t4.pgm").symlink_to(tmp_path / "elsewhere", target_is_directory=True)
+        assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in out.iterdir()) == [
+            "metrics.csv", "metrics.csv.bin", "snapshot_t0.pgm", "snapshot_t3.pgm"
+        ]
+        assert (out / "snapshot_t3.pgm").is_dir() and (tmp_path / "elsewhere").is_dir()
 
     def test_run_seed_override_changes_output(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", RUN_CONFIG)

@@ -2,6 +2,7 @@ import re
 import shutil
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -11,11 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmclean.engine import PairGeometry, SimConfig
-from swarmclean.metrics import CSV_HEADER, MetricsSeries
+from swarmclean.metrics import COLUMNS, CSV_HEADER, MetricsSeries
 from swarmclean.metrics import coherency as coherency_of_geometry
 from swarmclean.metrics import ratio_within as ratio_within_blocks
-
-COLUMNS = CSV_HEADER.split(",")
 
 
 def flip_bit(path, k):
@@ -170,6 +169,25 @@ class TestMetricsSeries:
         assert len(lines) == 4
         assert lines[1].split(",")[0] == "0"
 
+    def test_columns_are_the_fields(self, tmp_path):
+        """The fields name the columns, in order, of the header and of the copy's records: t int64, the rest float64."""
+        names = tuple(f.name for f in fields(MetricsSeries))
+        assert COLUMNS == names and CSV_HEADER == ",".join(names)
+        s = self.make_series()
+        s.to_csv(tmp_path / "m.csv")
+        records = (tmp_path / "m.csv.bin").read_bytes()[32:]  # after the SHA-256 digest
+        dtype = np.dtype([(name, "<i8" if name == "t" else "<f8") for name in names])
+        assert records == b"".join(np.array(row, dtype).tobytes() for row in zip(*(getattr(s, n) for n in names)))
+
+    @pytest.mark.parametrize("column", COLUMNS[1:])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_float_column_off_the_length_of_t_is_refused(self, column, extra):
+        """A float column shorter or longer than t raises; the text would otherwise drop rows or values."""
+        s = self.make_series()
+        setattr(s, column, np.arange(len(s) + extra, dtype=np.float64))
+        with pytest.raises(ValueError, match="zip"):
+            s.csv_text()
+
     def test_reject_foreign_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("time,cue\n0,1\n")
@@ -190,8 +208,8 @@ class TestMetricsSeries:
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         s = self.make_series()
-        s.mean_cue = s.mean_cue[:2]  # mismatched columns: row 2 raises mid-write
-        with pytest.raises(IndexError):
+        s.mean_cue = s.mean_cue[:2]  # mismatched columns: refused before either file is written
+        with pytest.raises(ValueError):
             s.to_csv(tmp_path / "metrics.csv")
         assert list(tmp_path.iterdir()) == []
 
@@ -201,7 +219,7 @@ class TestMetricsSeries:
         before = p.read_bytes()
         s = self.make_series()
         s.coherency_m = s.coherency_m[:1]
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             s.to_csv(p)
         assert p.read_bytes() == before
         assert sorted(path.name for path in tmp_path.iterdir()) == ["metrics.csv", "metrics.csv.bin"]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from swarmclean import stats
 from swarmclean.harness import build_observation_table
-from swarmclean.metrics import MetricsSeries
+from swarmclean.metrics import COLUMNS, MetricsSeries
 from swarmclean.stats import (
     DesignError,
     anova_main_effects,
@@ -49,6 +49,18 @@ class TestMedianSeries:
         med = median_series([series_of([1.0]), series_of([2.0]), series_of([9.0])])
         assert med.ratio_within_rc[0] == 1.0
         assert med.coherency_m[0] == 4.0
+
+    @pytest.mark.parametrize("runs", [1, 2, 5, 6])
+    def test_every_float_column_is_its_np_median(self, runs):
+        """Bit for bit np.median over the runs, column by column; t is the first run's, copied."""
+        rng = np.random.default_rng(runs)
+        scales = [[1.0], [1e-3], [1e3]]  # one per float column, so a column mixed up with another shows
+        series = [MetricsSeries(np.arange(50) * 2, *rng.normal(size=(3, 50)) * scales) for _ in range(runs)]
+        med = median_series(series)
+        for name in COLUMNS[1:]:
+            expected = np.median(np.stack([getattr(s, name) for s in series]), axis=0)
+            assert getattr(med, name).tobytes() == expected.tobytes()
+        assert med.t.tobytes() == series[0].t.tobytes() and not np.shares_memory(med.t, series[0].t)
 
     def test_idempotent_on_duplicated_lists(self):
         runs = [series_of([1.0, 7.0]), series_of([2.0, 5.0]), series_of([9.0, 6.0])]
